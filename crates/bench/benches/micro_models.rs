@@ -15,6 +15,7 @@ use volcanoml_data::{metrics::accuracy, train_test_split};
 use volcanoml_models::binned::{BinnedMatrix, DEFAULT_MAX_BINS};
 use volcanoml_models::forest::{ForestClassifier, ForestConfig};
 use volcanoml_models::linear::{LogisticRegression, RidgeRegression};
+use volcanoml_models::svm::{Kernel, SvmClassifier};
 use volcanoml_models::tree::{
     DecisionTreeClassifier, HistKernel, MaxFeatures, SplitStrategy, Tree, TreeConfig,
 };
@@ -162,11 +163,43 @@ fn timed_kernel_fit(
     best
 }
 
+/// Times a 3-class RBF SVC on 2000×30 — the shape of the benchmark's
+/// `volcano_large` trials, so the fit runs on the capped 600-row working set
+/// and predict scores all 2000 rows. Returns the fastest of `reps` as
+/// `(fit_ms, predict_ms)`.
+fn timed_kernel_svm(reps: usize) -> (f64, f64) {
+    let d = make_classification(
+        &ClassificationSpec {
+            n_samples: 2000,
+            n_features: 30,
+            n_informative: 12,
+            n_redundant: 4,
+            n_classes: 3,
+            class_sep: 1.0,
+            flip_y: 0.02,
+            weights: Vec::new(),
+        },
+        11,
+    );
+    let (mut fit_ms, mut predict_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(1) {
+        let mut m = SvmClassifier::new(1.0, Kernel::Rbf { gamma: 1.0 / 30.0 }, 0);
+        let start = Instant::now();
+        m.fit(&d.x, &d.y).unwrap();
+        fit_ms = fit_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        let start = Instant::now();
+        black_box(m.predict(&d.x).unwrap());
+        predict_ms = predict_ms.min(start.elapsed().as_secs_f64() * 1e3);
+    }
+    (fit_ms, predict_ms)
+}
+
 /// Histogram forest training at ~10k rows: exact-vs-histogram headline,
 /// per-`n_jobs` rows, the PR 2 kernel (forced-u16 codes + per-node buffers)
-/// against the flat u8 kernel, and the f32-binning accuracy delta. Written
-/// to `results/BENCH_models.json`; `scripts/ci.sh` gates on the accuracy
-/// and parallel fields.
+/// against the flat u8 kernel, the f32-binning accuracy delta, and one
+/// `kernel_svm` row for the Gram-matrix SMO path. Written to
+/// `results/BENCH_models.json`; `scripts/ci.sh` gates on the accuracy and
+/// parallel fields.
 fn histogram_speedup_report() {
     let d = make_classification(
         &ClassificationSpec {
@@ -205,6 +238,8 @@ fn histogram_speedup_report() {
     let legacy_kernel_ms = timed_kernel_fit(&bm_u16, &train.y, 3, HistKernel::PerNode, n_trees, 5);
     let flat_kernel_ms = timed_kernel_fit(&bm_u8, &train.y, 3, HistKernel::Flat, n_trees, 5);
 
+    let (svm_fit_ms, svm_predict_ms) = timed_kernel_svm(3);
+
     let speedup = exact_ms / hist_ms;
     let parallel_speedup = hist_ms / hist4_ms;
     let kernel_speedup = legacy_kernel_ms / flat_kernel_ms;
@@ -221,7 +256,9 @@ fn histogram_speedup_report() {
          \"kernel_speedup\": {kernel_speedup:.2},\n  \
          \"f32_hist_fit_ms\": {f32_ms:.1},\n  \"exact_acc\": {exact_acc:.4},\n  \
          \"hist_acc\": {hist_acc:.4},\n  \"accuracy_delta\": {:.4},\n  \
-         \"f32_acc\": {f32_acc:.4},\n  \"f32_accuracy_delta\": {:.4}\n}}\n",
+         \"f32_acc\": {f32_acc:.4},\n  \"f32_accuracy_delta\": {:.4},\n  \
+         \"kernel_svm\": {{\"bench\": \"svc_rbf_3class_2000x30\", \
+         \"fit_ms\": {svm_fit_ms:.1}, \"predict_ms\": {svm_predict_ms:.1}}}\n}}\n",
         train.n_samples(),
         train.n_features(),
         train.n_samples(),

@@ -172,6 +172,18 @@ pub(crate) mod test_util {
         )
     }
 
+    /// 64-bit FNV-1a over the little-endian `to_bits()` of each value — the
+    /// digest the golden bitwise tests pin.
+    pub fn fnv1a_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
     /// Train/test split helper.
     pub fn split(
         d: &Dataset,

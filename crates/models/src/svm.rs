@@ -38,39 +38,76 @@ impl Kernel {
             Kernel::Poly { gamma, coef0, degree } => (gamma * dot(a, b) + coef0).powi(degree as i32),
         }
     }
+
+    /// The symmetric `n×n` Gram matrix `K[i][j] = eval(row i, row j)` of `x`.
+    ///
+    /// Only the upper triangle is evaluated and then mirrored: `dot` and
+    /// `squared_distance` are bitwise symmetric in their arguments, so every
+    /// entry equals the direct `eval` in either argument order.
+    pub(crate) fn gram(&self, x: &Matrix) -> Matrix {
+        let n = x.rows();
+        let mut k = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in i..n {
+                let v = self.eval(x.row(i), x.row(j));
+                k.set(i, j, v);
+                k.set(j, i, v);
+            }
+        }
+        k
+    }
 }
+
+/// Standardizes the columns of `x` with the scalers learned at fit time.
+pub(crate) fn scale_matrix(x: &Matrix, means: &[f64], stds: &[f64]) -> Matrix {
+    let mut out = x.clone();
+    for r in 0..out.rows() {
+        let row = out.row_mut(r);
+        for ((v, &m), &s) in row.iter_mut().zip(means.iter()).zip(stds.iter()) {
+            *v = (*v - m) / s;
+        }
+    }
+    out
+}
+
+/// Row cap on the SVC working set (larger inputs are subsampled). SMO is
+/// O(n²)-ish, so this bounds the worst-case cost inside AutoML loops, and the
+/// per-fit Gram matrix takes `cap² × 8` bytes = 2.9 MB.
+const SVC_WORKING_SET_CAP: usize = 600;
 
 /// One binary SVM trained on ±1 targets with simplified SMO.
 #[derive(Debug, Clone)]
 struct BinarySvm {
-    alphas: Vec<f64>,
+    /// Signed dual coefficient `α_j · target_j` of every working-set row
+    /// (zero off the support set).
+    coef: Vec<f64>,
     bias: f64,
     support_idx: Vec<usize>,
 }
 
+/// Trains one machine from the working set's Gram matrix, which does not
+/// depend on the targets and is shared by the one-vs-rest machines.
 fn train_binary(
-    x: &Matrix,
+    gram: &Matrix,
     targets: &[f64], // ±1
     c: f64,
-    kernel: Kernel,
     tol: f64,
     max_passes: usize,
     seed: u64,
 ) -> BinarySvm {
-    let n = x.rows();
+    let n = targets.len();
     let mut alphas = vec![0.0; n];
     let mut b = 0.0;
     let mut rng = rng_from_seed(seed);
 
-    // Cache kernel rows lazily would be nicer; for our n (≤ a few thousand,
-    // typically a few hundred after subsampling) a full scan per lookup is
-    // acceptable and memory-friendly.
+    // Decision value of working-set row i. The operand order — non-zero α
+    // only, j ascending, `(α_j · t_j) · K[i][j]` — is pinned bit for bit by
+    // the golden digests below.
     let f = |alphas: &[f64], b: f64, i: usize| -> f64 {
         let mut s = b;
-        let row_i = x.row(i);
-        for (j, &a) in alphas.iter().enumerate() {
+        for ((&a, &t), &k) in alphas.iter().zip(targets).zip(gram.row(i)) {
             if a != 0.0 {
-                s += a * targets[j] * kernel.eval(x.row(j), row_i);
+                s += a * t * k;
             }
         }
         s
@@ -78,7 +115,8 @@ fn train_binary(
 
     let mut passes = 0usize;
     let mut iter_guard = 0usize;
-    let max_iters = max_passes * 40;
+    // A single row cannot form an SMO pair: α and the bias stay zero.
+    let max_iters = if n < 2 { 0 } else { max_passes * 40 };
     while passes < max_passes && iter_guard < max_iters {
         iter_guard += 1;
         let mut changed = 0usize;
@@ -101,9 +139,7 @@ fn train_binary(
                 if hi - lo < 1e-12 {
                     continue;
                 }
-                let kii = kernel.eval(x.row(i), x.row(i));
-                let kjj = kernel.eval(x.row(j), x.row(j));
-                let kij = kernel.eval(x.row(i), x.row(j));
+                let (kii, kjj, kij) = (gram.get(i, i), gram.get(j, j), gram.get(i, j));
                 let eta = 2.0 * kij - kii - kjj;
                 if eta >= 0.0 {
                     continue;
@@ -146,7 +182,7 @@ fn train_binary(
         .map(|(i, _)| i)
         .collect();
     BinarySvm {
-        alphas,
+        coef: alphas.iter().zip(targets).map(|(a, t)| a * t).collect(),
         bias: b,
         support_idx,
     }
@@ -167,7 +203,6 @@ pub struct SvmClassifier {
     pub seed: u64,
     machines: Vec<BinarySvm>,
     x_train: Option<Matrix>,
-    y_train: Vec<f64>,
     n_classes: usize,
     means: Vec<f64>,
     stds: Vec<f64>,
@@ -184,7 +219,6 @@ impl SvmClassifier {
             seed,
             machines: Vec::new(),
             x_train: None,
-            y_train: Vec::new(),
             n_classes: 0,
             means: Vec::new(),
             stds: Vec::new(),
@@ -196,17 +230,6 @@ impl SvmClassifier {
         self.machines.iter().map(|m| m.support_idx.len()).sum()
     }
 
-    fn scale_matrix(&self, x: &Matrix) -> Matrix {
-        let mut out = x.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for ((v, &m), &s) in row.iter_mut().zip(self.means.iter()).zip(self.stds.iter()) {
-                *v = (*v - m) / s;
-            }
-        }
-        out
-    }
-
     fn decision(&self, x: &Matrix) -> Result<Matrix> {
         let xt = self.x_train.as_ref().ok_or(ModelError::NotFitted)?;
         if x.cols() != xt.cols() {
@@ -216,14 +239,26 @@ impl SvmClassifier {
                 x.cols()
             )));
         }
-        let xs = self.scale_matrix(x);
+        let xs = scale_matrix(x, &self.means, &self.stds);
+        // Union of the machines' support vectors: each (support vector, row)
+        // kernel value is evaluated once and reused by every machine.
+        let mut in_union = vec![false; xt.rows()];
+        for machine in &self.machines {
+            for &j in &machine.support_idx {
+                in_union[j] = true;
+            }
+        }
+        let union: Vec<usize> = (0..xt.rows()).filter(|&j| in_union[j]).collect();
+        let mut k_row = vec![0.0; xt.rows()];
         let mut out = Matrix::zeros(x.rows(), self.machines.len());
-        for (c, machine) in self.machines.iter().enumerate() {
-            for i in 0..xs.rows() {
+        for i in 0..xs.rows() {
+            for &j in &union {
+                k_row[j] = self.kernel.eval(xt.row(j), xs.row(i));
+            }
+            for (c, machine) in self.machines.iter().enumerate() {
                 let mut s = machine.bias;
                 for &j in &machine.support_idx {
-                    let target = if self.y_train[j] as usize == c { 1.0 } else { -1.0 };
-                    s += machine.alphas[j] * target * self.kernel.eval(xt.row(j), xs.row(i));
+                    s += machine.coef[j] * k_row[j];
                 }
                 out.set(i, c, s);
             }
@@ -242,11 +277,9 @@ impl Estimator for SvmClassifier {
             .into_iter()
             .map(|s| if s < 1e-9 { 1.0 } else { s })
             .collect();
-        let xs = self.scale_matrix(x);
+        let xs = scale_matrix(x, &self.means, &self.stds);
 
-        // SMO is O(n²)-ish; cap the working set to keep worst-case cost
-        // bounded inside AutoML loops.
-        let cap = 600usize;
+        let cap = SVC_WORKING_SET_CAP;
         let (x_work, y_work): (Matrix, Vec<f64>) = if xs.rows() > cap {
             let mut rng = rng_from_seed(self.seed ^ 0x5af3);
             let idx = volcanoml_data::rand_util::sample_without_replacement(&mut rng, xs.rows(), cap);
@@ -255,6 +288,8 @@ impl Estimator for SvmClassifier {
             (xs, y.to_vec())
         };
 
+        // Computed once and shared by the k machines; dropped when fit returns.
+        let gram = self.kernel.gram(&x_work);
         self.machines = (0..k)
             .map(|c| {
                 let targets: Vec<f64> = y_work
@@ -262,10 +297,9 @@ impl Estimator for SvmClassifier {
                     .map(|&label| if label as usize == c { 1.0 } else { -1.0 })
                     .collect();
                 train_binary(
-                    &x_work,
+                    &gram,
                     &targets,
                     self.c,
-                    self.kernel,
                     self.tol,
                     self.max_passes,
                     volcanoml_data::rand_util::derive_seed(self.seed, c as u64),
@@ -273,10 +307,6 @@ impl Estimator for SvmClassifier {
             })
             .collect();
         self.x_train = Some(x_work);
-        self.y_train = y_work;
-        // x_train is already scaled; predict-time scaling uses means/stds,
-        // so neutralize the stored scaling by keeping the scaled matrix and
-        // the original scalers (decision() scales incoming x only).
         Ok(())
     }
 
@@ -319,9 +349,9 @@ impl Estimator for SvmClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{easy_binary, easy_multiclass, nonlinear_binary, split};
+    use crate::test_util::{easy_binary, easy_multiclass, fnv1a_bits, nonlinear_binary, split};
     use volcanoml_data::metrics::accuracy;
-    use volcanoml_data::synthetic::make_circles;
+    use volcanoml_data::synthetic::{make_blobs, make_circles};
 
     #[test]
     fn kernel_evaluations() {
@@ -373,6 +403,104 @@ mod tests {
         m.fit(&xt, &yt).unwrap();
         let acc = accuracy(&yv, &m.predict(&xv).unwrap());
         assert!(acc > 0.9, "accuracy {acc}");
+    }
+
+    /// Digest of everything a fit produces: per-machine `α_j · target_j` and
+    /// bias, then the decision margins and predicted labels on `xv`.
+    fn fit_digest(mut m: SvmClassifier, xt: &Matrix, yt: &[f64], xv: &Matrix) -> u64 {
+        m.fit(xt, yt).unwrap();
+        let dec = m.decision(xv).unwrap();
+        let preds = m.predict(xv).unwrap();
+        fnv1a_bits(
+            m.machines
+                .iter()
+                .flat_map(|b| b.coef.iter().copied().chain([b.bias]))
+                .chain(dec.data().iter().copied())
+                .chain(preds),
+        )
+    }
+
+    // Golden digests recorded on the direct-evaluation SMO (the commit before
+    // the shared Gram matrix): the Gram path must reproduce every bit.
+    #[test]
+    fn golden_binary_rbf_circles() {
+        let d = make_circles(240, 0.05, 0.5, 1);
+        let ((xt, yt), (xv, _)) = split(&d);
+        let m = SvmClassifier::new(5.0, Kernel::Rbf { gamma: 1.0 }, 0);
+        assert_eq!(fit_digest(m, &xt, &yt, &xv), 0x456aa7dce272a22d_u64);
+    }
+
+    #[test]
+    fn golden_multiclass_rbf() {
+        let d = easy_multiclass();
+        let ((xt, yt), (xv, _)) = split(&d);
+        let m = SvmClassifier::new(1.0, Kernel::Rbf { gamma: 0.5 }, 0);
+        assert_eq!(fit_digest(m, &xt, &yt, &xv), 0x964955c7d71dd3a2_u64);
+    }
+
+    #[test]
+    fn golden_poly() {
+        let d = easy_binary();
+        let ((xt, yt), (xv, _)) = split(&d);
+        let kernel = Kernel::Poly {
+            gamma: 0.5,
+            coef0: 1.0,
+            degree: 3,
+        };
+        let m = SvmClassifier::new(1.0, kernel, 3);
+        assert_eq!(fit_digest(m, &xt, &yt, &xv), 0x1b83f1ed78af8619_u64);
+    }
+
+    #[test]
+    fn golden_linear() {
+        let d = easy_binary();
+        let ((xt, yt), (xv, _)) = split(&d);
+        let m = SvmClassifier::new(1.0, Kernel::Linear, 0);
+        assert_eq!(fit_digest(m, &xt, &yt, &xv), 0x9270068e55f54fc3_u64);
+    }
+
+    #[test]
+    fn golden_subsampled_multiclass() {
+        // 900 rows > SVC_WORKING_SET_CAP: exercises the subsample path.
+        let d = make_blobs(900, 3, 8, 2.5, 5);
+        let m = SvmClassifier::new(2.0, Kernel::Rbf { gamma: 0.1 }, 4);
+        assert_eq!(fit_digest(m, &d.x, &d.y, &d.x), 0x3ea67f8940650a49_u64);
+    }
+
+    #[test]
+    fn gram_is_symmetric_and_matches_eval() {
+        let d = easy_multiclass();
+        let x = d.x.select_rows(&(0..40).collect::<Vec<_>>());
+        for kernel in [
+            Kernel::Linear,
+            Kernel::Rbf { gamma: 0.3 },
+            Kernel::Poly {
+                gamma: 0.5,
+                coef0: 1.0,
+                degree: 3,
+            },
+        ] {
+            let k = kernel.gram(&x);
+            assert_eq!(k.shape(), (40, 40));
+            for i in 0..40 {
+                for j in 0..40 {
+                    let at = format!("{kernel:?} ({i},{j})");
+                    let direct = kernel.eval(x.row(i), x.row(j));
+                    assert_eq!(k.get(i, j).to_bits(), direct.to_bits(), "{at}");
+                    assert_eq!(k.get(i, j).to_bits(), k.get(j, i).to_bits(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_row_fit_skips_smo_instead_of_panicking() {
+        let x = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
+        let mut m = SvmClassifier::new(1.0, Kernel::Rbf { gamma: 0.5 }, 0);
+        m.fit(&x, &[0.0]).unwrap();
+        assert_eq!(m.n_support_vectors(), 0);
+        assert!(m.machines.iter().all(|b| b.bias == 0.0 && b.coef == [0.0]));
+        assert_eq!(m.predict(&x).unwrap().len(), 1);
     }
 
     #[test]

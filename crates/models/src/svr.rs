@@ -1,11 +1,15 @@
 //! ε-insensitive support vector regression (SMO on the dual) — the `SVR`
 //! member of the paper's regression search space.
 
-use crate::svm::Kernel;
+use crate::svm::{scale_matrix, Kernel};
 use crate::{check_fit_inputs, Estimator, ModelError, Result};
 use rand::RngExt;
 use volcanoml_data::rand_util::rng_from_seed;
 use volcanoml_linalg::Matrix;
+
+/// Row cap on the SVR working set (larger inputs are subsampled): SMO is
+/// quadratic in n, and the per-fit Gram matrix takes `cap² × 8` bytes = 2.0 MB.
+const SVR_WORKING_SET_CAP: usize = 500;
 
 /// ε-SVR trained with a simplified SMO over the dual coefficients
 /// `β_i = α_i − α_i*` (each clipped to `[-C, C]`).
@@ -57,17 +61,6 @@ impl SvmRegressor {
         self.beta.iter().filter(|b| b.abs() > 1e-9).count()
     }
 
-    fn scale_matrix(&self, x: &Matrix) -> Matrix {
-        let mut out = x.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for ((v, &m), &s) in row.iter_mut().zip(self.means.iter()).zip(self.stds.iter()) {
-                *v = (*v - m) / s;
-            }
-        }
-        out
-    }
-
     fn raw_predict(&self, xt: &Matrix, row: &[f64]) -> f64 {
         let mut s = self.bias;
         for (j, &b) in self.beta.iter().enumerate() {
@@ -96,9 +89,8 @@ impl Estimator for SvmRegressor {
                 s
             }
         };
-        let xs = self.scale_matrix(x);
-        // Cap the working set: SMO is quadratic in n.
-        let cap = 500usize;
+        let xs = scale_matrix(x, &self.means, &self.stds);
+        let cap = SVR_WORKING_SET_CAP;
         let (x_work, y_work): (Matrix, Vec<f64>) = if xs.rows() > cap {
             let mut rng = rng_from_seed(self.seed ^ 0xcafe);
             let idx =
@@ -120,12 +112,16 @@ impl Estimator for SvmRegressor {
         let eps = self.epsilon.max(1e-6);
         let c = self.c.max(1e-9);
 
+        // Computed once per fit and dropped when it returns.
+        let gram = self.kernel.gram(&x_work);
+        // Prediction for working-set row i. The operand order — non-zero β
+        // only, j ascending, `β_j · K[i][j]` — is pinned bit for bit by the
+        // golden digests below.
         let f = |beta: &[f64], bias: f64, i: usize| -> f64 {
             let mut s = bias;
-            let row_i = x_work.row(i);
-            for (j, &b) in beta.iter().enumerate() {
+            for (&b, &k) in beta.iter().zip(gram.row(i)) {
                 if b != 0.0 {
-                    s += b * self.kernel.eval(x_work.row(j), row_i);
+                    s += b * k;
                 }
             }
             s
@@ -133,7 +129,9 @@ impl Estimator for SvmRegressor {
 
         let mut passes = 0usize;
         let mut guard = 0usize;
-        while passes < self.max_passes && guard < self.max_passes * 40 {
+        // A single row cannot form an SMO pair: β stays zero.
+        let max_iters = if n < 2 { 0 } else { self.max_passes * 40 };
+        while passes < self.max_passes && guard < max_iters {
             guard += 1;
             let mut changed = 0usize;
             for i in 0..n {
@@ -148,10 +146,7 @@ impl Estimator for SvmRegressor {
                 if j >= i {
                     j += 1;
                 }
-                let _ej = f(&beta, bias, j) - y_work[j];
-                let kii = self.kernel.eval(x_work.row(i), x_work.row(i));
-                let kjj = self.kernel.eval(x_work.row(j), x_work.row(j));
-                let kij = self.kernel.eval(x_work.row(i), x_work.row(j));
+                let (kii, kjj, kij) = (gram.get(i, i), gram.get(j, j), gram.get(i, j));
                 let eta = kii + kjj - 2.0 * kij;
                 if eta <= 1e-12 {
                     continue;
@@ -202,7 +197,7 @@ impl Estimator for SvmRegressor {
                 x.cols()
             )));
         }
-        let xs = self.scale_matrix(x);
+        let xs = scale_matrix(x, &self.means, &self.stds);
         Ok((0..xs.rows())
             .map(|i| self.raw_predict(xt, xs.row(i)) * self.y_std + self.y_mean)
             .collect())
@@ -319,7 +314,7 @@ impl Estimator for HuberRegressor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{easy_regression, split};
+    use crate::test_util::{easy_regression, fnv1a_bits, split};
     use volcanoml_data::metrics::r2;
     use volcanoml_data::synthetic::make_friedman1;
 
@@ -341,6 +336,49 @@ mod tests {
         m.fit(&xt, &yt).unwrap();
         let score = r2(&yv, &m.predict(&xv).unwrap());
         assert!(score > 0.6, "r2 {score}");
+    }
+
+    /// Digest of everything a fit produces: β, bias, then predictions on `xv`.
+    fn fit_digest(mut m: SvmRegressor, xt: &Matrix, yt: &[f64], xv: &Matrix) -> u64 {
+        m.fit(xt, yt).unwrap();
+        let preds = m.predict(xv).unwrap();
+        fnv1a_bits(m.beta.iter().copied().chain([m.bias]).chain(preds))
+    }
+
+    // Golden digests recorded on the direct-evaluation SMO (the commit before
+    // the Gram matrix): the Gram path must reproduce every bit.
+    #[test]
+    fn golden_rbf() {
+        let d = make_friedman1(350, 0, 0.2, 3);
+        let ((xt, yt), (xv, _)) = split(&d);
+        let m = SvmRegressor::new(10.0, 0.05, Kernel::Rbf { gamma: 0.5 }, 0);
+        assert_eq!(fit_digest(m, &xt, &yt, &xv), 0x4098c0cacb00eec6_u64);
+    }
+
+    #[test]
+    fn golden_linear() {
+        let d = easy_regression();
+        let ((xt, yt), (xv, _)) = split(&d);
+        let m = SvmRegressor::new(5.0, 0.05, Kernel::Linear, 0);
+        assert_eq!(fit_digest(m, &xt, &yt, &xv), 0x584cb77942b09b39_u64);
+    }
+
+    #[test]
+    fn golden_subsampled_rbf() {
+        // 700 rows > SVR_WORKING_SET_CAP: exercises the subsample path.
+        let d = make_friedman1(700, 2, 0.3, 9);
+        let m = SvmRegressor::new(3.0, 0.1, Kernel::Rbf { gamma: 0.2 }, 6);
+        assert_eq!(fit_digest(m, &d.x, &d.y, &d.x), 0x54ac3fdddbedb221_u64);
+    }
+
+    #[test]
+    fn single_row_fit_skips_smo_instead_of_panicking() {
+        let x = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
+        let mut m = SvmRegressor::new(1.0, 0.1, Kernel::Rbf { gamma: 0.5 }, 0);
+        m.fit(&x, &[3.0]).unwrap();
+        assert_eq!(m.n_support_vectors(), 0);
+        assert_eq!(m.bias, 0.0);
+        assert_eq!(m.predict(&x).unwrap(), vec![3.0]);
     }
 
     #[test]
