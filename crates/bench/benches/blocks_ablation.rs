@@ -32,7 +32,7 @@ fn run_tree(
     let evaluator = Evaluator::new(space.clone(), &train, metric, seed).ok()?;
     let mut root = build_figure2_tree(space, engine, eui, elimination, seed).ok()?;
     while evaluator.evaluations() < budget {
-        root.do_next(&evaluator).ok()?;
+        root.pull(&evaluator, None, 1).ok()?;
     }
     let best = root.current_best()?;
     let (pipeline, model) = refit_assignment(space, &best.assignment, &train, seed).ok()?;

@@ -100,14 +100,12 @@ fn timed_forest_fit(
     test: &volcanoml_data::Dataset,
     strategy: SplitStrategy,
     n_jobs: usize,
-    f32_binning: bool,
     reps: usize,
 ) -> (f64, f64) {
     let mut cfg = ForestConfig::random_forest();
     cfg.n_estimators = 40;
     cfg.split_strategy = strategy;
     cfg.n_jobs = n_jobs;
-    cfg.f32_binning = f32_binning;
     let mut fit_ms = f64::INFINITY;
     let mut acc = 0.0;
     for _ in 0..reps.max(1) {
@@ -196,7 +194,7 @@ fn timed_kernel_svm(reps: usize) -> (f64, f64) {
 
 /// Histogram forest training at ~10k rows: exact-vs-histogram headline,
 /// per-`n_jobs` rows, the PR 2 kernel (forced-u16 codes + per-node buffers)
-/// against the flat u8 kernel, the f32-binning accuracy delta, and one
+/// against the flat u8 kernel, and one
 /// `kernel_svm` row for the Gram-matrix SMO path. Written to
 /// `results/BENCH_models.json`; `scripts/ci.sh` gates on the accuracy and
 /// parallel fields.
@@ -217,15 +215,14 @@ fn histogram_speedup_report() {
     let (train, test) = train_test_split(&d, 0.2, 0).unwrap();
     // The exact fit is the slow headline-only number (no ratio gate), one
     // rep; the histogram fits feed the ci.sh ratio gates, best-of-2.
-    let (exact_ms, exact_acc) = timed_forest_fit(&train, &test, SplitStrategy::Best, 1, false, 1);
-    let (hist_ms, hist_acc) = timed_forest_fit(&train, &test, SplitStrategy::Histogram, 1, false, 2);
+    let (exact_ms, exact_acc) = timed_forest_fit(&train, &test, SplitStrategy::Best, 1, 1);
+    let (hist_ms, hist_acc) = timed_forest_fit(&train, &test, SplitStrategy::Histogram, 1, 2);
     let (hist2_ms, hist2_acc) =
-        timed_forest_fit(&train, &test, SplitStrategy::Histogram, 2, false, 2);
+        timed_forest_fit(&train, &test, SplitStrategy::Histogram, 2, 2);
     let (hist4_ms, hist4_acc) =
-        timed_forest_fit(&train, &test, SplitStrategy::Histogram, 4, false, 2);
+        timed_forest_fit(&train, &test, SplitStrategy::Histogram, 4, 2);
     assert_eq!(hist_acc, hist2_acc, "n_jobs must not change the fit");
     assert_eq!(hist_acc, hist4_acc, "n_jobs must not change the fit");
-    let (f32_ms, f32_acc) = timed_forest_fit(&train, &test, SplitStrategy::Histogram, 1, true, 2);
 
     // Kernel-isolated comparison: same trees, pre-binned layouts,
     // best-of-5 passes per kernel.
@@ -254,9 +251,8 @@ fn histogram_speedup_report() {
          \"legacy_kernel_ms\": {legacy_kernel_ms:.1},\n  \
          \"flat_kernel_ms\": {flat_kernel_ms:.1},\n  \
          \"kernel_speedup\": {kernel_speedup:.2},\n  \
-         \"f32_hist_fit_ms\": {f32_ms:.1},\n  \"exact_acc\": {exact_acc:.4},\n  \
+         \"exact_acc\": {exact_acc:.4},\n  \
          \"hist_acc\": {hist_acc:.4},\n  \"accuracy_delta\": {:.4},\n  \
-         \"f32_acc\": {f32_acc:.4},\n  \"f32_accuracy_delta\": {:.4},\n  \
          \"kernel_svm\": {{\"bench\": \"svc_rbf_3class_2000x30\", \
          \"fit_ms\": {svm_fit_ms:.1}, \"predict_ms\": {svm_predict_ms:.1}}}\n}}\n",
         train.n_samples(),
@@ -264,7 +260,6 @@ fn histogram_speedup_report() {
         train.n_samples(),
         train.n_features(),
         hist_acc - exact_acc,
-        f32_acc - hist_acc,
     );
     println!("\nhistogram vs exact forest fit ({} rows):", train.n_samples());
     print!("{json}");

@@ -1,7 +1,7 @@
 //! Parallel-scaling study for the trial-execution engine (`volcanoml-exec`).
 //!
 //! Part 1 (the headline claim): a *fixed* pre-sampled trial set is evaluated
-//! through `Evaluator::evaluate_batch` on pools of 1, 2 and 4 workers, with a
+//! through `Evaluator::evaluate_trials` on pools of 1, 2 and 4 workers, with a
 //! constant per-trial latency injected through the evaluator's fault hook
 //! (modeling the data-loading / dispatch wait every distributed executor
 //! hides). Latency overlaps across workers regardless of core count, so the
@@ -22,8 +22,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use volcanoml_bench::{print_table, quick, scaled, write_csv};
-use volcanoml_core::evaluator::{EvalOutcome, Evaluator, Fault};
-use volcanoml_core::{SpaceDef, SpaceTier, VolcanoML, VolcanoMlOptions};
+use volcanoml_core::evaluator::{EvalOutcome, Evaluator, Fault, Trial};
+use volcanoml_core::{SpaceDef, SpaceTier, TrialTag, VolcanoML, VolcanoMlOptions};
 use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
 use volcanoml_data::{Metric, Task};
 use volcanoml_exec::ExecPool;
@@ -44,13 +44,13 @@ fn dataset(seed: u64) -> volcanoml_data::Dataset {
     )
 }
 
-fn sample_trials(space: &SpaceDef, n: usize, seed: u64) -> Vec<(HashMap<String, f64>, f64)> {
+fn sample_trials(space: &SpaceDef, n: usize, seed: u64) -> Vec<Trial> {
     let compiled = space
         .compile_subspace(&space.var_names(), &HashMap::new())
         .unwrap();
     let mut rng = volcanoml_data::rand_util::rng_from_seed(seed);
     (0..n)
-        .map(|_| (compiled.to_map(&compiled.sample(&mut rng)), 1.0))
+        .map(|_| (compiled.to_map(&compiled.sample(&mut rng)), 1.0, TrialTag::NONE))
         .collect()
 }
 
@@ -66,7 +66,7 @@ fn best_loss(outcomes: &[EvalOutcome]) -> f64 {
 fn run_once(
     space: &SpaceDef,
     d: &volcanoml_data::Dataset,
-    trials: &[(HashMap<String, f64>, f64)],
+    trials: &[Trial],
     workers: usize,
     stall: Option<Duration>,
 ) -> (f64, f64) {
@@ -76,7 +76,7 @@ fn run_once(
     }
     let pool = ExecPool::with_workers(workers);
     let start = Instant::now();
-    let outcomes = ev.evaluate_batch(&pool, trials);
+    let outcomes = ev.evaluate_trials(Some(&pool), trials);
     (start.elapsed().as_secs_f64(), best_loss(&outcomes))
 }
 
@@ -85,7 +85,7 @@ fn scaling_table(
     csv: &str,
     space: &SpaceDef,
     d: &volcanoml_data::Dataset,
-    trials: &[(HashMap<String, f64>, f64)],
+    trials: &[Trial],
     stall: Option<Duration>,
 ) {
     let headers: Vec<String> = ["workers", "wall_s", "speedup", "best_loss"]

@@ -504,10 +504,6 @@ impl SuccessiveHalving {
 }
 
 impl Suggest for SuccessiveHalving {
-    fn suggest(&mut self) -> (Configuration, f64) {
-        self.suggest_batch(1).pop().expect("batch of one")
-    }
-
     /// Fills all `k` slots from the bracket set, opening fresh brackets as
     /// needed — never a random full-fidelity draw.
     fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {
@@ -636,10 +632,6 @@ impl Hyperband {
 }
 
 impl Suggest for Hyperband {
-    fn suggest(&mut self) -> (Configuration, f64) {
-        self.suggest_batch(1).pop().expect("batch of one")
-    }
-
     /// Fills all `k` slots from the bracket set, opening the next `s`
     /// bracket early when the active ones cannot supply more work.
     fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {
@@ -820,10 +812,6 @@ impl MfesHb {
 }
 
 impl Suggest for MfesHb {
-    fn suggest(&mut self) -> (Configuration, f64) {
-        self.suggest_batch(1).pop().expect("batch of one")
-    }
-
     /// Fills all `k` slots from the bracket set; new brackets are seeded by
     /// surrogate-guided proposals.
     fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {

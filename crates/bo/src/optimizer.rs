@@ -46,22 +46,20 @@ impl std::fmt::Debug for HookSlot {
 
 /// Ask/tell optimizer interface shared by the joint-block engines.
 ///
-/// `suggest` returns a configuration and the fidelity (training-set fraction)
-/// it should be evaluated at; `observe` feeds the result back.
+/// `suggest_batch` returns configurations and the fidelity (training-set
+/// fraction) each should be evaluated at; `observe` feeds the results back.
 pub trait Suggest {
-    /// Next configuration to evaluate and its fidelity in `(0, 1]`.
-    fn suggest(&mut self) -> (Configuration, f64);
+    /// Suggests `k` configurations, each with its fidelity in `(0, 1]`, to
+    /// evaluate before any of them is observed — concurrently behind
+    /// `--workers N`, one at a time otherwise. Engines whose picks depend
+    /// on pending results account for that here: the multi-fidelity engines
+    /// fill the batch from their asynchronous bracket set, and [`Smac`]
+    /// decorrelates it with constant-liar pseudo-observations.
+    fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)>;
 
-    /// Suggests `k` configurations to evaluate *concurrently* (the batch
-    /// path behind `--workers N`). The default simply asks `suggest` `k`
-    /// times with no intervening `observe` — correct only for stateless
-    /// engines like random search. Engines whose `suggest` depends on
-    /// pending results MUST override it: the multi-fidelity engines fill
-    /// the batch from their asynchronous bracket set, and model-based
-    /// engines decorrelate the batch (see [`Smac::suggest_batch`]'s
-    /// constant-liar strategy).
-    fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {
-        (0..k).map(|_| self.suggest()).collect()
+    /// The next single configuration to evaluate: a batch of one.
+    fn suggest(&mut self) -> (Configuration, f64) {
+        self.suggest_batch(1).pop().expect("batch of one")
     }
 
     /// Reports an evaluation result.
@@ -179,12 +177,19 @@ impl RandomSearch {
 }
 
 impl Suggest for RandomSearch {
-    fn suggest(&mut self) -> (Configuration, f64) {
-        if !self.evaluated_default {
-            self.evaluated_default = true;
-            return (self.space.default_configuration(), 1.0);
-        }
-        (self.space.sample(&mut self.rng), 1.0)
+    /// Stateless between picks: the default configuration once, then `k`
+    /// independent uniform draws.
+    fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {
+        (0..k)
+            .map(|_| {
+                if self.evaluated_default {
+                    (self.space.sample(&mut self.rng), 1.0)
+                } else {
+                    self.evaluated_default = true;
+                    (self.space.default_configuration(), 1.0)
+                }
+            })
+            .collect()
     }
 
     fn observe(&mut self, config: Configuration, fidelity: f64, loss: f64, cost: f64) {
@@ -283,10 +288,11 @@ impl Smac {
         }
         self.stale = false;
     }
-}
 
-impl Suggest for Smac {
-    fn suggest(&mut self) -> (Configuration, f64) {
+    /// One pick against the current history: the default first, random
+    /// draws during the initial design and on every `random_interleave`-th
+    /// suggestion, the EI maximizer otherwise.
+    fn pick(&mut self) -> (Configuration, f64) {
         self.suggestions += 1;
         if self.suggestions == 1 {
             return (self.space.default_configuration(), 1.0);
@@ -318,15 +324,16 @@ impl Suggest for Smac {
         );
         (cfg, 1.0)
     }
+}
 
-    /// Constant-liar batch suggestion: after each pick, a pseudo-observation
-    /// at the incumbent loss ("the lie") is pushed so EI stops re-proposing
-    /// the same region; once all `k` picks are made the lies are retracted
-    /// and the surrogate marked stale for honest refitting on real results.
+impl Suggest for Smac {
+    /// Constant-liar batch suggestion: after each pick but the last, a
+    /// pseudo-observation at the incumbent loss ("the lie") is pushed so EI
+    /// stops re-proposing the same region; once all `k` picks are made the
+    /// lies are retracted and the surrogate marked stale for honest
+    /// refitting on real results. A batch of one tells no lie, so it is
+    /// exactly one pick.
     fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {
-        if k <= 1 {
-            return (0..k).map(|_| self.suggest()).collect();
-        }
         let lie = self.history.best_loss().unwrap_or(1.0);
         let real_len = self.history.len();
         let mut out = Vec::with_capacity(k);
@@ -334,15 +341,17 @@ impl Suggest for Smac {
         // internal decorrelation device, not real optimizer progress.
         let hook = self.hook.0.take();
         for i in 0..k {
-            let (cfg, fidelity) = self.suggest();
+            let (cfg, fidelity) = self.pick();
             if i + 1 < k {
                 self.observe(cfg.clone(), fidelity, lie, 0.0);
             }
             out.push((cfg, fidelity));
         }
         self.hook.0 = hook;
-        self.history.truncate(real_len);
-        self.stale = true;
+        if self.history.len() > real_len {
+            self.history.truncate(real_len);
+            self.stale = true;
+        }
         out
     }
 
@@ -741,16 +750,28 @@ mod tests {
         }
     }
 
+    /// `suggest` is a batch of one for every engine: twin-seeded instances
+    /// driven through either entry propose the same trials.
     #[test]
-    fn default_batch_equals_repeated_suggest() {
-        let mut a = RandomSearch::new(branch_space(), 9);
-        let mut b = RandomSearch::new(branch_space(), 9);
-        let batch = a.suggest_batch(3);
-        let serial: Vec<(Configuration, f64)> = (0..3).map(|_| b.suggest()).collect();
-        assert_eq!(batch.len(), serial.len());
-        for ((ca, fa), (cb, fb)) in batch.iter().zip(serial.iter()) {
-            assert_eq!(ca, cb);
-            assert_eq!(fa, fb);
+    fn suggest_equals_batch_of_one_for_every_engine() {
+        use crate::multifidelity::{Hyperband, MfesHb, SuccessiveHalving};
+        let engines: [fn() -> Box<dyn Suggest>; 5] = [
+            || Box::new(RandomSearch::new(branch_space(), 9)),
+            || Box::new(Smac::new(branch_space(), 9)),
+            || Box::new(SuccessiveHalving::new(branch_space(), 9, 1.0 / 9.0, 3, 9)),
+            || Box::new(Hyperband::new(branch_space(), 1.0 / 9.0, 3, 9)),
+            || Box::new(MfesHb::new(branch_space(), 1.0 / 9.0, 3, 9)),
+        ];
+        for (e, build) in engines.iter().enumerate() {
+            let (mut single, mut batch) = (build(), build());
+            for cycle in 0..30 {
+                let (ca, fa) = single.suggest();
+                let (cb, fb) = batch.suggest_batch(1).pop().expect("one pick");
+                assert_eq!((&ca, fa), (&cb, fb), "engine {e} cycle {cycle}");
+                let loss = objective(single.space(), &ca) + (1.0 - fa) * 0.05;
+                single.observe(ca, fa, loss, fa);
+                batch.observe(cb, fb, loss, fb);
+            }
         }
     }
 }

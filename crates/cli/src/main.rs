@@ -4,7 +4,7 @@
 //! volcanoml fit data.csv [--evals N] [--tier small|medium|large]
 //!                        [--plan p1|p2|p3|p4|p5] [--engine bo|random|sh|hyperband|mfes-hb]
 //!                        [--seed S] [--cv K] [--ensemble N] [--smote]
-//!                        [--workers N] [--n-jobs N] [--f32-bins]
+//!                        [--workers N] [--n-jobs N]
 //!                        [--cost-aware] [--objective loss|loss_and_cost[:WEIGHT]]
 //!                        [--space fixed|incremental[:EUI_THRESHOLD]]
 //!                        [--journal trials.jsonl] [--trace trace.jsonl]
@@ -31,7 +31,7 @@ use volcanoml_fe::pipeline::FeSpaceOptions;
 fn usage() -> &'static str {
     "usage:\n  volcanoml fit <data.csv> [--evals N] [--tier small|medium|large] \
      [--plan p1|p2|p3|p4|p5] [--engine bo|random|sh|hyperband|mfes-hb] [--seed S] \
-     [--cv K] [--ensemble N] [--smote] [--workers N] [--n-jobs N] [--f32-bins] \
+     [--cv K] [--ensemble N] [--smote] [--workers N] [--n-jobs N] \
      [--cost-aware] [--objective loss|loss_and_cost[:WEIGHT]] \
      [--space fixed|incremental[:EUI_THRESHOLD]] \
      [--journal trials.jsonl] [--trace trace.jsonl] [--metrics metrics.json] \
@@ -61,7 +61,7 @@ impl Flags {
             // Switch-style flags take no value.
             if matches!(
                 key,
-                "smote" | "live" | "resume" | "f32-bins" | "log-requests" | "cost-aware"
+                "smote" | "live" | "resume" | "log-requests" | "cost-aware"
             ) {
                 switches.push(key.to_string());
                 i += 1;
@@ -178,8 +178,6 @@ fn cmd_fit(args: &[String]) -> Result<(), String> {
     if n_jobs == 0 {
         return Err("--n-jobs must be >= 1".to_string());
     }
-    // f32 feature storage for histogram binning in tree forests.
-    let f32_bins = flags.has("f32-bins");
     let cost_aware = flags.has("cost-aware");
     let objective = parse_objective(flags.get("objective").unwrap_or("loss"))?;
     let space_growth =
@@ -249,7 +247,6 @@ fn cmd_fit(args: &[String]) -> Result<(), String> {
             trace_path: trace_path.clone(),
             metrics_path: metrics_path.clone(),
             model_n_jobs: n_jobs,
-            model_f32: f32_bins,
             cost_aware,
             objective,
             space_growth,
@@ -261,9 +258,6 @@ fn cmd_fit(args: &[String]) -> Result<(), String> {
     }
     if n_jobs > 1 {
         println!("fitting tree ensembles with {n_jobs} threads per trial");
-    }
-    if f32_bins {
-        println!("binning tree-forest features from f32 storage");
     }
     if cost_aware {
         println!("cost-aware scheduling: EI-per-second acquisition, loss-per-second promotion");
@@ -501,7 +495,7 @@ mod tests {
 
     #[test]
     fn flag_parser_pairs_and_switches() {
-        let args: Vec<String> = ["--evals", "40", "--smote", "--f32-bins", "--seed", "7"]
+        let args: Vec<String> = ["--evals", "40", "--smote", "--cost-aware", "--seed", "7"]
             .iter()
             .map(|s| s.to_string())
             .collect();
@@ -509,7 +503,7 @@ mod tests {
         assert_eq!(f.get("evals"), Some("40"));
         assert_eq!(f.get_parsed("seed", 0u64).unwrap(), 7);
         assert!(f.has("smote"));
-        assert!(f.has("f32-bins"));
+        assert!(f.has("cost-aware"));
         assert_eq!(f.get_parsed("missing", 3usize).unwrap(), 3);
     }
 

@@ -1,7 +1,7 @@
 //! The alternating block (§3.3.3, Algorithms 2 and 3): splits its space into
-//! two variable sets explored alternately. The first `2L` calls follow
-//! Algorithm 2's round-robin initialization (unrolled to one evaluation per
-//! `do_next`); afterwards, Algorithm 3 plays the child with the larger
+//! two variable sets explored alternately. The first `2L` pulls follow
+//! Algorithm 2's round-robin initialization (unrolled to one side per
+//! pull); afterwards, Algorithm 3 plays the child with the larger
 //! expected utility improvement. Before each play, the *other* child's best
 //! assignment is pinned into the played child (`set_var`).
 
@@ -136,30 +136,14 @@ impl AlternatingBlock {
 }
 
 impl BuildingBlock for AlternatingBlock {
-    fn do_next(&mut self, evaluator: &Evaluator) -> Result<()> {
-        let (play_left, decision) = self.choose_side();
-        let tracer = evaluator.tracer();
-        let mut pull = span(&tracer, "pull", &self.label, "");
-        pull.set_detail(decision);
-        self.sync_from_sibling(play_left);
-        if play_left {
-            self.left.block.do_next(evaluator)?;
-        } else {
-            self.right.block.do_next(evaluator)?;
-        }
-        self.plays += 1;
-        self.evaluations += 1;
-        Ok(())
-    }
-
-    /// Batch path: one scheduling decision per batch — the chosen side gets
-    /// all `k` trials (pinning the sibling's best once), and the batch
-    /// counts as a single "play" for the alternation schedule, so init-phase
-    /// round-robin alternates between batches.
-    fn do_next_batch(
+    /// One scheduling decision per pull: the chosen side gets all `k`
+    /// trials (pinning the sibling's best once), and the pull counts as a
+    /// single "play" for the alternation schedule, so init-phase
+    /// round-robin alternates between pulls.
+    fn pull(
         &mut self,
         evaluator: &Evaluator,
-        pool: &volcanoml_exec::ExecPool,
+        pool: Option<&volcanoml_exec::ExecPool>,
         k: usize,
     ) -> Result<()> {
         let (play_left, decision) = self.choose_side();
@@ -168,9 +152,9 @@ impl BuildingBlock for AlternatingBlock {
         pull.set_detail(format!("{decision} batch k={k}"));
         self.sync_from_sibling(play_left);
         if play_left {
-            self.left.block.do_next_batch(evaluator, pool, k)?;
+            self.left.block.pull(evaluator, pool, k)?;
         } else {
-            self.right.block.do_next_batch(evaluator, pool, k)?;
+            self.right.block.pull(evaluator, pool, k)?;
         }
         self.plays += 1;
         self.evaluations += k;
@@ -376,7 +360,7 @@ mod tests {
         let mut block = fe_hp_alternating(&space, 1);
         block.init_rounds = 3;
         for _ in 0..6 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         assert_eq!(block.left_plays(), 3);
         assert_eq!(block.right_plays(), 3);
@@ -387,7 +371,7 @@ mod tests {
         let (ev, space) = setup();
         let mut block = fe_hp_alternating(&space, 1);
         for _ in 0..16 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         let best = block.current_best().unwrap();
         assert!(best.loss.is_finite());
@@ -402,7 +386,7 @@ mod tests {
         let mut block = fe_hp_alternating(&space, 1);
         block.init_rounds = 2;
         for _ in 0..30 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         assert_eq!(block.left_plays() + block.right_plays(), 30);
         assert!(block.left_plays() >= 2);
@@ -415,7 +399,7 @@ mod tests {
         let mut block = fe_hp_alternating(&space, 0);
         block.round_robin_only = true;
         for _ in 0..20 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         assert_eq!(block.left_plays(), 10);
         assert_eq!(block.right_plays(), 10);
@@ -426,7 +410,7 @@ mod tests {
         let (ev, space) = setup();
         let mut block = fe_hp_alternating(&space, 0);
         for _ in 0..12 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         let t = block.trajectory();
         assert!(t.windows(2).all(|w| w[1] <= w[0] + 1e-12));
@@ -437,7 +421,7 @@ mod tests {
         let (ev, space) = setup();
         let mut block = fe_hp_alternating(&space, 1);
         for _ in 0..12 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         let own = block.own_best().unwrap();
         assert!(own.keys().any(|k| k.starts_with("fe:")));
@@ -452,8 +436,8 @@ mod tests {
         let mut extra = Assignment::new();
         extra.insert("algorithm".to_string(), 2.0);
         block.set_fixed(&extra);
-        block.do_next(&ev).unwrap();
-        block.do_next(&ev).unwrap();
+        block.pull(&ev, None, 1).unwrap();
+        block.pull(&ev, None, 1).unwrap();
         let best = block.current_best().unwrap();
         assert_eq!(best.assignment.get("algorithm"), Some(&2.0));
     }

@@ -57,12 +57,13 @@ pub struct VolcanoMlOptions {
     /// report additionally extracts the `(loss, inference_cost)` Pareto
     /// front.
     pub objective: Objective,
-    /// Worker threads for trial execution. With `n_workers > 1` the engine
-    /// pulls *batches* of trials from the plan (`do_next_batch`) and runs
-    /// them concurrently on an [`ExecPool`].
+    /// Worker threads for trial execution. With `n_workers > 1` each pull
+    /// on the plan asks for one trial per worker and runs them concurrently
+    /// on an [`ExecPool`].
     pub n_workers: usize,
-    /// Optional per-trial wall-clock deadline. Requires the pool path (any
-    /// `n_workers`); a trial exceeding it is abandoned with infinite loss.
+    /// Optional per-trial wall-clock deadline. Trials then run on a pool
+    /// even at `n_workers = 1`; a trial exceeding it is abandoned with
+    /// infinite loss.
     pub trial_deadline: Option<Duration>,
     /// When set, every trial is appended to a JSONL journal at this path.
     pub journal_path: Option<std::path::PathBuf>,
@@ -78,10 +79,6 @@ pub struct VolcanoMlOptions {
     /// bit-identical across thread counts, so this only affects wall time.
     /// Orthogonal to `n_workers`, which parallelizes across trials.
     pub model_n_jobs: usize,
-    /// Narrow features to `f32` storage before histogram binning in models
-    /// that support it (tree forests). Halves raw-matrix read traffic;
-    /// losses may move within f32 rounding of bin cut points.
-    pub model_f32: bool,
     /// Crash-resume: when set (requires `journal_path`), the journal is
     /// opened with [`Journal::resume_from_path`] and its rows are loaded
     /// into the evaluator's replay table. The search then re-drives the
@@ -142,7 +139,6 @@ impl Default for VolcanoMlOptions {
             trace_path: None,
             metrics_path: None,
             model_n_jobs: 1,
-            model_f32: false,
             resume: false,
             shared_pool: None,
             batch_cap: None,
@@ -314,7 +310,6 @@ impl VolcanoML {
             None
         };
         evaluator.set_model_n_jobs(self.options.model_n_jobs);
-        evaluator.set_model_f32(self.options.model_f32);
         evaluator.set_objective(self.options.objective);
         let pool: Option<Arc<ExecPool>> = if let Some(pool) = &self.options.shared_pool {
             Some(Arc::clone(pool))
@@ -390,28 +385,22 @@ impl VolcanoML {
             evaluator.evaluate(&full, 1.0);
         }
 
-        // The Volcano loop: pull on the root until the budget is gone. With
-        // a pool, each pull requests one batch of (at most) one trial per
-        // worker, capped by the remaining budget.
+        // The Volcano loop: pull on the root until the budget is gone. Each
+        // pull requests (at most) one trial per worker, capped by the
+        // remaining budget — a single trial when there is no pool.
+        let workers = pool
+            .as_ref()
+            .map_or(1, |p| p.workers().min(self.options.n_workers.max(1)));
         while !out_of_budget(&evaluator) {
-            match &pool {
-                Some(pool) => {
-                    let remaining = self
-                        .options
-                        .max_evaluations
-                        .saturating_sub(evaluator.evaluations());
-                    let mut k = pool
-                        .workers()
-                        .min(self.options.n_workers.max(1))
-                        .min(remaining)
-                        .max(1);
-                    if let Some(cap) = &self.options.batch_cap {
-                        k = k.min(cap().max(1));
-                    }
-                    root.do_next_batch(&evaluator, pool, k)?;
-                }
-                None => root.do_next(&evaluator)?,
+            let remaining = self
+                .options
+                .max_evaluations
+                .saturating_sub(evaluator.evaluations());
+            let mut k = workers.min(remaining).max(1);
+            if let Some(cap) = &self.options.batch_cap {
+                k = k.min(cap().max(1));
             }
+            root.pull(&evaluator, pool.as_deref(), k)?;
             // Plateau check between pulls: the batch just pulled is fully
             // observed, which is the only point where engine histories may
             // be remapped into a grown space.

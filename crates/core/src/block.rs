@@ -1,16 +1,20 @@
 //! The building-block interface (§3.2 of the paper).
 //!
-//! Blocks form a tree; `do_next` on the root recursively descends to a leaf
-//! and performs (roughly) one pipeline evaluation — the Volcano-style
+//! Blocks form a tree; `pull` on the root recursively descends to the leaves
+//! and performs (roughly) `k` pipeline evaluations — the Volcano-style
 //! pull-based execution model. All methods mirror the paper's primitives:
 //!
 //! | paper | here |
 //! |---|---|
-//! | `do_next!(B)` | [`BuildingBlock::do_next`] |
+//! | `do_next!(B)` | [`BuildingBlock::pull`] |
 //! | `get_current_best(B)` | [`BuildingBlock::current_best`] |
 //! | `get_eu(B, K)` | [`BuildingBlock::expected_utility`] |
 //! | `get_eui(B)` | [`BuildingBlock::expected_utility_improvement`] |
 //! | `set_var(B, x̄, c̄)` | [`BuildingBlock::set_fixed`] |
+//!
+//! [`BuildingBlock::do_next`] and [`BuildingBlock::do_next_batch`] are
+//! one-line wrappers over `pull`, kept because the benchmark harness calls
+//! them; they go when `benchmark/` next moves.
 
 use crate::evaluator::Evaluator;
 use crate::spaces::SpaceDef;
@@ -34,23 +38,23 @@ pub struct BestSolution {
 
 /// One node of a VolcanoML execution plan.
 pub trait BuildingBlock {
-    /// Advances the optimization by (approximately) one evaluation of the
-    /// underlying objective, recursively delegating to child blocks.
-    fn do_next(&mut self, evaluator: &Evaluator) -> Result<()>;
+    /// Advances the optimization by (approximately) `k` evaluations of the
+    /// underlying objective, recursively delegating to child blocks: joint
+    /// leaves ask their engine for a batch of `k`, conditioning deals `k`
+    /// plays round-robin over its arms, alternating makes one scheduling
+    /// decision per pull. The trials run on `pool`'s workers when one is
+    /// given and on the calling thread when not; `k = 1` is the paper's
+    /// `do_next!`.
+    fn pull(&mut self, evaluator: &Evaluator, pool: Option<&ExecPool>, k: usize) -> Result<()>;
 
-    /// Advances the optimization by (approximately) `k` evaluations,
-    /// dispatching them onto `pool`'s workers where the block can propose
-    /// independent trials. The default falls back to `k` serial `do_next`
-    /// calls; blocks with a natural batch decomposition (joint leaves via
-    /// constant-liar batch suggestion, conditioning via round-robin arm
-    /// scheduling, alternating via one scheduling decision per batch)
-    /// override it.
+    /// `pull` for one evaluation on the calling thread.
+    fn do_next(&mut self, evaluator: &Evaluator) -> Result<()> {
+        self.pull(evaluator, None, 1)
+    }
+
+    /// `pull` for `k` evaluations on `pool`.
     fn do_next_batch(&mut self, evaluator: &Evaluator, pool: &ExecPool, k: usize) -> Result<()> {
-        let _ = pool;
-        for _ in 0..k {
-            self.do_next(evaluator)?;
-        }
-        Ok(())
+        self.pull(evaluator, Some(pool), k)
     }
 
     /// The best full-fidelity solution found so far, if any.
@@ -76,7 +80,7 @@ pub trait BuildingBlock {
     /// Enables cost-aware scheduling in this block's subtree: joint leaves
     /// forward to their engine (EI-per-second acquisition, loss-per-second
     /// rung promotion), interior blocks forward to every child. Must be
-    /// called before the first `do_next` — engines do not support switching
+    /// called before the first `pull` — engines do not support switching
     /// modes mid-run. The default ignores the call (leaf engines without a
     /// cost model are legitimately cost-blind).
     fn set_cost_aware(&mut self, enabled: bool) {
@@ -160,9 +164,8 @@ mod tests {
     }
 
     impl BuildingBlock for StubBlock {
-        fn do_next(&mut self, _evaluator: &Evaluator) -> Result<()> {
-            if self.cursor < self.losses.len() {
-                let l = self.losses[self.cursor];
+        fn pull(&mut self, _ev: &Evaluator, _pool: Option<&ExecPool>, k: usize) -> Result<()> {
+            for &l in self.losses.iter().skip(self.cursor).take(k) {
                 self.cursor += 1;
                 self.best = Some(self.best.map_or(l, |b: f64| b.min(l)));
             }
@@ -224,9 +227,8 @@ mod tests {
         let ev = evaluator();
         let mut b = StubBlock::new(vec![0.5, 0.3, 0.4]);
         assert!(b.current_best().is_none());
-        for _ in 0..3 {
-            b.do_next(&ev).unwrap();
-        }
+        b.do_next(&ev).unwrap();
+        b.pull(&ev, None, 2).unwrap();
         assert_eq!(b.current_best().unwrap().loss, 0.3);
         assert_eq!(b.trajectory(), vec![0.5, 0.3, 0.3]);
         assert_eq!(b.evaluations(), 3);

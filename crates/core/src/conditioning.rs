@@ -3,9 +3,9 @@
 //! bandit with round-robin warm-up and rising-bandit interval elimination.
 //!
 //! Granularity note: the paper's Algorithm 1 plays every arm `L` times per
-//! `do_next!`. To keep the Volcano contract — one `do_next` ≈ one pipeline
-//! evaluation — the warm-up and round-robin schedule here is *unrolled*:
-//! each `do_next` plays exactly one arm, and elimination runs after every
+//! `do_next!`. To keep the Volcano contract — a pull of `k` ≈ `k` pipeline
+//! evaluations — the warm-up and round-robin schedule here is *unrolled*:
+//! a pull of one plays exactly one arm, and elimination runs after every
 //! completed round once each active arm has had `L` plays. The sequence of
 //! arm plays and eliminations is identical to Algorithm 1's.
 
@@ -165,31 +165,15 @@ impl ConditioningBlock {
 }
 
 impl BuildingBlock for ConditioningBlock {
-    fn do_next(&mut self, evaluator: &Evaluator) -> Result<()> {
-        let Some(i) = self.next_arm() else {
-            return Ok(());
-        };
-        let tracer = evaluator.tracer();
-        let arm_label = format!("{}={}", self.var, self.arms[i].value);
-        let mut pull = span(&tracer, "pull", &self.label, &arm_label);
-        pull.set_detail(format!("play {}", self.arms[i].plays + 1));
-        self.arms[i].block.do_next(evaluator)?;
-        self.arms[i].plays += 1;
-        self.evaluations += 1;
-        // Keep the pull span open: elimination decisions triggered by this
-        // play are its children in the trace.
-        self.maybe_eliminate(&tracer);
-        Ok(())
-    }
-
-    /// Batch path: `k` plays are dealt to arms by the same round-robin
-    /// schedule as `do_next`, then each arm receives its share as one child
-    /// batch. Elimination runs once, after the whole batch, so a batch
-    /// behaves like `k` serial plays followed by one elimination check.
-    fn do_next_batch(
+    /// `k` plays are dealt to arms round-robin, then each arm receives its
+    /// share as one child pull. Elimination runs once, after the last arm's
+    /// pull span has closed, so its `eliminate` events are parented to
+    /// whatever span encloses this block's pull rather than to any one
+    /// arm's.
+    fn pull(
         &mut self,
         evaluator: &Evaluator,
-        pool: &volcanoml_exec::ExecPool,
+        pool: Option<&volcanoml_exec::ExecPool>,
         k: usize,
     ) -> Result<()> {
         let tracer = evaluator.tracer();
@@ -205,7 +189,7 @@ impl BuildingBlock for ConditioningBlock {
             let arm_label = format!("{}={}", self.var, self.arms[i].value);
             let mut pull = span(&tracer, "pull", &self.label, &arm_label);
             pull.set_detail(format!("batch share={share}"));
-            self.arms[i].block.do_next_batch(evaluator, pool, *share)?;
+            self.arms[i].block.pull(evaluator, pool, *share)?;
             self.arms[i].plays += share;
             self.evaluations += share;
         }
@@ -229,18 +213,13 @@ impl BuildingBlock for ConditioningBlock {
 
     fn own_best(&self) -> Option<Assignment> {
         // Best arm's own variables plus the conditioned variable itself.
-        let (arm, best) = self
+        let (arm, _) = self
             .arms
             .iter()
-            .filter_map(|a| a.block.current_best().map(|b| (a, b)))
-            .min_by(|x, y| {
-                x.1.loss
-                    .partial_cmp(&y.1.loss)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })?;
+            .filter_map(|a| a.block.current_best().map(|b| (a, b.loss)))
+            .min_by(|x, y| x.1.partial_cmp(&y.1).unwrap_or(std::cmp::Ordering::Equal))?;
         let mut own = arm.block.own_best().unwrap_or_default();
         own.insert(self.var.clone(), arm.value as f64);
-        let _ = best;
         Some(own)
     }
 
@@ -426,7 +405,7 @@ mod tests {
         let mut block = algorithm_conditioning(&space);
         let n = space.algorithms.len();
         for _ in 0..n * 2 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         // After 2 full rounds every arm has exactly 2 plays.
         for a in &block.arms {
@@ -439,7 +418,7 @@ mod tests {
         let (ev, space) = setup();
         let mut block = algorithm_conditioning(&space);
         for _ in 0..6 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         let best = block.current_best().unwrap();
         assert!(best.assignment.contains_key("algorithm"));
@@ -452,7 +431,7 @@ mod tests {
         let mut block = algorithm_conditioning(&space);
         block.warmup_plays = 1;
         for _ in 0..60 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         assert!(block.active_arms() >= 1);
     }
@@ -464,7 +443,7 @@ mod tests {
         block.warmup_plays = 2;
         block.eu_horizon = 3;
         for _ in 0..80 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         if block.active_arms() < block.arms.len() {
             // Eliminated arms' play counts must be frozen below the leader's.
@@ -480,7 +459,7 @@ mod tests {
         let (ev, space) = setup();
         let mut block = algorithm_conditioning(&space);
         for _ in 0..20 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         let t = block.trajectory();
         assert!(!t.is_empty());

@@ -15,7 +15,7 @@
 //! All mutable state (cache, counters, log) lives behind an `Arc` so that
 //! [`Evaluator::clone`] yields a *shared handle*: clones see the same cache
 //! and log, and [`Evaluator::evaluate`] takes `&self`. That is what lets
-//! [`Evaluator::evaluate_batch`] ship trials to an [`ExecPool`] of worker
+//! [`Evaluator::evaluate_trials`] ship trials to an [`ExecPool`] of worker
 //! threads — which all share the one `Arc<Dataset>` instead of per-handle
 //! copies. Every trial additionally runs under `catch_unwind`, so a
 //! panicking pipeline yields `loss = INFINITY` instead of tearing down the
@@ -43,7 +43,7 @@ use fe_cache::FeCache;
 use interpret::assignment_key;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use volcanoml_data::{Dataset, DatasetView, Metric};
@@ -146,6 +146,22 @@ impl Default for TrialTag {
     }
 }
 
+/// One trial as the issuing block describes it: the full assignment, the
+/// fidelity, and the scheduling attribution journaled with it.
+pub type Trial = (HashMap<String, f64>, f64, TrialTag);
+
+/// The run record of one trial: where it ran, when on the journal clock, and
+/// with what outcome. `queue_wait_s` (dispatch-to-start latency) is set only
+/// for trials that went through a pool.
+#[derive(Clone, Copy)]
+struct RunRecord {
+    worker: usize,
+    start_s: f64,
+    end_s: f64,
+    queue_wait_s: Option<f64>,
+    outcome: EvalOutcome,
+}
+
 /// A fault injected into an evaluation — used by crash-isolation and
 /// deadline tests to simulate misbehaving training code.
 #[derive(Debug, Clone, Copy)]
@@ -217,11 +233,6 @@ struct EvalShared {
     /// ensembles); injected as an `n_jobs` parameter at build time. Model
     /// fits are thread-count independent, so this never affects losses.
     model_n_jobs: AtomicUsize,
-    /// When set, models that support single-precision feature storage
-    /// (histogram forests) narrow to `f32` before binning; injected as an
-    /// `f32_binning` parameter at build time. Losses may shift within f32
-    /// rounding of the bin cut points.
-    model_f32: AtomicBool,
     /// What trials minimize: plain validation loss, or a scalarized loss +
     /// inference-latency trade-off. Must be set before the first
     /// evaluation — the scalarized value is what gets cached, journaled,
@@ -280,7 +291,6 @@ impl Evaluator {
                 valid_data,
                 seed,
                 model_n_jobs: AtomicUsize::new(1),
-                model_f32: AtomicBool::new(false),
                 objective: Mutex::new(crate::objective::Objective::Loss),
                 state: Mutex::new(EvalState {
                     cache: BoundedCache::new(DEFAULT_CACHE_CAPACITY),
@@ -493,21 +503,8 @@ impl Evaluator {
     /// (arm + digest join keys included), the span tracer (one
     /// `kind:"trial"` span parented to the current pull), and the metrics
     /// registry. Runs on the coordinator thread so the obs span stack
-    /// attributes the trial to the block/arm that issued it. `queue_wait_s`
-    /// is set for pooled trials only (dispatch-to-start latency).
-    #[allow(clippy::too_many_arguments)]
-    fn record_trial(
-        &self,
-        journal: Option<&Arc<Journal>>,
-        digest: u64,
-        worker: usize,
-        start_s: f64,
-        end_s: f64,
-        fidelity: f64,
-        tag: TrialTag,
-        outcome: &EvalOutcome,
-        queue_wait_s: Option<f64>,
-    ) {
+    /// attributes the trial to the block/arm that issued it.
+    fn record_trial(&self, journal: Option<&Arc<Journal>>, trial: &Trial, run: &RunRecord) {
         let tracer = self.tracer();
         let metrics = self.metrics();
         if journal.is_none() && !tracer.enabled() && !tracer.has_bus() && metrics.is_none() {
@@ -518,6 +515,16 @@ impl Evaluator {
         // timed into its own histogram so the layer can prove it stays
         // well under 1% of trial wall time.
         let obs_start = std::time::Instant::now();
+        let (assignment, fidelity, tag) = trial;
+        let RunRecord {
+            worker,
+            start_s,
+            end_s,
+            queue_wait_s,
+            outcome,
+        } = *run;
+        let digest = assignment_key(assignment);
+        let fidelity = fidelity.clamp(0.01, 1.0);
         let trial_id = match journal {
             Some(j) => j.next_trial_id(),
             None => tracer.next_trial_id(),
@@ -542,24 +549,22 @@ impl Evaluator {
                 digest: format!("{digest:016x}"),
             });
         }
-        {
-            tracer.trial(&TrialInfo {
-                trial_id,
-                digest,
-                worker,
-                start_s,
-                end_s,
-                fidelity,
-                rung: tag.rung,
-                bracket: tag.bracket,
-                loss: outcome.loss,
-                cost,
-                cached: outcome.cached,
-                fe_cached: outcome.fe_cached,
-                panicked: outcome.panicked,
-                timed_out: outcome.timed_out,
-            });
-        }
+        tracer.trial(&TrialInfo {
+            trial_id,
+            digest,
+            worker,
+            start_s,
+            end_s,
+            fidelity,
+            rung: tag.rung,
+            bracket: tag.bracket,
+            loss: outcome.loss,
+            cost,
+            cached: outcome.cached,
+            fe_cached: outcome.fe_cached,
+            panicked: outcome.panicked,
+            timed_out: outcome.timed_out,
+        });
         if let Some(m) = &metrics {
             m.inc_counter("trial.total", 1);
             if outcome.cached {
@@ -597,97 +602,90 @@ impl Evaluator {
     }
 
     /// Evaluates an assignment at the given fidelity (training-set fraction
-    /// in `(0, 1]`). Results are cached; failures and panics yield
-    /// `loss = INFINITY`.
+    /// in `(0, 1]`) on the calling thread, outside any bracket schedule —
+    /// warm starts, final promotion, baselines. Results are cached; failures
+    /// and panics yield `loss = INFINITY`.
     pub fn evaluate(&self, assignment: &HashMap<String, f64>, fidelity: f64) -> EvalOutcome {
-        self.evaluate_tagged(assignment, fidelity, TrialTag::NONE)
+        self.evaluate_trials(None, &[(assignment.clone(), fidelity, TrialTag::NONE)])
+            .pop()
+            .expect("one outcome per trial")
     }
 
-    /// [`Evaluator::evaluate`] with multi-fidelity scheduling attribution:
-    /// `tag` is journaled/traced as the trial's `rung`/`bracket`.
-    pub fn evaluate_tagged(
-        &self,
-        assignment: &HashMap<String, f64>,
-        fidelity: f64,
-        tag: TrialTag,
-    ) -> EvalOutcome {
-        self.evaluate_inner(assignment, fidelity, true, tag)
-    }
-
-    /// Evaluates a batch of `(assignment, fidelity)` trials on a worker
-    /// pool. Outcomes come back in submission order; a trial that exceeds
-    /// the pool's deadline is reported as timed out with infinite loss (its
+    /// Evaluates `trials` — on `pool`'s workers when one is given, one
+    /// after another on the calling thread when not — and returns their
+    /// outcomes in submission order. Each trial's [`TrialTag`] is
+    /// journaled/traced as its `rung`/`bracket`. A trial that exceeds the
+    /// pool's deadline is reported as timed out with infinite loss (its
     /// abandoned computation may still land in the cache later, but never
     /// journals or double-counts).
-    pub fn evaluate_batch(
-        &self,
-        pool: &ExecPool,
-        trials: &[(HashMap<String, f64>, f64)],
-    ) -> Vec<EvalOutcome> {
-        let tagged: Vec<_> = trials
-            .iter()
-            .map(|(a, f)| (a.clone(), *f, TrialTag::NONE))
-            .collect();
-        self.evaluate_batch_tagged(pool, &tagged)
+    ///
+    /// This is the one place trials are recorded: on the coordinator, from
+    /// the run record, so abandoned (timed out) trials still get a row.
+    pub fn evaluate_trials(&self, pool: Option<&ExecPool>, trials: &[Trial]) -> Vec<EvalOutcome> {
+        let journal = self.journal();
+        let runs = self.run_trials(pool, trials, journal.as_ref().map_or(0.0, |j| j.elapsed_s()));
+        for (trial, run) in trials.iter().zip(&runs) {
+            // Replayed trials were journaled by the interrupted run;
+            // journaling them again would duplicate their trial ids.
+            if !run.outcome.replayed {
+                self.record_trial(journal.as_ref(), trial, run);
+            }
+        }
+        runs.into_iter().map(|run| run.outcome).collect()
     }
 
-    /// [`Evaluator::evaluate_batch`] with per-trial scheduling attribution
-    /// (`rung`/`bracket` journal and trace fields).
-    pub fn evaluate_batch_tagged(
+    /// Executes `trials` and reports how each ran, with times on the
+    /// journal clock (`epoch_s` is its reading at dispatch).
+    fn run_trials(
         &self,
-        pool: &ExecPool,
-        trials: &[(HashMap<String, f64>, f64, TrialTag)],
-    ) -> Vec<EvalOutcome> {
-        let journal = self.journal();
-        let batch_epoch = journal.as_ref().map_or(0.0, |j| j.elapsed_s());
+        pool: Option<&ExecPool>,
+        trials: &[Trial],
+        epoch_s: f64,
+    ) -> Vec<RunRecord> {
+        let Some(pool) = pool else {
+            let epoch = Instant::now();
+            return trials
+                .iter()
+                .map(|(assignment, fidelity, _)| {
+                    let start_s = epoch_s + epoch.elapsed().as_secs_f64();
+                    let outcome = self.evaluate_inner(assignment, *fidelity);
+                    RunRecord {
+                        worker: current_worker().unwrap_or(0),
+                        start_s,
+                        end_s: epoch_s + epoch.elapsed().as_secs_f64(),
+                        queue_wait_s: None,
+                        outcome,
+                    }
+                })
+                .collect();
+        };
         let jobs: Vec<_> = trials
             .iter()
             .cloned()
             .map(|(assignment, fidelity, _)| {
                 let ev = self.clone();
-                move || ev.evaluate_inner(&assignment, fidelity, false, TrialTag::NONE)
+                move || ev.evaluate_inner(&assignment, fidelity)
             })
             .collect();
-        let runs = pool.run_batch(jobs);
-        runs.into_iter()
-            .zip(trials.iter())
-            .map(|(run, (assignment, fidelity, tag))| {
-                let outcome = match run.status {
+        pool.run_batch(jobs)
+            .into_iter()
+            .map(|run| RunRecord {
+                worker: run.worker,
+                start_s: epoch_s + run.started_s,
+                end_s: epoch_s + run.ended_s,
+                queue_wait_s: Some(run.started_s),
+                outcome: match run.status {
                     TrialStatus::Done(out) => out,
                     TrialStatus::Panicked(_) => EvalOutcome::failed(false, true),
                     TrialStatus::TimedOut => EvalOutcome::failed(true, false),
-                };
-                // Replayed trials were journaled by the interrupted run;
-                // journaling them again would duplicate their trial ids.
-                if !outcome.replayed {
-                    self.record_trial(
-                        journal.as_ref(),
-                        assignment_key(assignment),
-                        run.worker,
-                        batch_epoch + run.started_s,
-                        batch_epoch + run.ended_s,
-                        fidelity.clamp(0.01, 1.0),
-                        *tag,
-                        &outcome,
-                        Some(run.started_s),
-                    );
-                }
-                outcome
+                },
             })
             .collect()
     }
 
-    /// The shared serial/batch evaluation path. When `journal_direct` is
-    /// set (serial path) the record is appended here; the batch path
-    /// journals from the pool's `TrialRun` instead, so abandoned (timed
-    /// out) trials still get a record.
-    fn evaluate_inner(
-        &self,
-        assignment: &HashMap<String, f64>,
-        fidelity: f64,
-        journal_direct: bool,
-        tag: TrialTag,
-    ) -> EvalOutcome {
+    /// One trial's evaluation, on whichever thread runs it: replay table,
+    /// then result cache, then a fresh fit under `catch_unwind`.
+    fn evaluate_inner(&self, assignment: &HashMap<String, f64>, fidelity: f64) -> EvalOutcome {
         let fidelity = fidelity.clamp(0.01, 1.0);
         let key = (assignment_key(assignment), fidelity.to_bits());
         // Crash-resume replay comes *before* the cache: the replay queue for
@@ -702,7 +700,6 @@ impl Evaluator {
         if let Some(row) = replay {
             return self.replay_outcome(assignment, fidelity, key, row);
         }
-        let journal = if journal_direct { self.journal() } else { None };
         let cached = {
             let mut state = self.state();
             let hit = state.cache.get(&key);
@@ -712,7 +709,7 @@ impl Evaluator {
             hit
         };
         if let Some((loss, cost)) = cached {
-            let outcome = EvalOutcome {
+            return EvalOutcome {
                 loss,
                 cost,
                 cached: true,
@@ -721,21 +718,6 @@ impl Evaluator {
                 timed_out: false,
                 replayed: false,
             };
-            if journal_direct {
-                let now = journal.as_ref().map_or(0.0, |j| j.elapsed_s());
-                self.record_trial(
-                    journal.as_ref(),
-                    key.0,
-                    current_worker().unwrap_or(0),
-                    now,
-                    now,
-                    fidelity,
-                    tag,
-                    &outcome,
-                    None,
-                );
-            }
-            return outcome;
         }
         let fault = self
             .shared
@@ -744,7 +726,6 @@ impl Evaluator {
             .expect("hook poisoned")
             .clone()
             .and_then(|hook| hook(assignment, fidelity));
-        let start_s = journal.as_ref().map_or(0.0, |j| j.elapsed_s());
         let start = Instant::now();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             match fault {
@@ -778,7 +759,7 @@ impl Evaluator {
                 infer_cost,
             });
         }
-        let outcome = EvalOutcome {
+        EvalOutcome {
             loss,
             cost,
             cached: false,
@@ -786,22 +767,7 @@ impl Evaluator {
             panicked,
             timed_out: false,
             replayed: false,
-        };
-        if journal_direct {
-            let end_s = journal.as_ref().map_or(start_s + cost, |j| j.elapsed_s());
-            self.record_trial(
-                journal.as_ref(),
-                key.0,
-                current_worker().unwrap_or(0),
-                start_s,
-                end_s,
-                fidelity,
-                tag,
-                &outcome,
-                None,
-            );
         }
-        outcome
     }
 
     /// Materializes one replay-table row as this trial's outcome,
@@ -810,7 +776,7 @@ impl Evaluator {
     /// fresh path inserts unconditionally), a journaled cache hit counts
     /// nothing (the entry is already back in the cache from its fresh row),
     /// and a journaled abandoned trial (timeout, escaped panic — both
-    /// synthesized outside `evaluate_inner` with zero cost) never reached
+    /// synthesized by `run_trials` with zero cost) never reached
     /// the accounting path at all.
     ///
     /// Cached rows journal cost 0 (accounting convention: a hit spends no
@@ -920,14 +886,6 @@ impl Evaluator {
         self.shared
             .model_n_jobs
             .store(n_jobs.max(1), Ordering::Relaxed);
-    }
-
-    /// Opts models that support it into `f32` feature storage for
-    /// histogram binning (injected as `f32_binning` at build time). Halves
-    /// raw-matrix read traffic; losses may move within f32 rounding of the
-    /// bin cut points, which is inside every paper-rig tolerance.
-    pub fn set_model_f32(&self, enabled: bool) {
-        self.shared.model_f32.store(enabled, Ordering::Relaxed);
     }
 }
 
@@ -1053,12 +1011,12 @@ mod tests {
         for idx in 0..3 {
             let mut a = ev.space().defaults();
             a.insert("algorithm".to_string(), idx as f64);
-            trials.push((a, 1.0));
+            trials.push((a, 1.0, TrialTag::NONE));
         }
         let pool = ExecPool::with_workers(2);
-        let batch = ev.evaluate_batch(&pool, &trials);
+        let batch = ev.evaluate_trials(Some(&pool), &trials);
         assert_eq!(batch.len(), 3);
-        for (i, (a, f)) in trials.iter().enumerate() {
+        for (i, (a, f, _)) in trials.iter().enumerate() {
             let s = serial.evaluate(a, *f);
             assert_eq!(s.loss, batch[i].loss, "trial {i}");
         }
@@ -1076,7 +1034,7 @@ mod tests {
         let pool = ExecPool::with_workers(2);
         let mut other = defaults.clone();
         other.insert("algorithm".to_string(), 1.0);
-        ev.evaluate_batch(&pool, &[(other, 1.0)]);
+        ev.evaluate_trials(Some(&pool), &[(other, 1.0, TrialTag::NONE)]);
         let records = journal.records();
         assert_eq!(records.len(), 3);
         assert!(!records[0].cached && records[1].cached);

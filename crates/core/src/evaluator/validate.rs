@@ -223,15 +223,9 @@ impl Evaluator {
             }
         };
         let n_jobs = self.shared.model_n_jobs.load(Ordering::Relaxed);
-        let f32_binning = self.shared.model_f32.load(Ordering::Relaxed);
-        let mut model = if n_jobs > 1 || f32_binning {
+        let mut model = if n_jobs > 1 {
             let mut with_exec = model_params.clone();
-            if n_jobs > 1 {
-                with_exec.insert("n_jobs".to_string(), n_jobs as f64);
-            }
-            if f32_binning {
-                with_exec.insert("f32_binning".to_string(), 1.0);
-            }
+            with_exec.insert("n_jobs".to_string(), n_jobs as f64);
             alg.build(&with_exec, self.shared.seed)
         } else {
             alg.build(model_params, self.shared.seed)

@@ -4,7 +4,7 @@
 
 use crate::block::{Assignment, BestSolution, BuildingBlock, LossInterval};
 use crate::eu::{eu_interval, eui};
-use crate::evaluator::{Evaluator, TrialTag};
+use crate::evaluator::{Evaluator, Trial, TrialTag};
 use crate::spaces::SpaceDef;
 use crate::Result;
 use std::sync::Arc;
@@ -175,8 +175,7 @@ impl JointBlock {
         merged
     }
 
-    /// Feeds one completed trial back into the engine and incumbent state —
-    /// shared by the serial and batch paths.
+    /// Feeds one completed trial back into the engine and incumbent state.
     fn record_outcome(
         &mut self,
         config: Configuration,
@@ -199,40 +198,12 @@ impl JointBlock {
 }
 
 impl BuildingBlock for JointBlock {
-    fn do_next(&mut self, evaluator: &Evaluator) -> Result<()> {
-        let tracer = evaluator.tracer();
-        self.ensure_observe_hook(&tracer);
-        let mut pull = span(&tracer, "pull", &self.label, "");
-        let (config, fidelity) = match self.seed_queue.pop() {
-            Some(cfg) => {
-                pull.set_detail("seed");
-                (cfg, 1.0)
-            }
-            None => {
-                let mut s = span(&tracer, "suggest", &self.label, "");
-                s.set_detail(format!("engine={}", self.engine_kind.name()));
-                self.engine.suggest()
-            }
-        };
-        // Scheduling attribution must be read before `observe` clears the
-        // engine's in-flight entry.
-        let tag = trial_tag(self.engine.as_ref(), &config, fidelity);
-        let own = self.engine.space().to_map(&config);
-        let assignment = self.merged(&own);
-        let outcome = evaluator.evaluate_tagged(&assignment, fidelity, tag);
-        pull.set_fidelity(fidelity);
-        pull.set_loss(outcome.loss);
-        pull.set_cost(outcome.cost);
-        self.record_outcome(config, fidelity, assignment, outcome.loss, outcome.cost);
-        Ok(())
-    }
-
-    /// Batch path: seeds first, then the engine's batch suggestion
-    /// (constant-liar for SMAC), all evaluated concurrently on the pool.
-    fn do_next_batch(
+    /// Seeds first, then the engine's batch suggestion (constant-liar for
+    /// SMAC), evaluated together.
+    fn pull(
         &mut self,
         evaluator: &Evaluator,
-        pool: &volcanoml_exec::ExecPool,
+        pool: Option<&volcanoml_exec::ExecPool>,
         k: usize,
     ) -> Result<()> {
         if k == 0 {
@@ -258,7 +229,7 @@ impl BuildingBlock for JointBlock {
             ));
             picks.extend(self.engine.suggest_batch(k - picks.len()));
         }
-        let trials: Vec<(Assignment, f64, TrialTag)> = picks
+        let trials: Vec<Trial> = picks
             .iter()
             .map(|(cfg, fidelity)| {
                 let own = self.engine.space().to_map(cfg);
@@ -266,7 +237,7 @@ impl BuildingBlock for JointBlock {
                 (self.merged(&own), *fidelity, tag)
             })
             .collect();
-        let outcomes = evaluator.evaluate_batch_tagged(pool, &trials);
+        let outcomes = evaluator.evaluate_trials(pool, &trials);
         let mut batch_cost = 0.0;
         let mut batch_best = f64::INFINITY;
         for (((config, fidelity), (assignment, _, _)), outcome) in
@@ -432,7 +403,7 @@ mod tests {
         let (ev, space) = setup();
         let mut block = full_joint(&space, JointEngine::Bo);
         for _ in 0..12 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         let best = block.current_best().expect("has a best");
         assert!(best.loss < 0.5, "loss {}", best.loss);
@@ -450,7 +421,7 @@ mod tests {
         let cs = space.compile_subspace(&space.var_names(), &fixed).unwrap();
         let mut block = JointBlock::new("rf-only", cs, JointEngine::Bo, fixed, 0);
         for _ in 0..4 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         let best = block.current_best().unwrap();
         assert_eq!(best.assignment.get("algorithm"), Some(&1.0));
@@ -471,7 +442,7 @@ mod tests {
         let mut ctx = space.defaults();
         ctx.insert("algorithm".to_string(), 2.0);
         block.set_fixed(&ctx);
-        block.do_next(&ev).unwrap();
+        block.pull(&ev, None, 1).unwrap();
         let best = block.current_best().unwrap();
         assert_eq!(best.assignment.get("algorithm"), Some(&2.0));
     }
@@ -483,7 +454,7 @@ mod tests {
         let mut seed = space.defaults();
         seed.insert("algorithm".to_string(), 1.0);
         block.push_seed_assignments(&[seed]);
-        block.do_next(&ev).unwrap();
+        block.pull(&ev, None, 1).unwrap();
         let best = block.current_best().unwrap();
         assert_eq!(best.assignment.get("algorithm"), Some(&1.0));
     }
@@ -495,7 +466,7 @@ mod tests {
         fixed.insert("algorithm".to_string(), 0.0);
         let cs = space.compile_subspace(&space.var_names(), &fixed).unwrap();
         let mut block = JointBlock::new("x", cs, JointEngine::Random, fixed, 0);
-        block.do_next(&ev).unwrap();
+        block.pull(&ev, None, 1).unwrap();
         let own = block.own_best().unwrap();
         assert!(!own.contains_key("algorithm"));
     }
@@ -505,7 +476,7 @@ mod tests {
         let (ev, space) = setup();
         let mut block = full_joint(&space, JointEngine::MfesHb);
         for _ in 0..20 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         // Trajectory only counts full-fidelity evaluations.
         assert!(block.trajectory().len() < 20);

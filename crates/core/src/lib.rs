@@ -6,7 +6,7 @@
 //! - [`spaces`] assembles the joint AutoML search space (algorithm selection
 //!   × per-algorithm hyper-parameters × feature engineering) in three tiers
 //!   matching the paper's small/medium/large scalability study;
-//! - [`block`] defines the `BuildingBlock` interface (`do_next!`,
+//! - [`block`] defines the `BuildingBlock` interface (`do_next!` as `pull`,
 //!   `get_current_best`, `get_eu`, `get_eui`, `set_var`);
 //! - [`joint`], [`conditioning`], and [`alternating`] implement the three
 //!   block types (§3.3), with rising-bandit EU intervals and rotting-bandit

@@ -243,7 +243,7 @@ mod tests {
             .compile(&space, 0)
             .unwrap();
         for _ in 0..6 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         assert!(block.current_best().unwrap().loss.is_finite());
     }
@@ -271,7 +271,7 @@ mod tests {
             .compile(&space, 0)
             .unwrap();
         for _ in 0..20 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         let best = block.current_best().unwrap();
         assert!(best.loss < 0.5, "loss {}", best.loss);
@@ -323,7 +323,7 @@ mod tests {
         };
         let mut block = plan.compile(&space, 0).unwrap();
         for _ in 0..15 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         assert!(block.current_best().unwrap().loss.is_finite());
     }
@@ -344,7 +344,7 @@ mod tests {
             .compile(&space, 0)
             .unwrap();
         for _ in 0..12 {
-            block.do_next(&ev).unwrap();
+            block.pull(&ev, None, 1).unwrap();
         }
         assert!(block.current_best().is_some());
     }

@@ -167,7 +167,7 @@ pub fn auto_select_plan(
             let evaluator = Evaluator::new(space.clone(), dataset, metric, run_seed)?;
             let mut root = plan.compile(&space, run_seed)?;
             while evaluator.evaluations() < budget {
-                root.do_next(&evaluator)?;
+                root.pull(&evaluator, None, 1)?;
             }
             per_dataset.push(
                 root.current_best()

@@ -23,7 +23,7 @@ use crate::dataset::{Dataset, FeatureType, Task};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
-use volcanoml_linalg::{Matrix, MatrixF32};
+use volcanoml_linalg::Matrix;
 
 /// Process-global gather accounting, sampled (diffed against a run
 /// baseline) into the metrics registry as `data.bytes_gathered` and
@@ -243,26 +243,6 @@ impl DatasetView {
     /// semantics as [`DatasetView::features`] and [`DatasetView::targets`].
     pub fn features_targets(&self) -> (Cow<'_, Matrix>, Cow<'_, [f64]>) {
         (self.features(), self.targets())
-    }
-
-    /// The feature matrix narrowed to `f32` storage. Always materializes a
-    /// fresh single-precision copy — half the resident bytes of the `f64`
-    /// matrix — for memory-bound consumers such as histogram binning.
-    /// Narrowed bytes are counted as gathered.
-    pub fn features_f32(&self) -> MatrixF32 {
-        let cols = self.storage.x.cols();
-        let m = match &self.rows {
-            None => MatrixF32::from_matrix(&self.storage.x),
-            Some(r) => {
-                let mut data = Vec::with_capacity(r.len() * cols);
-                for &i in r.iter() {
-                    data.extend(self.storage.x.row(i).iter().map(|&v| v as f32));
-                }
-                MatrixF32::from_vec(r.len(), cols, data).expect("gather buffer has exact size")
-            }
-        };
-        stats::add_bytes((m.rows() * cols * std::mem::size_of::<f32>()) as u64);
-        m
     }
 
     /// Materializes the view into an owned [`Dataset`]. Always copies (and

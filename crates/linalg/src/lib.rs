@@ -15,13 +15,11 @@
 //! - all fallible operations return [`LinalgError`] rather than panicking.
 
 pub mod eigen;
-pub mod f32mat;
 pub mod matrix;
 pub mod solve;
 pub mod stats;
 
 pub use eigen::{symmetric_eigen, EigenDecomposition};
-pub use f32mat::MatrixF32;
 pub use matrix::Matrix;
 pub use solve::{cholesky_decompose, cholesky_solve, lu_solve, solve_spd};
 

@@ -10,7 +10,7 @@ use crate::tree::{Criterion, HistKernel, MaxFeatures, SplitStrategy, Tree, TreeC
 use crate::{check_fit_inputs, infer_n_classes, Estimator, ModelError, Result};
 use volcanoml_data::rand_util::{derive_seed, rng_from_seed};
 use rand::RngExt;
-use volcanoml_linalg::{Matrix, MatrixF32};
+use volcanoml_linalg::Matrix;
 
 /// Shared forest hyper-parameters.
 #[derive(Debug, Clone)]
@@ -39,11 +39,6 @@ pub struct ForestConfig {
     /// Worker threads for tree fitting. Trees are independently seeded, so
     /// results are bit-identical for any value (1 = serial).
     pub n_jobs: usize,
-    /// Narrow features to `f32` storage before histogram binning, halving
-    /// raw-matrix read traffic. Cut points shift by at most one `f32` ulp,
-    /// so fitted trees are statistically (not bitwise) equivalent; ignored
-    /// outside `Histogram` mode.
-    pub f32_binning: bool,
     /// RNG seed.
     pub seed: u64,
 }
@@ -62,7 +57,6 @@ impl ForestConfig {
             criterion: Criterion::Gini,
             max_bins: crate::binned::DEFAULT_MAX_BINS,
             n_jobs: 1,
-            f32_binning: false,
             seed: 0,
         }
     }
@@ -88,12 +82,7 @@ fn fit_trees(
     // Histogram mode: quantize once (feature-parallel under the same job
     // budget as tree fitting), share the layout across all trees.
     let binned = if config.split_strategy == SplitStrategy::Histogram {
-        Some(if config.f32_binning {
-            let xf = MatrixF32::from_matrix(x);
-            BinnedMatrix::from_matrix_f32(&xf, config.max_bins, config.n_jobs)
-        } else {
-            BinnedMatrix::from_matrix_jobs(x, config.max_bins, config.n_jobs)
-        })
+        Some(BinnedMatrix::from_matrix_jobs(x, config.max_bins, config.n_jobs))
     } else {
         None
     };
@@ -302,27 +291,6 @@ mod tests {
         m.fit(&xt, &yt).unwrap();
         let acc = accuracy(&yv, &m.predict(&xv).unwrap());
         assert!(acc > 0.9, "accuracy {acc}");
-    }
-
-    #[test]
-    fn f32_binning_stays_within_accuracy_tolerance() {
-        let d = nonlinear_binary();
-        let ((xt, yt), (xv, yv)) = split(&d);
-        let mut cfg = ForestConfig::random_forest();
-        cfg.split_strategy = SplitStrategy::Histogram;
-        let mut full = ForestClassifier::new(cfg.clone());
-        full.fit(&xt, &yt).unwrap();
-        let acc_full = accuracy(&yv, &full.predict(&xv).unwrap());
-        cfg.f32_binning = true;
-        let mut narrow = ForestClassifier::new(cfg);
-        narrow.fit(&xt, &yt).unwrap();
-        let acc_narrow = accuracy(&yv, &narrow.predict(&xv).unwrap());
-        // Narrowed binning may move cut points by an f32 ulp; held-out
-        // accuracy must stay within the paper-rig tolerance.
-        assert!(
-            (acc_full - acc_narrow).abs() <= 0.01,
-            "f64 {acc_full} vs f32 {acc_narrow}"
-        );
     }
 
     #[test]

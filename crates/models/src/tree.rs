@@ -275,24 +275,6 @@ impl Tree {
         }
     }
 
-    /// Returns the leaf value vector for one `f32`-storage sample. Split
-    /// thresholds are `f64`; the comparison widens each visited feature, so
-    /// only the raw-matrix read traffic is halved, not the decision logic.
-    pub fn predict_row_f32(&self, row: &[f32]) -> &[f64] {
-        let mut node = 0usize;
-        loop {
-            let n = &self.nodes[node];
-            if n.feature == usize::MAX {
-                return &n.value;
-            }
-            node = if (row[n.feature] as f64) <= n.threshold {
-                n.left
-            } else {
-                n.right
-            };
-        }
-    }
-
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
@@ -2168,29 +2150,5 @@ mod tests {
         let _ = Tree::fit_binned(&bm, &d.y, None, 2, &TreeConfig::classification()).unwrap();
         let after = crate::binned::stats::snapshot().arena_reuses;
         assert!(after > before, "deep fit must recycle slabs");
-    }
-
-    #[test]
-    fn predict_row_f32_matches_f64_on_representable_rows() {
-        let d = easy_binary();
-        let mut m = DecisionTreeClassifier::new(TreeConfig::classification());
-        m.fit(&d.x, &d.y).unwrap();
-        let tree = m.tree().unwrap();
-        // Rows narrowed then compared: thresholds are midpoints of data
-        // values, so a narrow-then-widen round trip can flip rows that sit
-        // within f32 rounding of a threshold; count, don't forbid.
-        let mut flips = 0usize;
-        for i in 0..d.x.rows() {
-            let row64 = d.x.row(i);
-            let row32: Vec<f32> = row64.iter().map(|&v| v as f32).collect();
-            if tree.predict_row(row64) != tree.predict_row_f32(&row32) {
-                flips += 1;
-            }
-        }
-        assert!(
-            flips * 100 <= d.x.rows(),
-            "{flips} of {} rows flipped leaves under f32 narrowing",
-            d.x.rows()
-        );
     }
 }

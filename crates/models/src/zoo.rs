@@ -366,14 +366,12 @@ impl AlgorithmKind {
     pub fn build(&self, values: &HashMap<String, f64>, seed: u64) -> Model {
         use AlgorithmKind::*;
         let p = Params::new(values, self.param_defs());
-        // "n_jobs" and "f32_binning" are execution plumbing injected by the
-        // evaluator, not searchable hyper-parameters, so they are read
-        // straight off the map.
+        // "n_jobs" is execution plumbing injected by the evaluator, not a
+        // searchable hyper-parameter, so it is read straight off the map.
         let n_jobs = values
             .get("n_jobs")
             .map(|v| (*v as usize).max(1))
             .unwrap_or(1);
-        let f32_binning = values.get("f32_binning").is_some_and(|v| *v != 0.0);
         match self {
             Logistic => Model::Logistic(LogisticRegression::new(
                 p.f("alpha"),
@@ -460,7 +458,6 @@ impl AlgorithmKind {
                     },
                     max_bins: crate::binned::DEFAULT_MAX_BINS,
                     n_jobs,
-                    f32_binning,
                     seed,
                 };
                 if self.task() == Task::Classification {

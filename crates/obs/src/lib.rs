@@ -5,7 +5,7 @@
 //! This crate makes that visible without ad-hoc printlns:
 //!
 //! - [`Tracer`]: a hierarchical span tracer over the Volcano block tree.
-//!   Every `do_next` pull, SMAC suggest, elimination decision, and trial
+//!   Every block pull, SMAC suggest, elimination decision, and trial
 //!   becomes a parent-linked [`SpanEvent`] appended (one JSON line, torn-line
 //!   free) to a JSONL stream alongside the trial journal. Parent links come
 //!   from a thread-local span stack — blocks open a [`SpanGuard`] around a

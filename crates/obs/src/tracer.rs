@@ -29,8 +29,8 @@
 //! attribution); a disabled tracer performs no locking and no I/O.
 //!
 //! Concurrency: the block tree is pulled from one coordinator thread, so
-//! the stack discipline holds there; trial events for pooled batches are
-//! also emitted on the coordinator (by `evaluate_batch`). The tracer itself
+//! the stack discipline holds there; trial events — pooled or inline — are
+//! all emitted on the coordinator (by `Evaluator::evaluate_trials`). The tracer itself
 //! is nevertheless fully thread-safe — each event is serialized and
 //! appended under one mutex as a single `writeln!`, so concurrent writers
 //! can never tear or interleave lines.

@@ -10,6 +10,11 @@ cargo build --release --workspace --offline
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
+echo "== cargo test (benchmark/: its own workspace, path-deps on crates/) =="
+# The harness only touches the workspace through benchmark/src/layers.rs; a
+# workspace API change that breaks it would otherwise leave tier-1 green.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo clippy =="
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -67,15 +72,12 @@ import json, sys
 b = json.load(open(sys.argv[1]))
 delta = abs(b["accuracy_delta"])
 assert delta <= 0.01, f"histogram accuracy drifted {delta:.4f} from exact (> 0.01)"
-f32_delta = abs(b["f32_accuracy_delta"])
-assert f32_delta <= 0.01, f"f32 binning drifted {f32_delta:.4f} from f64 (> 0.01)"
 ks = b["kernel_speedup"]
 assert ks >= 1.0, f"flat kernel slower than the per-node baseline ({ks:.2f}x)"
 j1, j4 = b["hist_fit_ms_n_jobs1"], b["hist_fit_ms_n_jobs4"]
 assert j4 <= j1 * 1.15, f"n_jobs=4 slower than serial ({j4:.1f}ms vs {j1:.1f}ms)"
 print(f"micro_models smoke ok: kernel_speedup {ks:.2f}x on {b['n_cpus']} cpu(s), "
       f"accuracy_delta {b['accuracy_delta']:+.4f}, "
-      f"f32_accuracy_delta {b['f32_accuracy_delta']:+.4f}, "
       f"n_jobs4/serial {j4 / j1:.2f}")
 EOF
 

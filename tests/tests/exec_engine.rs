@@ -7,9 +7,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use volcanoml_core::evaluator::{Evaluator, Fault};
+use volcanoml_core::evaluator::{Evaluator, Fault, Trial};
 use volcanoml_core::plans::p3_volcano;
-use volcanoml_core::{EngineKind, SpaceDef, SpaceTier, VolcanoML, VolcanoMlOptions};
+use volcanoml_core::{EngineKind, SpaceDef, SpaceTier, TrialTag, VolcanoML, VolcanoMlOptions};
 use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
 use volcanoml_data::{Metric, Task};
 use volcanoml_exec::{ExecPool, Journal, PoolConfig};
@@ -31,13 +31,13 @@ fn dataset(seed: u64) -> volcanoml_data::Dataset {
 }
 
 /// Pre-samples `n` full-fidelity trials from the composite space.
-fn sample_trials(space: &SpaceDef, n: usize, seed: u64) -> Vec<(HashMap<String, f64>, f64)> {
+fn sample_trials(space: &SpaceDef, n: usize, seed: u64) -> Vec<Trial> {
     let compiled = space
         .compile_subspace(&space.var_names(), &HashMap::new())
         .unwrap();
     let mut rng = volcanoml_data::rand_util::rng_from_seed(seed);
     (0..n)
-        .map(|_| (compiled.to_map(&compiled.sample(&mut rng)), 1.0))
+        .map(|_| (compiled.to_map(&compiled.sample(&mut rng)), 1.0, TrialTag::NONE))
         .collect()
 }
 
@@ -54,7 +54,7 @@ fn batch_losses_are_identical_across_worker_counts() {
     let ev1 = evaluator(&space, 5, 3);
     let pool1 = ExecPool::with_workers(1);
     let serial: Vec<f64> = ev1
-        .evaluate_batch(&pool1, &trials)
+        .evaluate_trials(Some(&pool1), &trials)
         .iter()
         .map(|o| o.loss)
         .collect();
@@ -62,7 +62,7 @@ fn batch_losses_are_identical_across_worker_counts() {
     let ev4 = evaluator(&space, 5, 3);
     let pool4 = ExecPool::with_workers(4);
     let parallel: Vec<f64> = ev4
-        .evaluate_batch(&pool4, &trials)
+        .evaluate_trials(Some(&pool4), &trials)
         .iter()
         .map(|o| o.loss)
         .collect();
@@ -88,7 +88,7 @@ fn panicking_trial_is_isolated_and_journaled() {
     }));
 
     let pool = ExecPool::with_workers(4);
-    let outcomes = ev.evaluate_batch(&pool, &trials);
+    let outcomes = ev.evaluate_trials(Some(&pool), &trials);
 
     assert_eq!(outcomes.len(), trials.len());
     for (i, (trial, out)) in trials.iter().zip(outcomes.iter()).enumerate() {
@@ -131,7 +131,7 @@ fn stalled_trial_hits_the_deadline_and_pool_survives() {
     let mut config = PoolConfig::with_workers(4);
     config.trial_deadline = Some(Duration::from_millis(200));
     let pool = ExecPool::new(config);
-    let outcomes = ev.evaluate_batch(&pool, &trials);
+    let outcomes = ev.evaluate_trials(Some(&pool), &trials);
 
     assert_eq!(outcomes.len(), trials.len());
     for (trial, out) in trials.iter().zip(outcomes.iter()) {
@@ -152,7 +152,7 @@ fn stalled_trial_hits_the_deadline_and_pool_survives() {
         .filter(|t| t.0["algorithm"] != slow_alg)
         .cloned()
         .collect();
-    let again = ev.evaluate_batch(&pool, &clean);
+    let again = ev.evaluate_trials(Some(&pool), &clean);
     assert!(again.iter().all(|o| !o.timed_out));
 }
 
@@ -170,7 +170,7 @@ fn search_survives_periodic_injected_panics() {
     let mut root = p3_volcano(EngineKind::Bo).compile(&space, 1).unwrap();
     let pool = ExecPool::with_workers(4);
     while ev.evaluations() < 24 {
-        root.do_next_batch(&ev, &pool, 4).unwrap();
+        root.pull(&ev, Some(&pool), 4).unwrap();
     }
 
     let best = root.current_best().expect("search found nothing");

@@ -32,7 +32,7 @@ fn every_coarse_plan_runs_on_the_large_space() {
             Evaluator::new(space.clone(), &d, Metric::BalancedAccuracy, 0).unwrap();
         let mut root = plan.compile(&space, 0).unwrap_or_else(|e| panic!("{name}: {e}"));
         for _ in 0..15 {
-            root.do_next(&evaluator).unwrap();
+            root.pull(&evaluator, None, 1).unwrap();
         }
         let best = root
             .current_best()
@@ -51,7 +51,7 @@ fn figure2_tree_matches_compiled_plan_behavior() {
     let ev1 = Evaluator::new(space.clone(), &d, Metric::BalancedAccuracy, 3).unwrap();
     let mut hand = build_figure2_tree(&space, EngineKind::Bo, true, true, 3).unwrap();
     for _ in 0..20 {
-        hand.do_next(&ev1).unwrap();
+        hand.pull(&ev1, None, 1).unwrap();
     }
     // ...solves the problem about as well as the compiled plan (not
     // identical RNG streams, so compare only success).
@@ -60,7 +60,7 @@ fn figure2_tree_matches_compiled_plan_behavior() {
         .compile(&space, 3)
         .unwrap();
     for _ in 0..20 {
-        compiled.do_next(&ev2).unwrap();
+        compiled.pull(&ev2, None, 1).unwrap();
     }
     let h = hand.current_best().unwrap().loss;
     let c = compiled.current_best().unwrap().loss;
@@ -77,7 +77,7 @@ fn conditioning_block_eventually_focuses_budget() {
     let evaluator = Evaluator::new(space.clone(), &d, Metric::BalancedAccuracy, 0).unwrap();
     let mut root = build_figure2_tree(&space, EngineKind::Bo, true, true, 0).unwrap();
     for _ in 0..45 {
-        root.do_next(&evaluator).unwrap();
+        root.pull(&evaluator, None, 1).unwrap();
     }
     let mut description = String::new();
     root.describe(0, &mut description);
@@ -104,7 +104,7 @@ fn deeper_decomposition_is_no_worse_on_large_space() {
             .compile(&space, seed)
             .unwrap();
         while ev1.evaluations() < budget {
-            volcano.do_next(&ev1).unwrap();
+            volcano.pull(&ev1, None, 1).unwrap();
         }
         volcano_total += volcano.current_best().unwrap().loss;
 
@@ -114,7 +114,7 @@ fn deeper_decomposition_is_no_worse_on_large_space() {
             .compile(&space, seed)
             .unwrap();
         while ev2.evaluations() < budget {
-            joint.do_next(&ev2).unwrap();
+            joint.pull(&ev2, None, 1).unwrap();
         }
         joint_total += joint.current_best().unwrap().loss;
     }

@@ -1,0 +1,107 @@
+//! Pins the single trial path: a `fit` must search identically whether its
+//! trials run inline on the calling thread or through a worker pool, and
+//! identically to the commit that still had separate serial and batch code.
+//!
+//! The golden digests below were recorded on the parent of the commit that
+//! folded the serial/batch twins (blocks, engines, evaluator) into one
+//! `k`-trial pull; they are FNV-1a hashes of the cost-stripped `StudyState`,
+//! so any change to RNG draws, arm order, elimination points or losses
+//! moves them.
+
+use std::time::Duration;
+
+use volcanoml_core::plans::{p1_joint, p3_volcano};
+use volcanoml_core::{
+    EngineKind, FittedVolcanoML, PlanSpec, SpaceTier, StudyState, VolcanoML, VolcanoMlOptions,
+};
+use volcanoml_data::synthetic::make_moons;
+use volcanoml_data::Task;
+
+/// `StudyState` lines without their wall-clock `cost=<16 hex digits>` field
+/// (evaluator log and joint history rows) — the only part of a cost-blind
+/// search's state that differs between two live runs.
+fn strip_costs(state: &StudyState) -> Vec<String> {
+    state
+        .lines
+        .iter()
+        .map(|l| match l.find(" cost=") {
+            Some(i) => format!("{}{}", &l[..i], &l[i + " cost=".len() + 16..]),
+            None => l.clone(),
+        })
+        .collect()
+}
+
+fn fnv1a(lines: &[String]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in lines.iter().flat_map(|l| l.bytes().chain(std::iter::once(b'\n'))) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn fit(plan: PlanSpec, workers: usize, deadline: Option<Duration>) -> FittedVolcanoML {
+    let data = make_moons(160, 0.2, 1, 5);
+    let options = VolcanoMlOptions {
+        plan,
+        max_evaluations: 30,
+        seed: 7,
+        n_workers: workers,
+        trial_deadline: deadline,
+        ..Default::default()
+    };
+    VolcanoML::with_tier(Task::Classification, SpaceTier::Small, options)
+        .fit(&data)
+        .unwrap()
+}
+
+type PlanFn = fn(EngineKind) -> PlanSpec;
+
+const SERIAL_CASES: [(&str, PlanFn, EngineKind, u64); 4] = [
+    ("p1_joint/bo", p1_joint, EngineKind::Bo, 0xebcf_18c0_2a6d_9fec),
+    ("p1_joint/mfes-hb", p1_joint, EngineKind::MfesHb, 0xc782_7ead_c714_98b8),
+    ("p3_volcano/bo", p3_volcano, EngineKind::Bo, 0x3631_f545_d3ff_9bc6),
+    ("p3_volcano/mfes-hb", p3_volcano, EngineKind::MfesHb, 0xf281_73aa_b67e_30fe),
+];
+
+/// No pool at all and a one-worker pool (which a generous `trial_deadline`
+/// forces) are the same search.
+#[test]
+fn inline_fit_equals_one_worker_pool_fit() {
+    for (name, plan, engine, _) in SERIAL_CASES {
+        let inline = fit(plan(engine), 1, None);
+        let pooled = fit(plan(engine), 1, Some(Duration::from_secs(600)));
+        assert_eq!(
+            strip_costs(&inline.study_state),
+            strip_costs(&pooled.study_state),
+            "{name}: inline and 1-worker-pool study states differ"
+        );
+        assert_eq!(
+            inline.report.best_loss.to_bits(),
+            pooled.report.best_loss.to_bits(),
+            "{name}: best loss differs"
+        );
+    }
+}
+
+#[test]
+fn serial_fits_match_parent_recorded_digests() {
+    let moved: Vec<String> = SERIAL_CASES
+        .iter()
+        .filter_map(|(name, plan, engine, golden)| {
+            let got = fnv1a(&strip_costs(&fit(plan(*engine), 1, None).study_state));
+            (got != *golden).then(|| format!("{name}: digest {got:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "{moved:#?}");
+}
+
+#[test]
+fn four_worker_mfes_fit_matches_parent_recorded_digest() {
+    let fitted = fit(p1_joint(EngineKind::MfesHb), 4, None);
+    let got = fnv1a(&strip_costs(&fitted.study_state));
+    assert_eq!(
+        got, 0xe375_39e0_c65f_50de,
+        "p1_joint/mfes-hb x4: digest {got:#018x}"
+    );
+}
