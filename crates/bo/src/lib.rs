@@ -1,7 +1,9 @@
 //! Black-box optimization substrate for VolcanoML: conditional configuration
 //! spaces, a probabilistic random-forest surrogate, expected improvement,
-//! a SMAC-style Bayesian-optimization loop, random search, Successive
-//! Halving / Hyperband, and MFES-HB (§3.3.1 of the paper).
+//! and the three engines behind the [`Suggest`] ask/tell interface (§3.3.1
+//! of the paper): random search, a SMAC-style Bayesian-optimization loop,
+//! and one bracket engine whose constructors give Successive Halving,
+//! Hyperband and MFES-HB.
 //!
 //! This crate is deliberately self-contained (only `rand`): the surrogate
 //! forest is a compact re-implementation specialized for the unit-cube
@@ -18,8 +20,8 @@ pub mod surrogate;
 
 pub use cost::CostModel;
 pub use history::{Observation, RunHistory};
-pub use multifidelity::{Hyperband, MfesHb, SuccessiveHalving};
-pub use optimizer::{ObserveEvent, ObserveHook, RandomSearch, Smac, Suggest};
+pub use multifidelity::BracketEngine;
+pub use optimizer::{RandomSearch, Smac, Suggest};
 pub use space::{Condition, ConfigSpace, Configuration, Domain, Hyperparameter};
 
 /// Errors produced by the optimization substrate.

@@ -1,11 +1,11 @@
-//! Early-stopping / multi-fidelity optimizers: Successive Halving,
-//! Hyperband, and MFES-HB (multi-fidelity ensemble surrogate Hyperband,
-//! Li et al. 2020) — the engines the paper plugs into joint blocks for large
-//! datasets (§3.3.1).
+//! Early-stopping / multi-fidelity optimization: one [`BracketEngine`] whose
+//! three constructors give Successive Halving, Hyperband, and MFES-HB
+//! (multi-fidelity ensemble surrogate Hyperband, Li et al. 2020) — the
+//! engines the paper plugs into joint blocks for large datasets (§3.3.1).
 //!
 //! Fidelity is the training-set fraction in `(0, 1]`; the evaluator
-//! subsamples accordingly. All optimizers implement the [`Suggest`]
-//! interface *including* a real `suggest_batch`: brackets are asynchronous
+//! subsamples accordingly. The engine implements the [`Suggest`] interface
+//! *including* a real `suggest_batch`: brackets are asynchronous
 //! (ASHA-style), so any number of configurations may be in flight at once
 //! and a rung promotes its best observed survivor as soon as enough results
 //! accumulate — no rung barrier, no full-fidelity random fallback. When the
@@ -297,20 +297,6 @@ impl BracketScheduler {
     }
 }
 
-/// Canonical bitwise rendering of a configuration for scheduler-state
-/// snapshots: one 16-hex-digit word per value, `-` for inactive
-/// conditionals.
-fn config_bits(c: &Configuration) -> String {
-    c.values
-        .iter()
-        .map(|v| match v {
-            Some(x) => format!("{:016x}", x.to_bits()),
-            None => "-".to_string(),
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 impl Bracket {
     /// Appends canonical lines describing this bracket's full occupancy:
     /// shape, pending queue, in-flight set, and per-rung results. In-flight
@@ -331,13 +317,13 @@ impl Bracket {
             self.queue.len()
         ));
         for c in &self.queue {
-            out.push(format!("{path} bracket={} queue config={}", self.id, config_bits(c)));
+            out.push(format!("{path} bracket={} queue config={}", self.id, c.bits()));
         }
         let mut in_flight: Vec<String> = self
             .in_flight
             .iter()
             .map(|(c, r)| {
-                format!("{path} bracket={} in_flight rung={r} config={}", self.id, config_bits(c))
+                format!("{path} bracket={} in_flight rung={r} config={}", self.id, c.bits())
             })
             .collect();
         in_flight.sort();
@@ -359,7 +345,7 @@ impl Bracket {
                         self.id,
                         res.loss.to_bits(),
                         res.promoted,
-                        config_bits(&res.config)
+                        res.config.bits()
                     )
                 })
                 .collect();
@@ -442,314 +428,181 @@ impl FidelityCostTable {
 }
 
 /// Standard Hyperband rung ladder for `eta` and `r_min` (smallest fidelity).
+/// `eta` below 2 is clamped here, for every caller: a factor of 0 or 1 never
+/// reaches 1.0.
 fn rung_ladder(r_min: f64, eta: usize) -> Vec<f64> {
+    let eta = eta.max(2) as f64;
     let mut rungs = Vec::new();
     let mut r = r_min.clamp(1e-3, 1.0);
     while r < 1.0 - 1e-9 {
         rungs.push(r);
-        r *= eta as f64;
+        r *= eta;
     }
     rungs.push(1.0);
     rungs
 }
 
-/// Successive Halving: brackets of `n0` random configurations climb the
-/// rung ladder, the top `1/eta` surviving each rung; a fresh bracket opens
-/// whenever the active ones cannot supply more work (batch mode opens it
-/// early rather than waiting on in-flight trials).
+/// How many seeds the next bracket takes and at which rung it starts.
 #[derive(Debug)]
-pub struct SuccessiveHalving {
+enum Shape {
+    /// Successive Halving: every bracket takes `n0` seeds from rung 0.
+    Fixed { n0: usize },
+    /// Hyperband: bracket `s` starts at rung `s_max - s` with `n =
+    /// ceil(eta^s * (s+1) / (s_max+1))` seeds — the standard allocation,
+    /// modestly sized for interactive use — and `s` cycles `s_max → 0 →
+    /// s_max …` (`s_max` = number of rungs − 1).
+    Cycling { s: usize, s_max: usize },
+}
+
+/// Who proposes a new bracket's seeds.
+#[derive(Debug)]
+enum SeedSource {
+    /// Uniform draws from the space.
+    Random,
+    /// MFES-HB: the top expected-improvement candidates under a
+    /// multi-fidelity *ensemble* surrogate — one RF per fidelity level,
+    /// weighted by each level's rank agreement with the highest fidelity
+    /// observed so far. Random until some level has four finite results.
+    Ensemble,
+}
+
+/// Candidate pool size per ensemble-guided proposal.
+const MFES_CANDIDATES: usize = 100;
+
+/// The bracket engine: asynchronous brackets climb the rung ladder, the top
+/// `1/eta` surviving each rung, and a fresh bracket opens whenever the active
+/// ones cannot supply more work (batch mode opens it early rather than
+/// waiting on in-flight trials). Successive Halving, Hyperband and MFES-HB are
+/// this one engine with a different bracket [`Shape`] and [`SeedSource`], both
+/// fixed by the constructor.
+#[derive(Debug)]
+pub struct BracketEngine {
     space: ConfigSpace,
     history: RunHistory,
     sched: BracketScheduler,
     rng: StdRng,
-    n0: usize,
     eta: usize,
     r_min: f64,
+    shape: Shape,
+    seeds: SeedSource,
     cost_aware: bool,
     fid_cost: FidelityCostTable,
 }
 
-impl SuccessiveHalving {
-    /// Creates an SH optimizer with `n0` initial configurations per bracket.
-    pub fn new(space: ConfigSpace, n0: usize, r_min: f64, eta: usize, seed: u64) -> Self {
-        SuccessiveHalving {
+impl BracketEngine {
+    /// An engine of random seeds in brackets of `shape`.
+    fn new(space: ConfigSpace, r_min: f64, eta: usize, seed: u64, shape: Shape) -> Self {
+        BracketEngine {
             space,
             history: RunHistory::new(),
             sched: BracketScheduler::default(),
             rng: crate::rng::from_seed(seed),
-            n0: n0.max(2),
             eta: eta.max(2),
             r_min,
+            shape,
+            seeds: SeedSource::Random,
             cost_aware: false,
             fid_cost: FidelityCostTable::default(),
         }
     }
 
-    fn open_bracket(&mut self) {
-        let configs: Vec<Configuration> = (0..self.n0)
-            .map(|_| self.space.sample(&mut self.rng))
-            .collect();
-        let ladder = rung_ladder(self.r_min, self.eta);
-        // Cost-aware: start the bracket at the measured cost floor instead
-        // of the fixed η-ladder bottom (see FidelityCostTable::floor).
-        let offset = if self.cost_aware {
-            self.fid_cost.floor(&ladder, self.eta)
-        } else {
-            0
-        };
-        self.sched
-            .open(configs, ladder[offset..].to_vec(), offset, self.eta, self.cost_aware);
-    }
-}
-
-impl Suggest for SuccessiveHalving {
-    /// Fills all `k` slots from the bracket set, opening fresh brackets as
-    /// needed — never a random full-fidelity draw.
-    fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {
-        let mut out = Vec::with_capacity(k);
-        while out.len() < k {
-            match self.sched.next() {
-                Some(pick) => out.push(pick),
-                None => self.open_bracket(),
-            }
-        }
-        out
+    /// Successive Halving: `n0` random configurations per bracket, every
+    /// bracket from the bottom rung.
+    pub fn successive_halving(
+        space: ConfigSpace,
+        n0: usize,
+        r_min: f64,
+        eta: usize,
+        seed: u64,
+    ) -> Self {
+        Self::new(space, r_min, eta, seed, Shape::Fixed { n0: n0.max(2) })
     }
 
-    fn observe(&mut self, config: Configuration, fidelity: f64, loss: f64, cost: f64) {
-        self.sched.record(&config, fidelity, loss, cost);
-        self.fid_cost.record(fidelity, cost);
-        self.history.push(Observation {
-            config,
-            loss,
-            cost,
-            fidelity,
-        });
-    }
-
-    fn in_flight_meta(&self, config: &Configuration, fidelity: f64) -> Option<(usize, u64)> {
-        self.sched.meta(config, fidelity)
-    }
-
-    fn capture_scheduler_state(&self, path: &str, out: &mut Vec<String>) {
-        if self.cost_aware {
-            self.fid_cost.capture(path, out);
-        }
-        self.sched.capture_state(path, out);
-    }
-
-    fn set_cost_aware(&mut self, enabled: bool) {
-        self.cost_aware = enabled;
-    }
-
-    fn history(&self) -> &RunHistory {
-        &self.history
-    }
-
-    fn space(&self) -> &ConfigSpace {
-        &self.space
-    }
-
-    /// Grows the space: history *and* bracket occupancy (queues, in-flight
-    /// entries, rung results) remap into the new space so promotion
-    /// bookkeeping — which matches configurations by equality — survives
-    /// the expansion. Fresh brackets sample from the grown space.
-    fn grow_space(&mut self, new_space: ConfigSpace) {
-        self.history = crate::optimizer::remap_history(&self.space, &new_space, &self.history);
-        self.sched.remap_space(&self.space, &new_space);
-        self.space = new_space;
-    }
-}
-
-/// Hyperband: cycles through brackets with different exploration/
-/// exploitation trade-offs (different initial counts and starting rungs).
-/// Brackets run concurrently: when the active ones cannot supply a batch
-/// slot, the next `s` opens early.
-#[derive(Debug)]
-pub struct Hyperband {
-    space: ConfigSpace,
-    history: RunHistory,
-    sched: BracketScheduler,
-    rng: StdRng,
-    eta: usize,
-    r_min: f64,
-    s: usize,     // next bracket index to open (s_max .. 0, cycling)
-    s_max: usize, // number of rungs - 1
-    cost_aware: bool,
-    fid_cost: FidelityCostTable,
-}
-
-impl Hyperband {
-    /// Creates a Hyperband optimizer with minimum fidelity `r_min`.
-    pub fn new(space: ConfigSpace, r_min: f64, eta: usize, seed: u64) -> Self {
+    /// Hyperband: random configurations in brackets that cycle through the
+    /// exploration/exploitation trade-offs (initial counts and starting
+    /// rungs), widest bracket first.
+    pub fn hyperband(space: ConfigSpace, r_min: f64, eta: usize, seed: u64) -> Self {
         let s_max = rung_ladder(r_min, eta).len() - 1;
-        Hyperband {
-            space,
-            history: RunHistory::new(),
-            sched: BracketScheduler::default(),
-            rng: crate::rng::from_seed(seed),
-            eta: eta.max(2),
-            r_min,
-            s: s_max,
-            s_max,
-            cost_aware: false,
-            fid_cost: FidelityCostTable::default(),
+        Self::new(space, r_min, eta, seed, Shape::Cycling { s: s_max, s_max })
+    }
+
+    /// MFES-HB (Li et al. 2020): Hyperband's brackets, seeded by the
+    /// multi-fidelity ensemble surrogate.
+    pub fn mfes_hb(space: ConfigSpace, r_min: f64, eta: usize, seed: u64) -> Self {
+        BracketEngine {
+            seeds: SeedSource::Ensemble,
+            ..Self::hyperband(space, r_min, eta, seed)
         }
     }
 
-    /// Shape of the bracket at the current `s`: `(n, rungs, rung_offset)`.
-    /// Bracket `s` starts at rung `s_max - s` with `n = ceil(eta^s * (s+1) /
-    /// (s_max+1))` configs — the standard Hyperband allocation, modestly
-    /// sized for interactive use. Cost-aware runs additionally clamp the
-    /// starting rung to the measured cost floor: a bracket may never start
-    /// below a rung whose trials cost nearly as much as full fidelity.
-    fn bracket_shape(&self) -> (usize, Vec<f64>, usize) {
+    /// Opens the next bracket. Cost-aware runs clamp its starting rung to the
+    /// measured cost floor: a bracket may never start below a rung whose
+    /// trials cost nearly as much as full fidelity (see
+    /// [`FidelityCostTable::floor`]).
+    fn open_bracket(&mut self) {
         let ladder = rung_ladder(self.r_min, self.eta);
-        let mut start = self.s_max - self.s;
+        let (n, mut start) = match self.shape {
+            Shape::Fixed { n0 } => (n0, 0),
+            Shape::Cycling { s, s_max } => {
+                let n = (self.eta.pow(s as u32) as f64) * (s as f64 + 1.0) / (s_max as f64 + 1.0);
+                ((n.ceil() as usize).max(1), s_max - s)
+            }
+        };
         if self.cost_aware {
             start = start.max(self.fid_cost.floor(&ladder, self.eta));
         }
-        let rungs = ladder[start..].to_vec();
-        let n = ((self.eta.pow(self.s as u32) as f64) * (self.s as f64 + 1.0)
-            / (self.s_max as f64 + 1.0))
-            .ceil() as usize;
-        (n.max(1), rungs, start)
-    }
-
-    /// Cycles `s` to the next bracket index (s_max → 0 → s_max …).
-    fn advance_s(&mut self) {
-        self.s = if self.s == 0 { self.s_max } else { self.s - 1 };
-    }
-
-    fn open_bracket(&mut self) {
-        let (n, rungs, offset) = self.bracket_shape();
-        let configs: Vec<Configuration> =
-            (0..n).map(|_| self.space.sample(&mut self.rng)).collect();
-        self.sched.open(configs, rungs, offset, self.eta, self.cost_aware);
-        self.advance_s();
-    }
-}
-
-impl Suggest for Hyperband {
-    /// Fills all `k` slots from the bracket set, opening the next `s`
-    /// bracket early when the active ones cannot supply more work.
-    fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {
-        let mut out = Vec::with_capacity(k);
-        while out.len() < k {
-            match self.sched.next() {
-                Some(pick) => out.push(pick),
-                None => self.open_bracket(),
-            }
-        }
-        out
-    }
-
-    fn observe(&mut self, config: Configuration, fidelity: f64, loss: f64, cost: f64) {
-        self.sched.record(&config, fidelity, loss, cost);
-        self.fid_cost.record(fidelity, cost);
-        self.history.push(Observation {
-            config,
-            loss,
-            cost,
-            fidelity,
-        });
-    }
-
-    fn in_flight_meta(&self, config: &Configuration, fidelity: f64) -> Option<(usize, u64)> {
-        self.sched.meta(config, fidelity)
-    }
-
-    fn capture_scheduler_state(&self, path: &str, out: &mut Vec<String>) {
-        out.push(format!("{path} hyperband.s={} s_max={}", self.s, self.s_max));
-        if self.cost_aware {
-            self.fid_cost.capture(path, out);
-        }
-        self.sched.capture_state(path, out);
-    }
-
-    fn set_cost_aware(&mut self, enabled: bool) {
-        self.cost_aware = enabled;
-    }
-
-    fn history(&self) -> &RunHistory {
-        &self.history
-    }
-
-    fn space(&self) -> &ConfigSpace {
-        &self.space
-    }
-
-    /// Same contract as [`SuccessiveHalving::grow_space`].
-    fn grow_space(&mut self, new_space: ConfigSpace) {
-        self.history = crate::optimizer::remap_history(&self.space, &new_space, &self.history);
-        self.sched.remap_space(&self.space, &new_space);
-        self.space = new_space;
-    }
-}
-
-/// MFES-HB: Hyperband whose bracket configurations are proposed by a
-/// multi-fidelity *ensemble* surrogate — one RF per fidelity level, combined
-/// with weights proportional to each level's rank agreement with the highest
-/// fidelity observed so far.
-#[derive(Debug)]
-pub struct MfesHb {
-    inner: Hyperband,
-    /// Candidate pool size per surrogate-guided proposal.
-    pub n_candidates: usize,
-}
-
-impl MfesHb {
-    /// Creates an MFES-HB optimizer.
-    pub fn new(space: ConfigSpace, r_min: f64, eta: usize, seed: u64) -> Self {
-        MfesHb {
-            inner: Hyperband::new(space, r_min, eta, seed),
-            n_candidates: 100,
+        let configs = match self.seeds {
+            SeedSource::Random => (0..n).map(|_| self.space.sample(&mut self.rng)).collect(),
+            SeedSource::Ensemble => self.propose(n),
+        };
+        self.sched
+            .open(configs, ladder[start..].to_vec(), start, self.eta, self.cost_aware);
+        if let Shape::Cycling { s, s_max } = &mut self.shape {
+            *s = if *s == 0 { *s_max } else { *s - 1 };
         }
     }
 
     /// Fits the per-fidelity surrogates and their ensemble weights.
     fn ensemble(&mut self) -> Option<Vec<(RandomForestSurrogate, f64)>> {
-        let ladder = rung_ladder(self.inner.r_min, self.inner.eta);
+        let ladder = rung_ladder(self.r_min, self.eta);
         let mut members = Vec::new();
         // Reference ranking: the highest fidelity with ≥4 observations.
         let reference: Option<Vec<(Vec<f64>, f64)>> = ladder
             .iter()
             .rev()
             .map(|&f| {
-                self.inner
-                    .history
+                self.history
                     .at_fidelity(f)
                     .iter()
                     .filter(|o| o.loss.is_finite())
-                    .map(|o| (self.inner.space.encode(&o.config), o.loss))
+                    .map(|o| (self.space.encode(&o.config), o.loss))
                     .collect::<Vec<_>>()
             })
             .find(|v: &Vec<(Vec<f64>, f64)>| v.len() >= 4);
         let reference = reference?;
 
         for &f in &ladder {
-            let obs = self.inner.history.at_fidelity(f);
+            let obs = self.history.at_fidelity(f);
             let finite: Vec<_> = obs.iter().filter(|o| o.loss.is_finite()).collect();
             if finite.len() < 4 {
                 continue;
             }
             let xs: Vec<Vec<f64>> = finite
                 .iter()
-                .map(|o| self.inner.space.encode(&o.config))
+                .map(|o| self.space.encode(&o.config))
                 .collect();
             let ys: Vec<f64> = finite.iter().map(|o| o.loss).collect();
             let mut surrogate = RandomForestSurrogate::new();
-            surrogate.fit(&xs, &ys, &mut self.inner.rng);
+            surrogate.fit(&xs, &ys, &mut self.rng);
             // Weight: pairwise ranking agreement with the reference set.
+            let predicted: Vec<f64> =
+                reference.iter().map(|(x, _)| surrogate.predict(x).0).collect();
             let mut agree = 0usize;
             let mut total = 0usize;
             for i in 0..reference.len() {
                 for j in i + 1..reference.len() {
-                    let (mi, _) = surrogate.predict(&reference[i].0);
-                    let (mj, _) = surrogate.predict(&reference[j].0);
                     let true_order = reference[i].1 < reference[j].1;
-                    let pred_order = mi < mj;
+                    let pred_order = predicted[i] < predicted[j];
                     total += 1;
                     if true_order == pred_order {
                         agree += 1;
@@ -776,16 +629,14 @@ impl MfesHb {
 
     /// Proposes bracket seeds via the ensemble (falls back to random).
     fn propose(&mut self, n: usize) -> Vec<Configuration> {
-        let best = self.inner.history.best_loss().unwrap_or(1.0);
+        let best = self.history.best_loss().unwrap_or(1.0);
         match self.ensemble() {
-            None => (0..n)
-                .map(|_| self.inner.space.sample(&mut self.inner.rng))
-                .collect(),
+            None => (0..n).map(|_| self.space.sample(&mut self.rng)).collect(),
             Some(ensemble) => {
-                let mut scored: Vec<(f64, Configuration)> = (0..self.n_candidates.max(n))
+                let mut scored: Vec<(f64, Configuration)> = (0..MFES_CANDIDATES.max(n))
                     .map(|_| {
-                        let cfg = self.inner.space.sample(&mut self.inner.rng);
-                        let enc = self.inner.space.encode(&cfg);
+                        let cfg = self.space.sample(&mut self.rng);
+                        let enc = self.space.encode(&cfg);
                         let (mut mean, mut var) = (0.0, 0.0);
                         for (s, w) in &ensemble {
                             let (m, v) = s.predict(&enc);
@@ -800,24 +651,16 @@ impl MfesHb {
             }
         }
     }
-
-    fn open_bracket(&mut self) {
-        let (n, rungs, offset) = self.inner.bracket_shape();
-        let configs = self.propose(n);
-        self.inner
-            .sched
-            .open(configs, rungs, offset, self.inner.eta, self.inner.cost_aware);
-        self.inner.advance_s();
-    }
 }
 
-impl Suggest for MfesHb {
-    /// Fills all `k` slots from the bracket set; new brackets are seeded by
-    /// surrogate-guided proposals.
+impl Suggest for BracketEngine {
+    /// Fills all `k` slots from the bracket set, opening the next bracket
+    /// early when the active ones cannot supply more work — never a random
+    /// full-fidelity draw.
     fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {
         let mut out = Vec::with_capacity(k);
         while out.len() < k {
-            match self.inner.sched.next() {
+            match self.sched.next() {
                 Some(pick) => out.push(pick),
                 None => self.open_bracket(),
             }
@@ -826,34 +669,51 @@ impl Suggest for MfesHb {
     }
 
     fn observe(&mut self, config: Configuration, fidelity: f64, loss: f64, cost: f64) {
-        self.inner.observe(config, fidelity, loss, cost);
+        self.sched.record(&config, fidelity, loss, cost);
+        self.fid_cost.record(fidelity, cost);
+        self.history.push(Observation {
+            config,
+            loss,
+            cost,
+            fidelity,
+        });
     }
 
     fn in_flight_meta(&self, config: &Configuration, fidelity: f64) -> Option<(usize, u64)> {
-        self.inner.sched.meta(config, fidelity)
+        self.sched.meta(config, fidelity)
     }
 
     fn capture_scheduler_state(&self, path: &str, out: &mut Vec<String>) {
-        self.inner.capture_scheduler_state(path, out);
+        if let Shape::Cycling { s, s_max } = self.shape {
+            out.push(format!("{path} hyperband.s={s} s_max={s_max}"));
+        }
+        if self.cost_aware {
+            self.fid_cost.capture(path, out);
+        }
+        self.sched.capture_state(path, out);
     }
 
     fn set_cost_aware(&mut self, enabled: bool) {
-        self.inner.set_cost_aware(enabled);
+        self.cost_aware = enabled;
     }
 
     fn history(&self) -> &RunHistory {
-        &self.inner.history
+        &self.history
     }
 
     fn space(&self) -> &ConfigSpace {
-        &self.inner.space
+        &self.space
     }
 
-    /// The per-fidelity surrogate ensemble re-encodes the (remapped)
-    /// history on every fit, so delegating the remap to the inner
-    /// Hyperband is sufficient.
+    /// Grows the space: history *and* bracket occupancy (queues, in-flight
+    /// entries, rung results) remap into the new space so promotion
+    /// bookkeeping — which matches configurations by equality — survives
+    /// the expansion. Fresh brackets sample from the grown space, and the
+    /// ensemble re-encodes the remapped history on every fit.
     fn grow_space(&mut self, new_space: ConfigSpace) {
-        self.inner.grow_space(new_space);
+        self.history = crate::optimizer::remap_history(&self.space, &new_space, &self.history);
+        self.sched.remap_space(&self.space, &new_space);
+        self.space = new_space;
     }
 }
 
@@ -907,9 +767,26 @@ mod tests {
         assert_eq!(rung_ladder(1.0, 3), vec![1.0]);
     }
 
+    /// Regression: `Hyperband::new` sized `s_max` from the raw `eta`, and a
+    /// factor of 0 or 1 never climbs to 1.0, so the ladder loop never ended.
+    #[test]
+    fn degenerate_eta_is_clamped_in_every_constructor() {
+        for eta in [0usize, 1] {
+            assert_eq!(rung_ladder(0.25, eta), vec![0.25, 0.5, 1.0]);
+            for mut engine in [
+                BracketEngine::successive_halving(space_1d(), 4, 0.25, eta, 0),
+                BracketEngine::hyperband(space_1d(), 0.25, eta, 0),
+                BracketEngine::mfes_hb(space_1d(), 0.25, eta, 0),
+            ] {
+                drive(&mut engine, 30);
+                assert!(!engine.history().at_fidelity(1.0).is_empty(), "eta {eta}");
+            }
+        }
+    }
+
     #[test]
     fn sh_promotes_good_configs_to_full_fidelity() {
-        let mut sh = SuccessiveHalving::new(space_1d(), 9, 1.0 / 9.0, 3, 0);
+        let mut sh = BracketEngine::successive_halving(space_1d(), 9, 1.0 / 9.0, 3, 0);
         drive(&mut sh, 40);
         let best = sh.history().best_loss().expect("has full-fidelity obs");
         assert!(best < 0.1, "best {best}");
@@ -921,7 +798,7 @@ mod tests {
 
     #[test]
     fn hyperband_cycles_brackets() {
-        let mut hb = Hyperband::new(space_1d(), 1.0 / 9.0, 3, 0);
+        let mut hb = BracketEngine::hyperband(space_1d(), 1.0 / 9.0, 3, 0);
         drive(&mut hb, 60);
         assert!(hb.history().best_loss().unwrap() < 0.1);
         // All three fidelities appear.
@@ -935,7 +812,7 @@ mod tests {
 
     #[test]
     fn mfes_hb_runs_and_improves() {
-        let mut mfes = MfesHb::new(space_1d(), 1.0 / 9.0, 3, 0);
+        let mut mfes = BracketEngine::mfes_hb(space_1d(), 1.0 / 9.0, 3, 0);
         drive(&mut mfes, 80);
         let best = mfes.history().best_loss().unwrap();
         assert!(best < 0.05, "best {best}");
@@ -948,10 +825,10 @@ mod tests {
         // the blocks-ablation bench measures).
         let (mut m_sum, mut h_sum) = (0.0, 0.0);
         for seed in 0..5 {
-            let mut mfes = MfesHb::new(space_1d(), 1.0 / 9.0, 3, seed);
+            let mut mfes = BracketEngine::mfes_hb(space_1d(), 1.0 / 9.0, 3, seed);
             drive(&mut mfes, 60);
             m_sum += mfes.history().best_loss().unwrap();
-            let mut hb = Hyperband::new(space_1d(), 1.0 / 9.0, 3, seed);
+            let mut hb = BracketEngine::hyperband(space_1d(), 1.0 / 9.0, 3, seed);
             drive(&mut hb, 60);
             h_sum += hb.history().best_loss().unwrap();
         }
@@ -962,7 +839,7 @@ mod tests {
     fn suggest_observe_contract_holds() {
         // Every suggested fidelity is in the ladder; bracket bookkeeping
         // never panics over a long run.
-        let mut sh = SuccessiveHalving::new(space_1d(), 5, 0.25, 2, 1);
+        let mut sh = BracketEngine::successive_halving(space_1d(), 5, 0.25, 2, 1);
         for _ in 0..100 {
             let (cfg, f) = sh.suggest();
             assert!(f > 0.0 && f <= 1.0);
@@ -1068,9 +945,8 @@ mod tests {
     /// rung results where they would distort promotion quotas.
     #[test]
     fn foreign_observations_route_to_history_only() {
-        let mut sh = SuccessiveHalving::new(space_1d(), 4, 0.5, 2, 0);
-        // Warm-start via the trait default: observe a config the bracket
-        // never suggested.
+        let mut sh = BracketEngine::successive_halving(space_1d(), 4, 0.5, 2, 0);
+        // Observe a config the bracket never suggested.
         let mut rng = crate::rng::from_seed(99);
         let foreign = sh.space().sample(&mut rng);
         sh.observe(foreign.clone(), 1.0, 0.01, 1.0);
@@ -1103,13 +979,13 @@ mod tests {
                     "{label} k={k}: no sub-1.0 fidelity exercised"
                 );
             };
-            let mut sh = SuccessiveHalving::new(space_1d(), 9, 1.0 / 9.0, 3, 42);
+            let mut sh = BracketEngine::successive_halving(space_1d(), 9, 1.0 / 9.0, 3, 42);
             drive_batched(&mut sh, rounds, k);
             check("sh", sh.history().observations().iter().map(|o| o.fidelity).collect());
-            let mut hb = Hyperband::new(space_1d(), 1.0 / 9.0, 3, 42);
+            let mut hb = BracketEngine::hyperband(space_1d(), 1.0 / 9.0, 3, 42);
             drive_batched(&mut hb, rounds, k);
             check("hyperband", hb.history().observations().iter().map(|o| o.fidelity).collect());
-            let mut mfes = MfesHb::new(space_1d(), 1.0 / 9.0, 3, 42);
+            let mut mfes = BracketEngine::mfes_hb(space_1d(), 1.0 / 9.0, 3, 42);
             drive_batched(&mut mfes, rounds, k);
             check("mfes-hb", mfes.history().observations().iter().map(|o| o.fidelity).collect());
         }
@@ -1120,7 +996,7 @@ mod tests {
     /// configurations (the old single-slot bracket could supply only one).
     #[test]
     fn batch_slots_hold_distinct_in_flight_configs() {
-        let mut sh = SuccessiveHalving::new(space_1d(), 9, 1.0 / 9.0, 3, 1);
+        let mut sh = BracketEngine::successive_halving(space_1d(), 9, 1.0 / 9.0, 3, 1);
         let batch = sh.suggest_batch(8);
         let distinct: std::collections::HashSet<Vec<Option<u64>>> = batch
             .iter()
@@ -1136,7 +1012,7 @@ mod tests {
     #[test]
     fn pooled_schedule_is_deterministic_across_replays() {
         let run = || {
-            let mut sh = SuccessiveHalving::new(space_1d(), 6, 0.25, 2, 11);
+            let mut sh = BracketEngine::successive_halving(space_1d(), 6, 0.25, 2, 11);
             let mut sequence: Vec<(Vec<Option<u64>>, u64)> = Vec::new();
             for _ in 0..10 {
                 let batch = sh.suggest_batch(4);
@@ -1160,9 +1036,9 @@ mod tests {
     #[test]
     fn serial_and_pooled_reach_equivalent_best() {
         for seed in 0..3 {
-            let mut serial = MfesHb::new(space_1d(), 1.0 / 9.0, 3, seed);
+            let mut serial = BracketEngine::mfes_hb(space_1d(), 1.0 / 9.0, 3, seed);
             drive(&mut serial, 48);
-            let mut pooled = MfesHb::new(space_1d(), 1.0 / 9.0, 3, seed);
+            let mut pooled = BracketEngine::mfes_hb(space_1d(), 1.0 / 9.0, 3, seed);
             drive_batched(&mut pooled, 12, 4);
             let s = serial.history().best_loss().unwrap();
             let p = pooled.history().best_loss().unwrap();
@@ -1177,7 +1053,7 @@ mod tests {
     /// observed.
     #[test]
     fn in_flight_meta_tracks_rung_and_bracket() {
-        let mut sh = SuccessiveHalving::new(space_1d(), 4, 1.0 / 9.0, 3, 2);
+        let mut sh = BracketEngine::successive_halving(space_1d(), 4, 1.0 / 9.0, 3, 2);
         let (cfg, f) = sh.suggest();
         let (rung, bracket) = sh.in_flight_meta(&cfg, f).expect("meta for in-flight");
         assert_eq!(rung, 0);
@@ -1214,9 +1090,9 @@ mod tests {
         };
         for engine in 0..3usize {
             let mut opt: Box<dyn Suggest> = match engine {
-                0 => Box::new(SuccessiveHalving::new(space_1d(), 6, 1.0 / 9.0, 3, 8)),
-                1 => Box::new(Hyperband::new(space_1d(), 1.0 / 9.0, 3, 8)),
-                _ => Box::new(MfesHb::new(space_1d(), 1.0 / 9.0, 3, 8)),
+                0 => Box::new(BracketEngine::successive_halving(space_1d(), 6, 1.0 / 9.0, 3, 8)),
+                1 => Box::new(BracketEngine::hyperband(space_1d(), 1.0 / 9.0, 3, 8)),
+                _ => Box::new(BracketEngine::mfes_hb(space_1d(), 1.0 / 9.0, 3, 8)),
             };
             // Observe a few trials so the grow lands with rung results and
             // pending promotions live inside the bracket.
@@ -1351,7 +1227,7 @@ mod tests {
     fn cost_aware_sh_raises_bracket_floor_under_flat_costs() {
         let cost_of = |_f: f64| 1.0; // every fidelity costs the same second
         let run = |cost_aware: bool| {
-            let mut sh = SuccessiveHalving::new(space_1d(), 4, 1.0 / 9.0, 3, 5);
+            let mut sh = BracketEngine::successive_halving(space_1d(), 4, 1.0 / 9.0, 3, 5);
             if cost_aware {
                 sh.set_cost_aware(true);
             }

@@ -7,47 +7,17 @@ use crate::history::{Observation, RunHistory};
 use crate::space::{ConfigSpace, Configuration};
 use crate::surrogate::RandomForestSurrogate;
 use rand::rngs::StdRng;
-use std::sync::Arc;
-
-/// One optimizer observe cycle, reported to an [`ObserveHook`] — the
-/// observability tap on the suggest/observe loop.
-#[derive(Debug, Clone, Copy)]
-pub struct ObserveEvent {
-    /// History length *after* this observation.
-    pub n_observations: usize,
-    /// Fidelity of the observed trial.
-    pub fidelity: f64,
-    /// Observed loss.
-    pub loss: f64,
-    /// Trial cost in seconds.
-    pub cost: f64,
-    /// Incumbent (best finite) loss after this observation, `INFINITY` if
-    /// none yet.
-    pub incumbent_loss: f64,
-}
-
-/// Callback invoked on every real (non-pseudo) observation an optimizer
-/// records. Constant-liar pseudo-observations never fire the hook.
-pub type ObserveHook = Arc<dyn Fn(&ObserveEvent) + Send + Sync>;
-
-/// Hook slot wrapper so optimizers holding one can keep deriving `Debug`.
-#[derive(Default)]
-struct HookSlot(Option<ObserveHook>);
-
-impl std::fmt::Debug for HookSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "HookSlot(set)"
-        } else {
-            "HookSlot(none)"
-        })
-    }
-}
 
 /// Ask/tell optimizer interface shared by the joint-block engines.
 ///
 /// `suggest_batch` returns configurations and the fidelity (training-set
 /// fraction) each should be evaluated at; `observe` feeds the results back.
+/// Beyond those, `history` and `space`, four methods have do-nothing
+/// defaults because only some engines have the state they touch:
+/// `in_flight_meta` and `capture_scheduler_state` (only a bracket schedule
+/// has rungs to report or occupancy to snapshot), `set_cost_aware` (random
+/// search has nothing to rank by cost) and `grow_space` (an engine run only
+/// on fixed spaces may ignore expansions; all three engines here remap).
 pub trait Suggest {
     /// Suggests `k` configurations, each with its fidelity in `(0, 1]`, to
     /// evaluate before any of them is observed — concurrently behind
@@ -70,26 +40,6 @@ pub trait Suggest {
 
     /// The space being optimized.
     fn space(&self) -> &ConfigSpace;
-
-    /// Current best configuration (incumbent), default if none evaluated.
-    fn best_config(&self) -> Configuration {
-        self.history()
-            .best()
-            .map(|o| o.config.clone())
-            .unwrap_or_else(|| self.space().default_configuration())
-    }
-
-    /// Warm-starts the optimizer with prior observations (meta-learning).
-    fn warm_start(&mut self, observations: &[Observation]) {
-        for obs in observations {
-            self.observe(obs.config.clone(), obs.fidelity, obs.loss, obs.cost);
-        }
-    }
-
-    /// Installs an observability hook fired on every real observation.
-    /// Default: ignored (schedule-driven engines have nothing extra to
-    /// report); model-based engines override it.
-    fn set_observe_hook(&mut self, _hook: ObserveHook) {}
 
     /// Scheduling metadata `(rung, bracket id)` for a suggestion that is
     /// awaiting observation. Multi-fidelity engines override this so the
@@ -215,6 +165,11 @@ impl Suggest for RandomSearch {
     }
 }
 
+/// Evaluations before [`Smac`]'s surrogate turns on.
+const N_INIT: usize = 6;
+/// Every k-th [`Smac`] suggestion is random (SMAC's interleaving).
+const RANDOM_INTERLEAVE: usize = 5;
+
 /// SMAC-style Bayesian optimization: probabilistic random-forest surrogate
 /// over the encoded space, expected-improvement acquisition, interleaved
 /// random exploration.
@@ -224,13 +179,8 @@ pub struct Smac {
     history: RunHistory,
     surrogate: RandomForestSurrogate,
     rng: StdRng,
-    /// Evaluations before the surrogate turns on.
-    pub n_init: usize,
-    /// Every k-th suggestion is random (SMAC's interleaving).
-    pub random_interleave: usize,
     suggestions: usize,
     stale: bool,
-    hook: HookSlot,
     /// When set, acquisition is EI per predicted second (see
     /// [`crate::cost::CostModel`]). Off by default; toggling draws extra
     /// rng for the cost-model fit, so it must be set before the run starts
@@ -247,19 +197,11 @@ impl Smac {
             history: RunHistory::new(),
             surrogate: RandomForestSurrogate::new(),
             rng: crate::rng::from_seed(seed),
-            n_init: 6,
-            random_interleave: 5,
             suggestions: 0,
             stale: true,
-            hook: HookSlot::default(),
             cost_aware: false,
             cost_model: CostModel::new(),
         }
-    }
-
-    /// The cost model (for tests and state capture).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
     }
 
     fn refit(&mut self) {
@@ -297,9 +239,7 @@ impl Smac {
         if self.suggestions == 1 {
             return (self.space.default_configuration(), 1.0);
         }
-        if self.history.len() < self.n_init
-            || self.suggestions.is_multiple_of(self.random_interleave)
-        {
+        if self.history.len() < N_INIT || self.suggestions.is_multiple_of(RANDOM_INTERLEAVE) {
             return (self.space.sample(&mut self.rng), 1.0);
         }
         if self.stale {
@@ -337,17 +277,19 @@ impl Suggest for Smac {
         let lie = self.history.best_loss().unwrap_or(1.0);
         let real_len = self.history.len();
         let mut out = Vec::with_capacity(k);
-        // Mute the observe hook while lying: pseudo-observations are an
-        // internal decorrelation device, not real optimizer progress.
-        let hook = self.hook.0.take();
         for i in 0..k {
             let (cfg, fidelity) = self.pick();
             if i + 1 < k {
-                self.observe(cfg.clone(), fidelity, lie, 0.0);
+                self.history.push(Observation {
+                    config: cfg.clone(),
+                    loss: lie,
+                    cost: 0.0,
+                    fidelity,
+                });
+                self.stale = true;
             }
             out.push((cfg, fidelity));
         }
-        self.hook.0 = hook;
         if self.history.len() > real_len {
             self.history.truncate(real_len);
             self.stale = true;
@@ -363,15 +305,6 @@ impl Suggest for Smac {
             fidelity,
         });
         self.stale = true;
-        if let Some(hook) = &self.hook.0 {
-            hook(&ObserveEvent {
-                n_observations: self.history.len(),
-                fidelity,
-                loss,
-                cost,
-                incumbent_loss: self.history.best_loss().unwrap_or(f64::INFINITY),
-            });
-        }
     }
 
     fn history(&self) -> &RunHistory {
@@ -380,10 +313,6 @@ impl Suggest for Smac {
 
     fn space(&self) -> &ConfigSpace {
         &self.space
-    }
-
-    fn set_observe_hook(&mut self, hook: ObserveHook) {
-        self.hook.0 = Some(hook);
     }
 
     fn set_cost_aware(&mut self, enabled: bool) {
@@ -476,7 +405,7 @@ mod tests {
         let best = run(&mut smac, 60);
         assert!(best < 0.15, "best {best}");
         // The incumbent should be on branch 1.
-        let inc = smac.best_config();
+        let inc = &smac.history().best().unwrap().config;
         assert_eq!(inc.get(0).map(|v| v as usize), Some(1));
     }
 
@@ -501,25 +430,6 @@ mod tests {
         let (cfg, f) = smac.suggest();
         assert_eq!(cfg, smac.space().default_configuration());
         assert_eq!(f, 1.0);
-    }
-
-    #[test]
-    fn warm_start_sets_incumbent() {
-        let space = branch_space();
-        let good = {
-            let mut m = std::collections::HashMap::new();
-            m.insert("branch".to_string(), 1.0);
-            m.insert("x1".to_string(), 0.8);
-            space.from_map(&m)
-        };
-        let mut smac = Smac::new(space, 0);
-        smac.warm_start(&[Observation {
-            config: good.clone(),
-            loss: 0.1,
-            cost: 1.0,
-            fidelity: 1.0,
-        }]);
-        assert_eq!(smac.best_config(), good);
     }
 
     #[test]
@@ -563,35 +473,6 @@ mod tests {
             smac.observe(cfg, f, loss, 1.0);
         }
         assert_eq!(smac.history().len(), before + 4);
-    }
-
-    #[test]
-    fn observe_hook_fires_on_real_observations_only() {
-        let mut smac = Smac::new(branch_space(), 0);
-        let events = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = Arc::clone(&events);
-        smac.set_observe_hook(Arc::new(move |e: &ObserveEvent| {
-            sink.lock().unwrap().push(*e);
-        }));
-        for _ in 0..8 {
-            let (cfg, f) = smac.suggest();
-            let loss = objective(smac.space(), &cfg);
-            smac.observe(cfg, f, loss, 1.0);
-        }
-        assert_eq!(events.lock().unwrap().len(), 8);
-        // Constant-liar pseudo-observations must not fire the hook…
-        let batch = smac.suggest_batch(4);
-        assert_eq!(events.lock().unwrap().len(), 8);
-        // …but the real results observed afterwards must.
-        for (cfg, f) in batch {
-            let loss = objective(smac.space(), &cfg);
-            smac.observe(cfg, f, loss, 1.0);
-        }
-        let events = events.lock().unwrap();
-        assert_eq!(events.len(), 12);
-        let last = events.last().unwrap();
-        assert_eq!(last.n_observations, 12);
-        assert!(last.incumbent_loss <= last.loss);
     }
 
     /// Two branches with *equal* best loss (0.1) but a 10x cost gap:
@@ -661,8 +542,7 @@ mod tests {
         let mut blind = Smac::new(branch_space(), 3);
         let mut aware = Smac::new(branch_space(), 3);
         aware.set_cost_aware(true);
-        let n = blind.n_init;
-        for _ in 0..n {
+        for _ in 0..N_INIT {
             let (cb, fb) = blind.suggest();
             let (ca, fa) = aware.suggest();
             assert_eq!(cb.values, ca.values);
@@ -754,13 +634,13 @@ mod tests {
     /// driven through either entry propose the same trials.
     #[test]
     fn suggest_equals_batch_of_one_for_every_engine() {
-        use crate::multifidelity::{Hyperband, MfesHb, SuccessiveHalving};
+        use crate::multifidelity::BracketEngine;
         let engines: [fn() -> Box<dyn Suggest>; 5] = [
             || Box::new(RandomSearch::new(branch_space(), 9)),
             || Box::new(Smac::new(branch_space(), 9)),
-            || Box::new(SuccessiveHalving::new(branch_space(), 9, 1.0 / 9.0, 3, 9)),
-            || Box::new(Hyperband::new(branch_space(), 1.0 / 9.0, 3, 9)),
-            || Box::new(MfesHb::new(branch_space(), 1.0 / 9.0, 3, 9)),
+            || Box::new(BracketEngine::successive_halving(branch_space(), 9, 1.0 / 9.0, 3, 9)),
+            || Box::new(BracketEngine::hyperband(branch_space(), 1.0 / 9.0, 3, 9)),
+            || Box::new(BracketEngine::mfes_hb(branch_space(), 1.0 / 9.0, 3, 9)),
         ];
         for (e, build) in engines.iter().enumerate() {
             let (mut single, mut batch) = (build(), build());

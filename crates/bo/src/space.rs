@@ -432,6 +432,19 @@ impl Configuration {
         }
         h
     }
+
+    /// Canonical bitwise rendering for state snapshots: one 16-hex-digit
+    /// word per value, `-` for inactive conditionals.
+    pub fn bits(&self) -> String {
+        self.values
+            .iter()
+            .map(|v| match v {
+                Some(x) => format!("{:016x}", x.to_bits()),
+                None => "-".to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    }
 }
 
 #[cfg(test)]

@@ -7,25 +7,14 @@ use crate::eu::{eu_interval, eui};
 use crate::evaluator::{Evaluator, Trial, TrialTag};
 use crate::spaces::SpaceDef;
 use crate::Result;
-use std::sync::Arc;
-use volcanoml_bo::{
-    ConfigSpace, Configuration, Hyperband, MfesHb, ObserveEvent, RandomSearch, Smac,
-    SuccessiveHalving, Suggest,
-};
+use volcanoml_bo::{BracketEngine, ConfigSpace, Configuration, RandomSearch, Smac, Suggest};
 use volcanoml_obs::{span, EventFields, Tracer};
 
-/// Canonical bitwise rendering of a configuration for state snapshots: one
-/// 16-hex-digit word per value, `-` for inactive conditionals.
-fn config_bits(c: &Configuration) -> String {
-    c.values
-        .iter()
-        .map(|v| match v {
-            Some(x) => format!("{:016x}", x.to_bits()),
-            None => "-".to_string(),
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
+/// Rung ladder shared by the bracket engines: fidelities 1/9, 1/3, 1.
+const ETA: usize = 3;
+const R_MIN: f64 = 1.0 / 9.0;
+/// Configurations per Successive-Halving bracket.
+const SH_BRACKET_SIZE: usize = 9;
 
 /// Scheduling attribution for a freshly suggested trial: the engine's
 /// in-flight `(rung, bracket)` when it has a bracket schedule, else
@@ -60,11 +49,15 @@ impl JointEngine {
         match self {
             JointEngine::Bo => Box::new(Smac::new(space, seed)),
             JointEngine::Random => Box::new(RandomSearch::new(space, seed)),
-            JointEngine::SuccessiveHalving => {
-                Box::new(SuccessiveHalving::new(space, 9, 1.0 / 9.0, 3, seed))
-            }
-            JointEngine::Hyperband => Box::new(Hyperband::new(space, 1.0 / 9.0, 3, seed)),
-            JointEngine::MfesHb => Box::new(MfesHb::new(space, 1.0 / 9.0, 3, seed)),
+            JointEngine::SuccessiveHalving => Box::new(BracketEngine::successive_halving(
+                space,
+                SH_BRACKET_SIZE,
+                R_MIN,
+                ETA,
+                seed,
+            )),
+            JointEngine::Hyperband => Box::new(BracketEngine::hyperband(space, R_MIN, ETA, seed)),
+            JointEngine::MfesHb => Box::new(BracketEngine::mfes_hb(space, R_MIN, ETA, seed)),
         }
     }
 
@@ -95,8 +88,6 @@ pub struct JointBlock {
     best: Option<BestSolution>,
     trajectory: Vec<f64>,
     evaluations: usize,
-    /// Whether the engine's observe hook has been wired to a tracer.
-    hook_installed: bool,
 }
 
 impl JointBlock {
@@ -118,33 +109,7 @@ impl JointBlock {
             best: None,
             trajectory: Vec::new(),
             evaluations: 0,
-            hook_installed: false,
         }
-    }
-
-    /// Wires the engine's observe hook to an enabled tracer (once): every
-    /// real optimizer observation becomes a `bo-observe` trace event,
-    /// parented to whatever span is open when the engine observes.
-    fn ensure_observe_hook(&mut self, tracer: &Arc<Tracer>) {
-        if self.hook_installed || !tracer.enabled() {
-            return;
-        }
-        self.hook_installed = true;
-        let t = Arc::clone(tracer);
-        self.engine.set_observe_hook(Arc::new(move |e: &ObserveEvent| {
-            t.event(
-                "bo-observe",
-                EventFields {
-                    fidelity: e.fidelity,
-                    loss: e.loss,
-                    detail: format!(
-                        "n={} incumbent={:.6} cost={:.4}",
-                        e.n_observations, e.incumbent_loss, e.cost
-                    ),
-                    ..EventFields::default()
-                },
-            );
-        }));
     }
 
     /// Queues warm-start configurations (from meta-learning) that will be
@@ -176,8 +141,11 @@ impl JointBlock {
     }
 
     /// Feeds one completed trial back into the engine and incumbent state.
+    /// Under an enabled tracer a Bo block reports each observation as a
+    /// `bo-observe` event, parented to whatever span is open.
     fn record_outcome(
         &mut self,
+        tracer: &Tracer,
         config: Configuration,
         fidelity: f64,
         assignment: Assignment,
@@ -185,6 +153,22 @@ impl JointBlock {
         cost: f64,
     ) {
         self.engine.observe(config, fidelity, loss, cost);
+        if tracer.enabled() && self.engine_kind == JointEngine::Bo {
+            let history = self.engine.history();
+            tracer.event(
+                "bo-observe",
+                EventFields {
+                    fidelity,
+                    loss,
+                    detail: format!(
+                        "n={} incumbent={:.6} cost={cost:.4}",
+                        history.len(),
+                        history.best_loss().unwrap_or(f64::INFINITY)
+                    ),
+                    ..EventFields::default()
+                },
+            );
+        }
         self.evaluations += 1;
         if fidelity >= 1.0 - 1e-9 && loss.is_finite() {
             let improved = self.best.as_ref().is_none_or(|b| loss < b.loss);
@@ -210,7 +194,6 @@ impl BuildingBlock for JointBlock {
             return Ok(());
         }
         let tracer = evaluator.tracer();
-        self.ensure_observe_hook(&tracer);
         let mut pull = span(&tracer, "pull", &self.label, "");
         pull.set_detail(format!("batch k={k}"));
         let mut picks: Vec<(Configuration, f64)> = Vec::with_capacity(k);
@@ -245,7 +228,7 @@ impl BuildingBlock for JointBlock {
         {
             batch_cost += outcome.cost;
             batch_best = batch_best.min(outcome.loss);
-            self.record_outcome(config, fidelity, assignment, outcome.loss, outcome.cost);
+            self.record_outcome(&tracer, config, fidelity, assignment, outcome.loss, outcome.cost);
         }
         pull.set_loss(batch_best);
         pull.set_cost(batch_cost);
@@ -357,7 +340,7 @@ impl BuildingBlock for JointBlock {
                 obs.fidelity.to_bits(),
                 obs.loss.to_bits(),
                 obs.cost.to_bits(),
-                config_bits(&obs.config)
+                obs.config.bits()
             ));
         }
         self.engine
@@ -369,6 +352,7 @@ impl BuildingBlock for JointBlock {
 mod tests {
     use super::*;
     use crate::spaces::{SpaceDef, SpaceTier};
+    use std::sync::Arc;
     use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
     use volcanoml_data::{Metric, Task};
 
@@ -481,5 +465,28 @@ mod tests {
         // Trajectory only counts full-fidelity evaluations.
         assert!(block.trajectory().len() < 20);
         assert!(block.evaluations() == 20);
+    }
+
+    /// A pooled Bo pull reports its real observations, and only those: the
+    /// constant-liar lies told while picking the batch never reach the trace.
+    /// Engines without a model report nothing.
+    #[test]
+    fn bo_observe_events_cover_real_observations_only() {
+        let observed = |engine: JointEngine| -> Vec<String> {
+            let (ev, space) = setup();
+            let tracer = Arc::new(Tracer::in_memory());
+            ev.set_tracer(Arc::clone(&tracer));
+            let pool = volcanoml_exec::ExecPool::with_workers(2);
+            full_joint(&space, engine).pull(&ev, Some(&pool), 3).unwrap();
+            let events = tracer.events();
+            assert_eq!(events.iter().filter(|e| e.kind == "trial").count(), 3);
+            events
+                .into_iter()
+                .filter(|e| e.kind == "bo-observe")
+                .map(|e| e.detail.split(' ').next().unwrap().to_string())
+                .collect()
+        };
+        assert_eq!(observed(JointEngine::Bo), ["n=1", "n=2", "n=3"]);
+        assert!(observed(JointEngine::MfesHb).is_empty());
     }
 }

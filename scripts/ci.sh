@@ -325,4 +325,7 @@ print(f"overhead smoke ok: {overhead * 1e3:.3f}ms of accounting over {total:.3f}
       f"({100 * overhead / total:.3f}%)")
 EOF
 
+echo "== non-test line count =="
+scripts/loc.sh
+
 echo "CI checks passed."

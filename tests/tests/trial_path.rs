@@ -57,11 +57,17 @@ fn fit(plan: PlanSpec, workers: usize, deadline: Option<Duration>) -> FittedVolc
 
 type PlanFn = fn(EngineKind) -> PlanSpec;
 
-const SERIAL_CASES: [(&str, PlanFn, EngineKind, u64); 4] = [
+/// The first four rows predate the single trial path; the `sh` and
+/// `hyperband` rows were recorded on 7d783c6, the parent of the commit that
+/// folded the three bracket-engine structs into one `BracketEngine`.
+const SERIAL_CASES: [(&str, PlanFn, EngineKind, u64); 7] = [
     ("p1_joint/bo", p1_joint, EngineKind::Bo, 0xebcf_18c0_2a6d_9fec),
     ("p1_joint/mfes-hb", p1_joint, EngineKind::MfesHb, 0xc782_7ead_c714_98b8),
     ("p3_volcano/bo", p3_volcano, EngineKind::Bo, 0x3631_f545_d3ff_9bc6),
     ("p3_volcano/mfes-hb", p3_volcano, EngineKind::MfesHb, 0xf281_73aa_b67e_30fe),
+    ("p1_joint/sh", p1_joint, EngineKind::SuccessiveHalving, 0x3414_8123_c6a5_637e),
+    ("p1_joint/hyperband", p1_joint, EngineKind::Hyperband, 0x4628_e5a8_73a9_0aa9),
+    ("p3_volcano/hyperband", p3_volcano, EngineKind::Hyperband, 0xc663_eba2_830c_b762),
 ];
 
 /// No pool at all and a one-worker pool (which a generous `trial_deadline`
