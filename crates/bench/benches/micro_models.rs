@@ -1,96 +1,21 @@
-//! Criterion micro-benchmarks for the model zoo — per-evaluation training
-//! costs that dominate the AutoML budget — plus a timed exact-vs-histogram
-//! forest comparison at AutoML-realistic scale (~10k rows) that emits
-//! `results/BENCH_models.json`.
+//! Timed model-kernel report, written to `results/BENCH_models.json`: the
+//! three comparisons no `benchmark/` metric makes — exact vs histogram forest
+//! at AutoML-realistic scale (~10k rows), the flat u8 histogram kernel vs the
+//! `PerNode` u16 reference kernel, and one kernel-SVM row. Per-family fit
+//! times and the `n_jobs` speed-up are `benchmark/`'s `models.fit_s.*` and
+//! `models.forest.n_jobs_speedup`.
 
-use criterion::{criterion_group, Criterion};
 use rand::RngExt;
 use std::hint::black_box;
 use std::time::Instant;
 use volcanoml_data::rand_util::{derive_seed, rng_from_seed};
-use volcanoml_data::synthetic::{
-    make_classification, make_regression, ClassificationSpec, RegressionSpec,
-};
+use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
 use volcanoml_data::{metrics::accuracy, train_test_split};
 use volcanoml_models::binned::{BinnedMatrix, DEFAULT_MAX_BINS};
 use volcanoml_models::forest::{ForestClassifier, ForestConfig};
-use volcanoml_models::linear::{LogisticRegression, RidgeRegression};
 use volcanoml_models::svm::{Kernel, SvmClassifier};
-use volcanoml_models::tree::{
-    DecisionTreeClassifier, HistKernel, MaxFeatures, SplitStrategy, Tree, TreeConfig,
-};
+use volcanoml_models::tree::{HistKernel, MaxFeatures, SplitStrategy, Tree, TreeConfig};
 use volcanoml_models::Estimator;
-
-fn bench_models(c: &mut Criterion) {
-    let d = make_classification(
-        &ClassificationSpec {
-            n_samples: 500,
-            n_features: 12,
-            n_informative: 6,
-            n_redundant: 2,
-            n_classes: 3,
-            class_sep: 1.0,
-            flip_y: 0.02,
-            weights: Vec::new(),
-        },
-        0,
-    );
-    c.bench_function("models/tree_fit_500x12", |b| {
-        b.iter(|| {
-            let mut m = DecisionTreeClassifier::new(TreeConfig::classification());
-            m.fit(&d.x, &d.y).unwrap();
-            black_box(m)
-        })
-    });
-    c.bench_function("models/forest50_fit_500x12", |b| {
-        b.iter(|| {
-            let mut m = ForestClassifier::new(ForestConfig::random_forest());
-            m.fit(&d.x, &d.y).unwrap();
-            black_box(m)
-        })
-    });
-    c.bench_function("models/forest50_hist_fit_500x12", |b| {
-        b.iter(|| {
-            let mut cfg = ForestConfig::random_forest();
-            cfg.split_strategy = SplitStrategy::Histogram;
-            let mut m = ForestClassifier::new(cfg);
-            m.fit(&d.x, &d.y).unwrap();
-            black_box(m)
-        })
-    });
-    c.bench_function("models/logistic_fit_500x12", |b| {
-        b.iter(|| {
-            let mut m = LogisticRegression::new(1e-4, 0.1, 30, 0);
-            m.fit(&d.x, &d.y).unwrap();
-            black_box(m)
-        })
-    });
-
-    let r = make_regression(
-        &RegressionSpec {
-            n_samples: 500,
-            n_features: 12,
-            n_informative: 6,
-            noise: 0.3,
-            nonlinear: false,
-        },
-        1,
-    );
-    c.bench_function("models/ridge_fit_500x12", |b| {
-        b.iter(|| {
-            let mut m = RidgeRegression::new(1.0);
-            m.fit(&r.x, &r.y).unwrap();
-            black_box(m)
-        })
-    });
-
-    // Prediction throughput.
-    let mut forest = ForestClassifier::new(ForestConfig::random_forest());
-    forest.fit(&d.x, &d.y).unwrap();
-    c.bench_function("models/forest50_predict_500", |b| {
-        b.iter(|| black_box(forest.predict(&d.x).unwrap()))
-    });
-}
 
 /// Times one forest fit, taking the fastest of `reps` identical fits —
 /// single-shot wall clocks on a busy box swing ±20 %, which is wider than
@@ -99,13 +24,11 @@ fn timed_forest_fit(
     train: &volcanoml_data::Dataset,
     test: &volcanoml_data::Dataset,
     strategy: SplitStrategy,
-    n_jobs: usize,
     reps: usize,
 ) -> (f64, f64) {
     let mut cfg = ForestConfig::random_forest();
     cfg.n_estimators = 40;
     cfg.split_strategy = strategy;
-    cfg.n_jobs = n_jobs;
     let mut fit_ms = f64::INFINITY;
     let mut acc = 0.0;
     for _ in 0..reps.max(1) {
@@ -192,13 +115,11 @@ fn timed_kernel_svm(reps: usize) -> (f64, f64) {
     (fit_ms, predict_ms)
 }
 
-/// Histogram forest training at ~10k rows: exact-vs-histogram headline,
-/// per-`n_jobs` rows, the PR 2 kernel (forced-u16 codes + per-node buffers)
-/// against the flat u8 kernel, and one
-/// `kernel_svm` row for the Gram-matrix SMO path. Written to
-/// `results/BENCH_models.json`; `scripts/ci.sh` gates on the accuracy and
-/// parallel fields.
-fn histogram_speedup_report() {
+/// Histogram forest training at ~10k rows: exact-vs-histogram headline, the
+/// PR 2 kernel (forced-u16 codes + per-node buffers) against the flat u8
+/// kernel, and one `kernel_svm` row for the Gram-matrix SMO path.
+/// `scripts/ci.sh` gates on `accuracy_delta` and `kernel_speedup`.
+fn main() {
     let d = make_classification(
         &ClassificationSpec {
             n_samples: 10_000,
@@ -213,16 +134,10 @@ fn histogram_speedup_report() {
         7,
     );
     let (train, test) = train_test_split(&d, 0.2, 0).unwrap();
-    // The exact fit is the slow headline-only number (no ratio gate), one
-    // rep; the histogram fits feed the ci.sh ratio gates, best-of-2.
-    let (exact_ms, exact_acc) = timed_forest_fit(&train, &test, SplitStrategy::Best, 1, 1);
-    let (hist_ms, hist_acc) = timed_forest_fit(&train, &test, SplitStrategy::Histogram, 1, 2);
-    let (hist2_ms, hist2_acc) =
-        timed_forest_fit(&train, &test, SplitStrategy::Histogram, 2, 2);
-    let (hist4_ms, hist4_acc) =
-        timed_forest_fit(&train, &test, SplitStrategy::Histogram, 4, 2);
-    assert_eq!(hist_acc, hist2_acc, "n_jobs must not change the fit");
-    assert_eq!(hist_acc, hist4_acc, "n_jobs must not change the fit");
+    // The exact fit is the slow one and only the numerator of a headline
+    // ratio nothing gates on, so one rep; the histogram fit is best-of-2.
+    let (exact_ms, exact_acc) = timed_forest_fit(&train, &test, SplitStrategy::Best, 1);
+    let (hist_ms, hist_acc) = timed_forest_fit(&train, &test, SplitStrategy::Histogram, 2);
 
     // Kernel-isolated comparison: same trees, pre-binned layouts,
     // best-of-5 passes per kernel.
@@ -238,16 +153,12 @@ fn histogram_speedup_report() {
     let (svm_fit_ms, svm_predict_ms) = timed_kernel_svm(3);
 
     let speedup = exact_ms / hist_ms;
-    let parallel_speedup = hist_ms / hist4_ms;
     let kernel_speedup = legacy_kernel_ms / flat_kernel_ms;
     let n_cpus = volcanoml_models::parallel::hardware_parallelism();
     let json = format!(
         "{{\n  \"bench\": \"forest40_fit_{}x{}\",\n  \"n_rows\": {},\n  \"n_features\": {},\n  \
          \"n_trees\": 40,\n  \"n_cpus\": {n_cpus},\n  \"exact_fit_ms\": {exact_ms:.1},\n  \
          \"hist_fit_ms\": {hist_ms:.1},\n  \"speedup\": {speedup:.2},\n  \
-         \"hist_fit_ms_n_jobs1\": {hist_ms:.1},\n  \"hist_fit_ms_n_jobs2\": {hist2_ms:.1},\n  \
-         \"hist_fit_ms_n_jobs4\": {hist4_ms:.1},\n  \
-         \"parallel_speedup\": {parallel_speedup:.2},\n  \
          \"legacy_kernel_ms\": {legacy_kernel_ms:.1},\n  \
          \"flat_kernel_ms\": {flat_kernel_ms:.1},\n  \
          \"kernel_speedup\": {kernel_speedup:.2},\n  \
@@ -270,24 +181,4 @@ fn histogram_speedup_report() {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(2))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_models
-}
-
-fn main() {
-    // Quick mode (scripts/ci.sh smoke): skip the criterion micro-benches
-    // and run only the JSON report, which the gate below parses.
-    if volcanoml_bench::quick() {
-        println!("VOLCANO_QUICK set: skipping criterion micro-benches");
-    } else {
-        benches();
-    }
-    histogram_speedup_report();
 }

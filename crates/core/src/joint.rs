@@ -45,6 +45,15 @@ pub enum JointEngine {
 }
 
 impl JointEngine {
+    /// Every engine, in the order the front ends document them.
+    const ALL: [JointEngine; 5] = [
+        JointEngine::Bo,
+        JointEngine::Random,
+        JointEngine::SuccessiveHalving,
+        JointEngine::Hyperband,
+        JointEngine::MfesHb,
+    ];
+
     fn build(self, space: ConfigSpace, seed: u64) -> Box<dyn Suggest> {
         match self {
             JointEngine::Bo => Box::new(Smac::new(space, seed)),
@@ -70,6 +79,15 @@ impl JointEngine {
             JointEngine::Hyperband => "hyperband",
             JointEngine::MfesHb => "mfes-hb",
         }
+    }
+
+    /// Inverse of [`JointEngine::name`] — the one engine-name table the CLI
+    /// and the serve spec parser share.
+    pub fn from_name(s: &str) -> std::result::Result<JointEngine, String> {
+        JointEngine::ALL
+            .into_iter()
+            .find(|e| e.name() == s)
+            .ok_or_else(|| format!("unknown engine '{s}'"))
     }
 }
 
@@ -355,6 +373,17 @@ mod tests {
     use std::sync::Arc;
     use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
     use volcanoml_data::{Metric, Task};
+
+    #[test]
+    fn engine_names_round_trip() {
+        for engine in JointEngine::ALL {
+            assert_eq!(JointEngine::from_name(engine.name()), Ok(engine));
+        }
+        assert_eq!(
+            JointEngine::from_name("sgd").unwrap_err(),
+            "unknown engine 'sgd'"
+        );
+    }
 
     fn setup() -> (Evaluator, SpaceDef) {
         let space = SpaceDef::tiered(Task::Classification, SpaceTier::Small);

@@ -57,6 +57,27 @@ pub enum SpaceTier {
     Large,
 }
 
+impl SpaceTier {
+    const ALL: [SpaceTier; 3] = [SpaceTier::Small, SpaceTier::Medium, SpaceTier::Large];
+
+    /// Lower-case tier name, as the front ends spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            SpaceTier::Small => "small",
+            SpaceTier::Medium => "medium",
+            SpaceTier::Large => "large",
+        }
+    }
+
+    /// Inverse of [`SpaceTier::name`].
+    pub fn from_name(s: &str) -> std::result::Result<SpaceTier, String> {
+        SpaceTier::ALL
+            .into_iter()
+            .find(|t| t.name() == s)
+            .ok_or_else(|| format!("unknown tier '{s}'"))
+    }
+}
+
 /// The logical AutoML search space.
 #[derive(Debug, Clone)]
 pub struct SpaceDef {
@@ -362,6 +383,17 @@ impl SpaceDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tier_names_round_trip() {
+        for tier in SpaceTier::ALL {
+            assert_eq!(SpaceTier::from_name(tier.name()), Ok(tier));
+        }
+        assert_eq!(
+            SpaceTier::from_name("huge").unwrap_err(),
+            "unknown tier 'huge'"
+        );
+    }
 
     #[test]
     fn tier_sizes_are_increasing() {

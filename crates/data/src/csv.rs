@@ -165,6 +165,15 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_finite_regression_targets() {
+        for cell in ["nan", "NaN", "inf", "-inf"] {
+            let text = format!("#types:n,real\nf0,target\n1.0,0.5\n2.0,{cell}\n");
+            let err = from_csv("t", &text).unwrap_err();
+            assert!(err.to_string().contains("row 1"), "{cell}: {err}");
+        }
+    }
+
+    #[test]
     fn rejects_ragged_rows() {
         let text = "#types:n,label\nf0,target\n1.0,0\n2.0\n";
         assert!(from_csv("t", text).is_err());

@@ -73,7 +73,8 @@ impl Dataset {
         })
     }
 
-    /// Builds a regression dataset.
+    /// Builds a regression dataset. Targets must be finite: a `NaN` target
+    /// makes every regressor predict `NaN` for every row.
     pub fn regression(
         name: impl Into<String>,
         x: Matrix,
@@ -81,6 +82,12 @@ impl Dataset {
         feature_types: Vec<FeatureType>,
     ) -> Result<Self> {
         Self::validate(&x, &y, &feature_types)?;
+        if let Some(row) = y.iter().position(|t| !t.is_finite()) {
+            return Err(DataError::Inconsistent(format!(
+                "regression target {} at row {row} is not finite",
+                y[row]
+            )));
+        }
         Ok(Dataset {
             name: name.into(),
             x,
@@ -232,6 +239,21 @@ mod tests {
         .unwrap();
         assert_eq!(d.n_classes, 3);
         assert_eq!(d.class_counts(), vec![1, 2, 1]);
+    }
+
+    #[test]
+    fn regression_rejects_non_finite_targets() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = Dataset::regression(
+                "t",
+                small_x(),
+                vec![0.5, 1.5, bad, 2.5],
+                vec![FeatureType::Numerical; 2],
+            )
+            .unwrap_err();
+            assert!(matches!(err, DataError::Inconsistent(_)), "{err:?}");
+            assert!(err.to_string().contains("row 2"), "{err}");
+        }
     }
 
     #[test]

@@ -567,10 +567,44 @@ pub fn shuffle(d: &Dataset, seed: u64) -> Dataset {
     d.subset(&perm)
 }
 
+/// Names [`by_name`] knows: the generators the CLI's `generate` command and
+/// the serve spec's `"dataset"` field offer.
+pub const NAMED_KINDS: [&str; 5] = ["classification", "moons", "xor", "friedman1", "imbalanced"];
+
+/// The fixed-shape 500-row dataset a front end means by `kind`, drawn with
+/// `seed`; `None` for a name outside [`NAMED_KINDS`].
+pub fn by_name(kind: &str, seed: u64) -> Option<Dataset> {
+    Some(match kind {
+        "classification" => make_classification(&ClassificationSpec::default(), seed),
+        "moons" => make_moons(500, 0.15, 2, seed),
+        "xor" => make_xor(500, 2, 8, 0.03, seed),
+        "friedman1" => make_friedman1(500, 4, 0.5, seed),
+        "imbalanced" => make_classification(
+            &ClassificationSpec {
+                weights: vec![0.9, 0.1],
+                ..ClassificationSpec::default()
+            },
+            seed,
+        ),
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::Task;
+
+    #[test]
+    fn every_named_kind_generates_and_unknown_names_do_not() {
+        for kind in NAMED_KINDS {
+            let d = by_name(kind, 3).unwrap_or_else(|| panic!("no generator for {kind}"));
+            assert_eq!(d.n_samples(), 500, "{kind}");
+            let want = if kind == "friedman1" { Task::Regression } else { Task::Classification };
+            assert_eq!(d.task, want, "{kind}");
+        }
+        assert!(by_name("mnist", 3).is_none());
+    }
 
     #[test]
     fn classification_shapes_and_labels() {

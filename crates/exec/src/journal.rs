@@ -52,10 +52,12 @@
 //! Rows with an unknown `schema` version (or none at all) are rejected
 //! with a clear error rather than silently misread.
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use volcanoml_obs::json::{escape, num, parse_object, JsonValue};
 
 /// Version stamped into every journal row's `schema` field. Bump when the
 /// row format changes incompatibly; [`Journal::resume_from_path`] refuses
@@ -123,19 +125,19 @@ impl TrialRecord {
             JOURNAL_SCHEMA_VERSION,
             self.trial_id,
             self.worker,
-            json_f64(self.start_s),
-            json_f64(self.end_s),
-            json_f64(self.fidelity),
+            num(self.start_s),
+            num(self.end_s),
+            num(self.fidelity),
             self.rung,
             self.bracket,
-            json_f64(self.loss),
-            json_f64(self.cost),
+            num(self.loss),
+            num(self.cost),
             self.cached,
             self.fe_cached,
             self.panicked,
             self.timed_out,
-            json_str(&self.arm),
-            json_str(&self.digest)
+            escape(&self.arm),
+            escape(&self.digest)
         )
     }
 
@@ -144,14 +146,15 @@ impl TrialRecord {
     /// values, and rows whose `schema` version this build cannot read are
     /// errors.
     pub fn from_json(line: &str) -> Result<TrialRecord, String> {
-        let fields = parse_flat_object(line)?;
-        check_schema(&fields)?;
-        if field(&fields, "event").is_some() {
+        let fields = parse_row(line)?;
+        if fields.contains_key("event") {
             return Err("row is an event row, not a trial row".to_string());
         }
-        let req = |key: &str| {
-            field(&fields, key).ok_or_else(|| format!("missing required key \"{key}\""))
-        };
+        TrialRecord::from_fields(&fields)
+    }
+
+    fn from_fields(fields: &Fields) -> Result<TrialRecord, String> {
+        let req = |key: &str| required(fields, key);
         Ok(TrialRecord {
             trial_id: as_u64(req("trial")?, "trial")?,
             worker: as_u64(req("worker")?, "worker")? as usize,
@@ -194,8 +197,8 @@ impl ExpansionRecord {
              \"trigger_eui\":{},\"trial\":{}}}",
             JOURNAL_SCHEMA_VERSION,
             self.stage,
-            json_str(&self.name),
-            json_f64(self.trigger_eui),
+            escape(&self.name),
+            num(self.trigger_eui),
             self.trial
         )
     }
@@ -203,16 +206,16 @@ impl ExpansionRecord {
     /// Parses one expansion row back, bit-exactly (same float round-trip
     /// guarantee as trial rows).
     pub fn from_json(line: &str) -> Result<ExpansionRecord, String> {
-        let fields = parse_flat_object(line)?;
-        check_schema(&fields)?;
-        match field(&fields, "event") {
-            Some(Val::Str(e)) if e == "expansion" => {}
-            Some(_) => return Err("unknown event kind in journal row".to_string()),
-            None => return Err("row is a trial row, not an event row".to_string()),
+        let fields = parse_row(line)?;
+        match fields.get("event") {
+            Some(JsonValue::Str(e)) if e == "expansion" => ExpansionRecord::from_fields(&fields),
+            Some(_) => Err("unknown event kind in journal row".to_string()),
+            None => Err("row is a trial row, not an event row".to_string()),
         }
-        let req = |key: &str| {
-            field(&fields, key).ok_or_else(|| format!("missing required key \"{key}\""))
-        };
+    }
+
+    fn from_fields(fields: &Fields) -> Result<ExpansionRecord, String> {
+        let req = |key: &str| required(fields, key);
         Ok(ExpansionRecord {
             stage: as_u64(req("stage")?, "stage")?,
             name: as_string(req("name")?, "name")?,
@@ -234,14 +237,13 @@ pub enum JournalRow {
 impl JournalRow {
     /// Parses one journal line into the right row kind.
     pub fn from_json(line: &str) -> Result<JournalRow, String> {
-        let fields = parse_flat_object(line)?;
-        check_schema(&fields)?;
-        match field(&fields, "event") {
-            None => TrialRecord::from_json(line).map(JournalRow::Trial),
-            Some(Val::Str(e)) if e == "expansion" => {
-                ExpansionRecord::from_json(line).map(JournalRow::Expansion)
+        let fields = parse_row(line)?;
+        match fields.get("event") {
+            None => TrialRecord::from_fields(&fields).map(JournalRow::Trial),
+            Some(JsonValue::Str(e)) if e == "expansion" => {
+                ExpansionRecord::from_fields(&fields).map(JournalRow::Expansion)
             }
-            Some(Val::Str(e)) => Err(format!("unknown journal event kind \"{e}\"")),
+            Some(JsonValue::Str(e)) => Err(format!("unknown journal event kind \"{e}\"")),
             Some(_) => Err("key \"event\": expected a string".to_string()),
         }
     }
@@ -255,9 +257,24 @@ impl JournalRow {
     }
 }
 
-/// Validates a row's `schema` field against the versions this build reads.
-fn check_schema(fields: &[(String, Val)]) -> Result<(), String> {
-    let schema = match field(fields, "schema") {
+/// One parsed journal row: key → scalar value.
+type Fields = BTreeMap<String, JsonValue>;
+
+/// Parses one journal line with the workspace's JSON codec and keeps only
+/// what this build can read: a flat object of number/bool/string values whose
+/// `schema` version is known. Syntax errors, trailing garbage, truncation,
+/// nesting, arrays and `null` are all errors — the caller decides whether a
+/// failure means a torn tail or real corruption.
+fn parse_row(line: &str) -> Result<Fields, String> {
+    let fields = parse_object(line).ok_or_else(|| "not a JSON object".to_string())?;
+    for (key, v) in &fields {
+        if matches!(v, JsonValue::Null | JsonValue::Obj(_) | JsonValue::Arr(_)) {
+            return Err(format!(
+                "key \"{key}\": expected a number, bool or string value"
+            ));
+        }
+    }
+    let schema = match fields.get("schema") {
         None => {
             return Err(
                 "row has no \"schema\" field (journal predates versioned rows)".to_string(),
@@ -271,258 +288,45 @@ fn check_schema(fields: &[(String, Val)]) -> Result<(), String> {
              (this build reads versions {READABLE_SCHEMA_VERSIONS:?})"
         ));
     }
-    Ok(())
+    Ok(fields)
 }
 
-/// Escapes a string for embedding in a JSON document.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn required<'a>(fields: &'a Fields, key: &str) -> Result<&'a JsonValue, String> {
+    fields
+        .get(key)
+        .ok_or_else(|| format!("missing required key \"{key}\""))
 }
 
-/// JSON has no Infinity/NaN literals; encode them as strings.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "\"nan\"".to_string()
-    } else if v > 0.0 {
-        "\"inf\"".to_string()
-    } else {
-        "\"-inf\"".to_string()
-    }
+fn as_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
+    v.as_f64().ok_or_else(|| match v {
+        JsonValue::Str(s) => format!("key \"{key}\": expected a number, got \"{s}\""),
+        _ => format!("key \"{key}\": expected a number, got a bool"),
+    })
 }
 
-/// One scalar value in a journal row.
-enum Val {
-    Num(f64),
-    Bool(bool),
-    Str(String),
-}
-
-/// Looks up a key in the parsed field list.
-fn field<'a>(fields: &'a [(String, Val)], key: &str) -> Option<&'a Val> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_f64(v: &Val, key: &str) -> Result<f64, String> {
+fn as_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
     match v {
-        Val::Num(x) => Ok(*x),
-        Val::Str(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            other => Err(format!("key \"{key}\": expected a number, got \"{other}\"")),
-        },
-        Val::Bool(_) => Err(format!("key \"{key}\": expected a number, got a bool")),
-    }
-}
-
-fn as_u64(v: &Val, key: &str) -> Result<u64, String> {
-    match v {
-        Val::Num(x) if x.fract() == 0.0 && *x >= 0.0 => Ok(*x as u64),
+        JsonValue::Num(x) if x.fract() == 0.0 && *x >= 0.0 => Ok(*x as u64),
         _ => Err(format!("key \"{key}\": expected a non-negative integer")),
     }
 }
 
-fn as_i64(v: &Val, key: &str) -> Result<i64, String> {
+fn as_i64(v: &JsonValue, key: &str) -> Result<i64, String> {
     match v {
-        Val::Num(x) if x.fract() == 0.0 => Ok(*x as i64),
+        JsonValue::Num(x) if x.fract() == 0.0 => Ok(*x as i64),
         _ => Err(format!("key \"{key}\": expected an integer")),
     }
 }
 
-fn as_bool(v: &Val, key: &str) -> Result<bool, String> {
-    match v {
-        Val::Bool(b) => Ok(*b),
-        _ => Err(format!("key \"{key}\": expected true/false")),
-    }
+fn as_bool(v: &JsonValue, key: &str) -> Result<bool, String> {
+    v.as_bool()
+        .ok_or_else(|| format!("key \"{key}\": expected true/false"))
 }
 
-fn as_string(v: &Val, key: &str) -> Result<String, String> {
-    match v {
-        Val::Str(s) => Ok(s.clone()),
-        _ => Err(format!("key \"{key}\": expected a string")),
-    }
-}
-
-/// Minimal scanner for the flat (no nesting) JSON objects journal rows
-/// are. Kept local so this crate stays dependency-free and below
-/// `volcanoml-obs` in the workspace graph.
-struct Scanner<'a> {
-    src: &'a str,
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(src: &'a str) -> Scanner<'a> {
-        Scanner {
-            src,
-            s: src.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.i))
-        }
-    }
-
-    fn expect_lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.s[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected `{lit}` at byte {}", self.i))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err("unterminated string".to_string());
-            };
-            self.i += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(e) = self.peek() else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.i + 4 > self.s.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            let hex = &self.src[self.i..self.i + 4];
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            self.i += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad \\u codepoint {code}"))?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Multi-byte UTF-8: step back and take the whole char.
-                    self.i -= 1;
-                    let c = self.src[self.i..].chars().next().expect("valid utf-8");
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64, String> {
-        let start = self.i;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-        if self.i == start {
-            return Err(format!("expected a value at byte {start}"));
-        }
-        self.src[start..self.i]
-            .parse::<f64>()
-            .map_err(|e| format!("bad number `{}`: {e}", &self.src[start..self.i]))
-    }
-
-    fn parse_value(&mut self) -> Result<Val, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Val::Str(self.parse_string()?)),
-            Some(b't') => {
-                self.expect_lit("true")?;
-                Ok(Val::Bool(true))
-            }
-            Some(b'f') => {
-                self.expect_lit("false")?;
-                Ok(Val::Bool(false))
-            }
-            Some(_) => Ok(Val::Num(self.parse_number()?)),
-            None => Err("unexpected end of line".to_string()),
-        }
-    }
-}
-
-/// Parses one flat JSON object (string/number/bool values only) into its
-/// key/value pairs, in document order. Errors on nesting, trailing
-/// garbage, or truncation — the caller decides whether a failure means a
-/// torn tail or real corruption.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Val)>, String> {
-    let mut sc = Scanner::new(line);
-    sc.expect(b'{')?;
-    let mut fields = Vec::new();
-    sc.skip_ws();
-    if sc.peek() == Some(b'}') {
-        sc.i += 1;
-    } else {
-        loop {
-            sc.skip_ws();
-            let key = sc.parse_string()?;
-            sc.expect(b':')?;
-            let val = sc.parse_value()?;
-            fields.push((key, val));
-            sc.skip_ws();
-            match sc.peek() {
-                Some(b',') => sc.i += 1,
-                Some(b'}') => {
-                    sc.i += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", sc.i)),
-            }
-        }
-    }
-    sc.skip_ws();
-    if sc.i != sc.s.len() {
-        return Err(format!("trailing garbage at byte {}", sc.i));
-    }
-    Ok(fields)
+fn as_string(v: &JsonValue, key: &str) -> Result<String, String> {
+    v.as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("key \"{key}\": expected a string"))
 }
 
 /// Thread-safe JSONL journal of executed trials.
@@ -1007,6 +811,20 @@ mod tests {
         assert!(err.contains("99"), "unexpected error: {err}");
 
         assert!(TrialRecord::from_json("{\"schema\":2,\"trial\":").is_err());
+    }
+
+    /// Journal rows are flat: the shared codec parses nesting, arrays and
+    /// `null`, so the journal has to turn them away itself.
+    #[test]
+    fn parser_rejects_nested_array_and_null_values() {
+        for alien in ["{\"a\":1}", "[1,2]", "null"] {
+            let mut line = record(0).to_json();
+            line.insert_str(line.len() - 1, &format!(",\"future_key\":{alien}"));
+            let err = JournalRow::from_json(&line).unwrap_err();
+            assert!(err.contains("future_key"), "unexpected error: {err}");
+            let line = record(0).to_json().replace("\"loss\":0.125", &format!("\"loss\":{alien}"));
+            assert!(TrialRecord::from_json(&line).is_err(), "accepted loss = {alien}");
+        }
     }
 
     #[test]

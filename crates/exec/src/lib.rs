@@ -17,9 +17,10 @@
 //!   (id, worker, timing, fidelity, loss, cost, cache/panic/timeout flags)
 //!   consumed by benches and experiment reports.
 //!
-//! The crate is deliberately dependency-free (std only) so it sits *below*
-//! `volcanoml-core` in the workspace graph: the evaluator builds jobs, the
-//! pool runs them.
+//! The crate is std-only and sits *below* `volcanoml-core` in the workspace
+//! graph: the evaluator builds jobs, the pool runs them. Its one dependency
+//! is `volcanoml-obs`, for the JSON codec journal rows are written and read
+//! with.
 
 mod journal;
 mod pool;

@@ -1,8 +1,4 @@
 //! Bagged tree ensembles: random forests and extra-trees, for both tasks.
-//!
-//! The regressor exposes per-tree predictions ([`ForestRegressor::predict_per_tree`]),
-//! which the BO crate's probabilistic random-forest surrogate uses to obtain
-//! predictive variance.
 
 use crate::binned::BinnedMatrix;
 use crate::parallel::parallel_map;
@@ -209,40 +205,6 @@ impl ForestRegressor {
             trees: Vec::new(),
         }
     }
-
-    /// Per-tree predictions: `out[t][i]` is tree `t`'s prediction for row `i`.
-    /// Used by the probabilistic-RF surrogate for mean/variance estimates.
-    pub fn predict_per_tree(&self, x: &Matrix) -> Result<Vec<Vec<f64>>> {
-        if self.trees.is_empty() {
-            return Err(ModelError::NotFitted);
-        }
-        Ok(self
-            .trees
-            .iter()
-            .map(|tree| {
-                (0..x.rows())
-                    .map(|i| tree.predict_row(x.row(i))[0])
-                    .collect()
-            })
-            .collect())
-    }
-
-    /// Predictive mean and variance across trees for each row.
-    pub fn predict_mean_var(&self, x: &Matrix) -> Result<Vec<(f64, f64)>> {
-        let per_tree = self.predict_per_tree(x)?;
-        let t = per_tree.len() as f64;
-        Ok((0..x.rows())
-            .map(|i| {
-                let mean = per_tree.iter().map(|p| p[i]).sum::<f64>() / t;
-                let var = per_tree
-                    .iter()
-                    .map(|p| (p[i] - mean) * (p[i] - mean))
-                    .sum::<f64>()
-                    / t;
-                (mean, var)
-            })
-            .collect())
-    }
 }
 
 impl Estimator for ForestRegressor {
@@ -326,43 +288,6 @@ mod tests {
         m.fit(&xt, &yt).unwrap();
         let score = r2(&yv, &m.predict(&xv).unwrap());
         assert!(score > 0.75, "r2 {score}");
-    }
-
-    #[test]
-    fn per_tree_predictions_average_to_ensemble() {
-        let d = make_friedman1(200, 1, 0.3, 6);
-        let mut m = ForestRegressor::new(ForestConfig::random_forest());
-        m.fit(&d.x, &d.y).unwrap();
-        let ens = m.predict(&d.x).unwrap();
-        let per_tree = m.predict_per_tree(&d.x).unwrap();
-        let t = per_tree.len() as f64;
-        for i in 0..5 {
-            let mean: f64 = per_tree.iter().map(|p| p[i]).sum::<f64>() / t;
-            assert!((mean - ens[i]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn variance_is_higher_off_manifold() {
-        let d = make_friedman1(300, 0, 0.1, 7);
-        let mut cfg = ForestConfig::random_forest();
-        cfg.n_estimators = 40;
-        let mut m = ForestRegressor::new(cfg);
-        m.fit(&d.x, &d.y).unwrap();
-        // In-distribution point vs far-out point.
-        let probe = Matrix::from_vec(2, 5, vec![0.5, 0.5, 0.5, 0.5, 0.5, 25.0, -30.0, 40.0, -10.0, 90.0])
-            .unwrap();
-        let mv = m.predict_mean_var(&probe).unwrap();
-        // Both should produce finite variance; the ensemble must disagree at
-        // least somewhere (non-zero average variance over train set).
-        assert!(mv.iter().all(|(m, v)| m.is_finite() && v.is_finite() && *v >= 0.0));
-        let train_var: f64 = m
-            .predict_mean_var(&d.x)
-            .unwrap()
-            .iter()
-            .map(|(_, v)| v)
-            .sum();
-        assert!(train_var > 0.0);
     }
 
     #[test]

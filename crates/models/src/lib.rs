@@ -113,6 +113,12 @@ pub(crate) fn check_fit_inputs(x: &Matrix, y: &[f64]) -> Result<()> {
             "non-finite feature values; run imputation first".into(),
         ));
     }
+    if let Some(row) = y.iter().position(|t| !t.is_finite()) {
+        return Err(ModelError::Invalid(format!(
+            "non-finite target {} at row {row}",
+            y[row]
+        )));
+    }
     Ok(())
 }
 

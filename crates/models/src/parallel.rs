@@ -11,8 +11,8 @@
 //! the machine's available hardware parallelism (overridable through the
 //! `VOLCANOML_CPUS` env var) before any thread is spawned. On a 1-CPU box a
 //! `n_jobs = 4` forest therefore takes the plain serial path — scoped-thread
-//! spawns cost real time and buy nothing without cores to run on (this was
-//! the `parallel_speedup: 0.97` regression in BENCH_models.json).
+//! spawns cost real time and buy nothing without cores to run on (a 4-job fit
+//! once measured 0.97× of serial there).
 
 use std::sync::OnceLock;
 

@@ -20,7 +20,7 @@ use crate::tree::{
     Criterion, DecisionTreeClassifier, DecisionTreeRegressor, HistKernel, MaxFeatures,
     SplitStrategy, TreeConfig,
 };
-use crate::{Estimator, ModelError, Result};
+use crate::{Estimator, Result};
 use std::collections::HashMap;
 use volcanoml_data::Task;
 use volcanoml_linalg::Matrix;
@@ -674,24 +674,11 @@ impl Model {
     }
 }
 
-/// Returns an error if an algorithm/task combination is inconsistent — used
-/// by the AutoML layer when users enrich spaces by hand.
-pub fn check_algorithm_task(kind: AlgorithmKind, task: Task) -> Result<()> {
-    if kind.task() != task {
-        return Err(ModelError::Invalid(format!(
-            "algorithm {} solves {:?}, not {:?}",
-            kind.name(),
-            kind.task(),
-            task
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_util::{easy_binary, easy_regression, split};
+    use crate::ModelError;
     use volcanoml_data::metrics::accuracy;
     use volcanoml_data::Metric;
 
@@ -759,6 +746,23 @@ mod tests {
         }
     }
 
+    /// A NaN target once fitted "successfully" into a model predicting NaN
+    /// for every row; every regressor must turn it away instead.
+    #[test]
+    fn every_regressor_rejects_a_nan_target() {
+        let d = easy_regression();
+        let ((xt, mut yt), _) = split(&d);
+        yt[3] = f64::NAN;
+        for kind in AlgorithmKind::for_task(Task::Regression) {
+            let err = kind.build_default(0).fit(&xt, &yt).err();
+            assert!(
+                matches!(err, Some(ModelError::Invalid(_))),
+                "{} fit a NaN target: {err:?}",
+                kind.name()
+            );
+        }
+    }
+
     #[test]
     fn build_respects_custom_params() {
         let mut values = HashMap::new();
@@ -791,12 +795,6 @@ mod tests {
             }
         }
         assert_eq!(AlgorithmKind::from_name(Task::Classification, "nope"), None);
-    }
-
-    #[test]
-    fn task_check() {
-        assert!(check_algorithm_task(AlgorithmKind::Logistic, Task::Classification).is_ok());
-        assert!(check_algorithm_task(AlgorithmKind::Logistic, Task::Regression).is_err());
     }
 
     #[test]

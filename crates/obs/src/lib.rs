@@ -27,9 +27,9 @@
 //!   `GET /metrics` scrapes (namespaced families, `study` labels,
 //!   cumulative `le` buckets).
 //!
-//! The crate is std-only and sits *below* `volcanoml-core` in the workspace
-//! graph, next to `volcanoml-exec`: the evaluator and blocks emit, this
-//! crate records and renders.
+//! The crate is std-only, has no dependencies and sits at the bottom of the
+//! workspace graph (`volcanoml-exec` uses its [`json`] codec for journal
+//! rows): the evaluator and blocks emit, this crate records and renders.
 
 pub mod events;
 pub mod json;

@@ -4,6 +4,7 @@
 
 use volcanoml_core::plans::enumerate_coarse_plans;
 use volcanoml_core::{EngineKind, Objective, PlanSpec, SpaceGrowth, SpaceTier};
+use volcanoml_data::synthetic::{self, NAMED_KINDS};
 use volcanoml_data::Dataset;
 use volcanoml_obs::json::{escape, parse_object, JsonValue};
 
@@ -49,36 +50,6 @@ pub struct StudySpec {
     pub space: SpaceGrowth,
 }
 
-fn parse_engine(s: &str) -> Result<EngineKind, String> {
-    match s {
-        "bo" => Ok(EngineKind::Bo),
-        "random" => Ok(EngineKind::Random),
-        "sh" => Ok(EngineKind::SuccessiveHalving),
-        "hyperband" => Ok(EngineKind::Hyperband),
-        "mfes-hb" => Ok(EngineKind::MfesHb),
-        other => Err(format!("unknown engine '{other}'")),
-    }
-}
-
-fn tier_name(tier: SpaceTier) -> &'static str {
-    match tier {
-        SpaceTier::Small => "small",
-        SpaceTier::Medium => "medium",
-        SpaceTier::Large => "large",
-    }
-}
-
-fn parse_tier(s: &str) -> Result<SpaceTier, String> {
-    match s {
-        "small" => Ok(SpaceTier::Small),
-        "medium" => Ok(SpaceTier::Medium),
-        "large" => Ok(SpaceTier::Large),
-        other => Err(format!("unknown tier '{other}'")),
-    }
-}
-
-const SYNTHETIC_KINDS: [&str; 5] = ["classification", "moons", "xor", "friedman1", "imbalanced"];
-
 impl StudySpec {
     /// Parses a spec from the flat JSON a client posts, e.g.
     /// `{"dataset":"moons","engine":"bo","max_evaluations":20,"seed":3}` or
@@ -109,10 +80,10 @@ impl StudySpec {
                 return Err("give either \"dataset\" (synthetic) or \"csv\", not both".into())
             }
             (Some(kind), None) => {
-                if !SYNTHETIC_KINDS.contains(&kind.as_str()) {
+                if !NAMED_KINDS.contains(&kind.as_str()) {
                     return Err(format!(
                         "unknown synthetic dataset '{kind}' (one of {})",
-                        SYNTHETIC_KINDS.join(", ")
+                        NAMED_KINDS.join(", ")
                     ));
                 }
                 DatasetSpec::Synthetic {
@@ -124,7 +95,7 @@ impl StudySpec {
             (None, None) => return Err("spec needs a \"dataset\" (synthetic kind) or \"csv\" path".into()),
         };
         let engine = match get_str("engine")? {
-            Some(s) => parse_engine(&s)?,
+            Some(s) => EngineKind::from_name(&s)?,
             None => EngineKind::Bo,
         };
         let plan = get_str("plan")?;
@@ -133,7 +104,7 @@ impl StudySpec {
             resolve_plan(Some(p), engine)?;
         }
         let tier = match get_str("tier")? {
-            Some(s) => parse_tier(&s)?,
+            Some(s) => SpaceTier::from_name(&s)?,
             None => SpaceTier::Small,
         };
         let max_evaluations = get_u64("max_evaluations", 30)? as usize;
@@ -201,7 +172,7 @@ impl StudySpec {
         if let Some(plan) = &self.plan {
             parts.push(format!("\"plan\":\"{}\"", escape(plan)));
         }
-        parts.push(format!("\"tier\":\"{}\"", tier_name(self.tier)));
+        parts.push(format!("\"tier\":\"{}\"", self.tier.name()));
         parts.push(format!("\"max_evaluations\":{}", self.max_evaluations));
         parts.push(format!("\"seed\":{}", self.seed));
         if self.cost_aware {
@@ -220,23 +191,8 @@ impl StudySpec {
     /// Materializes the study's dataset.
     pub fn build_dataset(&self) -> Result<Dataset, String> {
         match &self.dataset {
-            DatasetSpec::Synthetic { kind, seed } => {
-                use volcanoml_data::synthetic::*;
-                Ok(match kind.as_str() {
-                    "classification" => make_classification(&ClassificationSpec::default(), *seed),
-                    "moons" => make_moons(500, 0.15, 2, *seed),
-                    "xor" => make_xor(500, 2, 8, 0.03, *seed),
-                    "friedman1" => make_friedman1(500, 4, 0.5, *seed),
-                    "imbalanced" => make_classification(
-                        &ClassificationSpec {
-                            weights: vec![0.9, 0.1],
-                            ..ClassificationSpec::default()
-                        },
-                        *seed,
-                    ),
-                    other => return Err(format!("unknown synthetic dataset '{other}'")),
-                })
-            }
+            DatasetSpec::Synthetic { kind, seed } => synthetic::by_name(kind, *seed)
+                .ok_or_else(|| format!("unknown synthetic dataset '{kind}'")),
             DatasetSpec::Csv { path } => {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -360,7 +316,7 @@ mod tests {
 
     #[test]
     fn synthetic_datasets_build() {
-        for kind in SYNTHETIC_KINDS {
+        for kind in NAMED_KINDS {
             let spec = StudySpec::from_json(&format!(r#"{{"dataset":"{kind}"}}"#)).unwrap();
             let d = spec.build_dataset().unwrap();
             assert!(d.n_samples() > 0);

@@ -22,14 +22,8 @@ else
     echo "clippy not installed; skipping lint step"
 fi
 
-echo "== cargo bench --no-run (compile-check benches, incl. criterion shims) =="
-cargo bench --no-run --offline --features volcanoml-bench/criterion-bench
-
-echo "== smoke: parallel_scaling bench =="
-VOLCANO_QUICK=1 cargo bench --offline --bench parallel_scaling
-
-echo "== smoke: data_views bench (zero-copy vs copy baseline) =="
-VOLCANO_QUICK=1 cargo bench --offline --bench data_views
+echo "== cargo bench --no-run (compile-check every bench) =="
+cargo bench --no-run --offline
 
 echo "== smoke: cost_aware bench (EI-per-second time-to-target gate) =="
 # Deterministic synthetic costs, so the ratio is exact: cost-aware search
@@ -63,10 +57,8 @@ print(f"space_growth smoke ok: {r:.2f}x fixed over {b['n_seeds']} seeds, "
 EOF
 
 echo "== smoke: micro_models histogram-kernel report =="
-# Quick mode skips the Criterion loops but still runs the timed report that
-# re-emits results/BENCH_models.json (per-n_jobs rows, kernel comparison).
-VOLCANO_QUICK=1 cargo bench --offline --bench micro_models \
-    --features volcanoml-bench/criterion-bench
+# Re-emits results/BENCH_models.json (exact vs histogram, kernel comparison).
+cargo bench --offline --bench micro_models
 python3 - results/BENCH_models.json <<'EOF'
 import json, sys
 b = json.load(open(sys.argv[1]))
@@ -74,11 +66,8 @@ delta = abs(b["accuracy_delta"])
 assert delta <= 0.01, f"histogram accuracy drifted {delta:.4f} from exact (> 0.01)"
 ks = b["kernel_speedup"]
 assert ks >= 1.0, f"flat kernel slower than the per-node baseline ({ks:.2f}x)"
-j1, j4 = b["hist_fit_ms_n_jobs1"], b["hist_fit_ms_n_jobs4"]
-assert j4 <= j1 * 1.15, f"n_jobs=4 slower than serial ({j4:.1f}ms vs {j1:.1f}ms)"
 print(f"micro_models smoke ok: kernel_speedup {ks:.2f}x on {b['n_cpus']} cpu(s), "
-      f"accuracy_delta {b['accuracy_delta']:+.4f}, "
-      f"n_jobs4/serial {j4 / j1:.2f}")
+      f"accuracy_delta {b['accuracy_delta']:+.4f}")
 EOF
 
 echo "== smoke: traced fit + report =="
