@@ -51,30 +51,9 @@ pub enum AcquisitionScore<'a> {
     EiPerCost(&'a CostModel),
 }
 
-/// Picks the configuration maximizing EI among random samples plus local
-/// neighbors of the incumbent (SMAC's cheap acquisition optimizer).
-pub fn maximize_ei(
-    space: &ConfigSpace,
-    surrogate: &RandomForestSurrogate,
-    incumbent: Option<&Configuration>,
-    best_loss: f64,
-    n_random: usize,
-    n_local: usize,
-    rng: &mut StdRng,
-) -> Configuration {
-    maximize_acquisition(
-        space,
-        surrogate,
-        incumbent,
-        best_loss,
-        n_random,
-        n_local,
-        AcquisitionScore::Ei,
-        rng,
-    )
-}
-
-/// Generalized acquisition optimizer: EI or EI-per-predicted-cost.
+/// Acquisition optimizer: picks the configuration maximizing the score (EI
+/// or EI-per-predicted-cost) among random samples plus local neighbors of
+/// the incumbent (SMAC's cheap acquisition optimizer).
 ///
 /// When `best_loss` is non-finite (every observation so far failed), EI is
 /// inf/NaN for every candidate and comparisons degenerate to "first wins";
@@ -181,12 +160,15 @@ mod tests {
         surrogate.fit(&xs, &ys, &mut rng);
         // With best = inf, old behavior picked the first sampled candidate;
         // the fallback must instead track the surrogate's minimum at 0.8.
-        let chosen = maximize_ei(&space, &surrogate, None, f64::INFINITY, 300, 0, &mut rng);
+        let ei = AcquisitionScore::Ei;
+        let chosen =
+            maximize_acquisition(&space, &surrogate, None, f64::INFINITY, 300, 0, ei, &mut rng);
         let x = chosen.get(0).unwrap();
         assert!((x - 0.8).abs() < 0.2, "explore-only fallback chose {x}");
         // And it must not depend on candidate order: repeated draws stay in
         // the same basin rather than wandering wherever sample #1 landed.
-        let again = maximize_ei(&space, &surrogate, None, f64::NEG_INFINITY, 300, 0, &mut rng);
+        let again =
+            maximize_acquisition(&space, &surrogate, None, f64::NEG_INFINITY, 300, 0, ei, &mut rng);
         let x2 = again.get(0).unwrap();
         assert!((x2 - 0.8).abs() < 0.2, "explore-only fallback chose {x2}");
     }
@@ -311,7 +293,8 @@ mod tests {
         let ys: Vec<f64> = xs.iter().map(|x| (x[0] - 0.25).powi(2)).collect();
         let mut surrogate = RandomForestSurrogate::new();
         surrogate.fit(&xs, &ys, &mut rng);
-        let chosen = maximize_ei(&space, &surrogate, None, 0.2, 200, 0, &mut rng);
+        let ei = AcquisitionScore::Ei;
+        let chosen = maximize_acquisition(&space, &surrogate, None, 0.2, 200, 0, ei, &mut rng);
         let x = chosen.get(0).unwrap();
         assert!((x - 0.25).abs() < 0.2, "chose {x}");
     }

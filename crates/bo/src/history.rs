@@ -97,14 +97,6 @@ impl RunHistory {
             .collect()
     }
 
-    /// Merges another history into this one (used by meta-learning warm
-    /// starts).
-    pub fn extend_from(&mut self, other: &RunHistory) {
-        for obs in &other.observations {
-            self.push(obs.clone());
-        }
-    }
-
     /// Drops every observation past `len` and recomputes the incumbent.
     /// Batch suggestion uses this to retract constant-liar
     /// pseudo-observations once real results arrive.
@@ -195,16 +187,5 @@ mod tests {
         h.push(obs(0.3, 0.25));
         assert_eq!(h.at_fidelity(0.25).len(), 2);
         assert_eq!(h.at_fidelity(1.0).len(), 1);
-    }
-
-    #[test]
-    fn extend_from_merges_and_retracks() {
-        let mut a = RunHistory::new();
-        a.push(obs(0.5, 1.0));
-        let mut b = RunHistory::new();
-        b.push(obs(0.2, 1.0));
-        a.extend_from(&b);
-        assert_eq!(a.best_loss(), Some(0.2));
-        assert_eq!(a.len(), 2);
     }
 }

@@ -295,10 +295,6 @@ impl VolcanoML {
             tracer.set_bus(Arc::clone(bus));
             evaluator.set_tracer(Arc::new(tracer));
         }
-        // Binned-tree and dataset-view gather counters are process-global;
-        // diff against a baseline so the snapshot reflects only this run.
-        let binned_baseline = volcanoml_models::binned::stats::snapshot();
-        let gather_baseline = volcanoml_data::view::stats::snapshot();
         let metrics = if let Some(m) = &self.options.shared_metrics {
             evaluator.set_metrics(Arc::clone(m));
             Some(Arc::clone(m))
@@ -494,60 +490,39 @@ impl VolcanoML {
             CoreError::Invalid("no successful full-fidelity evaluation within budget".into())
         })?;
 
-        // Distinct top assignments for ensembling / meta-learning.
+        // The distinct finite full-fidelity pipelines, best first (an
+        // assignment evaluated twice keeps its better loss).
         let mut seen = std::collections::HashSet::new();
-        let mut top: Vec<(Assignment, f64)> = Vec::new();
-        let mut entries: Vec<_> = log
+        let mut distinct: Vec<_> = log
             .iter()
             .filter(|e| e.fidelity >= 1.0 - 1e-9 && e.loss.is_finite())
             .collect();
-        entries.sort_by(|a, b| a.loss.total_cmp(&b.loss));
-        for e in entries {
-            let key: Vec<(String, u64)> = {
-                let mut kv: Vec<(String, u64)> = e
-                    .assignment
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.to_bits()))
-                    .collect();
-                kv.sort();
-                kv
-            };
-            if seen.insert(key) {
-                top.push((e.assignment.clone(), e.loss));
-            }
-            if top.len() >= 10 {
-                break;
-            }
-        }
-
-        // Pareto front over the same distinct full-fidelity pipelines:
-        // scalarization drives the search to one number, the front recovers
-        // the (loss, inference latency) trade-offs it collapsed.
-        let pareto_front: Vec<(Assignment, f64, f64)> = {
-            let mut seen = std::collections::HashSet::new();
-            let mut entries: Vec<_> = log
+        distinct.sort_by(|a, b| a.loss.total_cmp(&b.loss));
+        distinct.retain(|e| {
+            let mut key: Vec<(&str, u64)> = e
+                .assignment
                 .iter()
-                .filter(|e| e.fidelity >= 1.0 - 1e-9 && e.loss.is_finite())
+                .map(|(k, v)| (k.as_str(), v.to_bits()))
                 .collect();
-            entries.sort_by(|a, b| a.loss.total_cmp(&b.loss));
-            let mut candidates: Vec<(Assignment, f64, f64)> = Vec::new();
-            for e in entries {
-                let mut kv: Vec<(String, u64)> = e
-                    .assignment
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.to_bits()))
-                    .collect();
-                kv.sort();
-                if seen.insert(kv) {
-                    candidates.push((e.assignment.clone(), e.loss, e.infer_cost));
-                }
-            }
-            let points: Vec<(f64, f64)> = candidates.iter().map(|c| (c.1, c.2)).collect();
-            crate::objective::pareto_front(&points)
-                .into_iter()
-                .map(|i| candidates[i].clone())
-                .collect()
-        };
+            key.sort();
+            seen.insert(key)
+        });
+
+        // Top assignments for ensembling / meta-learning.
+        let top: Vec<(Assignment, f64)> = distinct
+            .iter()
+            .take(10)
+            .map(|e| (e.assignment.clone(), e.loss))
+            .collect();
+
+        // Pareto front over the same pipelines: scalarization drives the
+        // search to one number, the front recovers the (loss, inference
+        // latency) trade-offs it collapsed.
+        let points: Vec<(f64, f64)> = distinct.iter().map(|e| (e.loss, e.infer_cost)).collect();
+        let pareto_front: Vec<(Assignment, f64, f64)> = crate::objective::pareto_front(&points)
+            .into_iter()
+            .map(|i| (distinct[i].assignment.clone(), distinct[i].loss, distinct[i].infer_cost))
+            .collect();
 
         // The fidelity mix exercised by the run (ascending): a multi-fidelity
         // engine that degraded to full-fidelity-only shows up immediately as
@@ -561,10 +536,7 @@ impl VolcanoML {
         let mut fidelity_counts: Vec<(f64, usize)> = fid_counts.into_values().collect();
         fidelity_counts.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-        let (cache_hits, cache_misses, fe_cache_hits, fe_cache_misses) = evaluator.cache_stats();
-        let (bytes_now, skips_now) = volcanoml_data::view::stats::snapshot();
-        let bytes_gathered = bytes_now.saturating_sub(gather_baseline.0);
-        let gathers_skipped = skips_now.saturating_sub(gather_baseline.1);
+        let counters = evaluator.run_counters();
         let report = AutoMlReport {
             best_loss,
             best_assignment: best_assignment.clone(),
@@ -574,51 +546,39 @@ impl VolcanoML {
             total_cost: evaluator.total_cost(),
             plan_explain: crate::block::explain(root.as_ref()),
             top_assignments: top.clone(),
-            cache_hits,
-            cache_misses,
-            fe_cache_hits,
-            fe_cache_misses,
+            cache_hits: counters.cache_hits,
+            cache_misses: counters.cache_misses,
+            fe_cache_hits: counters.fe_cache_hits,
+            fe_cache_misses: counters.fe_cache_misses,
             fidelity_counts,
-            bytes_gathered,
-            gathers_skipped,
+            bytes_gathered: counters.bytes_gathered,
+            gathers_skipped: counters.gathers_skipped,
             pareto_front,
         };
 
         // End-of-run observability: sample run-level figures into the
         // registry, write the snapshot, and flush the append-only files.
         if let Some(m) = &metrics {
-            evaluator.sample_cache_metrics(m);
+            for (name, count) in [
+                ("cache.result.hits", counters.cache_hits),
+                ("cache.result.misses", counters.cache_misses),
+                ("cache.fe.hits", counters.fe_cache_hits),
+                ("cache.fe.misses", counters.fe_cache_misses),
+                ("binned.matrices_built", counters.binned.matrices_built),
+                ("binned.cells_encoded", counters.binned.cells_encoded),
+                ("binned.hist_node_scans", counters.binned.hist_node_scans),
+                ("binned.hist_bytes_scanned", counters.binned.hist_bytes_scanned),
+                ("binned.arena_reuses", counters.binned.arena_reuses),
+                ("binned.feature_parallel_merges", counters.binned.feature_parallel_merges),
+                ("data.bytes_gathered", counters.bytes_gathered),
+                ("data.gathers_skipped", counters.gathers_skipped),
+            ] {
+                m.inc_counter(name, count);
+            }
+            m.set_gauge("run.evaluations", report.n_evaluations as f64);
+            m.set_gauge("run.total_cost_s", report.total_cost);
             m.set_gauge("run.workers", self.options.n_workers as f64);
             m.set_gauge("run.best_loss", best_loss);
-            let b = volcanoml_models::binned::stats::snapshot();
-            let base = &binned_baseline;
-            m.inc_counter(
-                "binned.matrices_built",
-                b.matrices_built.saturating_sub(base.matrices_built),
-            );
-            m.inc_counter(
-                "binned.cells_encoded",
-                b.cells_encoded.saturating_sub(base.cells_encoded),
-            );
-            m.inc_counter(
-                "binned.hist_node_scans",
-                b.hist_node_scans.saturating_sub(base.hist_node_scans),
-            );
-            m.inc_counter(
-                "binned.hist_bytes_scanned",
-                b.hist_bytes_scanned.saturating_sub(base.hist_bytes_scanned),
-            );
-            m.inc_counter(
-                "binned.arena_reuses",
-                b.arena_reuses.saturating_sub(base.arena_reuses),
-            );
-            m.inc_counter(
-                "binned.feature_parallel_merges",
-                b.feature_parallel_merges
-                    .saturating_sub(base.feature_parallel_merges),
-            );
-            m.inc_counter("data.bytes_gathered", bytes_gathered);
-            m.inc_counter("data.gathers_skipped", gathers_skipped);
             if let Some(path) = &self.options.metrics_path {
                 m.write_to(path)
                     .map_err(|e| CoreError::Invalid(format!("cannot write metrics: {e}")))?;

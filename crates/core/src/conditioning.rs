@@ -80,15 +80,6 @@ impl ConditioningBlock {
         self.arms.iter().filter(|a| a.active).count()
     }
 
-    /// Values that have been eliminated so far.
-    pub fn eliminated_values(&self) -> Vec<usize> {
-        self.arms
-            .iter()
-            .filter(|a| !a.active)
-            .map(|a| a.value)
-            .collect()
-    }
-
     /// Applies the elimination rule over all active arms, emitting one
     /// `eliminate` trace event (with the EU interval that lost) per
     /// eliminated arm.

@@ -1,18 +1,20 @@
-//! The bounded result cache: `(assignment, fidelity)` → `(loss, cost)`.
+//! The bounded FIFO cache behind both evaluator caches: the result cache
+//! (`(assignment, fidelity)` → `(loss, cost)`) and the FE-transform cache
+//! (`(fe sub-assignment, training-data key)` → `Arc<FeTransformed>`).
 
 use std::collections::{HashMap, VecDeque};
 
-/// FIFO-bounded evaluation cache with hit/miss accounting.
-pub(super) struct BoundedCache {
-    pub(super) map: HashMap<(u64, u64), (f64, f64)>,
+/// FIFO-bounded cache with hit/miss accounting.
+pub(super) struct BoundedCache<V: Clone> {
+    pub(super) map: HashMap<(u64, u64), V>,
     order: VecDeque<(u64, u64)>,
     capacity: usize,
     pub(super) hits: u64,
     pub(super) misses: u64,
 }
 
-impl BoundedCache {
-    pub(super) fn new(capacity: usize) -> BoundedCache {
+impl<V: Clone> BoundedCache<V> {
+    pub(super) fn new(capacity: usize) -> BoundedCache<V> {
         BoundedCache {
             map: HashMap::new(),
             order: VecDeque::new(),
@@ -22,8 +24,8 @@ impl BoundedCache {
         }
     }
 
-    pub(super) fn get(&mut self, key: &(u64, u64)) -> Option<(f64, f64)> {
-        match self.map.get(key).copied() {
+    pub(super) fn get(&mut self, key: &(u64, u64)) -> Option<V> {
+        match self.map.get(key).cloned() {
             Some(v) => {
                 self.hits += 1;
                 Some(v)
@@ -35,7 +37,7 @@ impl BoundedCache {
         }
     }
 
-    pub(super) fn insert(&mut self, key: (u64, u64), value: (f64, f64)) {
+    pub(super) fn insert(&mut self, key: (u64, u64), value: V) {
         if self.map.insert(key, value).is_none() {
             self.order.push_back(key);
             while self.map.len() > self.capacity {

@@ -1,15 +1,14 @@
-//! The cross-trial FE-transform cache.
+//! What the cross-trial FE-transform cache holds.
 //!
-//! Keyed on `(fe sub-assignment hash, training-data key)`. Trials that share
-//! an FE configuration (the common case when a block sweeps model
+//! The cache (a [`super::cache::BoundedCache`]) is keyed on `(fe
+//! sub-assignment hash, training-data key)`. Trials that share an FE
+//! configuration (the common case when a block sweeps model
 //! hyper-parameters) reuse the transformed matrices via `Arc` instead of
 //! re-running imputation/encoding/scaling/balancing per trial. Since the
 //! zero-copy view refactor, a hit also skips the view gather entirely: the
 //! cached entry carries everything the model fit and scoring need, so an
 //! FE-warm trial touches no dataset rows at all.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 use volcanoml_linalg::Matrix;
 
 /// One fitted-FE output shared across trials.
@@ -23,62 +22,4 @@ pub(super) struct FeTransformed {
     pub(super) x_valid: Matrix,
     /// Validation targets, cached so scoring on a hit needs no row access.
     pub(super) y_valid: Vec<f64>,
-}
-
-/// FIFO-bounded cache of fitted-FE outputs.
-pub(super) struct FeCache {
-    pub(super) map: HashMap<(u64, u64), Arc<FeTransformed>>,
-    order: VecDeque<(u64, u64)>,
-    capacity: usize,
-    pub(super) hits: u64,
-    pub(super) misses: u64,
-}
-
-impl FeCache {
-    pub(super) fn new(capacity: usize) -> FeCache {
-        FeCache {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    pub(super) fn get(&mut self, key: &(u64, u64)) -> Option<Arc<FeTransformed>> {
-        match self.map.get(key) {
-            Some(v) => {
-                self.hits += 1;
-                Some(Arc::clone(v))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    pub(super) fn insert(&mut self, key: (u64, u64), value: Arc<FeTransformed>) {
-        if self.map.insert(key, value).is_none() {
-            self.order.push_back(key);
-            while self.map.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.map.remove(&old);
-                } else {
-                    break;
-                }
-            }
-        }
-    }
-
-    pub(super) fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.map.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            } else {
-                break;
-            }
-        }
-    }
 }

@@ -39,17 +39,17 @@ pub fn assignment_digest(assignment: &std::collections::HashMap<String, f64>) ->
 use crate::spaces::SpaceDef;
 use crate::{CoreError, Result};
 use cache::BoundedCache;
-use fe_cache::FeCache;
+use fe_cache::FeTransformed;
 use interpret::assignment_key;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use volcanoml_data::{Dataset, DatasetView, Metric};
+use volcanoml_data::{view, Dataset, DatasetView, Metric};
 use volcanoml_exec::{current_worker, ExecPool, Journal, TrialRecord, TrialStatus};
 use volcanoml_fe::FePipeline;
-use volcanoml_models::Model;
+use volcanoml_models::{binned, Model};
 use volcanoml_obs::{current_arm, MetricsRegistry, Tracer, TrialInfo};
 
 /// Default bound on the evaluator's result cache.
@@ -162,6 +162,28 @@ struct RunRecord {
     outcome: EvalOutcome,
 }
 
+/// What a run's trials added up to: cache traffic, and the work the model
+/// and data layers tallied on whichever threads ran the fresh fits. Summed
+/// trial by trial, so two evaluators in one process never see each other's
+/// work.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunCounters {
+    /// Result-cache hits.
+    pub cache_hits: u64,
+    /// Result-cache misses (fresh fits).
+    pub cache_misses: u64,
+    /// FE-transform cache hits.
+    pub fe_cache_hits: u64,
+    /// FE-transform cache misses.
+    pub fe_cache_misses: u64,
+    /// Binned-tree training work.
+    pub binned: binned::stats::Tally,
+    /// Feature bytes copied by dataset-view row gathers.
+    pub bytes_gathered: u64,
+    /// Feature-matrix accesses a full view served without copying.
+    pub gathers_skipped: u64,
+}
+
 /// A fault injected into an evaluation — used by crash-isolation and
 /// deadline tests to simulate misbehaving training code.
 #[derive(Debug, Clone, Copy)]
@@ -181,8 +203,8 @@ pub type FaultHook = Arc<dyn Fn(&HashMap<String, f64>, f64) -> Option<Fault> + S
 /// lock is only held for bookkeeping — never across a pipeline fit — so
 /// worker threads serialize on microseconds, not on training time.
 struct EvalState {
-    cache: BoundedCache,
-    fe_cache: FeCache,
+    cache: BoundedCache<(f64, f64)>,
+    fe_cache: BoundedCache<Arc<FeTransformed>>,
     /// Per-fidelity CV fold plans: `fidelity.to_bits()` → the fold's
     /// `(train, valid)` index views, computed once and reused by every
     /// trial at that fidelity. Views make this affordable — each plan is
@@ -198,6 +220,10 @@ struct EvalState {
     /// `max_evaluations` budget that only counts fresh trials would spin
     /// forever — the budget check reads this to detect saturation.
     consecutive_cached: usize,
+    /// Sum of the per-trial work tallies of every fresh fit.
+    binned: binned::stats::Tally,
+    /// `(bytes_gathered, gathers_skipped)`, summed the same way.
+    gathered: (u64, u64),
     log: Vec<LogEntry>,
     /// Crash-resume replay table: `(assignment digest, fidelity bits)` →
     /// the journaled outcomes of the interrupted run, in journal order.
@@ -294,11 +320,13 @@ impl Evaluator {
                 objective: Mutex::new(crate::objective::Objective::Loss),
                 state: Mutex::new(EvalState {
                     cache: BoundedCache::new(DEFAULT_CACHE_CAPACITY),
-                    fe_cache: FeCache::new(DEFAULT_FE_CACHE_CAPACITY),
+                    fe_cache: BoundedCache::new(DEFAULT_FE_CACHE_CAPACITY),
                     fold_plans: HashMap::new(),
                     evaluations: 0,
                     total_cost: 0.0,
                     consecutive_cached: 0,
+                    binned: binned::stats::Tally::default(),
+                    gathered: (0, 0),
                     log: Vec::new(),
                     replay: HashMap::new(),
                 }),
@@ -404,23 +432,18 @@ impl Evaluator {
             .clone()
     }
 
-    /// Samples the cache hit/miss counters and run totals into a metrics
-    /// registry (typically once, at end of run).
-    pub fn sample_cache_metrics(&self, m: &MetricsRegistry) {
+    /// The run's counters as of now (typically read once, at end of run).
+    pub fn run_counters(&self) -> RunCounters {
         let s = self.state();
-        m.inc_counter("cache.result.hits", s.cache.hits);
-        m.inc_counter("cache.result.misses", s.cache.misses);
-        m.inc_counter("cache.fe.hits", s.fe_cache.hits);
-        m.inc_counter("cache.fe.misses", s.fe_cache.misses);
-        m.set_gauge("run.evaluations", s.evaluations as f64);
-        m.set_gauge("run.total_cost_s", s.total_cost);
-    }
-
-    /// Raw cache counters as `(result_hits, result_misses, fe_hits,
-    /// fe_misses)` — surfaced in [`crate::AutoMlReport`] and the CLI summary.
-    pub fn cache_stats(&self) -> (u64, u64, u64, u64) {
-        let s = self.state();
-        (s.cache.hits, s.cache.misses, s.fe_cache.hits, s.fe_cache.misses)
+        RunCounters {
+            cache_hits: s.cache.hits,
+            cache_misses: s.cache.misses,
+            fe_cache_hits: s.fe_cache.hits,
+            fe_cache_misses: s.fe_cache.misses,
+            binned: s.binned,
+            bytes_gathered: s.gathered.0,
+            gathers_skipped: s.gathered.1,
+        }
     }
 
     /// Installs a fault-injection hook (testing/chaos only).
@@ -458,12 +481,6 @@ impl Evaluator {
                     timed_out: rec.timed_out,
                 });
         }
-    }
-
-    /// Number of journaled outcomes still queued for replay (0 once the
-    /// resumed search has caught up with the interrupted run).
-    pub fn pending_replays(&self) -> usize {
-        self.state().replay.values().map(|q| q.len()).sum()
     }
 
     /// Appends canonical, bitwise-stable lines describing the evaluator's
@@ -727,6 +744,10 @@ impl Evaluator {
             .clone()
             .and_then(|hook| hook(assignment, fidelity));
         let start = Instant::now();
+        // Work tallies are per thread, not per trial: drop whatever this
+        // thread did before, so what is taken after the fit is this trial's.
+        binned::stats::take();
+        view::stats::take();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             match fault {
                 Some(Fault::Panic) => panic!("injected trial fault"),
@@ -735,6 +756,9 @@ impl Evaluator {
             }
             self.evaluate_uncached(assignment, fidelity)
         }));
+        // Outside `catch_unwind`, so a panicked trial's work still counts.
+        let binned = binned::stats::take();
+        let (bytes_gathered, gathers_skipped) = view::stats::take();
         let (raw_loss, fe_cached, infer_cost, panicked) = match caught {
             Ok(Ok((loss, fe_cached, infer_s))) => (loss, fe_cached, infer_s, false),
             Ok(Err(_)) => (f64::INFINITY, false, 0.0, false),
@@ -751,6 +775,9 @@ impl Evaluator {
             state.evaluations += 1;
             state.total_cost += cost;
             state.consecutive_cached = 0;
+            state.binned.add(&binned);
+            state.gathered.0 += bytes_gathered;
+            state.gathered.1 += gathers_skipped;
             state.log.push(LogEntry {
                 assignment: assignment.clone(),
                 fidelity,
@@ -843,16 +870,6 @@ impl Evaluator {
         self.state().cache.map.len()
     }
 
-    /// Number of cache hits so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.state().cache.hits
-    }
-
-    /// Number of cache misses so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.state().cache.misses
-    }
-
     /// Rebounds the result cache, evicting oldest entries if shrinking.
     pub fn set_cache_capacity(&self, capacity: usize) {
         self.state().cache.set_capacity(capacity);
@@ -861,16 +878,6 @@ impl Evaluator {
     /// Number of entries in the cross-trial FE-transform cache.
     pub fn fe_cache_size(&self) -> usize {
         self.state().fe_cache.map.len()
-    }
-
-    /// Number of FE-transform cache hits so far.
-    pub fn fe_cache_hits(&self) -> u64 {
-        self.state().fe_cache.hits
-    }
-
-    /// Number of FE-transform cache misses so far.
-    pub fn fe_cache_misses(&self) -> u64 {
-        self.state().fe_cache.misses
     }
 
     /// Rebounds the FE-transform cache, evicting oldest entries if
@@ -940,8 +947,8 @@ mod tests {
         assert!(second.cached);
         assert_eq!(first.loss, second.loss);
         assert_eq!(ev.evaluations(), 1);
-        assert_eq!(ev.cache_hits(), 1);
-        assert_eq!(ev.cache_misses(), 1);
+        let counters = ev.run_counters();
+        assert_eq!((counters.cache_hits, counters.cache_misses), (1, 1));
     }
 
     #[test]
@@ -1159,8 +1166,8 @@ mod tests {
         assert!(!first.fe_cached);
         assert!(second.fe_cached, "second trial should reuse the FE output");
         assert_eq!(ev.fe_cache_size(), 1);
-        assert_eq!(ev.fe_cache_hits(), 1);
-        assert_eq!(ev.fe_cache_misses(), 1);
+        let counters = ev.run_counters();
+        assert_eq!((counters.fe_cache_hits, counters.fe_cache_misses), (1, 1));
         // A result-cache hit reports fe_cached = false (no FE work at all).
         let repeat = ev.evaluate(&defaults, 1.0);
         assert!(repeat.cached && !repeat.fe_cached);

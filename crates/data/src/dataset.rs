@@ -1,8 +1,6 @@
 //! Core dataset types.
 
-use crate::view::DatasetView;
 use crate::{DataError, Result};
-use std::sync::Arc;
 use volcanoml_linalg::Matrix;
 
 /// The learning task a dataset defines.
@@ -128,17 +126,6 @@ impl Dataset {
         self.x.cols()
     }
 
-    /// View-returning variant of [`Dataset::subset`]: the rows are selected
-    /// by index over the shared storage, no feature bytes are copied.
-    pub fn subset_view(self: &Arc<Self>, indices: &[usize]) -> DatasetView {
-        DatasetView::full(Arc::clone(self)).select(indices)
-    }
-
-    /// Wraps the dataset into a full zero-copy [`DatasetView`].
-    pub fn into_view(self) -> DatasetView {
-        DatasetView::of(self)
-    }
-
     /// Returns the subset of samples at `indices` as a new dataset.
     pub fn subset(&self, indices: &[usize]) -> Dataset {
         Dataset {
@@ -149,29 +136,6 @@ impl Dataset {
             task: self.task,
             n_classes: self.n_classes,
         }
-    }
-
-    /// Replaces the feature matrix (e.g. after a transform), keeping targets.
-    ///
-    /// All columns of the new matrix are treated as numerical, which is what
-    /// every transformer in the FE pipeline produces.
-    pub fn with_features(&self, x: Matrix) -> Result<Dataset> {
-        if x.rows() != self.y.len() {
-            return Err(DataError::Inconsistent(format!(
-                "replacement has {} rows, expected {}",
-                x.rows(),
-                self.y.len()
-            )));
-        }
-        let feature_types = vec![FeatureType::Numerical; x.cols()];
-        Ok(Dataset {
-            name: self.name.clone(),
-            x,
-            y: self.y.clone(),
-            feature_types,
-            task: self.task,
-            n_classes: self.n_classes,
-        })
     }
 
     /// Per-class sample counts. Empty for regression.
@@ -331,16 +295,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d.categorical_columns(), vec![0]);
-    }
-
-    #[test]
-    fn with_features_swaps_matrix() {
-        let d = Dataset::regression("t", small_x(), vec![0.0; 4], vec![FeatureType::Numerical; 2])
-            .unwrap();
-        let nx = Matrix::zeros(4, 5);
-        let d2 = d.with_features(nx).unwrap();
-        assert_eq!(d2.n_features(), 5);
-        assert_eq!(d2.feature_types.len(), 5);
-        assert!(d.with_features(Matrix::zeros(3, 2)).is_err());
     }
 }

@@ -13,11 +13,12 @@
 //! single index array into the original storage, never a chain of
 //! indirections, so gather cost is independent of how the view was built.
 //!
-//! Gather traffic is tracked in process-global counters ([`stats`]) so the
-//! metrics registry can report `data.bytes_gathered` / `data.gathers_skipped`
-//! per run. Only feature-matrix row gathers count toward `bytes_gathered`;
-//! target-vector copies are excluded (they are two orders of magnitude
-//! smaller and would drown the signal the counter exists to expose).
+//! Gather traffic is tallied on the thread that does it ([`stats`]); the
+//! evaluator takes the tally of each trial it runs and sums those into the
+//! run's `data.bytes_gathered` / `data.gathers_skipped`. Only feature-matrix
+//! row gathers count toward `bytes_gathered`; target-vector copies are
+//! excluded (they are two orders of magnitude smaller and would drown the
+//! signal the counter exists to expose).
 
 use crate::dataset::{Dataset, FeatureType, Task};
 use std::borrow::Cow;
@@ -25,30 +26,29 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use volcanoml_linalg::Matrix;
 
-/// Process-global gather accounting, sampled (diffed against a run
-/// baseline) into the metrics registry as `data.bytes_gathered` and
-/// `data.gathers_skipped`.
+/// Per-thread gather accounting. Whoever wants a stretch of work counted
+/// calls [`stats::take`] before it (discarding what the thread did earlier)
+/// and again after it, on the same thread.
 pub mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    static BYTES_GATHERED: AtomicU64 = AtomicU64::new(0);
-    static GATHERS_SKIPPED: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        static BYTES_GATHERED: Cell<u64> = const { Cell::new(0) };
+        static GATHERS_SKIPPED: Cell<u64> = const { Cell::new(0) };
+    }
 
     pub(super) fn add_bytes(n: u64) {
-        BYTES_GATHERED.fetch_add(n, Ordering::Relaxed);
+        BYTES_GATHERED.with(|c| c.set(c.get() + n));
     }
 
     pub(super) fn add_skip() {
-        GATHERS_SKIPPED.fetch_add(1, Ordering::Relaxed);
+        GATHERS_SKIPPED.with(|c| c.set(c.get() + 1));
     }
 
-    /// `(bytes_gathered, gathers_skipped)` since process start. Diff two
-    /// snapshots to account a single run or test.
-    pub fn snapshot() -> (u64, u64) {
-        (
-            BYTES_GATHERED.load(Ordering::Relaxed),
-            GATHERS_SKIPPED.load(Ordering::Relaxed),
-        )
+    /// `(bytes_gathered, gathers_skipped)` tallied on this thread since the
+    /// last call; resets both to zero.
+    pub fn take() -> (u64, u64) {
+        (BYTES_GATHERED.take(), GATHERS_SKIPPED.take())
     }
 }
 
@@ -335,24 +335,24 @@ mod tests {
 
     #[test]
     fn gather_counters_track_copies_and_skips() {
-        // Counters are process-global; assert only deltas produced by this
-        // test's own calls, tolerating concurrent growth from other tests by
-        // checking lower bounds.
         let d = dataset(4);
-        let (bytes0, skips0) = stats::snapshot();
+        stats::take();
         let full = DatasetView::of(d);
         let _ = full.features();
-        let (_, skips1) = stats::snapshot();
-        assert!(skips1 > skips0, "full-view access must count a skip");
+        assert_eq!(stats::take(), (0, 1), "full-view access counts one skip");
         let sel = full.select(&[0, 2]);
         let x = sel.features();
-        let (bytes1, _) = stats::snapshot();
-        assert!(
-            bytes1 >= bytes0 + (2 * 2 * 8) as u64,
-            "index gather must count its bytes"
-        );
+        assert_eq!(stats::take(), (2 * 2 * 8, 0), "index gather counts its bytes");
         if let Cow::Owned(m) = x {
             recycle(m);
         }
+        // Another thread's gathers land in that thread's tally, not here.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _ = sel.features();
+                assert_eq!(stats::take(), (2 * 2 * 8, 0));
+            });
+        });
+        assert_eq!(stats::take(), (0, 0));
     }
 }

@@ -1080,6 +1080,52 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A crash can cut the file at any byte. Whatever the cut, resume either
+    /// refuses (a cut inside a multi-byte character is not UTF-8) or comes
+    /// back with a prefix of what was written — never a panic, never a row
+    /// that was not journaled — and leaves a file that resumes to itself.
+    #[test]
+    fn resume_of_every_byte_prefix_is_a_prefix_of_the_rows_or_an_error() {
+        let path = temp_path("prefixes");
+        let mut accented = record(2);
+        accented.arm = "fe:résumé=1".to_string();
+        let (trials, expansions) = {
+            let j = Journal::to_path(&path).unwrap();
+            j.record(record(0));
+            j.record(record(1));
+            j.record_expansion(expansion(1, 2));
+            j.record(accented);
+            (j.records(), j.expansions())
+        };
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 4);
+        let mut refused = 0;
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let Ok(j) = Journal::resume_from_path(&path) else {
+                refused += 1;
+                continue;
+            };
+            let (got_trials, got_expansions) = (j.records(), j.expansions());
+            assert_eq!(got_trials, trials[..got_trials.len()], "cut at byte {cut}");
+            assert_eq!(got_expansions, expansions[..got_expansions.len()], "cut at byte {cut}");
+            // Every newline-terminated row before the cut survives.
+            let complete = bytes[..cut].iter().filter(|&&b| b == b'\n').count();
+            assert!(got_trials.len() + got_expansions.len() >= complete, "cut at byte {cut}");
+            drop(j);
+            let repaired = std::fs::read(&path).unwrap();
+            let again = Journal::resume_from_path(&path).unwrap();
+            assert!(!again.skipped_torn_tail(), "cut at byte {cut}: repair left a torn tail");
+            assert_eq!(again.records(), got_trials, "cut at byte {cut}");
+            assert_eq!(again.expansions(), got_expansions, "cut at byte {cut}");
+            drop(again);
+            assert_eq!(std::fs::read(&path).unwrap(), repaired, "cut at byte {cut}: not a fixed point");
+        }
+        // Only the cuts inside the two `é`s (one byte each) are refused.
+        assert_eq!(refused, 2);
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn concurrent_recording_is_safe() {
         let j = std::sync::Arc::new(Journal::in_memory());

@@ -36,55 +36,64 @@
 use crate::parallel::parallel_map;
 use volcanoml_linalg::Matrix;
 
-/// Process-global counters over the binned-tree training path, sampled into
-/// the metrics registry at end of run. Relaxed atomics: the counts are
-/// best-effort telemetry, not synchronization.
+/// Per-thread tally of work on the binned-tree training path. The thread
+/// that does the work counts it; [`crate::parallel`] hands each scoped
+/// worker's tally back to the thread that spawned it, so after a fit the
+/// calling thread's tally covers the whole fit whatever its `n_jobs`.
+/// Whoever wants a stretch of work counted calls [`stats::take`] before it
+/// (discarding what the thread did earlier) and again after it.
 pub mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    /// Number of [`super::BinnedMatrix`] layouts built.
-    pub static MATRICES_BUILT: AtomicU64 = AtomicU64::new(0);
-    /// Total `rows * features` cells quantized across all layouts.
-    pub static CELLS_ENCODED: AtomicU64 = AtomicU64::new(0);
-    /// Number of per-node histogram fill passes during tree training.
-    pub static HIST_NODE_SCANS: AtomicU64 = AtomicU64::new(0);
-    /// Bin-code bytes read by histogram fill passes (`rows × candidate
-    /// features × code width` per pass) — the bandwidth the u8 layout halves.
-    pub static HIST_BYTES_SCANNED: AtomicU64 = AtomicU64::new(0);
-    /// Histogram arena slabs served from the thread-local pool instead of a
-    /// fresh allocation.
-    pub static ARENA_REUSES: AtomicU64 = AtomicU64::new(0);
-    /// Per-node histogram fills that split features across workers and
-    /// merged the partial arenas deterministically.
-    pub static FEATURE_PARALLEL_MERGES: AtomicU64 = AtomicU64::new(0);
-
-    /// Point-in-time values of every binned-path counter.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Snapshot {
-        /// [`MATRICES_BUILT`] at this instant.
+    /// Counts of binned-path work.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Tally {
+        /// Number of [`super::BinnedMatrix`] layouts built.
         pub matrices_built: u64,
-        /// [`CELLS_ENCODED`] at this instant.
+        /// Total `rows * features` cells quantized across all layouts.
         pub cells_encoded: u64,
-        /// [`HIST_NODE_SCANS`] at this instant.
+        /// Number of per-node histogram fill passes during tree training.
         pub hist_node_scans: u64,
-        /// [`HIST_BYTES_SCANNED`] at this instant.
+        /// Bin-code bytes read by histogram fill passes (`rows × candidate
+        /// features × code width` per pass) — the bandwidth the u8 layout
+        /// halves.
         pub hist_bytes_scanned: u64,
-        /// [`ARENA_REUSES`] at this instant.
+        /// Histogram arena slabs served from the thread-local pool instead
+        /// of a fresh allocation.
         pub arena_reuses: u64,
-        /// [`FEATURE_PARALLEL_MERGES`] at this instant.
+        /// Per-node histogram fills that split features across workers and
+        /// merged the partial arenas deterministically.
         pub feature_parallel_merges: u64,
     }
 
-    /// All binned-path counters at this instant.
-    pub fn snapshot() -> Snapshot {
-        Snapshot {
-            matrices_built: MATRICES_BUILT.load(Ordering::Relaxed),
-            cells_encoded: CELLS_ENCODED.load(Ordering::Relaxed),
-            hist_node_scans: HIST_NODE_SCANS.load(Ordering::Relaxed),
-            hist_bytes_scanned: HIST_BYTES_SCANNED.load(Ordering::Relaxed),
-            arena_reuses: ARENA_REUSES.load(Ordering::Relaxed),
-            feature_parallel_merges: FEATURE_PARALLEL_MERGES.load(Ordering::Relaxed),
+    impl Tally {
+        /// Adds `other` to `self`, counter by counter.
+        pub fn add(&mut self, other: &Tally) {
+            self.matrices_built += other.matrices_built;
+            self.cells_encoded += other.cells_encoded;
+            self.hist_node_scans += other.hist_node_scans;
+            self.hist_bytes_scanned += other.hist_bytes_scanned;
+            self.arena_reuses += other.arena_reuses;
+            self.feature_parallel_merges += other.feature_parallel_merges;
         }
+    }
+
+    thread_local! {
+        static TALLY: Cell<Tally> = Cell::new(Tally::default());
+    }
+
+    /// Updates this thread's tally.
+    pub(crate) fn bump(update: impl FnOnce(&mut Tally)) {
+        TALLY.with(|cell| {
+            let mut tally = cell.get();
+            update(&mut tally);
+            cell.set(tally);
+        });
+    }
+
+    /// This thread's tally since the last call; resets it to zero.
+    pub fn take() -> Tally {
+        TALLY.take()
     }
 }
 
@@ -233,8 +242,10 @@ fn bin_all<C: BinCode>(
 impl BinnedMatrix {
     fn build(x: &Matrix, max_bins: usize, n_jobs: usize, force_u16: bool) -> BinnedMatrix {
         let (n, d) = (x.rows(), x.cols());
-        stats::MATRICES_BUILT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        stats::CELLS_ENCODED.fetch_add((n * d) as u64, std::sync::atomic::Ordering::Relaxed);
+        stats::bump(|t| {
+            t.matrices_built += 1;
+            t.cells_encoded += (n * d) as u64;
+        });
         let max_bins = max_bins.clamp(2, u16::MAX as usize + 1);
         let (codes, cut_values, cut_offsets, bin_offsets) =
             if max_bins <= u8::MAX as usize + 1 && !force_u16 {
@@ -454,18 +465,16 @@ mod tests {
     fn parallel_binning_keeps_cells_encoded_exact() {
         let x = matrix_from_cols(&[(0..50).map(|i| i as f64).collect(), vec![1.0; 50]]);
         let serial = BinnedMatrix::from_matrix_jobs(&x, 8, 1);
-        let before = stats::snapshot();
+        stats::take();
         let par = BinnedMatrix::from_matrix_jobs(&x, 8, 4);
-        let after = stats::snapshot();
+        let tally = stats::take();
         // Every cell is encoded exactly once whatever the job count.
         assert_eq!(par.n_rows() * par.n_features(), 100);
         for f in 0..x.cols() {
             assert_eq!(column(&serial, f), column(&par, f), "feature {f}");
         }
-        // The counters are process-global and sibling tests bin concurrently,
-        // so the delta around the call is only a lower bound.
-        assert!(after.cells_encoded - before.cells_encoded >= 100);
-        assert!(after.matrices_built - before.matrices_built >= 1);
+        assert_eq!(tally.cells_encoded, 100);
+        assert_eq!(tally.matrices_built, 1);
     }
 
     #[test]

@@ -8,42 +8,23 @@
 //! `n_jobs`, including 1.
 //!
 //! The requested job count is a *ceiling*, not a promise: it is clamped to
-//! the machine's available hardware parallelism (overridable through the
-//! `VOLCANOML_CPUS` env var) before any thread is spawned. On a 1-CPU box a
-//! `n_jobs = 4` forest therefore takes the plain serial path — scoped-thread
-//! spawns cost real time and buy nothing without cores to run on (a 4-job fit
-//! once measured 0.97× of serial there).
+//! the machine's available hardware parallelism before any thread is
+//! spawned. On a 1-CPU box a `n_jobs = 4` forest therefore takes the plain
+//! serial path — scoped-thread spawns cost real time and buy nothing without
+//! cores to run on (a 4-job fit once measured 0.97× of serial there).
+//!
+//! Work counters follow the work: each scoped worker hands its
+//! [`binned::stats`](crate::binned::stats) tally back when it is joined, so
+//! the calling thread's tally reads the same at any job count.
 
+use crate::binned::stats;
 use std::sync::OnceLock;
 
-/// Process-global counters over the parallel execution path. Relaxed
-/// atomics: best-effort telemetry, also used by tests to assert that the
-/// serial fast path really spawns nothing.
-pub mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Scoped worker threads spawned by [`super::parallel_map`] so far.
-    pub static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
-
-    /// Threads spawned since process start.
-    pub fn threads_spawned() -> u64 {
-        THREADS_SPAWNED.load(Ordering::Relaxed)
-    }
-}
-
-/// Hardware parallelism cap: `VOLCANOML_CPUS` if set (useful for benches and
-/// tests), otherwise [`std::thread::available_parallelism`]. Cached after the
-/// first call.
+/// Hardware parallelism cap: [`std::thread::available_parallelism`], cached
+/// after the first call.
 pub fn hardware_parallelism() -> usize {
     static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        if let Ok(v) = std::env::var("VOLCANOML_CPUS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    })
+    *CAP.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Effective worker count for `n` items under `n_jobs` requested and `hw`
@@ -84,14 +65,24 @@ where
     let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     std::thread::scope(|scope| {
-        for (ci, slots) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            stats::THREADS_SPAWNED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            scope.spawn(move || {
-                for (j, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(f(ci * chunk + j));
-                }
-            });
+        let workers: Vec<_> = out
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(ci, slots)| {
+                let f = &f;
+                scope.spawn(move || {
+                    for (j, slot) in slots.iter_mut().enumerate() {
+                        *slot = Some(f(ci * chunk + j));
+                    }
+                    stats::take()
+                })
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(tally) => stats::bump(|mine| mine.add(&tally)),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
     });
     out.into_iter()
@@ -131,10 +122,6 @@ mod tests {
         assert_eq!(cap_jobs(3, 0, 8), 1);
     }
 
-    // THREADS_SPAWNED is process-global and sibling tests spawn
-    // concurrently, so these tests assert where the items of *their* call
-    // ran; the counter delta around a call is only a lower bound.
-
     #[test]
     fn serial_path_spawns_zero_threads() {
         // n_jobs = 1: serial regardless of the machine.
@@ -155,14 +142,47 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_counts_spawns() {
+    fn parallel_path_runs_items_on_spawned_workers() {
         let me = std::thread::current().id();
-        let before = stats::threads_spawned();
         let ids = parallel_map_capped(2, 8, 4, |_| std::thread::current().id());
         assert_eq!(ids.len(), 8);
         assert!(ids.iter().all(|id| *id != me), "items must run on spawned workers");
         let distinct: std::collections::HashSet<_> = ids.iter().collect();
         assert!(distinct.len() <= 2, "2 jobs ran on {} threads", distinct.len());
-        assert!(stats::threads_spawned() >= before + 2);
+    }
+
+    #[test]
+    fn workers_hand_their_tally_back_to_the_caller() {
+        stats::take();
+        parallel_map_capped(2, 8, 4, |_| stats::bump(|t| t.hist_node_scans += 1));
+        assert_eq!(stats::take().hist_node_scans, 8);
+        // Serial path: the items ran here, so they tallied here.
+        parallel_map_capped(1, 8, 4, |_| stats::bump(|t| t.hist_node_scans += 1));
+        assert_eq!(stats::take().hist_node_scans, 8);
+    }
+
+    #[test]
+    fn forest_fit_tallies_the_same_work_at_any_job_count() {
+        use crate::forest::{ForestClassifier, ForestConfig};
+        use crate::tree::SplitStrategy;
+        use crate::Estimator;
+        let d = volcanoml_data::synthetic::make_xor(300, 4, 2, 0.05, 5);
+        let tally = |n_jobs: usize| {
+            let mut cfg = ForestConfig::random_forest();
+            cfg.n_estimators = 6;
+            cfg.split_strategy = SplitStrategy::Histogram;
+            cfg.n_jobs = n_jobs;
+            stats::take();
+            ForestClassifier::new(cfg).fit(&d.x, &d.y).unwrap();
+            stats::take()
+        };
+        // `parallel_map` clamps to the machine, so on one core both fits are
+        // serial; with two or more the second really spawns.
+        let (one, two) = (tally(1), tally(2));
+        assert!(one.cells_encoded > 0 && one.hist_bytes_scanned > 0, "{one:?}");
+        assert_eq!(one.matrices_built, two.matrices_built);
+        assert_eq!(one.cells_encoded, two.cells_encoded);
+        assert_eq!(one.hist_node_scans, two.hist_node_scans);
+        assert_eq!(one.hist_bytes_scanned, two.hist_bytes_scanned);
     }
 }

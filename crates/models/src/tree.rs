@@ -702,7 +702,7 @@ fn take_slab(len: usize) -> Vec<f64> {
     let pooled = SLAB_POOL.with(|p| p.borrow_mut().pop());
     match pooled {
         Some(mut slab) => {
-            crate::binned::stats::ARENA_REUSES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            crate::binned::stats::bump(|t| t.arena_reuses += 1);
             // Pooled slabs are all-zero (the `put_slab` invariant), so no
             // clearing pass: shrinking truncates a zeroed prefix, growing
             // appends zeros. This is where deep trees win — a full memset
@@ -1191,10 +1191,10 @@ impl<C: BinCode> HistBuilder<'_, C> {
     /// offsets). Also charges the bandwidth counters: each fill reads
     /// `rows × features × C::BYTES` of bin codes.
     fn build_hists(&mut self, start: usize, end: usize, features: &[usize]) -> Vec<f64> {
-        use std::sync::atomic::Ordering::Relaxed;
-        crate::binned::stats::HIST_NODE_SCANS.fetch_add(1, Relaxed);
-        crate::binned::stats::HIST_BYTES_SCANNED
-            .fetch_add(((end - start) * features.len() * C::BYTES) as u64, Relaxed);
+        crate::binned::stats::bump(|t| {
+            t.hist_node_scans += 1;
+            t.hist_bytes_scanned += ((end - start) * features.len() * C::BYTES) as u64;
+        });
         self.tracked = Tracked::None;
         if self.config.hist_kernel == HistKernel::PerNode {
             return self.build_hists_per_node(start, end, features);
@@ -1640,8 +1640,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
 /// the merge is a positional copy, so the result is bitwise identical to
 /// [`FillCtx::fill`] for any job count.
 fn fill_parallel<C: BinCode>(ctx: &FillCtx<'_, C>, features: &[usize], slab: &mut [f64], jobs: usize) {
-    crate::binned::stats::FEATURE_PARALLEL_MERGES
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    crate::binned::stats::bump(|t| t.feature_parallel_merges += 1);
     let jobs = jobs.min(features.len());
     let chunk = features.len().div_ceil(jobs);
     let n_chunks = features.len().div_ceil(chunk);
@@ -2130,25 +2129,43 @@ mod tests {
         let d = make_xor(1400, 8, 4, 0.05, 21);
         let cfg = TreeConfig::classification();
         let bm = BinnedMatrix::from_matrix(&d.x, cfg.max_bins);
+        crate::binned::stats::take();
         let serial = Tree::fit_binned(&bm, &d.y, None, 2, &cfg).unwrap();
+        let serial_tally = crate::binned::stats::take();
+        assert_eq!(serial_tally.feature_parallel_merges, 0);
+        let mut merges = Vec::new();
         for jobs in [2, 3, 8] {
-            let before = crate::binned::stats::snapshot().feature_parallel_merges;
             let mut par_cfg = cfg.clone();
             par_cfg.hist_n_jobs = jobs;
             let par = Tree::fit_binned(&bm, &d.y, None, 2, &par_cfg).unwrap();
             assert_trees_identical(&par, &serial, &d.x, "feature-parallel vs serial");
-            let after = crate::binned::stats::snapshot().feature_parallel_merges;
-            assert!(after > before, "jobs={jobs}: parallel fill never ran");
+            let tally = crate::binned::stats::take();
+            assert_eq!(tally.hist_node_scans, serial_tally.hist_node_scans, "jobs={jobs}");
+            assert_eq!(tally.hist_bytes_scanned, serial_tally.hist_bytes_scanned, "jobs={jobs}");
+            merges.push(tally.feature_parallel_merges);
         }
+        // Which nodes clear the threshold is a property of the tree, not of
+        // the job count.
+        assert!(merges[0] > 0, "parallel fill never ran");
+        assert!(merges.iter().all(|&m| m == merges[0]), "{merges:?}");
     }
 
     #[test]
     fn arena_pool_is_reused_within_a_tree() {
         let d = make_xor(600, 4, 4, 0.05, 3);
         let bm = BinnedMatrix::from_matrix(&d.x, 255);
-        let before = crate::binned::stats::snapshot().arena_reuses;
-        let _ = Tree::fit_binned(&bm, &d.y, None, 2, &TreeConfig::classification()).unwrap();
-        let after = crate::binned::stats::snapshot().arena_reuses;
-        assert!(after > before, "deep fit must recycle slabs");
+        let fit = || {
+            crate::binned::stats::take();
+            let _ = Tree::fit_binned(&bm, &d.y, None, 2, &TreeConfig::classification()).unwrap();
+            crate::binned::stats::take()
+        };
+        // This test's thread starts with an empty pool: the first fit
+        // allocates as many slabs as are ever live at once and recycles the
+        // rest; the second finds the pool warm and allocates nothing.
+        let cold = fit();
+        assert!(cold.arena_reuses > 0 && cold.arena_reuses < cold.hist_node_scans, "{cold:?}");
+        let warm = fit();
+        assert_eq!(warm.hist_node_scans, cold.hist_node_scans);
+        assert_eq!(warm.arena_reuses, warm.hist_node_scans, "a warm pool serves every node");
     }
 }

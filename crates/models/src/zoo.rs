@@ -763,6 +763,35 @@ mod tests {
         }
     }
 
+    /// Degenerate training sets — no rows, a handful of rows, one class —
+    /// reach the zoo whenever a low fidelity or a rare class meets a small
+    /// dataset. Every algorithm must answer with a typed error or a model
+    /// whose predictions are finite; a panic or a NaN is neither.
+    #[test]
+    fn every_algorithm_survives_tiny_training_sets() {
+        for task in [Task::Classification, Task::Regression] {
+            for kind in AlgorithmKind::for_task(task) {
+                for n in 0..=3usize {
+                    for single_valued in [false, true] {
+                        let cells = (0..2 * n).map(|v| (v * v) as f64 * 0.5 - 1.0).collect();
+                        let x = Matrix::from_vec(n, 2, cells).unwrap();
+                        let y: Vec<f64> = (0..n)
+                            .map(|i| if single_valued { 1.0 } else { (i % 2) as f64 })
+                            .collect();
+                        let case = format!("{} n={n} single_valued={single_valued}", kind.name());
+                        let mut model = kind.build_default(0);
+                        let fitted: Result<()> = model.fit(&x, &y);
+                        if fitted.is_ok() {
+                            let preds = model.predict(&x).unwrap_or_else(|e| panic!("{case}: {e}"));
+                            assert_eq!(preds.len(), n, "{case}");
+                            assert!(preds.iter().all(|p| p.is_finite()), "{case}: {preds:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn build_respects_custom_params() {
         let mut values = HashMap::new();

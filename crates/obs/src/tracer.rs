@@ -35,10 +35,10 @@
 //! appended under one mutex as a single `writeln!`, so concurrent writers
 //! can never tear or interleave lines.
 //!
-//! The zero-copy dataset-view refactor added in-memory gather counters
-//! (`data.bytes_gathered`/`data.gathers_skipped` in the metrics snapshot)
-//! but changed nothing in this span schema: trace files are byte-identical
-//! before and after.
+//! Work counters (`data.*`, `binned.*` in the metrics snapshot) use the
+//! same thread-local idiom as the span stack — the thread that does the
+//! work tallies it, the trial that ran there takes the tally — and appear
+//! nowhere in this span schema.
 
 use crate::json::{escape, num};
 use std::cell::RefCell;

@@ -153,32 +153,6 @@ impl Server {
         self.addr
     }
 
-    /// Blocks until every registered study has reached a terminal state.
-    pub fn join_studies(&self) {
-        loop {
-            let studies: Vec<Arc<Study>> = {
-                let map = self.inner.studies.lock().expect("studies lock");
-                map.values().cloned().collect()
-            };
-            for s in &studies {
-                s.join();
-            }
-            // New studies may have been POSTed while joining; go again until
-            // a pass finds nothing running.
-            let all_terminal = {
-                let map = self.inner.studies.lock().expect("studies lock");
-                map.values().all(|s| s.status() != StudyStatus::Running)
-            };
-            if all_terminal {
-                return;
-            }
-            // A study can be Running with its join handle not yet stored
-            // (the window inside spawn_driver), making the joins above
-            // no-ops; sleep instead of spinning hot until it appears.
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-    }
-
     /// Stops accepting connections, cancels running studies, and joins all
     /// threads. Already-terminal studies keep their results.
     pub fn shutdown(mut self) {

@@ -4,6 +4,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== no mutable process-global state =="
+# Counters belong to the run: a `static` atomic or lock is read by every
+# study in the process. The thread-locals and the one immutable `OnceLock`
+# (the CPU count) do not match this pattern.
+if grep -rnE 'static +(mut +)?[A-Z_]+ *: *(Atomic|Mutex|RwLock)' crates/*/src; then
+    echo "process-global mutable static found (see above)"
+    exit 1
+fi
+
 echo "== cargo build (release) =="
 cargo build --release --workspace --offline
 

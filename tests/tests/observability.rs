@@ -34,6 +34,8 @@ struct RunArtifacts {
     metrics: String,
     cache_hits: u64,
     cache_misses: u64,
+    bytes_gathered: u64,
+    gathers_skipped: u64,
 }
 
 /// Runs one traced search and reads back the three files.
@@ -65,6 +67,8 @@ fn traced_run(n_workers: usize, seed: u64) -> RunArtifacts {
         metrics: std::fs::read_to_string(&metrics_path).unwrap(),
         cache_hits: fitted.report.cache_hits,
         cache_misses: fitted.report.cache_misses,
+        bytes_gathered: fitted.report.bytes_gathered,
+        gathers_skipped: fitted.report.gathers_skipped,
     };
     std::fs::remove_file(&journal_path).ok();
     std::fs::remove_file(&trace_path).ok();
@@ -134,7 +138,13 @@ fn metrics_snapshot_has_nonzero_cache_and_worker_figures() {
         run.cache_hits + run.cache_misses,
     );
     assert!(counter("trial.total") > 0);
-    assert!(counter("binned.matrices_built") >= 0);
+    // Work counters are the run's own: the snapshot and the report read the
+    // same per-trial sums, and the binned family is published even when no
+    // tree was trained (`counter` panics on a missing name).
+    assert_eq!(counter("data.bytes_gathered") as u64, run.bytes_gathered);
+    assert_eq!(counter("data.gathers_skipped") as u64, run.gathers_skipped);
+    assert!(run.gathers_skipped > 0, "full-view borrows must be counted");
+    counter("binned.matrices_built");
 
     // Worker utilization: at least one worker accumulated busy time.
     let busy: f64 = gauges

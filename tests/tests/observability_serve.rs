@@ -1,12 +1,13 @@
 //! End-to-end tests for the live observability plane: the Prometheus
-//! `/metrics` scrape while two tenants run concurrently, and the
+//! `/metrics` scrape while two tenants run concurrently, the
 //! `/studies/:id/events` SSE stream with duplicate-free `Last-Event-ID`
-//! resume across a reconnect.
+//! resume across a reconnect, and per-tenant work counters that stay exact
+//! while tenants share one worker.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use volcanoml_serve::{ServeConfig, Server};
@@ -425,4 +426,65 @@ fn event_stream_resumes_without_duplicates_across_reconnect() {
     }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The schedule-independent work counters from a finished study's
+/// `metrics.json` (`binned.arena_reuses` depends on what the shared worker's
+/// slab pool held, i.e. on the other tenant, and is left out).
+fn study_work_counters(serve_dir: &Path, id: &str) -> Vec<u64> {
+    use volcanoml_obs::json::{parse_object, JsonValue};
+    let text = std::fs::read_to_string(serve_dir.join(id).join("metrics.json")).unwrap();
+    let snapshot = parse_object(&text).unwrap();
+    let counters = snapshot.get("counters").and_then(JsonValue::as_obj).unwrap();
+    [
+        "binned.matrices_built",
+        "binned.cells_encoded",
+        "binned.hist_node_scans",
+        "binned.hist_bytes_scanned",
+        "data.bytes_gathered",
+        "data.gathers_skipped",
+    ]
+    .iter()
+    .map(|name| counters[*name].as_i64().unwrap() as u64)
+    .collect()
+}
+
+/// Runs the named studies (identical but for the name) to completion on a
+/// one-worker server — fair share is then always 1, so every study pulls
+/// the same trial sequence however many tenants there are — and returns
+/// each study's work counters.
+fn run_tenants(names: &[&str]) -> Vec<Vec<u64>> {
+    let dir = tmp_dir(&format!("tenants{}", names.len()));
+    let server = Server::start(ServeConfig {
+        dir: dir.clone(),
+        workers: 1,
+        port: 0,
+        resume: false,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    for name in names {
+        let spec = format!(
+            r#"{{"name":"{name}","dataset":"classification","engine":"bo","max_evaluations":16,"seed":5}}"#
+        );
+        let (code, body) = request(addr, "POST", "/studies", &spec);
+        assert_eq!(code, 201, "{body}");
+    }
+    for name in names {
+        wait_for_status(addr, name, "done", Duration::from_secs(120));
+    }
+    let counters = names.iter().map(|name| study_work_counters(&dir, name)).collect();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    counters
+}
+
+#[test]
+fn two_tenants_sharing_a_worker_each_report_only_their_own_work() {
+    let solo = run_tenants(&["solo"]).remove(0);
+    assert!(solo[1] > 0 && solo[3] > 0, "study trained no binned trees: {solo:?}");
+    for (tenant, counters) in ["a", "b"].iter().zip(run_tenants(&["a", "b"])) {
+        assert_eq!(counters, solo, "tenant {tenant} read someone else's work");
+    }
 }

@@ -1,20 +1,17 @@
 //! Gather-counter assertions for the zero-copy dataset-view trial path.
 //!
-//! `volcanoml_data::view::stats` counters are process-global, so every test
-//! here serializes on one mutex and asserts *deltas* across its own
-//! critical section. Keeping these tests in their own binary (their own
-//! process) prevents interference from the rest of the suite.
+//! Every evaluator sums the gather tallies of its own trials, so each test
+//! reads exact byte counts off its own evaluator whatever runs beside it.
 
-use std::sync::Mutex;
 use volcanoml_core::{Evaluator, SpaceDef, SpaceTier, ValidationStrategy};
 use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
 use volcanoml_data::view::stats;
 use volcanoml_data::{Dataset, Metric, Task};
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// `(bytes_gathered, gathers_skipped)` over all of `ev`'s trials so far.
+fn gathered(ev: &Evaluator) -> (u64, u64) {
+    let c = ev.run_counters();
+    (c.bytes_gathered, c.gathers_skipped)
 }
 
 fn dataset() -> Dataset {
@@ -39,11 +36,10 @@ fn dataset() -> Dataset {
 /// shared storage.
 #[test]
 fn cv_setup_performs_no_row_gathers() {
-    let _g = lock();
     let data = dataset();
     let space = SpaceDef::tiered(Task::Classification, SpaceTier::Small);
-    let (bytes0, skips0) = stats::snapshot();
-    let _ev = Evaluator::with_strategy(
+    stats::take();
+    let ev = Evaluator::with_strategy(
         space,
         &data,
         Metric::BalancedAccuracy,
@@ -51,9 +47,9 @@ fn cv_setup_performs_no_row_gathers() {
         0,
     )
     .unwrap();
-    let (bytes1, skips1) = stats::snapshot();
-    assert_eq!(bytes1 - bytes0, 0, "CV setup gathered rows");
-    assert_eq!(skips1 - skips0, 0, "CV setup touched view features");
+    // Setup runs on this thread, outside any trial: read the thread's tally.
+    assert_eq!(stats::take(), (0, 0), "CV setup gathered rows or touched view features");
+    assert_eq!(gathered(&ev), (0, 0));
 }
 
 /// Acceptance check: a full-fidelity holdout trial whose FE-cache entry is
@@ -61,72 +57,60 @@ fn cv_setup_performs_no_row_gathers() {
 /// the *cold* full-fidelity trial borrows rather than gathers.)
 #[test]
 fn warm_fe_full_fidelity_holdout_copies_zero_bytes() {
-    let _g = lock();
     let data = dataset();
     let space = SpaceDef::tiered(Task::Classification, SpaceTier::Small);
     let ev = Evaluator::new(space, &data, Metric::BalancedAccuracy, 0).unwrap();
     let defaults = ev.space().defaults();
 
     // Cold full-fidelity trial: full views borrow — still zero bytes.
-    let (bytes0, _) = stats::snapshot();
     let cold = ev.evaluate(&defaults, 1.0);
-    let (bytes1, skips1) = stats::snapshot();
+    let (bytes1, skips1) = gathered(&ev);
     assert!(!cold.fe_cached && !cold.cached);
-    assert_eq!(bytes1 - bytes0, 0, "cold full-fidelity holdout gathered");
-    assert!(skips1 > 0, "full-view borrows should count skipped gathers");
+    assert_eq!(bytes1, 0, "cold full-fidelity holdout gathered");
+    // One borrow of the train view, one of the validation view.
+    assert_eq!(skips1, 2, "full-view borrows should count skipped gathers");
 
     // Warm-FE trial (different algorithm, same FE sub-assignment): the FE
     // cache hit means no view access at all — zero bytes, zero gathers.
     let mut other = defaults.clone();
     other.insert("algorithm".to_string(), 1.0);
-    let (bytes2, _) = stats::snapshot();
     let warm = ev.evaluate(&other, 1.0);
-    let (bytes3, _) = stats::snapshot();
     assert!(warm.fe_cached, "second trial should hit the FE cache");
-    assert_eq!(bytes3 - bytes2, 0, "warm-FE trial gathered rows");
+    assert_eq!(gathered(&ev), (0, 2), "warm-FE trial touched the views");
 }
 
 /// Sub-full fidelities are index views: they gather (once, on FE miss) and
 /// the gathered byte count matches rows × cols × 8.
 #[test]
 fn subsampled_trials_gather_exactly_once_per_fe_miss() {
-    let _g = lock();
     let data = dataset();
     let space = SpaceDef::tiered(Task::Classification, SpaceTier::Small);
     let ev = Evaluator::new(space, &data, Metric::BalancedAccuracy, 0).unwrap();
     let defaults = ev.space().defaults();
 
-    let (bytes0, _) = stats::snapshot();
     let out = ev.evaluate(&defaults, 0.5);
-    let (bytes1, _) = stats::snapshot();
     assert!(out.loss.is_finite());
-    let gathered = bytes1 - bytes0;
-    assert!(gathered > 0, "sub-fidelity trial must gather its subset");
     // 240 samples × 0.75 train split × 0.5 fidelity = 90 rows, 8 features.
-    assert_eq!(gathered, 90 * 8 * 8, "unexpected gather volume");
+    let cold = gathered(&ev);
+    assert_eq!(cold.0, 90 * 8 * 8, "unexpected gather volume");
 
     // Result-cache hit: zero additional bytes.
-    let (bytes2, _) = stats::snapshot();
     let repeat = ev.evaluate(&defaults, 0.5);
-    let (bytes3, _) = stats::snapshot();
     assert!(repeat.cached);
-    assert_eq!(bytes3 - bytes2, 0, "result-cache hit gathered rows");
+    assert_eq!(gathered(&ev), cold, "result-cache hit touched the views");
 
     // FE-cache hit at the same fidelity: zero additional bytes.
     let mut other = defaults.clone();
     other.insert("algorithm".to_string(), 1.0);
-    let (bytes4, _) = stats::snapshot();
     let warm = ev.evaluate(&other, 0.5);
-    let (bytes5, _) = stats::snapshot();
     assert!(warm.fe_cached);
-    assert_eq!(bytes5 - bytes4, 0, "warm-FE sub-fidelity trial gathered");
+    assert_eq!(gathered(&ev), cold, "warm-FE sub-fidelity trial touched the views");
 }
 
 /// CV evaluation gathers each fold's train/valid subsets on the cold pass
 /// and nothing once the FE cache is warm.
 #[test]
 fn cv_trials_stop_gathering_once_fe_cache_is_warm() {
-    let _g = lock();
     let data = dataset();
     let space = SpaceDef::tiered(Task::Classification, SpaceTier::Small);
     let ev = Evaluator::with_strategy(
@@ -139,18 +123,14 @@ fn cv_trials_stop_gathering_once_fe_cache_is_warm() {
     .unwrap();
     let defaults = ev.space().defaults();
 
-    let (bytes0, _) = stats::snapshot();
     let cold = ev.evaluate(&defaults, 1.0);
-    let (bytes1, _) = stats::snapshot();
     assert!(cold.loss.is_finite());
     // 3 folds × (train 160 + valid 80 rows) × 8 features × 8 bytes.
-    assert_eq!(bytes1 - bytes0, 3 * 240 * 8 * 8, "unexpected CV gather volume");
+    assert_eq!(gathered(&ev), (3 * 240 * 8 * 8, 0), "unexpected CV gather volume");
 
     let mut other = defaults.clone();
     other.insert("algorithm".to_string(), 1.0);
-    let (bytes2, _) = stats::snapshot();
     let warm = ev.evaluate(&other, 1.0);
-    let (bytes3, _) = stats::snapshot();
     assert!(warm.fe_cached, "CV folds should all hit the FE cache");
-    assert_eq!(bytes3 - bytes2, 0, "warm-FE CV trial gathered rows");
+    assert_eq!(gathered(&ev), (3 * 240 * 8 * 8, 0), "warm-FE CV trial gathered rows");
 }
