@@ -62,7 +62,7 @@ fn objective(space: &ConfigSpace, c: &Configuration) -> (f64, f64) {
 fn cost_to_target(opt: &mut Smac, target: f64, max_n: usize) -> (f64, usize) {
     let mut total = 0.0;
     for n in 1..=max_n {
-        let (cfg, fidelity) = opt.suggest();
+        let (cfg, fidelity, _) = opt.suggest();
         let (loss, cost) = objective(opt.space(), &cfg);
         total += cost;
         opt.observe(cfg, fidelity, loss, cost);

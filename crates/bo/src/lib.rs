@@ -21,7 +21,7 @@ pub mod surrogate;
 pub use cost::CostModel;
 pub use history::{Observation, RunHistory};
 pub use multifidelity::BracketEngine;
-pub use optimizer::{RandomSearch, Smac, Suggest};
+pub use optimizer::{RandomSearch, Smac, Suggest, Suggestion, TrialTag};
 pub use space::{Condition, ConfigSpace, Configuration, Domain, Hyperparameter};
 
 /// Errors produced by the optimization substrate.

@@ -14,7 +14,7 @@
 
 use crate::acquisition::expected_improvement;
 use crate::history::{Observation, RunHistory};
-use crate::optimizer::Suggest;
+use crate::optimizer::{Suggest, Suggestion, TrialTag};
 use crate::space::{ConfigSpace, Configuration};
 use crate::surrogate::RandomForestSurrogate;
 use rand::rngs::StdRng;
@@ -160,22 +160,26 @@ impl Bracket {
     }
 
     /// Pops the next unit of work: the most-advanced promotion available,
-    /// else a fresh rung-0 configuration. Returns `(config, fidelity)`;
-    /// `None` when every remaining step awaits an in-flight observation.
-    fn next(&mut self) -> Option<(Configuration, f64)> {
-        for r in (0..self.rungs.len().saturating_sub(1)).rev() {
-            if let Some(i) = self.promotable(r) {
+    /// else a fresh rung-0 configuration — tagged with the rung (in the
+    /// engine's full ladder) and this bracket's id. `None` when every
+    /// remaining step awaits an in-flight observation.
+    fn next(&mut self) -> Option<Suggestion> {
+        let promotion = (0..self.rungs.len().saturating_sub(1))
+            .rev()
+            .find_map(|r| Some((r, self.promotable(r)?)));
+        let (config, r) = match promotion {
+            Some((r, i)) => {
                 self.results[r][i].promoted = true;
-                let config = self.results[r][i].config.clone();
-                self.in_flight.push((config.clone(), r + 1));
-                return Some((config, self.rungs[r + 1]));
+                (self.results[r][i].config.clone(), r + 1)
             }
-        }
-        if let Some(config) = self.queue.pop() {
-            self.in_flight.push((config.clone(), 0));
-            return Some((config, self.rungs[0]));
-        }
-        None
+            None => (self.queue.pop()?, 0),
+        };
+        self.in_flight.push((config.clone(), r));
+        let tag = TrialTag {
+            rung: (self.rung_offset + r) as i64,
+            bracket: self.id as i64,
+        };
+        Some((config, self.rungs[r], tag))
     }
 
     /// Files an observation for an in-flight entry matching `(config,
@@ -200,15 +204,6 @@ impl Bracket {
             }
             None => false,
         }
-    }
-
-    /// Rung (in the engine's full ladder) of an in-flight `(config,
-    /// fidelity)` entry.
-    fn in_flight_rung(&self, config: &Configuration, fidelity: f64) -> Option<usize> {
-        self.in_flight
-            .iter()
-            .find(|(c, r)| c == config && (self.rungs[*r] - fidelity).abs() < 1e-9)
-            .map(|(_, r)| self.rung_offset + r)
     }
 
     /// Remaps every stored configuration (queue, in-flight, rung results)
@@ -259,13 +254,8 @@ impl BracketScheduler {
     }
 
     /// Next unit of work from the oldest bracket able to supply one.
-    fn next(&mut self) -> Option<(Configuration, f64)> {
-        for bracket in &mut self.brackets {
-            if let Some(pick) = bracket.next() {
-                return Some(pick);
-            }
-        }
-        None
+    fn next(&mut self) -> Option<Suggestion> {
+        self.brackets.iter_mut().find_map(Bracket::next)
     }
 
     /// Routes an observation to its issuing bracket. `false` when no active
@@ -280,13 +270,6 @@ impl BracketScheduler {
         }
         self.brackets.retain(|b| !b.done());
         matched
-    }
-
-    /// `(rung, bracket id)` of an in-flight suggestion.
-    fn meta(&self, config: &Configuration, fidelity: f64) -> Option<(usize, u64)> {
-        self.brackets
-            .iter()
-            .find_map(|b| b.in_flight_rung(config, fidelity).map(|r| (r, b.id)))
     }
 
     /// Remaps every active bracket's configurations into the grown space.
@@ -657,7 +640,7 @@ impl Suggest for BracketEngine {
     /// Fills all `k` slots from the bracket set, opening the next bracket
     /// early when the active ones cannot supply more work — never a random
     /// full-fidelity draw.
-    fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {
+    fn suggest_batch(&mut self, k: usize) -> Vec<Suggestion> {
         let mut out = Vec::with_capacity(k);
         while out.len() < k {
             match self.sched.next() {
@@ -677,10 +660,6 @@ impl Suggest for BracketEngine {
             cost,
             fidelity,
         });
-    }
-
-    fn in_flight_meta(&self, config: &Configuration, fidelity: f64) -> Option<(usize, u64)> {
-        self.sched.meta(config, fidelity)
     }
 
     fn capture_scheduler_state(&self, path: &str, out: &mut Vec<String>) {
@@ -739,7 +718,7 @@ mod tests {
 
     fn drive<S: Suggest>(opt: &mut S, n: usize) {
         for _ in 0..n {
-            let (cfg, f) = opt.suggest();
+            let (cfg, f, _) = opt.suggest();
             let loss = objective(&cfg, f);
             opt.observe(cfg, f, loss, f);
         }
@@ -751,7 +730,7 @@ mod tests {
         for _ in 0..rounds {
             let batch = opt.suggest_batch(k);
             assert_eq!(batch.len(), k, "suggest_batch must fill every slot");
-            for (cfg, f) in batch {
+            for (cfg, f, _) in batch {
                 let loss = objective(&cfg, f);
                 opt.observe(cfg, f, loss, f);
             }
@@ -841,7 +820,7 @@ mod tests {
         // never panics over a long run.
         let mut sh = BracketEngine::successive_halving(space_1d(), 5, 0.25, 2, 1);
         for _ in 0..100 {
-            let (cfg, f) = sh.suggest();
+            let (cfg, f, _) = sh.suggest();
             assert!(f > 0.0 && f <= 1.0);
             sh.observe(cfg, f, 0.5, f);
         }
@@ -867,14 +846,14 @@ mod tests {
         }
         assert_eq!(picks.len(), 4);
         assert!(!b.done(), "in-flight work pending");
-        for (i, (cfg, f)) in picks.into_iter().enumerate() {
+        for (i, (cfg, f, _)) in picks.into_iter().enumerate() {
             assert!(b.record(&cfg, f, 0.1 * i as f64, 1.0));
         }
         // 4 finite results at eta=2 → quota 2: promotions still pending, so
         // the bracket must NOT report done (the old bug's failure mode).
         assert!(!b.done(), "pending promotions must keep the bracket open");
         let mut promoted = Vec::new();
-        while let Some((cfg, f)) = b.next() {
+        while let Some((cfg, f, _)) = b.next() {
             assert_eq!(f, 1.0);
             promoted.push(cfg);
         }
@@ -900,20 +879,20 @@ mod tests {
         }
         // Two crashes (NaN, +inf) and one finite survivor; one more finite.
         let losses = [f64::NAN, f64::INFINITY, 0.3, 0.1];
-        let crashed: Vec<Configuration> = picks[..2].iter().map(|(c, _)| c.clone()).collect();
-        for ((cfg, f), loss) in picks.into_iter().zip(losses) {
+        let crashed: Vec<Configuration> = picks[..2].iter().map(|(c, ..)| c.clone()).collect();
+        for ((cfg, f, _), loss) in picks.into_iter().zip(losses) {
             assert!(b.record(&cfg, f, loss, 1.0));
         }
         // quota = floor(2 finite / 2) = 1: exactly one promotion, and it is
         // the best finite config — never a crashed one.
-        let (promoted, f) = b.next().expect("one promotion");
+        let (promoted, f, _) = b.next().expect("one promotion");
         assert_eq!(f, 1.0);
         assert!(!crashed.contains(&promoted), "crashed config climbed the ladder");
         b.record(&promoted, 1.0, 0.05, 1.0);
         // The remaining finite config promotes once the rung closes
         // (closed-rung quota ≥ 1 applies only to never-promoted rungs, so
         // nothing else climbs here), and the bracket finishes.
-        while let Some((cfg, f)) = b.next() {
+        while let Some((cfg, f, _)) = b.next() {
             assert!(!crashed.contains(&cfg));
             b.record(&cfg, f, 0.2, 1.0);
         }
@@ -932,7 +911,7 @@ mod tests {
         while let Some(p) = b.next() {
             picks.push(p);
         }
-        for (cfg, f) in picks {
+        for (cfg, f, _) in picks {
             assert_eq!(f, 0.5);
             assert!(b.record(&cfg, f, f64::INFINITY, 1.0));
         }
@@ -955,8 +934,8 @@ mod tests {
         // …but no bracket claims it, so the schedule is unchanged: the
         // engine still hands out all n0 rung-0 configs first.
         let batch = sh.suggest_batch(4);
-        assert!(batch.iter().all(|(_, f)| (*f - 0.5).abs() < 1e-12));
-        assert!(batch.iter().all(|(c, _)| *c != foreign));
+        assert!(batch.iter().all(|(_, f, _)| (*f - 0.5).abs() < 1e-12));
+        assert!(batch.iter().all(|(c, ..)| *c != foreign));
     }
 
     /// The tentpole property: for every multi-fidelity engine and batch
@@ -1000,10 +979,10 @@ mod tests {
         let batch = sh.suggest_batch(8);
         let distinct: std::collections::HashSet<Vec<Option<u64>>> = batch
             .iter()
-            .map(|(c, _)| c.values.iter().map(|v| v.map(f64::to_bits)).collect())
+            .map(|(c, ..)| c.values.iter().map(|v| v.map(f64::to_bits)).collect())
             .collect();
         assert_eq!(distinct.len(), 8, "batch must not repeat configurations");
-        assert!(batch.iter().all(|(_, f)| (*f - 1.0 / 9.0).abs() < 1e-12));
+        assert!(batch.iter().all(|(_, f, _)| (*f - 1.0 / 9.0).abs() < 1e-12));
     }
 
     /// The bracket schedule is a deterministic function of the seed and the
@@ -1016,7 +995,7 @@ mod tests {
             let mut sequence: Vec<(Vec<Option<u64>>, u64)> = Vec::new();
             for _ in 0..10 {
                 let batch = sh.suggest_batch(4);
-                for (cfg, f) in batch {
+                for (cfg, f, _) in batch {
                     sequence.push((
                         cfg.values.iter().map(|v| v.map(f64::to_bits)).collect(),
                         f.to_bits(),
@@ -1048,31 +1027,34 @@ mod tests {
         }
     }
 
-    /// `in_flight_meta` reports the rung (global ladder index) and bracket
-    /// id for suggestions awaiting observation, and forgets them once
-    /// observed.
+    /// Every suggestion carries its rung (global ladder index) and bracket
+    /// id: rung 0 of bracket 0 first, a higher rung — at a higher fidelity —
+    /// once a promotion is due, and a Hyperband bracket that starts part-way
+    /// up the ladder tags its seeds with that offset.
     #[test]
-    fn in_flight_meta_tracks_rung_and_bracket() {
+    fn suggestions_carry_rung_and_bracket() {
         let mut sh = BracketEngine::successive_halving(space_1d(), 4, 1.0 / 9.0, 3, 2);
-        let (cfg, f) = sh.suggest();
-        let (rung, bracket) = sh.in_flight_meta(&cfg, f).expect("meta for in-flight");
-        assert_eq!(rung, 0);
-        assert_eq!(bracket, 0);
-        sh.observe(cfg.clone(), f, 0.2, f);
-        assert!(sh.in_flight_meta(&cfg, f).is_none(), "observed → no longer in flight");
-        // Drive until a promotion appears; its rung must be > 0.
+        let (cfg, f, tag) = sh.suggest();
+        assert_eq!(tag, TrialTag { rung: 0, bracket: 0 });
+        sh.observe(cfg, f, 0.2, f);
         let mut saw_promotion = false;
         for _ in 0..20 {
-            let (cfg, f) = sh.suggest();
-            if let Some((rung, _)) = sh.in_flight_meta(&cfg, f) {
-                if rung > 0 {
-                    assert!(f > 1.0 / 9.0);
-                    saw_promotion = true;
-                }
-            }
+            let (cfg, f, tag) = sh.suggest();
+            assert_eq!(rung_ladder(1.0 / 9.0, 3)[tag.rung as usize], f);
+            saw_promotion |= tag.rung > 0;
             sh.observe(cfg.clone(), f, objective(&cfg, f), f);
         }
         assert!(saw_promotion, "no promotion within 20 serial steps");
+
+        let mut hb = BracketEngine::hyperband(space_1d(), 1.0 / 9.0, 3, 2);
+        let mut offset_seeds = 0;
+        for _ in 0..40 {
+            let (cfg, f, tag) = hb.suggest();
+            assert_eq!(rung_ladder(1.0 / 9.0, 3)[tag.rung as usize], f);
+            offset_seeds += usize::from(tag.bracket == 1 && tag.rung == 1);
+            hb.observe(cfg.clone(), f, objective(&cfg, f), f);
+        }
+        assert!(offset_seeds > 0, "bracket 1 never issued a rung-1 seed");
     }
 
     /// Growing the space mid-bracket must keep the promotion bookkeeping
@@ -1097,7 +1079,7 @@ mod tests {
             // Observe a few trials so the grow lands with rung results and
             // pending promotions live inside the bracket.
             for _ in 0..5 {
-                let (cfg, f) = opt.suggest();
+                let (cfg, f, _) = opt.suggest();
                 let loss = objective(&cfg, f);
                 opt.observe(cfg, f, loss, f);
             }
@@ -1112,7 +1094,7 @@ mod tests {
             }
             // The ladder still promotes to full fidelity after the grow.
             for _ in 0..60 {
-                let (cfg, f) = opt.suggest();
+                let (cfg, f, _) = opt.suggest();
                 opt.space().validate(&cfg).unwrap();
                 let loss = objective(&cfg, f);
                 opt.observe(cfg, f, loss, f);
@@ -1143,10 +1125,10 @@ mod tests {
             }
             // queue.pop() hands configs out in reverse; map results by pick
             // order so every run files identical (config, loss, cost) rows.
-            for ((cfg, f), (loss, cost)) in picks.into_iter().zip(outcomes) {
+            for ((cfg, f, _), (loss, cost)) in picks.into_iter().zip(outcomes) {
                 assert!(b.record(&cfg, f, loss, cost));
             }
-            let (promoted, f) = b.next().expect("a promotion is due");
+            let (promoted, f, _) = b.next().expect("a promotion is due");
             assert_eq!(f, 1.0);
             promoted
         };
@@ -1156,7 +1138,7 @@ mod tests {
         // pick order is deterministic, so recompute it.
         let mut b = Bracket::new(configs.clone(), vec![0.5, 1.0], 0, 2, 0, false);
         let mut order = Vec::new();
-        while let Some((cfg, _)) = b.next() {
+        while let Some((cfg, ..)) = b.next() {
             order.push(cfg);
         }
         let loss_of = |c: &Configuration| {
@@ -1179,7 +1161,7 @@ mod tests {
         let configs: Vec<Configuration> = (0..2).map(|_| space.sample(&mut rng)).collect();
         for cost_aware in [false, true] {
             let mut b = Bracket::new(configs.clone(), vec![0.5, 1.0], 0, 2, 7, cost_aware);
-            while let Some((cfg, f)) = b.next() {
+            while let Some((cfg, f, _)) = b.next() {
                 if !b.record(&cfg, f, 0.3, 2.5) {
                     break;
                 }
@@ -1234,7 +1216,7 @@ mod tests {
             let mut low_fid = 0usize;
             // First bracket measures the costs; later brackets react.
             for _ in 0..60 {
-                let (cfg, f) = sh.suggest();
+                let (cfg, f, _) = sh.suggest();
                 if f < 1.0 / 3.0 {
                     low_fid += 1;
                 }

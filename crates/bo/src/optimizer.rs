@@ -8,27 +8,52 @@ use crate::space::{ConfigSpace, Configuration};
 use crate::surrogate::RandomForestSurrogate;
 use rand::rngs::StdRng;
 
+/// Where a suggestion sits in a bracket schedule: the rung index in the
+/// issuing engine's full η-ladder and the stable id of the bracket that
+/// scheduled it. It travels with the suggestion and is journaled and traced
+/// verbatim (`rung`/`bracket` fields); [`TrialTag::NONE`] (`-1`/`-1`) marks
+/// trials outside any bracket schedule (full-fidelity engines, warm starts,
+/// seed evaluations).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrialTag {
+    /// Rung index in the engine's full ladder, `-1` when not applicable.
+    pub rung: i64,
+    /// Issuing bracket's stable id, `-1` when not applicable.
+    pub bracket: i64,
+}
+
+impl TrialTag {
+    /// "Not bracket-scheduled" sentinel.
+    pub const NONE: TrialTag = TrialTag {
+        rung: -1,
+        bracket: -1,
+    };
+}
+
+/// One suggested trial: the configuration, the fidelity (training-set
+/// fraction in `(0, 1]`) to evaluate it at, and its scheduling tag.
+pub type Suggestion = (Configuration, f64, TrialTag);
+
 /// Ask/tell optimizer interface shared by the joint-block engines.
 ///
-/// `suggest_batch` returns configurations and the fidelity (training-set
-/// fraction) each should be evaluated at; `observe` feeds the results back.
-/// Beyond those, `history` and `space`, four methods have do-nothing
+/// `suggest_batch` returns [`Suggestion`]s; `observe` feeds the results back.
+/// Beyond those, `history` and `space`, three methods have do-nothing
 /// defaults because only some engines have the state they touch:
-/// `in_flight_meta` and `capture_scheduler_state` (only a bracket schedule
-/// has rungs to report or occupancy to snapshot), `set_cost_aware` (random
-/// search has nothing to rank by cost) and `grow_space` (an engine run only
-/// on fixed spaces may ignore expansions; all three engines here remap).
+/// `capture_scheduler_state` (only a bracket schedule has occupancy to
+/// snapshot), `set_cost_aware` (random search has nothing to rank by cost)
+/// and `grow_space` (an engine run only on fixed spaces may ignore
+/// expansions; all three engines here remap).
 pub trait Suggest {
-    /// Suggests `k` configurations, each with its fidelity in `(0, 1]`, to
-    /// evaluate before any of them is observed — concurrently behind
-    /// `--workers N`, one at a time otherwise. Engines whose picks depend
-    /// on pending results account for that here: the multi-fidelity engines
-    /// fill the batch from their asynchronous bracket set, and [`Smac`]
-    /// decorrelates it with constant-liar pseudo-observations.
-    fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)>;
+    /// Suggests `k` trials to evaluate before any of them is observed —
+    /// concurrently behind `--workers N`, one at a time otherwise. Engines
+    /// whose picks depend on pending results account for that here: the
+    /// multi-fidelity engines fill the batch from their asynchronous bracket
+    /// set, and [`Smac`] decorrelates it with constant-liar
+    /// pseudo-observations.
+    fn suggest_batch(&mut self, k: usize) -> Vec<Suggestion>;
 
-    /// The next single configuration to evaluate: a batch of one.
-    fn suggest(&mut self) -> (Configuration, f64) {
+    /// The next single trial to evaluate: a batch of one.
+    fn suggest(&mut self) -> Suggestion {
         self.suggest_batch(1).pop().expect("batch of one")
     }
 
@@ -40,16 +65,6 @@ pub trait Suggest {
 
     /// The space being optimized.
     fn space(&self) -> &ConfigSpace;
-
-    /// Scheduling metadata `(rung, bracket id)` for a suggestion that is
-    /// awaiting observation. Multi-fidelity engines override this so the
-    /// trial journal and trace can attribute each trial to its rung and
-    /// bracket; engines without a bracket schedule return `None`. Callers
-    /// must query it *before* `observe` (observing clears the in-flight
-    /// entry).
-    fn in_flight_meta(&self, _config: &Configuration, _fidelity: f64) -> Option<(usize, u64)> {
-        None
-    }
 
     /// Appends canonical, bitwise-stable lines describing the engine's
     /// internal scheduler state — bracket occupancy, per-rung results,
@@ -129,15 +144,16 @@ impl RandomSearch {
 impl Suggest for RandomSearch {
     /// Stateless between picks: the default configuration once, then `k`
     /// independent uniform draws.
-    fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {
+    fn suggest_batch(&mut self, k: usize) -> Vec<Suggestion> {
         (0..k)
             .map(|_| {
-                if self.evaluated_default {
-                    (self.space.sample(&mut self.rng), 1.0)
+                let config = if self.evaluated_default {
+                    self.space.sample(&mut self.rng)
                 } else {
                     self.evaluated_default = true;
-                    (self.space.default_configuration(), 1.0)
-                }
+                    self.space.default_configuration()
+                };
+                (config, 1.0, TrialTag::NONE)
             })
             .collect()
     }
@@ -273,7 +289,7 @@ impl Suggest for Smac {
     /// lies are retracted and the surrogate marked stale for honest
     /// refitting on real results. A batch of one tells no lie, so it is
     /// exactly one pick.
-    fn suggest_batch(&mut self, k: usize) -> Vec<(Configuration, f64)> {
+    fn suggest_batch(&mut self, k: usize) -> Vec<Suggestion> {
         let lie = self.history.best_loss().unwrap_or(1.0);
         let real_len = self.history.len();
         let mut out = Vec::with_capacity(k);
@@ -288,7 +304,7 @@ impl Suggest for Smac {
                 });
                 self.stale = true;
             }
-            out.push((cfg, fidelity));
+            out.push((cfg, fidelity, TrialTag::NONE));
         }
         if self.history.len() > real_len {
             self.history.truncate(real_len);
@@ -385,7 +401,7 @@ mod tests {
 
     fn run<S: Suggest>(opt: &mut S, n: usize) -> f64 {
         for _ in 0..n {
-            let (cfg, fidelity) = opt.suggest();
+            let (cfg, fidelity, _) = opt.suggest();
             let loss = objective(opt.space(), &cfg);
             opt.observe(cfg, fidelity, loss, 1.0);
         }
@@ -427,7 +443,7 @@ mod tests {
     #[test]
     fn first_suggestion_is_default() {
         let mut smac = Smac::new(branch_space(), 0);
-        let (cfg, f) = smac.suggest();
+        let (cfg, f, _) = smac.suggest();
         assert_eq!(cfg, smac.space().default_configuration());
         assert_eq!(f, 1.0);
     }
@@ -436,7 +452,7 @@ mod tests {
     fn failed_evaluations_do_not_poison_surrogate() {
         let mut smac = Smac::new(branch_space(), 0);
         for i in 0..20 {
-            let (cfg, f) = smac.suggest();
+            let (cfg, f, _) = smac.suggest();
             let loss = if i % 3 == 0 {
                 f64::INFINITY
             } else {
@@ -452,7 +468,7 @@ mod tests {
         let mut smac = Smac::new(branch_space(), 0);
         // Burn in past n_init so EI drives the suggestions.
         for _ in 0..8 {
-            let (cfg, f) = smac.suggest();
+            let (cfg, f, _) = smac.suggest();
             let loss = objective(smac.space(), &cfg);
             smac.observe(cfg, f, loss, 1.0);
         }
@@ -464,11 +480,11 @@ mod tests {
         // A batch should not be four copies of one configuration.
         let distinct: std::collections::HashSet<Vec<Option<u64>>> = batch
             .iter()
-            .map(|(c, _)| c.values.iter().map(|v| v.map(f64::to_bits)).collect())
+            .map(|(c, ..)| c.values.iter().map(|v| v.map(f64::to_bits)).collect())
             .collect();
         assert!(distinct.len() > 1, "batch collapsed to one configuration");
         // Observing the real results keeps the optimizer consistent.
-        for (cfg, f) in batch {
+        for (cfg, f, _) in batch {
             let loss = objective(smac.space(), &cfg);
             smac.observe(cfg, f, loss, 1.0);
         }
@@ -497,7 +513,7 @@ mod tests {
     fn cost_to_target(opt: &mut Smac, target: f64, max_n: usize) -> f64 {
         let mut total = 0.0;
         for _ in 0..max_n {
-            let (cfg, fidelity) = opt.suggest();
+            let (cfg, fidelity, _) = opt.suggest();
             let (loss, cost) = symmetric_objective(opt.space(), &cfg);
             total += cost;
             opt.observe(cfg, fidelity, loss, cost);
@@ -543,8 +559,8 @@ mod tests {
         let mut aware = Smac::new(branch_space(), 3);
         aware.set_cost_aware(true);
         for _ in 0..N_INIT {
-            let (cb, fb) = blind.suggest();
-            let (ca, fa) = aware.suggest();
+            let (cb, fb, _) = blind.suggest();
+            let (ca, fa, _) = aware.suggest();
             assert_eq!(cb.values, ca.values);
             assert_eq!(fb, fa);
             let (loss, cost) = symmetric_objective(blind.space(), &cb);
@@ -592,7 +608,7 @@ mod tests {
                 Box::new(RandomSearch::new(branch_space(), 4))
             };
             for _ in 0..12 {
-                let (cfg, f) = opt.suggest();
+                let (cfg, f, _) = opt.suggest();
                 let loss = objective(opt.space(), &cfg);
                 opt.observe(cfg, f, loss, 1.0);
             }
@@ -622,7 +638,7 @@ mod tests {
             // The grown engine keeps suggesting valid configurations and
             // can reach the new branch.
             for _ in 0..30 {
-                let (cfg, f) = opt.suggest();
+                let (cfg, f, _) = opt.suggest();
                 opt.space().validate(&cfg).unwrap();
                 let loss = objective(opt.space(), &cfg);
                 opt.observe(cfg, f, loss, 1.0);
@@ -645,9 +661,9 @@ mod tests {
         for (e, build) in engines.iter().enumerate() {
             let (mut single, mut batch) = (build(), build());
             for cycle in 0..30 {
-                let (ca, fa) = single.suggest();
-                let (cb, fb) = batch.suggest_batch(1).pop().expect("one pick");
-                assert_eq!((&ca, fa), (&cb, fb), "engine {e} cycle {cycle}");
+                let (ca, fa, ta) = single.suggest();
+                let (cb, fb, tb) = batch.suggest_batch(1).pop().expect("one pick");
+                assert_eq!((&ca, fa, ta), (&cb, fb, tb), "engine {e} cycle {cycle}");
                 let loss = objective(single.space(), &ca) + (1.0 - fa) * 0.05;
                 single.observe(ca, fa, loss, fa);
                 batch.observe(cb, fb, loss, fb);

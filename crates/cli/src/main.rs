@@ -20,7 +20,7 @@
 //! see `volcanoml_data::csv`. `volcanoml generate` produces compliant files.
 
 use std::process::ExitCode;
-use volcanoml_core::plans::enumerate_coarse_plans;
+use volcanoml_core::plans::{self, enumerate_coarse_plans};
 use volcanoml_core::{
     EngineKind, Objective, PlanSpec, SpaceDef, SpaceGrowth, SpaceTier, ValidationStrategy,
     VolcanoML, VolcanoMlOptions,
@@ -107,27 +107,14 @@ fn parse_objective(s: &str) -> Result<Objective, String> {
         return Err(format!("unknown objective '{s}' (use loss|loss_and_cost[:WEIGHT])"));
     };
     let latency_weight = match rest.strip_prefix(':') {
-        None if rest.is_empty() => 100.0,
-        Some(w) => {
-            let w: f64 = w
-                .parse()
-                .map_err(|_| format!("invalid objective weight '{w}'"))?;
-            if !w.is_finite() || w < 0.0 {
-                return Err(format!("objective weight {w} must be finite and >= 0"));
-            }
-            w
-        }
+        None if rest.is_empty() => None,
+        Some(w) => Some(
+            w.parse()
+                .map_err(|_| format!("invalid objective weight '{w}'"))?,
+        ),
         None => return Err(format!("unknown objective '{s}'")),
     };
-    Ok(Objective::LossAndCost { latency_weight })
-}
-
-fn parse_plan(s: &str, engine: EngineKind) -> Result<PlanSpec, String> {
-    enumerate_coarse_plans(engine)
-        .into_iter()
-        .find(|(name, _)| name.to_lowercase().starts_with(s))
-        .map(|(_, plan)| plan)
-        .ok_or_else(|| format!("unknown plan '{s}' (use p1..p5)"))
+    Objective::loss_and_cost(latency_weight).map_err(|e| e.to_string())
 }
 
 fn cmd_fit(args: &[String]) -> Result<(), String> {
@@ -180,7 +167,7 @@ fn cmd_fit(args: &[String]) -> Result<(), String> {
     let tier = SpaceTier::from_name(flags.get("tier").unwrap_or("large"))?;
     let engine_kind = EngineKind::from_name(flags.get("engine").unwrap_or("bo"))?;
     let plan = match flags.get("plan") {
-        Some(p) => parse_plan(p, engine_kind)?,
+        Some(p) => plans::by_name(p, engine_kind)?,
         None => PlanSpec::volcano_default(engine_kind),
     };
     let validation = match flags.get("cv") {
@@ -485,9 +472,9 @@ mod tests {
     #[test]
     fn parsers_accept_all_documented_values() {
         for p in ["p1", "p2", "p3", "p4", "p5"] {
-            parse_plan(p, EngineKind::Bo).unwrap();
+            plans::by_name(p, EngineKind::Bo).unwrap();
         }
-        assert!(parse_plan("p9", EngineKind::Bo).is_err());
+        assert!(plans::by_name("p9", EngineKind::Bo).is_err());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! expected utility improvement. Before each play, the *other* child's best
 //! assignment is pinned into the played child (`set_var`).
 
-use crate::block::{Assignment, BestSolution, BuildingBlock, LossInterval};
-use crate::eu::{eu_interval, eui};
+use crate::block::{Assignment, BestSolution, BuildingBlock};
 use crate::evaluator::Evaluator;
 use crate::spaces::SpaceDef;
 use crate::Result;
@@ -191,14 +190,6 @@ impl BuildingBlock for AlternatingBlock {
                 Some(merged)
             }
         }
-    }
-
-    fn expected_utility(&self, k: usize) -> LossInterval {
-        eu_interval(&self.trajectory(), k, 0.0)
-    }
-
-    fn expected_utility_improvement(&self) -> f64 {
-        eui(&self.trajectory(), 4)
     }
 
     fn set_fixed(&mut self, fixed: &Assignment) {

@@ -16,6 +16,7 @@
 //! one-line wrappers over `pull`, kept because the benchmark harness calls
 //! them; they go when `benchmark/` next moves.
 
+use crate::eu::{eu_interval, eui};
 use crate::evaluator::Evaluator;
 use crate::spaces::SpaceDef;
 use crate::Result;
@@ -67,11 +68,17 @@ pub trait BuildingBlock {
         self.current_best().map(|b| b.assignment)
     }
 
-    /// Rising-bandit expected-utility interval given `k` more iterations.
-    fn expected_utility(&self, k: usize) -> LossInterval;
+    /// Rising-bandit expected-utility interval given `k` more iterations,
+    /// extrapolated from the block's own [`trajectory`](Self::trajectory)
+    /// (a conditioning block reports its best arm's instead).
+    fn expected_utility(&self, k: usize) -> LossInterval {
+        eu_interval(&self.trajectory(), k, 0.0)
+    }
 
     /// Rotting-bandit expected utility improvement (mean recent improvement).
-    fn expected_utility_improvement(&self) -> f64;
+    fn expected_utility_improvement(&self) -> f64 {
+        eui(&self.trajectory(), 4)
+    }
 
     /// Pins context variables (the paper's `set_var`): the block must use
     /// these values for variables outside its own subspace from now on.
@@ -177,14 +184,6 @@ mod tests {
                 assignment: self.fixed.clone(),
                 loss,
             })
-        }
-
-        fn expected_utility(&self, k: usize) -> LossInterval {
-            crate::eu::eu_interval(&self.trajectory(), k, 0.0)
-        }
-
-        fn expected_utility_improvement(&self) -> f64 {
-            crate::eu::eui(&self.trajectory(), 4)
         }
 
         fn set_fixed(&mut self, fixed: &Assignment) {

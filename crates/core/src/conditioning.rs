@@ -10,7 +10,7 @@
 //! arm plays and eliminations is identical to Algorithm 1's.
 
 use crate::block::{Assignment, BestSolution, BuildingBlock, LossInterval};
-use crate::eu::{eu_interval, eui};
+use crate::eu::eu_interval;
 use crate::evaluator::Evaluator;
 use crate::spaces::SpaceDef;
 use crate::Result;
@@ -235,10 +235,6 @@ impl BuildingBlock for ConditioningBlock {
         } else {
             eu_interval(&self.trajectory(), k, 0.0)
         }
-    }
-
-    fn expected_utility_improvement(&self) -> f64 {
-        eui(&self.trajectory(), 4)
     }
 
     fn set_fixed(&mut self, fixed: &Assignment) {

@@ -49,15 +49,32 @@ impl<V: Clone> BoundedCache<V> {
             }
         }
     }
+}
 
-    pub(super) fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.map.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            } else {
-                break;
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn capacity_is_enforced_oldest_first() {
+        let mut cache = BoundedCache::new(2);
+        for key in 0..3u64 {
+            cache.insert((key, 0), key);
         }
+        assert_eq!(cache.map.len(), 2);
+        // The oldest entry was evicted: asking for it again is a miss, while
+        // the newest is still a hit.
+        assert_eq!(cache.get(&(2, 0)), Some(2));
+        assert_eq!(cache.get(&(0, 0)), None);
+        assert_eq!((cache.hits, cache.misses), (1, 1));
+    }
+
+    #[test]
+    fn capacity_of_zero_is_clamped_to_one_entry() {
+        let mut cache = BoundedCache::new(0);
+        cache.insert((0, 0), "old");
+        cache.insert((1, 0), "new");
+        assert_eq!(cache.map.len(), 1);
+        assert_eq!(cache.get(&(1, 0)), Some("new"));
     }
 }

@@ -28,6 +28,7 @@ mod validate;
 
 pub use interpret::{parse_assignment, refit_assignment, ParsedAssignment};
 pub use validate::ValidationStrategy;
+pub use volcanoml_bo::TrialTag;
 
 /// Stable, order-insensitive digest of a full assignment — the value
 /// journaled (as 16 hex digits) and traced with every trial, and the key
@@ -50,7 +51,7 @@ use volcanoml_data::{view, Dataset, DatasetView, Metric};
 use volcanoml_exec::{current_worker, ExecPool, Journal, TrialRecord, TrialStatus};
 use volcanoml_fe::FePipeline;
 use volcanoml_models::{binned, Model};
-use volcanoml_obs::{current_arm, MetricsRegistry, Tracer, TrialInfo};
+use volcanoml_obs::{current_arm, MetricsRegistry, Tracer};
 
 /// Default bound on the evaluator's result cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
@@ -118,34 +119,6 @@ impl EvalOutcome {
     }
 }
 
-/// Multi-fidelity scheduling attribution for a trial: the rung index in the
-/// issuing engine's full η-ladder and the stable id of the bracket that
-/// scheduled it. Journaled and traced verbatim (`rung`/`bracket` fields) so
-/// the report can render rung occupancy; [`TrialTag::NONE`] (`-1`/`-1`)
-/// marks trials outside any bracket schedule (full-fidelity engines, warm
-/// starts, seed evaluations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrialTag {
-    /// Rung index in the engine's full ladder, `-1` when not applicable.
-    pub rung: i64,
-    /// Issuing bracket's stable id, `-1` when not applicable.
-    pub bracket: i64,
-}
-
-impl TrialTag {
-    /// "Not bracket-scheduled" sentinel.
-    pub const NONE: TrialTag = TrialTag {
-        rung: -1,
-        bracket: -1,
-    };
-}
-
-impl Default for TrialTag {
-    fn default() -> Self {
-        TrialTag::NONE
-    }
-}
-
 /// One trial as the issuing block describes it: the full assignment, the
 /// fidelity, and the scheduling attribution journaled with it.
 pub type Trial = (HashMap<String, f64>, f64, TrialTag);
@@ -205,13 +178,14 @@ pub type FaultHook = Arc<dyn Fn(&HashMap<String, f64>, f64) -> Option<Fault> + S
 struct EvalState {
     cache: BoundedCache<(f64, f64)>,
     fe_cache: BoundedCache<Arc<FeTransformed>>,
-    /// Per-fidelity CV fold plans: `fidelity.to_bits()` → the fold's
-    /// `(train, valid)` index views, computed once and reused by every
-    /// trial at that fidelity. Views make this affordable — each plan is
-    /// index arrays only (`k × n_samples` usizes), where caching owned
-    /// fold subsets would pin `k` extra copies of the dataset. Bounded in
-    /// practice by the handful of distinct fidelities a search schedules.
-    fold_plans: HashMap<u64, Arc<Vec<(DatasetView, DatasetView)>>>,
+    /// Per-fidelity validation plans: `fidelity.to_bits()` → the
+    /// `(train, valid)` index views every trial at that fidelity uses (one
+    /// pair under holdout, `k` under CV), computed once. Views make this
+    /// affordable — each plan is index arrays only (at most `k × n_samples`
+    /// usizes), where caching owned subsets would pin extra copies of the
+    /// dataset. Bounded in practice by the handful of distinct fidelities a
+    /// search schedules.
+    plans: HashMap<u64, Arc<Vec<(DatasetView, DatasetView)>>>,
     evaluations: usize,
     total_cost: f64,
     /// Cache hits since the last non-cached evaluation (replayed rows
@@ -230,17 +204,7 @@ struct EvalState {
     /// [`Evaluator::evaluate`] consumes matching rows from here *before*
     /// touching the cache, so a resumed search re-observes the interrupted
     /// run's exact losses/costs without re-training or re-journaling.
-    replay: HashMap<(u64, u64), std::collections::VecDeque<ReplayRow>>,
-}
-
-/// One journaled outcome queued for crash-resume replay.
-struct ReplayRow {
-    loss: f64,
-    cost: f64,
-    cached: bool,
-    fe_cached: bool,
-    panicked: bool,
-    timed_out: bool,
+    replay: HashMap<(u64, u64), std::collections::VecDeque<TrialRecord>>,
 }
 
 struct EvalShared {
@@ -321,7 +285,7 @@ impl Evaluator {
                 state: Mutex::new(EvalState {
                     cache: BoundedCache::new(DEFAULT_CACHE_CAPACITY),
                     fe_cache: BoundedCache::new(DEFAULT_FE_CACHE_CAPACITY),
-                    fold_plans: HashMap::new(),
+                    plans: HashMap::new(),
                     evaluations: 0,
                     total_cost: 0.0,
                     consecutive_cached: 0,
@@ -472,14 +436,7 @@ impl Evaluator {
                 .replay
                 .entry((digest, rec.fidelity.to_bits()))
                 .or_default()
-                .push_back(ReplayRow {
-                    loss: rec.loss,
-                    cost: rec.cost,
-                    cached: rec.cached,
-                    fe_cached: rec.fe_cached,
-                    panicked: rec.panicked,
-                    timed_out: rec.timed_out,
-                });
+                .push_back(rec.clone());
         }
     }
 
@@ -516,11 +473,12 @@ impl Evaluator {
         parse_assignment(&self.shared.space, assignment)
     }
 
-    /// Records one completed trial to every attached sink: the journal
-    /// (arm + digest join keys included), the span tracer (one
-    /// `kind:"trial"` span parented to the current pull), and the metrics
-    /// registry. Runs on the coordinator thread so the obs span stack
-    /// attributes the trial to the block/arm that issued it.
+    /// Records one completed trial to every attached sink: one
+    /// [`TrialRecord`] (arm + digest join keys included) goes to the journal
+    /// and to the span tracer (one `kind:"trial"` span parented to the
+    /// current pull), and the metrics registry is updated. Runs on
+    /// the coordinator thread so the obs span stack attributes the trial to
+    /// the block/arm that issued it.
     fn record_trial(&self, journal: Option<&Arc<Journal>>, trial: &Trial, run: &RunRecord) {
         let tracer = self.tracer();
         let metrics = self.metrics();
@@ -540,48 +498,30 @@ impl Evaluator {
             queue_wait_s,
             outcome,
         } = *run;
-        let digest = assignment_key(assignment);
-        let fidelity = fidelity.clamp(0.01, 1.0);
-        let trial_id = match journal {
-            Some(j) => j.next_trial_id(),
-            None => tracer.next_trial_id(),
-        };
-        let cost = if outcome.cached { 0.0 } else { outcome.cost };
-        if let Some(j) = journal {
-            j.record(TrialRecord {
-                trial_id,
-                worker,
-                start_s,
-                end_s,
-                fidelity,
-                rung: tag.rung,
-                bracket: tag.bracket,
-                loss: outcome.loss,
-                cost,
-                cached: outcome.cached,
-                fe_cached: outcome.fe_cached,
-                panicked: outcome.panicked,
-                timed_out: outcome.timed_out,
-                arm: current_arm(),
-                digest: format!("{digest:016x}"),
-            });
-        }
-        tracer.trial(&TrialInfo {
-            trial_id,
-            digest,
+        let rec = TrialRecord {
+            trial_id: match journal {
+                Some(j) => j.next_trial_id(),
+                None => tracer.next_trial_id(),
+            },
             worker,
             start_s,
             end_s,
-            fidelity,
+            fidelity: fidelity.clamp(0.01, 1.0),
             rung: tag.rung,
             bracket: tag.bracket,
             loss: outcome.loss,
-            cost,
+            cost: if outcome.cached { 0.0 } else { outcome.cost },
             cached: outcome.cached,
             fe_cached: outcome.fe_cached,
             panicked: outcome.panicked,
             timed_out: outcome.timed_out,
-        });
+            arm: current_arm(),
+            digest: format!("{:016x}", assignment_key(assignment)),
+        };
+        if let Some(j) = journal {
+            j.record(rec.clone());
+        }
+        tracer.trial(&rec);
         if let Some(m) = &metrics {
             m.inc_counter("trial.total", 1);
             if outcome.cached {
@@ -817,7 +757,7 @@ impl Evaluator {
         assignment: &HashMap<String, f64>,
         fidelity: f64,
         key: (u64, u64),
-        row: ReplayRow,
+        row: TrialRecord,
     ) -> EvalOutcome {
         let abandoned = row.timed_out || (row.panicked && row.cost == 0.0);
         let mut cost = row.cost;
@@ -863,27 +803,6 @@ impl Evaluator {
         data: &Dataset,
     ) -> Result<(FePipeline, Model)> {
         refit_assignment(&self.shared.space, assignment, data, self.shared.seed)
-    }
-
-    /// Number of cached entries (for tests/diagnostics).
-    pub fn cache_size(&self) -> usize {
-        self.state().cache.map.len()
-    }
-
-    /// Rebounds the result cache, evicting oldest entries if shrinking.
-    pub fn set_cache_capacity(&self, capacity: usize) {
-        self.state().cache.set_capacity(capacity);
-    }
-
-    /// Number of entries in the cross-trial FE-transform cache.
-    pub fn fe_cache_size(&self) -> usize {
-        self.state().fe_cache.map.len()
-    }
-
-    /// Rebounds the FE-transform cache, evicting oldest entries if
-    /// shrinking.
-    pub fn set_fe_cache_capacity(&self, capacity: usize) {
-        self.state().fe_cache.set_capacity(capacity);
     }
 
     /// Sets the thread count injected into models that support intra-fit
@@ -956,8 +875,8 @@ mod tests {
         let ev = evaluator();
         let defaults = ev.space().defaults();
         ev.evaluate(&defaults, 1.0);
-        ev.evaluate(&defaults, 0.5);
-        assert_eq!(ev.cache_size(), 2);
+        assert!(!ev.evaluate(&defaults, 0.5).cached);
+        assert!(ev.evaluate(&defaults, 0.5).cached);
         assert_eq!(ev.evaluations(), 2);
     }
 
@@ -971,23 +890,6 @@ mod tests {
         assert!(out.cached);
         assert_eq!(handle.evaluations(), 1);
         assert_eq!(handle.log().len(), 1);
-    }
-
-    #[test]
-    fn cache_capacity_is_enforced() {
-        let ev = evaluator();
-        ev.set_cache_capacity(2);
-        let defaults = ev.space().defaults();
-        ev.evaluate(&defaults, 1.0);
-        ev.evaluate(&defaults, 0.5);
-        ev.evaluate(&defaults, 0.25);
-        assert_eq!(ev.cache_size(), 2);
-        // The oldest (fidelity 1.0) entry was evicted: re-evaluating it is
-        // a miss, while the newest is still a hit.
-        let again = ev.evaluate(&defaults, 0.25);
-        assert!(again.cached);
-        let evicted = ev.evaluate(&defaults, 1.0);
-        assert!(!evicted.cached);
     }
 
     #[test]
@@ -1165,7 +1067,6 @@ mod tests {
         let second = ev.evaluate(&other, 1.0);
         assert!(!first.fe_cached);
         assert!(second.fe_cached, "second trial should reuse the FE output");
-        assert_eq!(ev.fe_cache_size(), 1);
         let counters = ev.run_counters();
         assert_eq!((counters.fe_cache_hits, counters.fe_cache_misses), (1, 1));
         // A result-cache hit reports fe_cached = false (no FE work at all).
@@ -1188,7 +1089,8 @@ mod tests {
         let rescaled = ev.evaluate(&scaled, 1.0);
         assert!(!rescaled.fe_cached);
         assert!(rescaled.loss.is_finite());
-        assert_eq!(ev.fe_cache_size(), 3);
+        let counters = ev.run_counters();
+        assert_eq!((counters.fe_cache_hits, counters.fe_cache_misses), (0, 3));
     }
 
     #[test]
@@ -1202,16 +1104,6 @@ mod tests {
         let s = serial.evaluate(&a, 1.0);
         let t = threaded.evaluate(&a, 1.0);
         assert_eq!(s.loss, t.loss, "fits must be thread-count independent");
-    }
-
-    #[test]
-    fn fe_cache_capacity_is_enforced() {
-        let ev = evaluator();
-        ev.set_fe_cache_capacity(1);
-        let defaults = ev.space().defaults();
-        ev.evaluate(&defaults, 1.0);
-        ev.evaluate(&defaults, 0.5);
-        assert_eq!(ev.fe_cache_size(), 1);
     }
 
     #[test]

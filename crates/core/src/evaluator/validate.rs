@@ -5,6 +5,12 @@
 //! feature rows are materialized (one pooled gather) only inside the FE
 //! pipeline, *after* the FE-cache lookup misses. Result-cache and FE-cache
 //! hits therefore copy zero dataset bytes.
+//!
+//! A trial has one shape whatever the strategy: look up the fidelity's
+//! *validation plan* — a list of `(train, valid)` view pairs, one under
+//! holdout and `k` under CV, built once per fidelity — fit and score each
+//! pair, and average. [`ValidationStrategy`] is consulted only where a plan
+//! is built.
 
 use super::fe_cache::FeTransformed;
 use super::{interpret, EvalShared, Evaluator};
@@ -80,97 +86,76 @@ pub(super) fn build_validation_views(
 impl Evaluator {
     /// Returns `(loss, fe_cached, per-row inference seconds)` — the last
     /// measured over the validation-side `predict` so cost-sensitive
-    /// objectives can penalize slow-at-serving pipelines.
+    /// objectives can penalize slow-at-serving pipelines. One loop over the
+    /// fidelity's validation plan, whatever the strategy: each number is the
+    /// mean over the plan's `(train, valid)` pairs, and a one-pair plan's
+    /// mean is the pair's own value bit for bit.
     pub(super) fn evaluate_uncached(
         &self,
         assignment: &HashMap<String, f64>,
         fidelity: f64,
     ) -> Result<(f64, bool, f64)> {
         let (alg, model_params, fe_params) = self.interpret(assignment)?;
-        let shared: &EvalShared = &self.shared;
-        match shared.strategy {
-            ValidationStrategy::Holdout { .. } => {
-                let data = if fidelity >= 1.0 - 1e-9 {
-                    // Full fidelity: an Arc bump onto the shared storage, no
-                    // rows touched (the old path deep-copied the set here).
-                    shared.fit_data.clone()
-                } else {
-                    subsample_view(&shared.fit_data, fidelity, shared.seed ^ 0xf1de)
-                };
-                self.fit_and_score(
-                    alg,
-                    &model_params,
-                    &fe_params,
-                    &data,
-                    &shared.valid_data,
-                    fidelity.to_bits(),
-                )
-            }
-            ValidationStrategy::CrossValidation { folds } => {
-                let plan = self.fold_plan(folds, fidelity)?;
-                let mut total = 0.0;
-                let mut total_infer = 0.0;
-                let mut all_fe_cached = true;
-                for (fold, (train, valid)) in plan.iter().enumerate() {
-                    let data_key = fidelity
-                        .to_bits()
-                        .wrapping_add((fold as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                    let (loss, fe_cached, infer_s) = self.fit_and_score(
-                        alg,
-                        &model_params,
-                        &fe_params,
-                        train,
-                        valid,
-                        data_key,
-                    )?;
-                    total += loss;
-                    total_infer += infer_s;
-                    all_fe_cached &= fe_cached;
-                }
-                let k = plan.len() as f64;
-                Ok((total / k, all_fe_cached, total_infer / k))
-            }
+        let plan = self.validation_plan(fidelity)?;
+        let mut total = 0.0;
+        let mut total_infer = 0.0;
+        let mut all_fe_cached = true;
+        for (pair, (train, valid)) in plan.iter().enumerate() {
+            let data_key = fidelity
+                .to_bits()
+                .wrapping_add((pair as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let (loss, fe_cached, infer_s) =
+                self.fit_and_score(alg, &model_params, &fe_params, train, valid, data_key)?;
+            total += loss;
+            total_infer += infer_s;
+            all_fe_cached &= fe_cached;
         }
+        let k = plan.len() as f64;
+        Ok((total / k, all_fe_cached, total_infer / k))
     }
 
-    /// The CV fold plan for one fidelity: subsample (index-only) and split
-    /// once, cache the resulting `(train, valid)` views keyed by
-    /// `fidelity.to_bits()`. Splits are deterministic in `(data, folds,
-    /// seed)`, so recomputing them per trial — as the copy-based path had
-    /// to, since it materialized owned fold subsets anyway — is pure waste.
-    /// Concurrent misses may build the plan twice; both builds are
-    /// identical and the last insert wins.
-    fn fold_plan(
-        &self,
-        folds: usize,
-        fidelity: f64,
-    ) -> Result<Arc<Vec<(DatasetView, DatasetView)>>> {
+    /// The validation plan for one fidelity — the `(train, valid)` view pairs
+    /// every trial at that fidelity fits and scores on: holdout's one pair
+    /// (the subsampled train split against the fixed validation split) or
+    /// CV's `k` folds of the subsampled search data. Subsample (index-only)
+    /// and split once, cache the views keyed by `fidelity.to_bits()`: both
+    /// are deterministic in `(data, strategy, seed)`, so recomputing them per
+    /// trial is pure waste. Concurrent misses may build the plan twice; both
+    /// builds are identical and the last insert wins.
+    fn validation_plan(&self, fidelity: f64) -> Result<Arc<Vec<(DatasetView, DatasetView)>>> {
         let key = fidelity.to_bits();
-        if let Some(plan) = self.state().fold_plans.get(&key) {
+        if let Some(plan) = self.state().plans.get(&key) {
             return Ok(Arc::clone(plan));
         }
         let shared: &EvalShared = &self.shared;
         let data = if fidelity >= 1.0 - 1e-9 {
+            // Full fidelity: an Arc bump onto the shared storage, no rows
+            // touched.
             shared.fit_data.clone()
         } else {
             subsample_view(&shared.fit_data, fidelity, shared.seed ^ 0xf1de)
         };
-        let splits: Vec<(Vec<usize>, Vec<usize>)> = if shared.space.task == Task::Classification {
-            StratifiedKFold::from_view(&data, folds, shared.seed)?
-                .splits()
-                .collect()
-        } else {
-            KFold::new(data.n_samples(), folds, shared.seed)?
-                .splits()
-                .collect()
+        let plan = match shared.strategy {
+            ValidationStrategy::Holdout { .. } => vec![(data, shared.valid_data.clone())],
+            ValidationStrategy::CrossValidation { folds } => {
+                let splits: Vec<(Vec<usize>, Vec<usize>)> =
+                    if shared.space.task == Task::Classification {
+                        StratifiedKFold::from_view(&data, folds, shared.seed)?
+                            .splits()
+                            .collect()
+                    } else {
+                        KFold::new(data.n_samples(), folds, shared.seed)?
+                            .splits()
+                            .collect()
+                    };
+                splits
+                    .iter()
+                    .map(|(ti, vi)| (data.select(ti), data.select(vi)))
+                    .collect()
+            }
         };
-        let plan = Arc::new(
-            splits
-                .iter()
-                .map(|(ti, vi)| (data.select(ti), data.select(vi)))
-                .collect::<Vec<_>>(),
-        );
-        self.state().fold_plans.insert(key, Arc::clone(&plan));
+        let plan = Arc::new(plan);
+        self.state().plans.insert(key, Arc::clone(&plan));
         Ok(plan)
     }
 
@@ -179,8 +164,8 @@ impl Evaluator {
     /// is the validation `predict` wall time divided by the number of rows
     /// scored, so it is comparable across fidelities and validation
     /// strategies. `data_key` identifies the exact training subset
-    /// (fidelity and, under CV, the fold) so the FE cache never conflates
-    /// transforms fitted on different rows. On an FE-cache hit no dataset
+    /// (fidelity and position in the validation plan) so the FE cache never
+    /// conflates transforms fitted on different rows. On an FE-cache hit no dataset
     /// rows are touched at all; on a miss, index views are gathered exactly
     /// once inside the FE pipeline's view entry points.
     pub(super) fn fit_and_score(

@@ -2,12 +2,13 @@
 //! SMAC-style BO by default, random search or MFES-HB/Hyperband/Successive
 //! Halving as alternatives.
 
-use crate::block::{Assignment, BestSolution, BuildingBlock, LossInterval};
-use crate::eu::{eu_interval, eui};
+use crate::block::{Assignment, BestSolution, BuildingBlock};
 use crate::evaluator::{Evaluator, Trial, TrialTag};
 use crate::spaces::SpaceDef;
 use crate::Result;
-use volcanoml_bo::{BracketEngine, ConfigSpace, Configuration, RandomSearch, Smac, Suggest};
+use volcanoml_bo::{
+    BracketEngine, ConfigSpace, Configuration, RandomSearch, Smac, Suggest, Suggestion,
+};
 use volcanoml_obs::{span, EventFields, Tracer};
 
 /// Rung ladder shared by the bracket engines: fidelities 1/9, 1/3, 1.
@@ -15,19 +16,6 @@ const ETA: usize = 3;
 const R_MIN: f64 = 1.0 / 9.0;
 /// Configurations per Successive-Halving bracket.
 const SH_BRACKET_SIZE: usize = 9;
-
-/// Scheduling attribution for a freshly suggested trial: the engine's
-/// in-flight `(rung, bracket)` when it has a bracket schedule, else
-/// [`TrialTag::NONE`]. Must run *before* `observe` (observing clears the
-/// in-flight entry).
-fn trial_tag(engine: &dyn Suggest, config: &Configuration, fidelity: f64) -> TrialTag {
-    engine
-        .in_flight_meta(config, fidelity)
-        .map_or(TrialTag::NONE, |(rung, bracket)| TrialTag {
-            rung: rung as i64,
-            bracket: bracket as i64,
-        })
-}
 
 /// Which engine a joint block runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,10 +202,10 @@ impl BuildingBlock for JointBlock {
         let tracer = evaluator.tracer();
         let mut pull = span(&tracer, "pull", &self.label, "");
         pull.set_detail(format!("batch k={k}"));
-        let mut picks: Vec<(Configuration, f64)> = Vec::with_capacity(k);
+        let mut picks: Vec<Suggestion> = Vec::with_capacity(k);
         while picks.len() < k {
             match self.seed_queue.pop() {
-                Some(cfg) => picks.push((cfg, 1.0)),
+                Some(cfg) => picks.push((cfg, 1.0, TrialTag::NONE)),
                 None => break,
             }
         }
@@ -232,16 +220,15 @@ impl BuildingBlock for JointBlock {
         }
         let trials: Vec<Trial> = picks
             .iter()
-            .map(|(cfg, fidelity)| {
+            .map(|(cfg, fidelity, tag)| {
                 let own = self.engine.space().to_map(cfg);
-                let tag = trial_tag(self.engine.as_ref(), cfg, *fidelity);
-                (self.merged(&own), *fidelity, tag)
+                (self.merged(&own), *fidelity, *tag)
             })
             .collect();
         let outcomes = evaluator.evaluate_trials(pool, &trials);
         let mut batch_cost = 0.0;
         let mut batch_best = f64::INFINITY;
-        for (((config, fidelity), (assignment, _, _)), outcome) in
+        for (((config, fidelity, _), (assignment, ..)), outcome) in
             picks.into_iter().zip(trials).zip(outcomes)
         {
             batch_cost += outcome.cost;
@@ -260,14 +247,6 @@ impl BuildingBlock for JointBlock {
     fn own_best(&self) -> Option<Assignment> {
         let best_cfg = self.engine.history().best()?.config.clone();
         Some(self.engine.space().to_map(&best_cfg))
-    }
-
-    fn expected_utility(&self, k: usize) -> LossInterval {
-        eu_interval(&self.trajectory, k, 0.0)
-    }
-
-    fn expected_utility_improvement(&self) -> f64 {
-        eui(&self.trajectory, 4)
     }
 
     fn set_cost_aware(&mut self, enabled: bool) {

@@ -24,6 +24,23 @@ pub enum Objective {
 }
 
 impl Objective {
+    /// Latency weight used when a front end names `loss_and_cost` without
+    /// one: 100 loss units per second of per-row inference latency.
+    const DEFAULT_LATENCY_WEIGHT: f64 = 100.0;
+
+    /// The loss + inference-latency objective — the one place its weight is
+    /// defaulted and checked (finite, not negative) for the CLI's
+    /// `loss_and_cost[:WEIGHT]` and the serve spec's `latency_weight` alike.
+    pub fn loss_and_cost(latency_weight: Option<f64>) -> crate::Result<Objective> {
+        let latency_weight = latency_weight.unwrap_or(Self::DEFAULT_LATENCY_WEIGHT);
+        if !latency_weight.is_finite() || latency_weight < 0.0 {
+            return Err(crate::CoreError::Invalid(format!(
+                "latency_weight {latency_weight} must be finite and >= 0"
+            )));
+        }
+        Ok(Objective::LossAndCost { latency_weight })
+    }
+
     /// Scalarizes a trial's `(validation loss, inference seconds)` into the
     /// single number the engines minimize. Non-finite losses pass through
     /// unchanged (a crashed trial stays crashed no matter how fast it
@@ -88,6 +105,22 @@ mod tests {
         let o = Objective::Loss;
         assert_eq!(o.scalarize(0.3, 5.0), 0.3);
         assert!(!o.is_cost_sensitive());
+    }
+
+    #[test]
+    fn loss_and_cost_defaults_and_checks_its_weight() {
+        assert_eq!(
+            Objective::loss_and_cost(None).unwrap(),
+            Objective::LossAndCost { latency_weight: 100.0 }
+        );
+        assert_eq!(
+            Objective::loss_and_cost(Some(2.5)).unwrap(),
+            Objective::LossAndCost { latency_weight: 2.5 }
+        );
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let err = Objective::loss_and_cost(Some(bad)).unwrap_err().to_string();
+            assert!(err.contains("latency_weight"), "{err}");
+        }
     }
 
     #[test]

@@ -122,6 +122,17 @@ pub fn enumerate_coarse_plans(engine: EngineKind) -> Vec<(&'static str, PlanSpec
     ]
 }
 
+/// The coarse plan whose catalogue name starts with `name`, ignoring case
+/// (`p1`..`p5` in the front ends) — the one plan-name table the CLI and the
+/// serve spec parser share.
+pub fn by_name(name: &str, engine: EngineKind) -> std::result::Result<PlanSpec, String> {
+    enumerate_coarse_plans(engine)
+        .into_iter()
+        .find(|(full, _)| full.to_lowercase().starts_with(name))
+        .map(|(_, plan)| plan)
+        .ok_or_else(|| format!("unknown plan '{name}' (use p1..p5)"))
+}
+
 /// Result of a brute-force automatic plan search.
 #[derive(Debug, Clone)]
 pub struct PlanSearchResult {
@@ -291,6 +302,18 @@ mod tests {
             0,
         );
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn plan_names_round_trip() {
+        for (i, (full, plan)) in enumerate_coarse_plans(EngineKind::Bo).into_iter().enumerate() {
+            assert_eq!(by_name(&format!("p{}", i + 1), EngineKind::Bo), Ok(plan.clone()));
+            assert_eq!(by_name(&full.to_lowercase(), EngineKind::Bo), Ok(plan));
+        }
+        assert_eq!(
+            by_name("p9", EngineKind::Bo).unwrap_err(),
+            "unknown plan 'p9' (use p1..p5)"
+        );
     }
 
     #[test]

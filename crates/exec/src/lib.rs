@@ -19,8 +19,8 @@
 //!
 //! The crate is std-only and sits *below* `volcanoml-core` in the workspace
 //! graph: the evaluator builds jobs, the pool runs them. Its one dependency
-//! is `volcanoml-obs`, for the JSON codec journal rows are written and read
-//! with.
+//! is `volcanoml-obs`, which defines the journal's row formats (re-exported
+//! here) so the tracer can take the same `TrialRecord` the journal appends.
 
 mod journal;
 mod pool;

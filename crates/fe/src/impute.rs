@@ -30,11 +30,6 @@ impl Imputer {
             fill: Vec::new(),
         }
     }
-
-    /// The learned per-column fill values.
-    pub fn fill_values(&self) -> &[f64] {
-        &self.fill
-    }
 }
 
 fn mode(values: &[f64]) -> f64 {

@@ -30,6 +30,55 @@ pub enum Criterion {
     Mse,
 }
 
+impl Criterion {
+    /// Impurity of a node from its sufficient statistics: the weighted class
+    /// histogram and total weight (classification) or the weighted sum and
+    /// sum of squares (regression). Shared by the exact and the histogram
+    /// builder, which must agree bit for bit.
+    #[inline]
+    fn impurity(self, hist: &[f64], wsum: f64, sum: f64, sum_sq: f64) -> f64 {
+        match self {
+            Criterion::Gini => {
+                if wsum <= 0.0 {
+                    return 0.0;
+                }
+                let mut g = 1.0;
+                for &h in hist {
+                    let p = h / wsum;
+                    g -= p * p;
+                }
+                g
+            }
+            Criterion::Entropy => {
+                if wsum <= 0.0 {
+                    return 0.0;
+                }
+                let mut e = 0.0;
+                for &h in hist {
+                    if h > 0.0 {
+                        let p = h / wsum;
+                        e -= p * p.log2();
+                    }
+                }
+                e
+            }
+            Criterion::Mse => {
+                if wsum <= 0.0 {
+                    0.0
+                } else {
+                    sum_sq / wsum - (sum / wsum) * (sum / wsum)
+                }
+            }
+        }
+    }
+}
+
+/// Sample weight of row `i` (1 when the fit is unweighted).
+#[inline]
+fn row_weight(weights: Option<&[f64]>, i: usize) -> f64 {
+    weights.map_or(1.0, |w| w[i])
+}
+
 /// How many features to consider per split.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MaxFeatures {
@@ -319,17 +368,13 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
-    fn weight(&self, i: usize) -> f64 {
-        self.weights.map_or(1.0, |w| w[i])
-    }
-
     /// Leaf value: normalized class histogram or weighted mean.
     fn leaf_value(&self, indices: &[usize]) -> Vec<f64> {
         if self.config.criterion == Criterion::Mse {
             let mut sum = 0.0;
             let mut wsum = 0.0;
             for &i in indices {
-                let w = self.weight(i);
+                let w = row_weight(self.weights, i);
                 sum += w * self.y[i];
                 wsum += w;
             }
@@ -338,7 +383,7 @@ impl Builder<'_> {
             let mut hist = vec![0.0; self.n_outputs];
             let mut wsum = 0.0;
             for &i in indices {
-                let w = self.weight(i);
+                let w = row_weight(self.weights, i);
                 hist[self.y[i] as usize] += w;
                 wsum += w;
             }
@@ -348,42 +393,6 @@ impl Builder<'_> {
                 }
             }
             hist
-        }
-    }
-
-    fn impurity_from_stats(&self, hist: &[f64], wsum: f64, sum: f64, sum_sq: f64) -> f64 {
-        match self.config.criterion {
-            Criterion::Gini => {
-                if wsum <= 0.0 {
-                    return 0.0;
-                }
-                let mut g = 1.0;
-                for &h in hist {
-                    let p = h / wsum;
-                    g -= p * p;
-                }
-                g
-            }
-            Criterion::Entropy => {
-                if wsum <= 0.0 {
-                    return 0.0;
-                }
-                let mut e = 0.0;
-                for &h in hist {
-                    if h > 0.0 {
-                        let p = h / wsum;
-                        e -= p * p.log2();
-                    }
-                }
-                e
-            }
-            Criterion::Mse => {
-                if wsum <= 0.0 {
-                    0.0
-                } else {
-                    sum_sq / wsum - (sum / wsum) * (sum / wsum)
-                }
-            }
         }
     }
 
@@ -469,7 +478,7 @@ impl Builder<'_> {
         let mut total_hist = vec![0.0; k];
         let (mut total_w, mut total_sum, mut total_sq) = (0.0, 0.0, 0.0);
         for &i in indices {
-            let w = self.weight(i);
+            let w = row_weight(self.weights, i);
             total_w += w;
             if is_mse {
                 total_sum += w * self.y[i];
@@ -478,7 +487,7 @@ impl Builder<'_> {
                 total_hist[self.y[i] as usize] += w;
             }
         }
-        let parent_impurity = self.impurity_from_stats(&total_hist, total_w, total_sum, total_sq);
+        let parent_impurity = self.config.criterion.impurity(&total_hist, total_w, total_sum, total_sq);
         if parent_impurity <= 1e-12 {
             return None;
         }
@@ -493,7 +502,7 @@ impl Builder<'_> {
             let (mut lw, mut lsum, mut lsq) = (0.0, 0.0, 0.0);
             for pos in 0..sorted.len() - 1 {
                 let i = sorted[pos];
-                let w = self.weight(i);
+                let w = row_weight(self.weights, i);
                 lw += w;
                 if is_mse {
                     lsum += w * self.y[i];
@@ -514,8 +523,8 @@ impl Builder<'_> {
                 let rw = total_w - lw;
                 let (left_imp, right_imp) = if is_mse {
                     (
-                        self.impurity_from_stats(&[], lw, lsum, lsq),
-                        self.impurity_from_stats(&[], rw, total_sum - lsum, total_sq - lsq),
+                        self.config.criterion.impurity(&[], lw, lsum, lsq),
+                        self.config.criterion.impurity(&[], rw, total_sum - lsum, total_sq - lsq),
                     )
                 } else {
                     let right_hist: Vec<f64> = total_hist
@@ -524,8 +533,8 @@ impl Builder<'_> {
                         .map(|(t, l)| t - l)
                         .collect();
                     (
-                        self.impurity_from_stats(&left_hist, lw, 0.0, 0.0),
-                        self.impurity_from_stats(&right_hist, rw, 0.0, 0.0),
+                        self.config.criterion.impurity(&left_hist, lw, 0.0, 0.0),
+                        self.config.criterion.impurity(&right_hist, rw, 0.0, 0.0),
                     )
                 };
                 let weighted = (lw * left_imp + rw * right_imp) / total_w;
@@ -547,7 +556,7 @@ impl Builder<'_> {
         let mut total_hist = vec![0.0; k];
         let (mut total_w, mut total_sum, mut total_sq) = (0.0, 0.0, 0.0);
         for &i in indices {
-            let w = self.weight(i);
+            let w = row_weight(self.weights, i);
             total_w += w;
             if is_mse {
                 total_sum += w * self.y[i];
@@ -556,7 +565,7 @@ impl Builder<'_> {
                 total_hist[self.y[i] as usize] += w;
             }
         }
-        let parent_impurity = self.impurity_from_stats(&total_hist, total_w, total_sum, total_sq);
+        let parent_impurity = self.config.criterion.impurity(&total_hist, total_w, total_sum, total_sq);
         if parent_impurity <= 1e-12 {
             return None;
         }
@@ -579,7 +588,7 @@ impl Builder<'_> {
             let mut n_left = 0usize;
             for &i in indices {
                 if self.x.get(i, f) <= threshold {
-                    let w = self.weight(i);
+                    let w = row_weight(self.weights, i);
                     n_left += 1;
                     lw += w;
                     if is_mse {
@@ -597,8 +606,8 @@ impl Builder<'_> {
             let rw = total_w - lw;
             let (left_imp, right_imp) = if is_mse {
                 (
-                    self.impurity_from_stats(&[], lw, lsum, lsq),
-                    self.impurity_from_stats(&[], rw, total_sum - lsum, total_sq - lsq),
+                    self.config.criterion.impurity(&[], lw, lsum, lsq),
+                    self.config.criterion.impurity(&[], rw, total_sum - lsum, total_sq - lsq),
                 )
             } else {
                 let right_hist: Vec<f64> = total_hist
@@ -607,8 +616,8 @@ impl Builder<'_> {
                     .map(|(t, l)| t - l)
                     .collect();
                 (
-                    self.impurity_from_stats(&left_hist, lw, 0.0, 0.0),
-                    self.impurity_from_stats(&right_hist, rw, 0.0, 0.0),
+                    self.config.criterion.impurity(&left_hist, lw, 0.0, 0.0),
+                    self.config.criterion.impurity(&right_hist, rw, 0.0, 0.0),
                 )
             };
             let weighted = (lw * left_imp + rw * right_imp) / total_w;
@@ -1065,10 +1074,6 @@ struct HistBuilder<'a, C: BinCode> {
 }
 
 impl<C: BinCode> HistBuilder<'_, C> {
-    fn weight(&self, i: usize) -> f64 {
-        self.weights.map_or(1.0, |w| w[i])
-    }
-
     /// Slab region width (floats) of feature `f` under the active
     /// kernel's layout — `PAD_BINS` bins for the padded flat u8 layout,
     /// the feature's real bin count otherwise (PerNode, u16 codes).
@@ -1100,7 +1105,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
                 }
             } else {
                 for &i in &self.idx[start..end] {
-                    let w = self.weight(i as usize);
+                    let w = row_weight(self.weights, i as usize);
                     sum += w * self.y[i as usize];
                     wsum += w;
                 }
@@ -1117,7 +1122,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
                 }
             } else {
                 for &i in &self.idx[start..end] {
-                    let w = self.weight(i as usize);
+                    let w = row_weight(self.weights, i as usize);
                     hist[self.y[i as usize] as usize] += w;
                     wsum += w;
                 }
@@ -1128,42 +1133,6 @@ impl<C: BinCode> HistBuilder<'_, C> {
                 }
             }
             hist
-        }
-    }
-
-    fn impurity_from_stats(&self, hist: &[f64], wsum: f64, sum: f64, sum_sq: f64) -> f64 {
-        match self.config.criterion {
-            Criterion::Gini => {
-                if wsum <= 0.0 {
-                    return 0.0;
-                }
-                let mut g = 1.0;
-                for &h in hist {
-                    let p = h / wsum;
-                    g -= p * p;
-                }
-                g
-            }
-            Criterion::Entropy => {
-                if wsum <= 0.0 {
-                    return 0.0;
-                }
-                let mut e = 0.0;
-                for &h in hist {
-                    if h > 0.0 {
-                        let p = h / wsum;
-                        e -= p * p.log2();
-                    }
-                }
-                e
-            }
-            Criterion::Mse => {
-                if wsum <= 0.0 {
-                    0.0
-                } else {
-                    sum_sq / wsum - (sum / wsum) * (sum / wsum)
-                }
-            }
         }
     }
 
@@ -1403,7 +1372,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
         if !is_mse {
             total_w = total_hist.iter().sum();
         }
-        let parent_impurity = self.impurity_from_stats(&total_hist, total_w, total_sum, total_sq);
+        let parent_impurity = self.config.criterion.impurity(&total_hist, total_w, total_sum, total_sq);
         if parent_impurity <= 1e-12 {
             return None;
         }
@@ -1452,8 +1421,8 @@ impl<C: BinCode> HistBuilder<'_, C> {
                 let rw = total_w - lw;
                 let (left_imp, right_imp) = if is_mse {
                     (
-                        self.impurity_from_stats(&[], lw, lsum, lsq),
-                        self.impurity_from_stats(&[], rw, total_sum - lsum, total_sq - lsq),
+                        self.config.criterion.impurity(&[], lw, lsum, lsq),
+                        self.config.criterion.impurity(&[], rw, total_sum - lsum, total_sq - lsq),
                     )
                 } else {
                     for ((r, t), l) in right_hist
@@ -1464,8 +1433,8 @@ impl<C: BinCode> HistBuilder<'_, C> {
                         *r = t - l;
                     }
                     (
-                        self.impurity_from_stats(&left_hist, lw, 0.0, 0.0),
-                        self.impurity_from_stats(&right_hist, rw, 0.0, 0.0),
+                        self.config.criterion.impurity(&left_hist, lw, 0.0, 0.0),
+                        self.config.criterion.impurity(&right_hist, rw, 0.0, 0.0),
                     )
                 };
                 let weighted = (lw * left_imp + rw * right_imp) / total_w;

@@ -17,6 +17,10 @@
 //!   histograms sampled from the evaluator caches, the worker pool, and the
 //!   binned-tree training path; snapshot-serializable to a stable JSON
 //!   schema (`results/METRICS_run.json`).
+//! - [`journal`]: the trial journal's row formats — [`journal::TrialRecord`], the one
+//!   description of a finished trial that the evaluator hands to both the
+//!   journal and [`Tracer::trial`], plus expansion rows and the row parser.
+//!   (`volcanoml-exec` owns the durable file and re-exports these.)
 //! - [`report`]: joins the trial journal and the trace stream into a
 //!   human-readable run report — per-arm convergence, budget allocation by
 //!   block-tree path, worker-utilization timeline, cache efficiency.
@@ -28,10 +32,11 @@
 //!   cumulative `le` buckets).
 //!
 //! The crate is std-only, has no dependencies and sits at the bottom of the
-//! workspace graph (`volcanoml-exec` uses its [`json`] codec for journal
-//! rows): the evaluator and blocks emit, this crate records and renders.
+//! workspace graph (`volcanoml-exec` appends the rows [`journal`] defines):
+//! the evaluator and blocks emit, this crate records and renders.
 
 pub mod events;
+pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod prometheus;
@@ -41,4 +46,4 @@ pub mod tracer;
 pub use events::{BusEvent, EventBus, ObsEvent};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use prometheus::PrometheusText;
-pub use tracer::{current_arm, current_path, span, EventFields, SpanEvent, SpanGuard, Tracer, TrialInfo};
+pub use tracer::{current_arm, current_path, span, EventFields, SpanEvent, SpanGuard, Tracer};

@@ -680,32 +680,16 @@ fn render_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracer::{SpanEvent, TrialInfo};
+    use crate::tracer::SpanEvent;
 
     fn trial_line(trial_id: u64, arm: &str, path: &str, worker: usize, loss: f64, cost: f64) -> String {
-        let t = TrialInfo {
-            trial_id,
-            digest: trial_id * 7919,
-            worker,
-            start_s: trial_id as f64 * 0.1,
-            end_s: trial_id as f64 * 0.1 + cost,
-            fidelity: 1.0,
-            rung: -1,
-            bracket: -1,
-            loss,
-            cost,
-            cached: false,
-            fe_cached: false,
-            panicked: false,
-            timed_out: false,
-        };
         let mut e = SpanEvent::new("trial", path);
         e.span_id = 100 + trial_id;
         e.arm = arm.to_string();
-        e.t_s = t.start_s;
+        e.t_s = trial_id as f64 * 0.1;
         e.dur_s = cost;
         e.trial_id = trial_id as i64;
-        e.digest = format!("{:016x}", t.digest);
+        e.digest = format!("{:016x}", trial_id * 7919);
         e.loss = loss;
         e.cost = cost;
         e.worker = worker as i64;

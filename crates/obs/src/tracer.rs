@@ -17,7 +17,13 @@
 //! trial to its multi-fidelity scheduler slot (rung index in the engine's
 //! full η-ladder, stable bracket id) and mirror the journal's fields of the
 //! same name. `trial` is the join key into the trial journal: every journal
-//! row's `trial` id appears on exactly one `kind:"trial"` span.
+//! row's `trial` id appears on exactly one `kind:"trial"` span —
+//! [`Tracer::trial`] is handed the journal's own [`TrialRecord`], so the
+//! span's `trial`/`arm`/`digest`/`rung`/`bracket` are the row's.
+//!
+//! A tracer opened with [`Tracer::to_path`] writes events to its file and
+//! keeps none; only [`Tracer::in_memory`] retains them for
+//! [`Tracer::events`].
 //!
 //! Parent links come from a thread-local span *stack*: opening a
 //! [`SpanGuard`] (via [`span`]) pushes an entry, and any event emitted on
@@ -40,6 +46,7 @@
 //! work tallies it, the trial that ran there takes the tally — and appear
 //! nowhere in this span schema.
 
+use crate::journal::TrialRecord;
 use crate::json::{escape, num};
 use std::cell::RefCell;
 use std::io::Write;
@@ -207,42 +214,12 @@ impl Default for EventFields {
     }
 }
 
-/// One completed trial, as reported by the evaluator. Mirrors the trial
-/// journal row; `trial_id` is the join key between the two streams.
-#[derive(Debug, Clone)]
-pub struct TrialInfo {
-    /// Journal trial id.
-    pub trial_id: u64,
-    /// Stable assignment digest (same value the journal records).
-    pub digest: u64,
-    /// Worker that executed the trial.
-    pub worker: usize,
-    /// Trial start, seconds since the *journal* epoch.
-    pub start_s: f64,
-    /// Trial end, seconds since the *journal* epoch.
-    pub end_s: f64,
-    /// Fidelity the trial ran at.
-    pub fidelity: f64,
-    /// Multi-fidelity rung index, -1 when not bracket-scheduled.
-    pub rung: i64,
-    /// Issuing bracket's stable id, -1 when not bracket-scheduled.
-    pub bracket: i64,
-    /// Observed loss.
-    pub loss: f64,
-    /// Evaluation cost in seconds.
-    pub cost: f64,
-    /// Result-cache hit.
-    pub cached: bool,
-    /// FE-transform-cache hit.
-    pub fe_cached: bool,
-    /// The trial panicked.
-    pub panicked: bool,
-    /// The trial timed out.
-    pub timed_out: bool,
-}
-
 struct TracerState {
-    events: Vec<SpanEvent>,
+    /// Events emitted so far.
+    emitted: usize,
+    /// The events themselves, kept only by [`Tracer::in_memory`]: a
+    /// file-backed tracer's record is its file.
+    events: Option<Vec<SpanEvent>>,
     file: Option<std::io::BufWriter<std::fs::File>>,
 }
 
@@ -267,7 +244,8 @@ impl Tracer {
             next_id: AtomicU64::new(1),
             next_trial: AtomicU64::new(0),
             state: Mutex::new(TracerState {
-                events: Vec::new(),
+                emitted: 0,
+                events: file.is_none().then(Vec::new),
                 file,
             }),
             bus: None,
@@ -335,10 +313,13 @@ impl Tracer {
             return;
         }
         let mut state = self.state.lock().expect("tracer poisoned");
+        state.emitted += 1;
         if let Some(file) = &mut state.file {
             let _ = writeln!(file, "{}", event.to_json());
         }
-        state.events.push(event);
+        if let Some(events) = &mut state.events {
+            events.push(event);
+        }
     }
 
     /// Emits an instantaneous event parented to the current span.
@@ -389,13 +370,13 @@ impl Tracer {
         self.emit(e);
     }
 
-    /// Emits one `kind:"trial"` span parented to the current pull span.
-    /// `start_s`/`end_s` in [`TrialInfo`] are journal-epoch relative; the
-    /// event's `t_s` uses the tracer epoch for ordering consistency, while
-    /// `dur_s` preserves the journal-measured wall window.
-    pub fn trial(&self, t: &TrialInfo) {
+    /// Emits one `kind:"trial"` span parented to the current pull span,
+    /// from the record the journal gets. `start_s`/`end_s` are
+    /// journal-epoch relative; the event's `t_s` uses the tracer epoch for
+    /// ordering consistency, while `dur_s` preserves the journal-measured
+    /// wall window.
+    pub fn trial(&self, t: &TrialRecord) {
         if let Some(bus) = &self.bus {
-            let digest = format!("{:016x}", t.digest);
             // A config running at rung >= 1 got there by surviving the
             // rung below — the promotion decision itself happens inside
             // the bracket (no tracer in scope), so it is materialized
@@ -404,7 +385,7 @@ impl Tracer {
                 bus.publish(crate::events::ObsEvent::RungPromoted {
                     bracket: t.bracket,
                     rung: t.rung,
-                    digest: digest.clone(),
+                    digest: t.digest.clone(),
                 });
             }
             if t.timed_out {
@@ -415,7 +396,7 @@ impl Tracer {
             }
             bus.publish(crate::events::ObsEvent::TrialFinished {
                 trial: t.trial_id,
-                digest,
+                digest: t.digest.clone(),
                 fidelity: t.fidelity,
                 rung: t.rung,
                 bracket: t.bracket,
@@ -431,11 +412,11 @@ impl Tracer {
         let mut e = SpanEvent::new("trial", &current_path().unwrap_or_default());
         e.span_id = self.next_span_id();
         e.parent_id = current_span();
-        e.arm = current_arm();
+        e.arm = t.arm.clone();
         e.t_s = self.elapsed_s();
         e.dur_s = (t.end_s - t.start_s).max(0.0);
         e.trial_id = t.trial_id as i64;
-        e.digest = format!("{:016x}", t.digest);
+        e.digest = t.digest.clone();
         e.fidelity = t.fidelity;
         e.rung = t.rung;
         e.bracket = t.bracket;
@@ -459,9 +440,9 @@ impl Tracer {
         self.emit(e);
     }
 
-    /// Number of recorded events.
+    /// Number of events emitted so far.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("tracer poisoned").events.len()
+        self.state.lock().expect("tracer poisoned").emitted
     }
 
     /// Whether nothing has been recorded.
@@ -469,9 +450,11 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Snapshot of all events, in emission order.
+    /// Snapshot of all events, in emission order — empty for a file-backed
+    /// tracer, which keeps none in memory.
     pub fn events(&self) -> Vec<SpanEvent> {
-        self.state.lock().expect("tracer poisoned").events.clone()
+        let state = self.state.lock().expect("tracer poisoned");
+        state.events.clone().unwrap_or_default()
     }
 
     /// Flushes buffered lines to the backing file, if any.
@@ -514,7 +497,6 @@ pub fn span(tracer: &Arc<Tracer>, kind: &'static str, path: &str, arm: &str) -> 
         arm: arm.to_string(),
         start_s: tracer.elapsed_s(),
         start: Instant::now(),
-        fidelity: f64::NAN,
         loss: f64::NAN,
         cost: f64::NAN,
         detail: String::new(),
@@ -532,7 +514,6 @@ pub struct SpanGuard {
     arm: String,
     start_s: f64,
     start: Instant,
-    fidelity: f64,
     loss: f64,
     cost: f64,
     detail: String,
@@ -542,11 +523,6 @@ impl SpanGuard {
     /// This span's id (0 when the tracer is disabled).
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Annotates the fidelity the pull ran at.
-    pub fn set_fidelity(&mut self, fidelity: f64) {
-        self.fidelity = fidelity;
     }
 
     /// Annotates the observed loss.
@@ -579,7 +555,6 @@ impl Drop for SpanGuard {
         e.arm = std::mem::take(&mut self.arm);
         e.t_s = self.start_s;
         e.dur_s = self.start.elapsed().as_secs_f64();
-        e.fidelity = self.fidelity;
         e.loss = self.loss;
         e.cost = self.cost;
         e.detail = std::mem::take(&mut self.detail);
@@ -618,9 +593,10 @@ mod tests {
     fn trial_event_inherits_context_and_joins() {
         let tracer = Arc::new(Tracer::in_memory());
         let _pull = span(&tracer, "pull", "root/algorithm=2", "algorithm=2");
-        tracer.trial(&TrialInfo {
+        tracer.trial(&TrialRecord {
             trial_id: 7,
-            digest: 0xdead_beef,
+            digest: format!("{:016x}", 0xdead_beefu64),
+            arm: current_arm(),
             worker: 1,
             start_s: 0.5,
             end_s: 0.75,
@@ -720,6 +696,8 @@ mod tests {
             }
             tracer.flush();
             assert_eq!(tracer.len(), n_threads * per_thread);
+            // The file is the record: no second copy grows in memory.
+            assert!(tracer.events().is_empty());
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -740,9 +718,10 @@ mod tests {
         tracer.set_bus(Arc::clone(&bus));
         assert!(tracer.has_bus());
         let tracer = Arc::new(tracer);
-        tracer.trial(&TrialInfo {
+        tracer.trial(&TrialRecord {
             trial_id: 3,
-            digest: 0xfeed,
+            digest: format!("{:016x}", 0xfeed),
+            arm: String::new(),
             worker: 2,
             start_s: 0.0,
             end_s: 0.5,

@@ -2,7 +2,7 @@
 //! persisted verbatim-equivalent as `spec.json` in the study directory so a
 //! restarted server can resume the study from its journal alone.
 
-use volcanoml_core::plans::enumerate_coarse_plans;
+use volcanoml_core::plans;
 use volcanoml_core::{EngineKind, Objective, PlanSpec, SpaceGrowth, SpaceTier};
 use volcanoml_data::synthetic::{self, NAMED_KINDS};
 use volcanoml_data::Dataset;
@@ -101,7 +101,7 @@ impl StudySpec {
         let plan = get_str("plan")?;
         if let Some(p) = &plan {
             // Validate eagerly so a bad plan 400s at submission, not at fit.
-            resolve_plan(Some(p), engine)?;
+            plans::by_name(p, engine)?;
         }
         let tier = match get_str("tier")? {
             Some(s) => SpaceTier::from_name(&s)?,
@@ -120,15 +120,12 @@ impl StudySpec {
             None | Some("loss") => Objective::Loss,
             Some("loss_and_cost") => {
                 let latency_weight = match doc.get("latency_weight") {
-                    None | Some(JsonValue::Null) => 100.0,
-                    Some(v) => v
-                        .as_f64()
-                        .filter(|w| w.is_finite() && *w >= 0.0)
-                        .ok_or_else(|| {
-                            "field \"latency_weight\" must be a finite number >= 0".to_string()
-                        })?,
+                    None | Some(JsonValue::Null) => None,
+                    Some(v) => Some(v.as_f64().ok_or_else(|| {
+                        "field \"latency_weight\" must be a number".to_string()
+                    })?),
                 };
-                Objective::LossAndCost { latency_weight }
+                Objective::loss_and_cost(latency_weight).map_err(|e| e.to_string())?
             }
             Some(other) => {
                 return Err(format!(
@@ -203,18 +200,10 @@ impl StudySpec {
 
     /// Resolves the plan name (or the default plan) for this spec.
     pub fn resolve_plan(&self) -> Result<PlanSpec, String> {
-        resolve_plan(self.plan.as_deref(), self.engine)
-    }
-}
-
-fn resolve_plan(name: Option<&str>, engine: EngineKind) -> Result<PlanSpec, String> {
-    match name {
-        None => Ok(PlanSpec::volcano_default(engine)),
-        Some(s) => enumerate_coarse_plans(engine)
-            .into_iter()
-            .find(|(name, _)| name.to_lowercase().starts_with(s))
-            .map(|(_, plan)| plan)
-            .ok_or_else(|| format!("unknown plan '{s}' (use p1..p5)")),
+        match &self.plan {
+            None => Ok(PlanSpec::volcano_default(self.engine)),
+            Some(name) => plans::by_name(name, self.engine),
+        }
     }
 }
 

@@ -79,6 +79,31 @@ print(f"micro_models smoke ok: kernel_speedup {ks:.2f}x on {b['n_cpus']} cpu(s),
       f"accuracy_delta {b['accuracy_delta']:+.4f}")
 EOF
 
+# Joins a journal to a trace on `trial`: every journal row must have exactly
+# one kind:"trial" span, and the two must agree on arm/digest/rung/bracket —
+# both are written from the one record the evaluator builds per trial.
+join_journal_to_trace() {
+    python3 - "$1" "$2" <<'EOF'
+import json, sys
+spans = {}
+for line in open(sys.argv[2]):
+    e = json.loads(line)
+    if e["kind"] == "trial":
+        spans.setdefault(e["trial"], []).append(e)
+rows = [r for r in map(json.loads, open(sys.argv[1])) if "event" not in r]
+assert rows, "journal has no trial rows"
+for row in rows:
+    matched = spans.get(row["trial"], [])
+    assert len(matched) == 1, f"trial {row['trial']}: {len(matched)} trial spans"
+    for key in ("arm", "digest", "rung", "bracket"):
+        assert row[key] == matched[0][key], \
+            f"trial {row['trial']}: {key} is {row[key]!r} in the journal, {matched[0][key]!r} in the trace"
+assert len(spans) == len(rows), f"{len(spans)} trial spans for {len(rows)} journal rows"
+tagged = sum(1 for r in rows if r["rung"] >= 0)
+print(f"journal/trace join ok: {len(rows)} rows, {tagged} rung-tagged")
+EOF
+}
+
 echo "== smoke: traced fit + report =="
 SMOKE_DIR="$(mktemp -d)"
 # Kill any background servers/streams on the way out so a failed assertion
@@ -91,6 +116,7 @@ VOLCANOML=target/release/volcanoml
     --metrics "$SMOKE_DIR/metrics.json"
 "$VOLCANOML" report "$SMOKE_DIR/trace.jsonl" \
     --journal "$SMOKE_DIR/trials.jsonl" --metrics "$SMOKE_DIR/metrics.json"
+join_journal_to_trace "$SMOKE_DIR/trials.jsonl" "$SMOKE_DIR/trace.jsonl"
 # The zero-copy trial path must actually engage: full-view borrows show up
 # as skipped gathers in the metrics snapshot.
 python3 - "$SMOKE_DIR/metrics.json" <<'EOF'
@@ -120,7 +146,10 @@ echo "== smoke: pooled multi-fidelity fit (mfes-hb, 4 workers) =="
 # exercise at least two distinct sub-1.0 fidelities (the broken batch path
 # collapsed every slot after the first to a random full-fidelity draw).
 "$VOLCANOML" fit "$SMOKE_DIR/data.csv" --evals 24 --tier small \
-    --engine mfes-hb --workers 4 --journal "$SMOKE_DIR/mfes.jsonl"
+    --engine mfes-hb --workers 4 --journal "$SMOKE_DIR/mfes.jsonl" \
+    --trace "$SMOKE_DIR/mfes_trace.jsonl"
+# The pooled bracket run is the one with real rung tags to compare.
+join_journal_to_trace "$SMOKE_DIR/mfes.jsonl" "$SMOKE_DIR/mfes_trace.jsonl"
 python3 - "$SMOKE_DIR/mfes.jsonl" <<'EOF'
 import json, sys
 sub_full = set()
