@@ -152,6 +152,8 @@ fn cmd_fit(args: &[String]) -> Result<(), String> {
     let journal_path = flags.get("journal").map(std::path::PathBuf::from);
     let trace_path = flags.get("trace").map(std::path::PathBuf::from);
     let metrics_path = flags.get("metrics").map(std::path::PathBuf::from);
+    // Seconds each pool job may take: a holdout trial is one job, a CV
+    // trial one per fold, and it times out when any of them does.
     let trial_deadline = match flags.get("trial-timeout") {
         Some(v) => {
             let secs: f64 = v

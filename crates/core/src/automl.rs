@@ -59,11 +59,13 @@ pub struct VolcanoMlOptions {
     pub objective: Objective,
     /// Worker threads for trial execution. With `n_workers > 1` each pull
     /// on the plan asks for one trial per worker and runs them concurrently
-    /// on an [`ExecPool`].
+    /// on an [`ExecPool`], one job per trial and validation pair (so a CV
+    /// trial's folds also run side by side).
     pub n_workers: usize,
-    /// Optional per-trial wall-clock deadline. Trials then run on a pool
-    /// even at `n_workers = 1`; a trial exceeding it is abandoned with
-    /// infinite loss.
+    /// Optional wall-clock deadline per pool job — one job per trial under
+    /// holdout, one per fold under CV. Trials then run on a pool even at
+    /// `n_workers = 1`; a trial any of whose jobs exceeds it is abandoned
+    /// with infinite loss.
     pub trial_deadline: Option<Duration>,
     /// When set, every trial is appended to a JSONL journal at this path.
     pub journal_path: Option<std::path::PathBuf>,

@@ -15,11 +15,14 @@
 //! All mutable state (cache, counters, log) lives behind an `Arc` so that
 //! [`Evaluator::clone`] yields a *shared handle*: clones see the same cache
 //! and log, and [`Evaluator::evaluate`] takes `&self`. That is what lets
-//! [`Evaluator::evaluate_trials`] ship trials to an [`ExecPool`] of worker
+//! [`Evaluator::evaluate_trials`] ship work to an [`ExecPool`] of worker
 //! threads — which all share the one `Arc<Dataset>` instead of per-handle
-//! copies. Every trial additionally runs under `catch_unwind`, so a
-//! panicking pipeline yields `loss = INFINITY` instead of tearing down the
-//! search — with or without a pool.
+//! copies. The unit of that work is one `(trial, validation pair)` job, so
+//! a CV trial's folds spread over every idle worker; the trial's
+//! bookkeeping stays on the coordinator, in submission order. Every job
+//! runs under `catch_unwind`, so a panicking pipeline yields
+//! `loss = INFINITY` instead of tearing down the search — with or without a
+//! pool.
 
 mod cache;
 mod fe_cache;
@@ -43,12 +46,13 @@ use cache::BoundedCache;
 use fe_cache::FeTransformed;
 use interpret::assignment_key;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use volcanoml_data::{view, Dataset, DatasetView, Metric};
-use volcanoml_exec::{current_worker, ExecPool, Journal, TrialRecord, TrialStatus};
+use validate::{PairJob, PairRun, Plan};
+use volcanoml_data::{Dataset, DatasetView, Metric};
+use volcanoml_exec::{current_worker, ExecPool, Journal, TrialRecord, TrialRun, TrialStatus};
 use volcanoml_fe::FePipeline;
 use volcanoml_models::{binned, Model};
 use volcanoml_obs::{current_arm, MetricsRegistry, Tracer};
@@ -106,6 +110,18 @@ pub struct EvalOutcome {
 }
 
 impl EvalOutcome {
+    fn hit(loss: f64, cost: f64) -> EvalOutcome {
+        EvalOutcome {
+            loss,
+            cost,
+            cached: true,
+            fe_cached: false,
+            panicked: false,
+            timed_out: false,
+            replayed: false,
+        }
+    }
+
     fn failed(timed_out: bool, panicked: bool) -> EvalOutcome {
         EvalOutcome {
             loss: f64::INFINITY,
@@ -124,15 +140,35 @@ impl EvalOutcome {
 pub type Trial = (HashMap<String, f64>, f64, TrialTag);
 
 /// The run record of one trial: where it ran, when on the journal clock, and
-/// with what outcome. `queue_wait_s` (dispatch-to-start latency) is set only
-/// for trials that went through a pool.
-#[derive(Clone, Copy)]
+/// with what outcome. `worker` and `queue_wait_s` (dispatch-to-start
+/// latency, set only for pooled trials) are those of the trial's first job;
+/// `start_s`/`end_s` span its jobs; `busy` holds each job's worker and
+/// seconds. A trial that ran no job (cache hit, replay row) is stamped on the
+/// coordinator at dispatch, with no busy time.
 struct RunRecord {
     worker: usize,
     start_s: f64,
     end_s: f64,
     queue_wait_s: Option<f64>,
+    busy: Vec<(usize, f64)>,
     outcome: EvalOutcome,
+}
+
+/// How one trial of a batch is answered, decided on the coordinator before
+/// any job runs.
+enum Prepared {
+    /// A crash-resume replay row or a result-cache hit: nothing runs.
+    /// `entry` is the log entry a replayed fresh row re-enters.
+    Answered {
+        outcome: EvalOutcome,
+        entry: Option<LogEntry>,
+    },
+    /// The same `(assignment, fidelity)` as the fresh trial at this batch
+    /// index: a result-cache hit on what that trial inserts.
+    Duplicate(usize),
+    /// A fresh evaluation: its pair jobs, at these positions of the batch's
+    /// job list.
+    Fresh(Range<usize>),
 }
 
 /// What a run's trials added up to: cache traffic, and the work the model
@@ -185,7 +221,7 @@ struct EvalState {
     /// usizes), where caching owned subsets would pin extra copies of the
     /// dataset. Bounded in practice by the handful of distinct fidelities a
     /// search schedules.
-    plans: HashMap<u64, Arc<Vec<(DatasetView, DatasetView)>>>,
+    plans: HashMap<u64, Plan>,
     evaluations: usize,
     total_cost: f64,
     /// Cache hits since the last non-cached evaluation (replayed rows
@@ -496,6 +532,7 @@ impl Evaluator {
             start_s,
             end_s,
             queue_wait_s,
+            ref busy,
             outcome,
         } = *run;
         let rec = TrialRecord {
@@ -539,7 +576,11 @@ impl Evaluator {
             if !outcome.cached {
                 m.observe("trial.cost_s", outcome.cost);
             }
-            m.add_to_gauge(&format!("worker.{worker}.busy_s"), (end_s - start_s).max(0.0));
+            // Each job's seconds go to the worker that ran it: a CV trial's
+            // folds may span workers.
+            for &(job_worker, seconds) in busy {
+                m.add_to_gauge(&format!("worker.{job_worker}.busy_s"), seconds.max(0.0));
+            }
             if let Some(wait) = queue_wait_s {
                 m.observe("exec.queue_wait_s", wait.max(0.0));
             }
@@ -568,231 +609,171 @@ impl Evaluator {
             .expect("one outcome per trial")
     }
 
-    /// Evaluates `trials` — on `pool`'s workers when one is given, one
-    /// after another on the calling thread when not — and returns their
-    /// outcomes in submission order. Each trial's [`TrialTag`] is
-    /// journaled/traced as its `rung`/`bracket`. A trial that exceeds the
-    /// pool's deadline is reported as timed out with infinite loss (its
-    /// abandoned computation may still land in the cache later, but never
-    /// journals or double-counts).
+    /// Evaluates `trials` and returns their outcomes in submission order, in
+    /// three steps:
     ///
-    /// This is the one place trials are recorded: on the coordinator, from
-    /// the run record, so abandoned (timed out) trials still get a row.
+    /// 1. *prepare*, on the coordinator: replay-table and result-cache
+    ///    lookups, the fault hook, and the fresh trials' validation plans,
+    ///    each turned into one job per `(train, valid)` pair;
+    /// 2. *run*: all jobs of the batch as one [`ExecPool::run_batch`] when
+    ///    `pool` is given, one after another on the calling thread when not;
+    /// 3. *reduce*, on the coordinator: each fresh trial's pair losses are
+    ///    averaged in plan order, then cache, log, counters and tallies are
+    ///    updated and every trial is journaled/traced/metered — all in
+    ///    submission order, so the log order is the order trials were asked
+    ///    for, never the order they finished in.
+    ///
+    /// Each trial's [`TrialTag`] is journaled/traced as its `rung`/`bracket`.
+    /// A trial is panicked (or timed out) if any of its jobs was; a timed-out
+    /// trial reports infinite loss and leaves no cache or log entry (its
+    /// abandoned jobs may still fill FE-cache entries later).
     pub fn evaluate_trials(&self, pool: Option<&ExecPool>, trials: &[Trial]) -> Vec<EvalOutcome> {
+        let (prepared, jobs) = self.prepare(trials);
         let journal = self.journal();
-        let runs = self.run_trials(pool, trials, journal.as_ref().map_or(0.0, |j| j.elapsed_s()));
-        for (trial, run) in trials.iter().zip(&runs) {
+        let epoch_s = journal.as_ref().map_or(0.0, |j| j.elapsed_s());
+        let runs = match pool {
+            Some(pool) => pool.run_batch(jobs.into_iter().map(|job| move || job.run()).collect()),
+            None => run_inline(jobs),
+        };
+        let records = self.reduce(trials, prepared, &runs, epoch_s, pool.is_some());
+        for (trial, run) in trials.iter().zip(&records) {
             // Replayed trials were journaled by the interrupted run;
             // journaling them again would duplicate their trial ids.
             if !run.outcome.replayed {
                 self.record_trial(journal.as_ref(), trial, run);
             }
         }
-        runs.into_iter().map(|run| run.outcome).collect()
+        records.into_iter().map(|run| run.outcome).collect()
     }
 
-    /// Executes `trials` and reports how each ran, with times on the
-    /// journal clock (`epoch_s` is its reading at dispatch).
-    fn run_trials(
-        &self,
-        pool: Option<&ExecPool>,
-        trials: &[Trial],
-        epoch_s: f64,
-    ) -> Vec<RunRecord> {
-        let Some(pool) = pool else {
-            let epoch = Instant::now();
-            return trials
-                .iter()
-                .map(|(assignment, fidelity, _)| {
-                    let start_s = epoch_s + epoch.elapsed().as_secs_f64();
-                    let outcome = self.evaluate_inner(assignment, *fidelity);
-                    RunRecord {
-                        worker: current_worker().unwrap_or(0),
-                        start_s,
-                        end_s: epoch_s + epoch.elapsed().as_secs_f64(),
-                        queue_wait_s: None,
-                        outcome,
-                    }
-                })
-                .collect();
-        };
-        let jobs: Vec<_> = trials
-            .iter()
-            .cloned()
-            .map(|(assignment, fidelity, _)| {
-                let ev = self.clone();
-                move || ev.evaluate_inner(&assignment, fidelity)
-            })
-            .collect();
-        pool.run_batch(jobs)
-            .into_iter()
-            .map(|run| RunRecord {
-                worker: run.worker,
-                start_s: epoch_s + run.started_s,
-                end_s: epoch_s + run.ended_s,
-                queue_wait_s: Some(run.started_s),
-                outcome: match run.status {
-                    TrialStatus::Done(out) => out,
-                    TrialStatus::Panicked(_) => EvalOutcome::failed(false, true),
-                    TrialStatus::TimedOut => EvalOutcome::failed(true, false),
-                },
-            })
-            .collect()
-    }
-
-    /// One trial's evaluation, on whichever thread runs it: replay table,
-    /// then result cache, then a fresh fit under `catch_unwind`.
-    fn evaluate_inner(&self, assignment: &HashMap<String, f64>, fidelity: f64) -> EvalOutcome {
-        let fidelity = fidelity.clamp(0.01, 1.0);
-        let key = (assignment_key(assignment), fidelity.to_bits());
-        // Crash-resume replay comes *before* the cache: the replay queue for
-        // a key holds the interrupted run's outcomes in journal order (first
-        // fresh, later ones cache hits), and a live cache lookup must never
-        // consume — or bypass — a row that belongs to an earlier journaled
-        // trial.
-        let replay = {
-            let mut state = self.state();
-            state.replay.get_mut(&key).and_then(|q| q.pop_front())
-        };
-        if let Some(row) = replay {
-            return self.replay_outcome(assignment, fidelity, key, row);
-        }
-        let cached = {
-            let mut state = self.state();
-            let hit = state.cache.get(&key);
-            if hit.is_some() {
-                state.consecutive_cached += 1;
-            }
-            hit
-        };
-        if let Some((loss, cost)) = cached {
-            return EvalOutcome {
-                loss,
-                cost,
-                cached: true,
-                fe_cached: false,
-                panicked: false,
-                timed_out: false,
-                replayed: false,
-            };
-        }
-        let fault = self
+    /// Step 1 of [`Evaluator::evaluate_trials`]: answers what needs no fit
+    /// and returns the batch's pair jobs. Crash-resume replay comes *before*
+    /// the cache: the replay queue for a key holds the interrupted run's
+    /// outcomes in journal order (first fresh, later ones cache hits), and a
+    /// live cache lookup must never consume — or bypass — a row that belongs
+    /// to an earlier journaled trial.
+    fn prepare(&self, trials: &[Trial]) -> (Vec<Prepared>, Vec<PairJob>) {
+        let hook = self
             .shared
             .fault_hook
             .lock()
             .expect("hook poisoned")
-            .clone()
-            .and_then(|hook| hook(assignment, fidelity));
-        let start = Instant::now();
-        // Work tallies are per thread, not per trial: drop whatever this
-        // thread did before, so what is taken after the fit is this trial's.
-        binned::stats::take();
-        view::stats::take();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            match fault {
-                Some(Fault::Panic) => panic!("injected trial fault"),
-                Some(Fault::Stall(d)) => std::thread::sleep(d),
-                None => {}
-            }
-            self.evaluate_uncached(assignment, fidelity)
-        }));
-        // Outside `catch_unwind`, so a panicked trial's work still counts.
-        let binned = binned::stats::take();
-        let (bytes_gathered, gathers_skipped) = view::stats::take();
-        let (raw_loss, fe_cached, infer_cost, panicked) = match caught {
-            Ok(Ok((loss, fe_cached, infer_s))) => (loss, fe_cached, infer_s, false),
-            Ok(Err(_)) => (f64::INFINITY, false, 0.0, false),
-            Err(_) => (f64::INFINITY, false, 0.0, true),
-        };
-        // Scalarize before anything downstream sees the number: the cache,
-        // the journal, and the engines all observe the same scalar, which
-        // is what keeps cost-sensitive resume replay bitwise.
-        let loss = self.objective().scalarize(raw_loss, infer_cost);
-        let cost = start.elapsed().as_secs_f64();
-        {
-            let mut state = self.state();
-            state.cache.insert(key, (loss, cost));
-            state.evaluations += 1;
-            state.total_cost += cost;
-            state.consecutive_cached = 0;
-            state.binned.add(&binned);
-            state.gathered.0 += bytes_gathered;
-            state.gathered.1 += gathers_skipped;
-            state.log.push(LogEntry {
-                assignment: assignment.clone(),
-                fidelity,
-                loss,
-                cost,
-                infer_cost,
-            });
-        }
-        EvalOutcome {
-            loss,
-            cost,
-            cached: false,
-            fe_cached,
-            panicked,
-            timed_out: false,
-            replayed: false,
-        }
+            .clone();
+        let mut jobs = Vec::new();
+        let mut fresh: HashMap<(u64, u64), usize> = HashMap::new();
+        let prepared = trials
+            .iter()
+            .enumerate()
+            .map(|(index, (assignment, fidelity, _))| {
+                let fidelity = fidelity.clamp(0.01, 1.0);
+                let key = (assignment_key(assignment), fidelity.to_bits());
+                {
+                    let mut state = self.state();
+                    if let Some(row) = state.replay.get_mut(&key).and_then(|q| q.pop_front()) {
+                        return replay_row(&mut state, assignment, fidelity, key, row);
+                    }
+                    if let Some(&first) = fresh.get(&key) {
+                        return Prepared::Duplicate(first);
+                    }
+                    if let Some((loss, cost)) = state.cache.get(&key) {
+                        return Prepared::Answered {
+                            outcome: EvalOutcome::hit(loss, cost),
+                            entry: None,
+                        };
+                    }
+                }
+                fresh.insert(key, index);
+                let fault = hook.as_ref().and_then(|hook| hook(assignment, fidelity));
+                let first = jobs.len();
+                jobs.extend(self.pair_jobs(assignment, fidelity, fault));
+                Prepared::Fresh(first..jobs.len())
+            })
+            .collect();
+        (prepared, jobs)
     }
 
-    /// Materializes one replay-table row as this trial's outcome,
-    /// reproducing the interrupted run's accounting: a journaled fresh
-    /// evaluation re-enters the cache/log/counters (even failures — the
-    /// fresh path inserts unconditionally), a journaled cache hit counts
-    /// nothing (the entry is already back in the cache from its fresh row),
-    /// and a journaled abandoned trial (timeout, escaped panic — both
-    /// synthesized by `run_trials` with zero cost) never reached
-    /// the accounting path at all.
-    ///
-    /// Cached rows journal cost 0 (accounting convention: a hit spends no
-    /// wall time), but the *live* run handed the engine the memoized true
-    /// cost — so the replayed outcome recovers it from the cache entry the
-    /// earlier fresh row re-inserted. Without this, every replayed hit
-    /// would poison the cost surrogate with zero-cost observations and
-    /// break the bitwise-resume guarantee for cost-aware studies.
-    fn replay_outcome(
+    /// Step 3 of [`Evaluator::evaluate_trials`]: folds the jobs' runs back
+    /// into one run record per trial and does the batch's bookkeeping, in
+    /// submission order.
+    fn reduce(
         &self,
-        assignment: &HashMap<String, f64>,
-        fidelity: f64,
-        key: (u64, u64),
-        row: TrialRecord,
-    ) -> EvalOutcome {
-        let abandoned = row.timed_out || (row.panicked && row.cost == 0.0);
-        let mut cost = row.cost;
-        if row.cached {
-            let mut state = self.state();
-            state.consecutive_cached += 1;
-            // Direct map access: recovering the memoized cost is not a
-            // lookup the live run performed twice, so hit/miss counters
-            // stay untouched.
-            if let Some(&(_, memoized)) = state.cache.map.get(&key) {
-                cost = memoized;
+        trials: &[Trial],
+        prepared: Vec<Prepared>,
+        runs: &[TrialRun<PairRun>],
+        epoch_s: f64,
+        pooled: bool,
+    ) -> Vec<RunRecord> {
+        let objective = self.objective();
+        let coordinator = current_worker().unwrap_or(0);
+        let mut state = self.state();
+        let mut records: Vec<RunRecord> = Vec::with_capacity(trials.len());
+        for ((assignment, fidelity, _), prep) in trials.iter().zip(prepared) {
+            let fidelity = fidelity.clamp(0.01, 1.0);
+            let key = (assignment_key(assignment), fidelity.to_bits());
+            let mut record = RunRecord {
+                worker: coordinator,
+                start_s: epoch_s,
+                end_s: epoch_s,
+                queue_wait_s: None,
+                busy: Vec::new(),
+                outcome: EvalOutcome::failed(false, false),
+            };
+            let entry = match prep {
+                Prepared::Answered { outcome, entry } => {
+                    record.outcome = outcome;
+                    entry
+                }
+                Prepared::Duplicate(first) => {
+                    // The first trial inserted the key unless it was
+                    // abandoned; then the duplicate shares its fate.
+                    record.outcome = if state.cache.map.contains_key(&key) {
+                        let (loss, cost) = state.cache.get(&key).expect("entry just seen");
+                        EvalOutcome::hit(loss, cost)
+                    } else {
+                        records[first].outcome
+                    };
+                    None
+                }
+                Prepared::Fresh(jobs) => {
+                    let jobs = &runs[jobs];
+                    let first = &jobs[0];
+                    record.worker = first.worker;
+                    record.queue_wait_s = pooled.then_some(first.started_s);
+                    record.start_s = epoch_s
+                        + jobs
+                            .iter()
+                            .map(|r| r.started_s)
+                            .fold(f64::INFINITY, f64::min);
+                    record.end_s = epoch_s + jobs.iter().map(|r| r.ended_s).fold(0.0, f64::max);
+                    record.busy = jobs
+                        .iter()
+                        .map(|r| (r.worker, r.ended_s - r.started_s))
+                        .collect();
+                    let (outcome, entry) = settle_fresh(objective, assignment, fidelity, jobs);
+                    record.outcome = outcome;
+                    entry
+                }
+            };
+            if record.outcome.cached {
+                state.consecutive_cached += 1;
+            } else if let Some(entry) = entry {
+                state.cache.insert(key, (entry.loss, entry.cost));
+                state.evaluations += 1;
+                state.total_cost += entry.cost;
+                state.consecutive_cached = 0;
+                state.log.push(entry);
             }
-        } else if !abandoned {
-            let mut state = self.state();
-            state.cache.insert(key, (row.loss, row.cost));
-            state.evaluations += 1;
-            state.total_cost += row.cost;
-            state.consecutive_cached = 0;
-            state.log.push(LogEntry {
-                assignment: assignment.clone(),
-                fidelity,
-                loss: row.loss,
-                cost: row.cost,
-                infer_cost: 0.0,
-            });
+            records.push(record);
         }
-        EvalOutcome {
-            loss: row.loss,
-            cost,
-            cached: row.cached,
-            fe_cached: row.fe_cached,
-            panicked: row.panicked,
-            timed_out: row.timed_out,
-            replayed: true,
+        // Every finished job's work counts, abandoned trials' included.
+        for run in runs {
+            if let TrialStatus::Done(pair) = &run.status {
+                state.binned.add(&pair.binned);
+                state.gathered.0 += pair.gathered.0;
+                state.gathered.1 += pair.gathered.1;
+            }
         }
+        records
     }
 
     /// Trains the final pipeline+model from an assignment on a complete
@@ -812,6 +793,138 @@ impl Evaluator {
         self.shared
             .model_n_jobs
             .store(n_jobs.max(1), Ordering::Relaxed);
+    }
+}
+
+/// Step 2 of [`Evaluator::evaluate_trials`] without a pool: the jobs one
+/// after another on the calling thread, timed like a pool batch.
+fn run_inline(jobs: Vec<PairJob>) -> Vec<TrialRun<PairRun>> {
+    let epoch = Instant::now();
+    let worker = current_worker().unwrap_or(0);
+    jobs.into_iter()
+        .enumerate()
+        .map(|(index, job)| {
+            let started_s = epoch.elapsed().as_secs_f64();
+            let status = TrialStatus::Done(job.run());
+            TrialRun {
+                index,
+                worker,
+                started_s,
+                ended_s: epoch.elapsed().as_secs_f64(),
+                status,
+            }
+        })
+        .collect()
+}
+
+/// Folds a fresh trial's job runs into its outcome and the log entry it adds
+/// (none when a job was abandoned). The pair losses are summed in plan order
+/// and divided once, so the mean is the pair's own value bit for bit under
+/// holdout; `cost` is the sum of the jobs' seconds.
+fn settle_fresh(
+    objective: crate::objective::Objective,
+    assignment: &HashMap<String, f64>,
+    fidelity: f64,
+    jobs: &[TrialRun<PairRun>],
+) -> (EvalOutcome, Option<LogEntry>) {
+    let mut pairs = Vec::with_capacity(jobs.len());
+    for run in jobs {
+        match &run.status {
+            TrialStatus::Done(pair) => pairs.push(pair),
+            TrialStatus::TimedOut => return (EvalOutcome::failed(true, false), None),
+            TrialStatus::Panicked(_) => return (EvalOutcome::failed(false, true), None),
+        }
+    }
+    let cost = pairs.iter().map(|pair| pair.seconds).sum();
+    let scores: Option<Vec<(f64, bool, f64)>> = pairs.iter().map(|pair| pair.score).collect();
+    let (raw_loss, fe_cached, infer_cost) = match scores {
+        Some(scores) => {
+            let k = scores.len() as f64;
+            let (loss, infer_s, fe_cached) = scores
+                .iter()
+                .fold((0.0, 0.0, true), |(loss, infer_s, all_fe), s| {
+                    (loss + s.0, infer_s + s.2, all_fe && s.1)
+                });
+            (loss / k, fe_cached, infer_s / k)
+        }
+        None => (f64::INFINITY, false, 0.0),
+    };
+    // Scalarize before anything downstream sees the number: the cache, the
+    // journal, and the engines all observe the same scalar, which is what
+    // keeps cost-sensitive resume replay bitwise.
+    let loss = objective.scalarize(raw_loss, infer_cost);
+    let outcome = EvalOutcome {
+        loss,
+        cost,
+        cached: false,
+        fe_cached,
+        panicked: pairs.iter().any(|pair| pair.panicked),
+        timed_out: false,
+        replayed: false,
+    };
+    let entry = LogEntry {
+        assignment: assignment.clone(),
+        fidelity,
+        loss,
+        cost,
+        infer_cost,
+    };
+    (outcome, Some(entry))
+}
+
+/// Answers a trial from one replay-table row, reproducing the interrupted
+/// run's accounting: a journaled fresh evaluation re-enters the
+/// cache/log/counters (even failures — the fresh path inserts
+/// unconditionally), a journaled cache hit counts nothing (the entry is
+/// already back in the cache from its fresh row), and a journaled abandoned
+/// trial (timeout, escaped panic — both journaled with zero cost) never
+/// reached the accounting at all.
+///
+/// Cached rows journal cost 0 (accounting convention: a hit spends no wall
+/// time), but the *live* run handed the engine the memoized true cost — so
+/// the replayed outcome recovers it from the cache entry the earlier fresh
+/// row re-inserted. Without this, every replayed hit would poison the cost
+/// surrogate with zero-cost observations and break the bitwise-resume
+/// guarantee for cost-aware studies.
+fn replay_row(
+    state: &mut EvalState,
+    assignment: &HashMap<String, f64>,
+    fidelity: f64,
+    key: (u64, u64),
+    row: TrialRecord,
+) -> Prepared {
+    let abandoned = row.timed_out || (row.panicked && row.cost == 0.0);
+    let mut cost = row.cost;
+    let mut entry = None;
+    if row.cached {
+        // Direct map access: recovering the memoized cost is not a lookup
+        // the live run performed twice, so hit/miss counters stay untouched.
+        if let Some(&(_, memoized)) = state.cache.map.get(&key) {
+            cost = memoized;
+        }
+    } else if !abandoned {
+        // Inserted here rather than at reduce, so later trials of the same
+        // batch find it as the live run's did.
+        state.cache.insert(key, (row.loss, row.cost));
+        entry = Some(LogEntry {
+            assignment: assignment.clone(),
+            fidelity,
+            loss: row.loss,
+            cost: row.cost,
+            infer_cost: 0.0,
+        });
+    }
+    Prepared::Answered {
+        outcome: EvalOutcome {
+            loss: row.loss,
+            cost,
+            cached: row.cached,
+            fe_cached: row.fe_cached,
+            panicked: row.panicked,
+            timed_out: row.timed_out,
+            replayed: true,
+        },
+        entry,
     }
 }
 
@@ -930,6 +1043,93 @@ mod tests {
             assert_eq!(s.loss, batch[i].loss, "trial {i}");
         }
         assert_eq!(ev.evaluations(), 3);
+    }
+
+    /// Per-trial `(loss bits, cached, fe_cached, panicked)`, the log in
+    /// order, and the run counters.
+    type Observed = (Vec<(u64, bool, bool, bool)>, Vec<String>, RunCounters);
+
+    /// Everything two batches of CV trials leave behind, run inline or as
+    /// fold jobs on a pool. `binned.arena_reuses` depends on what the
+    /// running thread's slab pool held, so it is left out.
+    fn cv_batches(pool: Option<&ExecPool>) -> Observed {
+        let space = SpaceDef::tiered(Task::Classification, SpaceTier::Small);
+        let ev = Evaluator::with_strategy(
+            space,
+            &dataset(),
+            Metric::BalancedAccuracy,
+            ValidationStrategy::CrossValidation { folds: 3 },
+            0,
+        )
+        .unwrap();
+        ev.set_fault_hook(Arc::new(|a, _| {
+            (a["fe:rescaler"] == 3.0).then_some(Fault::Panic)
+        }));
+        let trial = |algorithm: f64, rescaler: f64, fidelity: f64| {
+            let mut a = ev.space().defaults();
+            a.insert("algorithm".to_string(), algorithm);
+            a.insert("fe:rescaler".to_string(), rescaler);
+            (a, fidelity, TrialTag::NONE)
+        };
+        // Within one batch no two fresh trials share an FE sub-assignment at
+        // one fidelity: which of two concurrent jobs fills a shared FE-cache
+        // entry first is a timing question, and it moves `fe_cached`, never
+        // a loss. Across batches the sharing is deterministic.
+        let first = vec![
+            trial(0.0, 1.0, 1.0),
+            trial(1.0, 2.0, 1.0),
+            trial(0.0, 1.0, 0.5),
+            trial(2.0, 3.0, 0.5), // injected panic in its first fold
+            trial(1.0, 2.0, 1.0), // duplicate of the second trial
+        ];
+        let second = vec![
+            trial(2.0, 1.0, 1.0), // FE-cache hit on the first trial's folds
+            trial(0.0, 1.0, 1.0), // result-cache hit
+            trial(1.0, 2.0, 0.5),
+        ];
+        let mut flags = Vec::new();
+        for batch in [first, second] {
+            for out in ev.evaluate_trials(pool, &batch) {
+                flags.push((out.loss.to_bits(), out.cached, out.fe_cached, out.panicked));
+            }
+        }
+        let log = ev
+            .log()
+            .iter()
+            .map(|e| {
+                format!(
+                    "{:016x} {} {:016x}",
+                    assignment_key(&e.assignment),
+                    e.fidelity,
+                    e.loss.to_bits()
+                )
+            })
+            .collect();
+        let mut counters = ev.run_counters();
+        counters.binned.arena_reuses = 0;
+        (flags, log, counters)
+    }
+
+    #[test]
+    fn cv_fold_jobs_on_a_pool_match_the_inline_batch() {
+        let inline = cv_batches(None);
+        let flags = &inline.0;
+        assert!(
+            flags[3].3 && f64::from_bits(flags[3].0).is_infinite(),
+            "{flags:?}"
+        );
+        assert!(
+            flags[4].1 && flags[4].0 == flags[1].0,
+            "duplicate is a cache hit"
+        );
+        assert!(flags[5].2 && flags[6].1, "{flags:?}");
+        // Six fresh trials, logged in the order they were asked for; the
+        // pooled runs must log them in this same order.
+        assert_eq!(inline.1.len(), 6);
+        for workers in [2, 3] {
+            let pool = ExecPool::with_workers(workers);
+            assert_eq!(cv_batches(Some(&pool)), inline, "{workers} workers");
+        }
     }
 
     #[test]

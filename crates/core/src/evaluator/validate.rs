@@ -6,22 +6,100 @@
 //! pipeline, *after* the FE-cache lookup misses. Result-cache and FE-cache
 //! hits therefore copy zero dataset bytes.
 //!
-//! A trial has one shape whatever the strategy: look up the fidelity's
-//! *validation plan* — a list of `(train, valid)` view pairs, one under
-//! holdout and `k` under CV, built once per fidelity — fit and score each
-//! pair, and average. [`ValidationStrategy`] is consulted only where a plan
-//! is built.
+//! A trial has one shape whatever the strategy: the coordinator looks up
+//! the fidelity's *validation plan* — a list of `(train, valid)` view pairs,
+//! one under holdout and `k` under CV, built once per fidelity — and turns
+//! the trial into one [`PairJob`] per pair. A job fits on its pair's train
+//! view and scores on its valid view, on whichever thread runs it (a pool
+//! worker, or the caller when there is no pool); the evaluator then averages
+//! the pair losses in plan order on the coordinator. [`ValidationStrategy`]
+//! is consulted only where a plan is built.
 
 use super::fe_cache::FeTransformed;
-use super::{interpret, EvalShared, Evaluator};
+use super::{interpret, EvalShared, Evaluator, Fault, ParsedAssignment};
 use crate::{CoreError, Result};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 use volcanoml_data::split::{subsample_view, KFold, StratifiedKFold};
-use volcanoml_data::{train_test_split, Dataset, DatasetView, Task};
+use volcanoml_data::{train_test_split, view, Dataset, DatasetView, Task};
 use volcanoml_fe::FePipeline;
-use volcanoml_models::{AlgorithmKind, Estimator};
+use volcanoml_models::{binned, AlgorithmKind, Estimator};
+
+/// A fidelity's validation plan: the `(train, valid)` view pairs every
+/// trial at that fidelity fits and scores on.
+pub(super) type Plan = Arc<Vec<(DatasetView, DatasetView)>>;
+
+/// One `(trial, validation pair)` job — the unit of work a trial hands to
+/// the pool, or runs on the calling thread when there is none.
+pub(super) struct PairJob {
+    ev: Evaluator,
+    /// `None` when the assignment or its plan failed to build: the trial is
+    /// then this one job, which fails after any injected fault.
+    pair: Option<Pair>,
+    fault: Option<Fault>,
+}
+
+/// The pair a [`PairJob`] fits and scores.
+struct Pair {
+    parsed: Arc<ParsedAssignment>,
+    plan: Plan,
+    index: usize,
+    /// Identifies the pair's exact training rows (fidelity and position in
+    /// the plan) for the FE cache.
+    data_key: u64,
+}
+
+/// What a [`PairJob`] hands back to the coordinator.
+pub(super) struct PairRun {
+    /// `(loss, fe_cached, per-row inference seconds)`; `None` when the fit
+    /// failed or panicked.
+    pub(super) score: Option<(f64, bool, f64)>,
+    pub(super) panicked: bool,
+    /// Wall-clock seconds the job took.
+    pub(super) seconds: f64,
+    /// Work the running thread tallied during the job.
+    pub(super) binned: binned::stats::Tally,
+    /// `(bytes_gathered, gathers_skipped)`, tallied the same way.
+    pub(super) gathered: (u64, u64),
+}
+
+impl PairJob {
+    /// Fits and scores the job's pair under `catch_unwind`, so a panicking
+    /// pipeline yields `panicked` instead of tearing down the thread.
+    pub(super) fn run(self) -> PairRun {
+        let start = Instant::now();
+        // Work tallies are per thread, not per job: drop whatever this
+        // thread did before, so what is taken after the fit is this job's.
+        binned::stats::take();
+        view::stats::take();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            match self.fault {
+                Some(Fault::Panic) => panic!("injected trial fault"),
+                Some(Fault::Stall(d)) => std::thread::sleep(d),
+                None => {}
+            }
+            let pair = self.pair.as_ref()?;
+            let (alg, model_params, fe_params) = &*pair.parsed;
+            let (train, valid) = &pair.plan[pair.index];
+            self.ev
+                .fit_and_score(*alg, model_params, fe_params, train, valid, pair.data_key)
+                .ok()
+        }));
+        // Outside `catch_unwind`, so a panicked job's work still counts.
+        let binned = binned::stats::take();
+        let gathered = view::stats::take();
+        PairRun {
+            panicked: caught.is_err(),
+            score: caught.ok().flatten(),
+            seconds: start.elapsed().as_secs_f64(),
+            binned,
+            gathered,
+        }
+    }
+}
 
 /// How an assignment's quality is measured during search (§5.1 lets users
 /// pick validation accuracy or cross-validation accuracy).
@@ -84,34 +162,40 @@ pub(super) fn build_validation_views(
 }
 
 impl Evaluator {
-    /// Returns `(loss, fe_cached, per-row inference seconds)` — the last
-    /// measured over the validation-side `predict` so cost-sensitive
-    /// objectives can penalize slow-at-serving pipelines. One loop over the
-    /// fidelity's validation plan, whatever the strategy: each number is the
-    /// mean over the plan's `(train, valid)` pairs, and a one-pair plan's
-    /// mean is the pair's own value bit for bit.
-    pub(super) fn evaluate_uncached(
+    /// One fresh trial's jobs: one per pair of the fidelity's validation
+    /// plan, in plan order, or a single failing job when the assignment or
+    /// the plan does not build. An injected `fault` fires in the first job
+    /// only, so a faulted trial does the same work inline and on a pool.
+    pub(super) fn pair_jobs(
         &self,
         assignment: &HashMap<String, f64>,
         fidelity: f64,
-    ) -> Result<(f64, bool, f64)> {
-        let (alg, model_params, fe_params) = self.interpret(assignment)?;
-        let plan = self.validation_plan(fidelity)?;
-        let mut total = 0.0;
-        let mut total_infer = 0.0;
-        let mut all_fe_cached = true;
-        for (pair, (train, valid)) in plan.iter().enumerate() {
-            let data_key = fidelity
-                .to_bits()
-                .wrapping_add((pair as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let (loss, fe_cached, infer_s) =
-                self.fit_and_score(alg, &model_params, &fe_params, train, valid, data_key)?;
-            total += loss;
-            total_infer += infer_s;
-            all_fe_cached &= fe_cached;
-        }
-        let k = plan.len() as f64;
-        Ok((total / k, all_fe_cached, total_infer / k))
+        fault: Option<Fault>,
+    ) -> Vec<PairJob> {
+        let built = self
+            .interpret(assignment)
+            .and_then(|parsed| Ok((Arc::new(parsed), self.validation_plan(fidelity)?)));
+        let Ok((parsed, plan)) = built else {
+            return vec![PairJob {
+                ev: self.clone(),
+                pair: None,
+                fault,
+            }];
+        };
+        (0..plan.len())
+            .map(|index| PairJob {
+                ev: self.clone(),
+                pair: Some(Pair {
+                    parsed: Arc::clone(&parsed),
+                    plan: Arc::clone(&plan),
+                    index,
+                    data_key: fidelity
+                        .to_bits()
+                        .wrapping_add((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                }),
+                fault: if index == 0 { fault } else { None },
+            })
+            .collect()
     }
 
     /// The validation plan for one fidelity — the `(train, valid)` view pairs
@@ -120,9 +204,8 @@ impl Evaluator {
     /// CV's `k` folds of the subsampled search data. Subsample (index-only)
     /// and split once, cache the views keyed by `fidelity.to_bits()`: both
     /// are deterministic in `(data, strategy, seed)`, so recomputing them per
-    /// trial is pure waste. Concurrent misses may build the plan twice; both
-    /// builds are identical and the last insert wins.
-    fn validation_plan(&self, fidelity: f64) -> Result<Arc<Vec<(DatasetView, DatasetView)>>> {
+    /// trial is pure waste. Plans are built on the coordinator only.
+    fn validation_plan(&self, fidelity: f64) -> Result<Plan> {
         let key = fidelity.to_bits();
         if let Some(plan) = self.state().plans.get(&key) {
             return Ok(Arc::clone(plan));

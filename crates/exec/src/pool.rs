@@ -6,14 +6,19 @@
 //! so it reports `(index, worker, timing, outcome)` back over a per-batch
 //! channel, then reassembles results in submission order.
 //!
-//! Crash isolation is per trial: the closure runs under
+//! A job is whatever closure the caller submits. The evaluator submits one
+//! per `(trial, validation pair)` — a holdout trial is one job, a k-fold CV
+//! trial is k — and folds the results back into trials itself, so the pool
+//! knows nothing about trials beyond the names of its types.
+//!
+//! Crash isolation is per job: the closure runs under
 //! `panic::catch_unwind`, so a panicking pipeline surfaces as
 //! [`TrialStatus::Panicked`] and the worker keeps draining the queue.
 //!
 //! Deadlines: when [`PoolConfig::trial_deadline`] is set, the worker runs
-//! the trial on a *detached* helper thread and waits with `recv_timeout`.
+//! each job on a *detached* helper thread and waits with `recv_timeout`.
 //! On expiry the helper is abandoned (it cannot be killed safely in Rust;
-//! it finishes in the background and its result is discarded) and the trial
+//! it finishes in the background and its result is discarded) and the job
 //! is reported as [`TrialStatus::TimedOut`]. This trades a leaked thread
 //! for a live search — the fault-tolerance contract from the paper's
 //! production requirements.
@@ -40,7 +45,9 @@ pub fn current_worker() -> Option<usize> {
 pub struct PoolConfig {
     /// Number of worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Per-trial wall-clock budget; `None` disables deadline enforcement.
+    /// Wall-clock budget of each job in a batch — for the evaluator, each
+    /// `(trial, validation pair)`, so a CV trial times out when any one of
+    /// its folds does; `None` disables deadline enforcement.
     pub trial_deadline: Option<Duration>,
 }
 
@@ -163,7 +170,7 @@ impl ExecPool {
         self.config.workers
     }
 
-    /// The configured per-trial deadline.
+    /// The configured per-job deadline.
     pub fn trial_deadline(&self) -> Option<Duration> {
         self.config.trial_deadline
     }

@@ -192,8 +192,6 @@ struct Node {
     threshold: f64,
     left: usize,
     right: usize,
-    /// Class histogram (classification) or `[mean]` (regression).
-    value: Vec<f64>,
 }
 
 /// A fitted CART tree. Usually constructed through
@@ -202,6 +200,11 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct Tree {
     nodes: Vec<Node>,
+    /// Node `i`'s value — class histogram (classification) or `[mean]`
+    /// (regression) — at `values[i * n_outputs..][..n_outputs]`: one flat
+    /// array instead of a heap allocation per node, which halves a forest's
+    /// resident size.
+    values: Vec<f64>,
     n_outputs: usize,
     n_features: usize,
 }
@@ -239,6 +242,7 @@ impl Tree {
             n_outputs,
             config,
             nodes: Vec::new(),
+            values: Vec::new(),
             rng: rng_from_seed(config.seed),
         };
         // Zero-weight rows carry no signal and would distort count-based
@@ -251,8 +255,10 @@ impl Tree {
             return Err(ModelError::Invalid("all sample weights are zero".into()));
         }
         builder.build(&indices, 0);
+        debug_assert_eq!(builder.values.len(), builder.nodes.len() * n_outputs);
         Ok(Tree {
             nodes: builder.nodes,
+            values: builder.values,
             n_outputs,
             n_features: x.cols(),
         })
@@ -314,7 +320,7 @@ impl Tree {
         loop {
             let n = &self.nodes[node];
             if n.feature == usize::MAX {
-                return &n.value;
+                return &self.values[node * self.n_outputs..][..self.n_outputs];
             }
             node = if row[n.feature] <= n.threshold {
                 n.left
@@ -364,6 +370,7 @@ struct Builder<'a> {
     n_outputs: usize,
     config: &'a TreeConfig,
     nodes: Vec<Node>,
+    values: Vec<f64>,
     rng: StdRng,
 }
 
@@ -405,12 +412,12 @@ impl Builder<'_> {
     fn build(&mut self, indices: &[usize], depth: usize) -> usize {
         let make_leaf = |b: &mut Builder, idx: &[usize]| -> usize {
             let value = b.leaf_value(idx);
+            b.values.extend_from_slice(&value);
             b.nodes.push(Node {
                 feature: usize::MAX,
                 threshold: 0.0,
                 left: 0,
                 right: 0,
-                value,
             });
             b.nodes.len() - 1
         };
@@ -453,13 +460,13 @@ impl Builder<'_> {
 
         // Reserve this node's slot before recursing so child ids are stable.
         let value = self.leaf_value(indices);
+        self.values.extend_from_slice(&value);
         let me = self.nodes.len();
         self.nodes.push(Node {
             feature,
             threshold,
             left: 0,
             right: 0,
-            value,
         });
         let left = self.build(&left_idx, depth + 1);
         let right = self.build(&right_idx, depth + 1);
@@ -1048,6 +1055,7 @@ struct HistBuilder<'a, C: BinCode> {
     n_outputs: usize,
     config: &'a TreeConfig,
     nodes: Vec<Node>,
+    values: Vec<f64>,
     rng: StdRng,
     idx: Vec<u32>,
     scratch: Vec<u32>,
@@ -1145,12 +1153,12 @@ impl<C: BinCode> HistBuilder<'_, C> {
 
     fn make_leaf(&mut self, start: usize, end: usize) -> usize {
         let value = self.leaf_value(start, end);
+        self.values.extend_from_slice(&value);
         self.nodes.push(Node {
             feature: usize::MAX,
             threshold: 0.0,
             left: 0,
             right: 0,
-            value,
         });
         self.nodes.len() - 1
     }
@@ -1559,13 +1567,13 @@ impl<C: BinCode> HistBuilder<'_, C> {
         }
 
         let value = self.leaf_value(start, end);
+        self.values.extend_from_slice(&value);
         let me = self.nodes.len();
         self.nodes.push(Node {
             feature,
             threshold,
             left: 0,
             right: 0,
-            value,
         });
 
         let subtract = all_features
@@ -1673,6 +1681,7 @@ fn fit_binned_codes<C: BinCode>(
         n_outputs,
         config,
         nodes: Vec::new(),
+        values: Vec::new(),
         rng: rng_from_seed(config.seed),
         idx,
         scratch: Vec::with_capacity(n_rows_fit),
@@ -1688,8 +1697,10 @@ fn fit_binned_codes<C: BinCode>(
         pad: config.hist_kernel == HistKernel::Flat && C::BYTES == 1,
     };
     builder.build(0, n_rows_fit, 0, None);
+    debug_assert_eq!(builder.values.len(), builder.nodes.len() * n_outputs);
     Ok(Tree {
         nodes: builder.nodes,
+        values: builder.values,
         n_outputs,
         n_features: bm.n_features(),
     })

@@ -166,6 +166,25 @@ assert rung_tagged > 0, "no rung/bracket attribution in the journal"
 print(f"mfes-hb smoke ok: sub-1.0 fidelities {sorted(sub_full)}, {rung_tagged} rung-tagged trials")
 EOF
 
+echo "== smoke: pooled CV fit (each fold a pool job) =="
+# A CV trial's folds run as separate pool jobs: both workers must have been
+# billed for fold time, and the journal must still hold one row per trial.
+"$VOLCANOML" fit "$SMOKE_DIR/data.csv" --evals 24 --tier small --engine mfes-hb --cv 3 \
+    --workers 2 --journal "$SMOKE_DIR/cv.jsonl" --trace "$SMOKE_DIR/cv_trace.jsonl" \
+    --metrics "$SMOKE_DIR/cv_metrics.json"
+join_journal_to_trace "$SMOKE_DIR/cv.jsonl" "$SMOKE_DIR/cv_trace.jsonl"
+python3 - "$SMOKE_DIR/cv.jsonl" "$SMOKE_DIR/cv_metrics.json" <<'EOF'
+import json, sys
+rows = [r for r in map(json.loads, open(sys.argv[1])) if "event" not in r]
+m = json.load(open(sys.argv[2]))
+busy = [m["gauges"].get(f"worker.{w}.busy_s", 0.0) for w in (0, 1)]
+assert all(b > 0 for b in busy), f"a worker ran no fold: busy_s {busy}"
+trials = m["counters"]["trial.total"]
+assert len(rows) == trials, f"{len(rows)} journal rows for {trials} trials"
+assert len({r["trial"] for r in rows}) == len(rows), "duplicate trial ids"
+print(f"pooled CV smoke ok: {len(rows)} rows, worker busy_s {busy[0]:.3f}/{busy[1]:.3f}")
+EOF
+
 echo "== smoke: serve crash-resume (kill -9, restart --resume) =="
 SERVE_DIR="$SMOKE_DIR/serve"
 "$VOLCANOML" serve --dir "$SERVE_DIR" --port 0 --workers 2 &

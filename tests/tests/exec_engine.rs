@@ -9,10 +9,16 @@ use std::time::Duration;
 
 use volcanoml_core::evaluator::{Evaluator, Fault, Trial};
 use volcanoml_core::plans::p3_volcano;
-use volcanoml_core::{EngineKind, SpaceDef, SpaceTier, TrialTag, VolcanoML, VolcanoMlOptions};
-use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
-use volcanoml_data::{Metric, Task};
+use volcanoml_core::{
+    assignment_digest, EngineKind, PlanSpec, SpaceDef, SpaceTier, TrialTag, ValidationStrategy,
+    VolcanoML, VolcanoMlOptions,
+};
+use volcanoml_data::synthetic::{make_classification, make_moons, ClassificationSpec};
+use volcanoml_data::{train_test_split, Metric, Task};
 use volcanoml_exec::{ExecPool, Journal, PoolConfig};
+use volcanoml_obs::MetricsRegistry;
+
+const CV3: ValidationStrategy = ValidationStrategy::CrossValidation { folds: 3 };
 
 fn dataset(seed: u64) -> volcanoml_data::Dataset {
     make_classification(
@@ -154,6 +160,136 @@ fn stalled_trial_hits_the_deadline_and_pool_survives() {
         .collect();
     let again = ev.evaluate_trials(Some(&pool), &clean);
     assert!(again.iter().all(|o| !o.timed_out));
+}
+
+/// The deadline bounds each `(trial, fold)` job; a CV trial is timed out if
+/// any of its jobs is — here only the first fold stalls, the other two
+/// finish on the second worker.
+#[test]
+fn stalled_cv_fold_times_out_its_trial_and_pool_survives() {
+    let space = SpaceDef::tiered(Task::Classification, SpaceTier::Small);
+    let ev = Evaluator::with_strategy(space.clone(), &dataset(8), Metric::BalancedAccuracy, CV3, 0)
+        .unwrap();
+    let journal = Arc::new(Journal::in_memory());
+    ev.attach_journal(Arc::clone(&journal));
+    let trials = sample_trials(&space, 3, 17);
+    let slow = trials[0].0.clone();
+    let slow_digest = format!("{:016x}", assignment_digest(&slow));
+    ev.set_fault_hook(Arc::new(move |assignment, _fidelity| {
+        (*assignment == slow).then_some(Fault::Stall(Duration::from_secs(60)))
+    }));
+    let pool = ExecPool::new(PoolConfig {
+        workers: 2,
+        trial_deadline: Some(Duration::from_secs(2)),
+    });
+    let outcomes = ev.evaluate_trials(Some(&pool), &trials);
+    assert!(outcomes[0].timed_out && outcomes[0].loss.is_infinite());
+    assert!(outcomes[1..].iter().all(|o| !o.timed_out));
+
+    // One journal row, flagged and free; no cache or log entry.
+    let rows = journal.records();
+    assert_eq!(rows.len(), trials.len());
+    let slow_rows: Vec<_> = rows.iter().filter(|r| r.digest == slow_digest).collect();
+    assert_eq!(slow_rows.len(), 1);
+    assert!(slow_rows[0].timed_out && slow_rows[0].cost == 0.0);
+    assert!(ev
+        .log()
+        .iter()
+        .all(|e| format!("{:016x}", assignment_digest(&e.assignment)) != slow_digest));
+    assert_eq!(ev.evaluations(), trials.len() - 1);
+
+    // The pool serves the next batch: the same trial, fault lifted, is a
+    // fresh fit rather than a cache hit.
+    ev.set_fault_hook(Arc::new(|_, _| None));
+    let again = ev.evaluate_trials(Some(&pool), &trials[..1]);
+    assert!(!again[0].timed_out && !again[0].cached);
+    assert_eq!(ev.evaluations(), trials.len());
+}
+
+/// A CV trial's folds may run on different workers; each fold's seconds go
+/// to the worker that ran it, so `worker.N.busy_s` adds up to the study's
+/// fresh-trial cost instead of billing one worker for the whole trial.
+#[test]
+fn pooled_cv_fit_bills_each_fold_to_the_worker_that_ran_it() {
+    let registry = Arc::new(MetricsRegistry::new());
+    let options = VolcanoMlOptions {
+        plan: PlanSpec::single_joint(EngineKind::MfesHb),
+        validation: CV3,
+        max_evaluations: 24,
+        seed: 5,
+        n_workers: 2,
+        shared_metrics: Some(Arc::clone(&registry)),
+        ..Default::default()
+    };
+    let fitted = VolcanoML::with_tier(Task::Classification, SpaceTier::Small, options)
+        .fit(&dataset(14))
+        .unwrap();
+    let busy: Vec<f64> = (0..2)
+        .map(|w| registry.gauge(&format!("worker.{w}.busy_s")).unwrap_or(0.0))
+        .collect();
+    assert!(
+        busy.iter().all(|&b| b > 0.0),
+        "a worker ran no fold: {busy:?}"
+    );
+    let billed: f64 = busy.iter().sum();
+    let cost = fitted.report.total_cost;
+    assert!(
+        (billed - cost).abs() <= 0.05 * cost,
+        "workers billed {billed}s for {cost}s of fresh trials"
+    );
+}
+
+/// Loss ties break by submission order, not by which trial finished first:
+/// the evaluator's log — which picks the incumbent (first strictly lower
+/// loss) and orders `top_assignments` (stable sort) — is written in the
+/// order trials were asked for. The same 3-worker fit, run five times,
+/// agrees on all of it and on the held-out predictions.
+#[test]
+fn pooled_fit_breaks_loss_ties_by_submission_order() {
+    type Sorted = std::collections::BTreeMap<String, u64>;
+    let sorted = |a: &HashMap<String, f64>| -> Sorted {
+        a.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect()
+    };
+    // Long enough for arms to be eliminated, so the surviving arm pulls
+    // three trials per batch; on the parent commit six such fits gave 4
+    // (holdout) and 3 (CV) distinct `top_assignments` orders.
+    let data = make_moons(240, 0.25, 1, 11);
+    let (train, test) = train_test_split(&data, 0.25, 1).unwrap();
+    for validation in [ValidationStrategy::default(), CV3] {
+        let run = || {
+            let options = VolcanoMlOptions {
+                plan: p3_volcano(EngineKind::MfesHb),
+                validation,
+                max_evaluations: 160,
+                seed: 11,
+                n_workers: 3,
+                ..Default::default()
+            };
+            let fitted = VolcanoML::with_tier(Task::Classification, SpaceTier::Small, options)
+                .fit(&train)
+                .unwrap();
+            let top: Vec<(Sorted, u64)> = fitted
+                .report
+                .top_assignments
+                .iter()
+                .map(|(a, loss)| (sorted(a), loss.to_bits()))
+                .collect();
+            let predictions: Vec<u64> = fitted
+                .predict(&test.x)
+                .unwrap()
+                .iter()
+                .map(|p| p.to_bits())
+                .collect();
+            (sorted(&fitted.report.best_assignment), top, predictions)
+        };
+        let first = run();
+        for attempt in 1..5 {
+            assert!(
+                run() == first,
+                "{validation:?}: run {attempt} differs from run 0"
+            );
+        }
+    }
 }
 
 #[test]

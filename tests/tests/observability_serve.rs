@@ -10,6 +10,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use volcanoml_exec::JournalRow;
 use volcanoml_serve::{ServeConfig, Server};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -60,6 +61,15 @@ fn wait_for_status(addr: SocketAddr, id: &str, wanted: &str, timeout: Duration) 
         );
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// Trial rows in a finished study's journal.
+fn journaled_trials(study_dir: &Path) -> usize {
+    std::fs::read_to_string(study_dir.join("journal.jsonl"))
+        .unwrap()
+        .lines()
+        .filter(|l| matches!(JournalRow::from_json(l), Ok(JournalRow::Trial(_))))
+        .count()
 }
 
 /// One parsed SSE frame: the `id:`, `event:`, and `data:` fields.
@@ -327,14 +337,20 @@ fn metrics_scrape_covers_server_and_both_tenants_mid_run() {
                 >= 1.0
         );
         assert!(finals[&format!("volcanoml_serve_tenant_worker_seconds{{study=\"{study}\"}}")] > 0.0);
-        // Self-overhead accounting: present, and far below total trial time.
-        let overhead =
-            finals[&format!("volcanoml_obs_self_overhead_s_sum{{study=\"{study}\"}}")];
-        let busy = finals[&format!("volcanoml_serve_tenant_worker_seconds{{study=\"{study}\"}}")];
-        assert!(overhead >= 0.0);
+        // Self-overhead accounting, checked structurally: one observation
+        // per journaled trial and a finite, non-negative sum. The ≤ 1 %
+        // bound is a wall-clock threshold; it is gated in `scripts/ci.sh`.
+        let overhead = |part: &str| {
+            finals[&format!("volcanoml_obs_self_overhead_s_{part}{{study=\"{study}\"}}")]
+        };
+        assert_eq!(
+            overhead("count"),
+            journaled_trials(&dir.join(study)) as f64,
+            "{study}"
+        );
         assert!(
-            overhead <= (busy * 0.01).max(0.005),
-            "observability overhead {overhead}s vs {busy}s busy for {study}"
+            overhead("sum").is_finite() && overhead("sum") >= 0.0,
+            "{study}"
         );
     }
     server.shutdown();

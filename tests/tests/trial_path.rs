@@ -12,7 +12,8 @@ use std::time::Duration;
 
 use volcanoml_core::plans::{p1_joint, p3_volcano};
 use volcanoml_core::{
-    EngineKind, FittedVolcanoML, PlanSpec, SpaceTier, StudyState, VolcanoML, VolcanoMlOptions,
+    EngineKind, FittedVolcanoML, PlanSpec, SpaceTier, StudyState, ValidationStrategy, VolcanoML,
+    VolcanoMlOptions,
 };
 use volcanoml_data::synthetic::make_moons;
 use volcanoml_data::Task;
@@ -40,10 +41,16 @@ fn fnv1a(lines: &[String]) -> u64 {
     h
 }
 
-fn fit(plan: PlanSpec, workers: usize, deadline: Option<Duration>) -> FittedVolcanoML {
+fn fit(
+    plan: PlanSpec,
+    validation: ValidationStrategy,
+    workers: usize,
+    deadline: Option<Duration>,
+) -> FittedVolcanoML {
     let data = make_moons(160, 0.2, 1, 5);
     let options = VolcanoMlOptions {
         plan,
+        validation,
         max_evaluations: 30,
         seed: 7,
         n_workers: workers,
@@ -57,26 +64,33 @@ fn fit(plan: PlanSpec, workers: usize, deadline: Option<Duration>) -> FittedVolc
 
 type PlanFn = fn(EngineKind) -> PlanSpec;
 
+const HOLDOUT: ValidationStrategy = ValidationStrategy::Holdout { fraction: 0.25 };
+const CV3: ValidationStrategy = ValidationStrategy::CrossValidation { folds: 3 };
+
 /// The first four rows predate the single trial path; the `sh` and
 /// `hyperband` rows were recorded on 7d783c6, the parent of the commit that
-/// folded the three bracket-engine structs into one `BracketEngine`.
-const SERIAL_CASES: [(&str, PlanFn, EngineKind, u64); 7] = [
-    ("p1_joint/bo", p1_joint, EngineKind::Bo, 0xebcf_18c0_2a6d_9fec),
-    ("p1_joint/mfes-hb", p1_joint, EngineKind::MfesHb, 0xc782_7ead_c714_98b8),
-    ("p3_volcano/bo", p3_volcano, EngineKind::Bo, 0x3631_f545_d3ff_9bc6),
-    ("p3_volcano/mfes-hb", p3_volcano, EngineKind::MfesHb, 0xf281_73aa_b67e_30fe),
-    ("p1_joint/sh", p1_joint, EngineKind::SuccessiveHalving, 0x3414_8123_c6a5_637e),
-    ("p1_joint/hyperband", p1_joint, EngineKind::Hyperband, 0x4628_e5a8_73a9_0aa9),
-    ("p3_volcano/hyperband", p3_volcano, EngineKind::Hyperband, 0xc663_eba2_830c_b762),
+/// folded the three bracket-engine structs into one `BracketEngine`; the
+/// `cv3` row on 937dcd3, the parent of the commit that made a pooled trial
+/// one job per validation pair (folds run inline on the caller, or as pool
+/// jobs on the worker).
+const SERIAL_CASES: [(&str, PlanFn, EngineKind, ValidationStrategy, u64); 8] = [
+    ("p1_joint/bo", p1_joint, EngineKind::Bo, HOLDOUT, 0xebcf_18c0_2a6d_9fec),
+    ("p1_joint/mfes-hb", p1_joint, EngineKind::MfesHb, HOLDOUT, 0xc782_7ead_c714_98b8),
+    ("p3_volcano/bo", p3_volcano, EngineKind::Bo, HOLDOUT, 0x3631_f545_d3ff_9bc6),
+    ("p3_volcano/mfes-hb", p3_volcano, EngineKind::MfesHb, HOLDOUT, 0xf281_73aa_b67e_30fe),
+    ("p1_joint/sh", p1_joint, EngineKind::SuccessiveHalving, HOLDOUT, 0x3414_8123_c6a5_637e),
+    ("p1_joint/hyperband", p1_joint, EngineKind::Hyperband, HOLDOUT, 0x4628_e5a8_73a9_0aa9),
+    ("p3_volcano/hyperband", p3_volcano, EngineKind::Hyperband, HOLDOUT, 0xc663_eba2_830c_b762),
+    ("p1_joint/mfes-hb/cv3", p1_joint, EngineKind::MfesHb, CV3, 0xeb8a_85bc_d0b4_6780),
 ];
 
 /// No pool at all and a one-worker pool (which a generous `trial_deadline`
 /// forces) are the same search.
 #[test]
 fn inline_fit_equals_one_worker_pool_fit() {
-    for (name, plan, engine, _) in SERIAL_CASES {
-        let inline = fit(plan(engine), 1, None);
-        let pooled = fit(plan(engine), 1, Some(Duration::from_secs(600)));
+    for (name, plan, engine, validation, _) in SERIAL_CASES {
+        let inline = fit(plan(engine), validation, 1, None);
+        let pooled = fit(plan(engine), validation, 1, Some(Duration::from_secs(600)));
         assert_eq!(
             strip_costs(&inline.study_state),
             strip_costs(&pooled.study_state),
@@ -94,8 +108,10 @@ fn inline_fit_equals_one_worker_pool_fit() {
 fn serial_fits_match_parent_recorded_digests() {
     let moved: Vec<String> = SERIAL_CASES
         .iter()
-        .filter_map(|(name, plan, engine, golden)| {
-            let got = fnv1a(&strip_costs(&fit(plan(*engine), 1, None).study_state));
+        .filter_map(|(name, plan, engine, validation, golden)| {
+            let got = fnv1a(&strip_costs(
+                &fit(plan(*engine), *validation, 1, None).study_state,
+            ));
             (got != *golden).then(|| format!("{name}: digest {got:#018x}"))
         })
         .collect();
@@ -104,7 +120,7 @@ fn serial_fits_match_parent_recorded_digests() {
 
 #[test]
 fn four_worker_mfes_fit_matches_parent_recorded_digest() {
-    let fitted = fit(p1_joint(EngineKind::MfesHb), 4, None);
+    let fitted = fit(p1_joint(EngineKind::MfesHb), HOLDOUT, 4, None);
     let got = fnv1a(&strip_costs(&fitted.study_state));
     assert_eq!(
         got, 0xe375_39e0_c65f_50de,
