@@ -699,7 +699,8 @@ impl Suggest for BracketEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::Domain;
+    use crate::space::{Condition, Domain};
+    use rand::RngExt;
 
     fn space_1d() -> ConfigSpace {
         let mut s = ConfigSpace::new();
@@ -735,6 +736,80 @@ mod tests {
                 opt.observe(cfg, f, loss, f);
             }
         }
+    }
+
+    /// Golden digest of the per-fidelity surrogate ensemble, recorded on the
+    /// commit before the surrogate's reusable tree builder: a conditional
+    /// space driven for 120 trials, then every member's mean/variance at
+    /// fixed points, its weight, and one draw from the engine's RNG.
+    #[test]
+    fn golden_mfes_hb_ensemble() {
+        let mut space = ConfigSpace::new();
+        let arm = space.add("arm", Domain::Cat { n: 3 }, 0.0).unwrap();
+        for (k, name) in ["a", "b", "c"].iter().enumerate() {
+            let cond = Some(Condition {
+                parent: arm,
+                values: vec![k],
+            });
+            let float = Domain::Float {
+                lo: 0.0,
+                hi: 1.0,
+                log: false,
+            };
+            let int = Domain::Int {
+                lo: 1,
+                hi: 8,
+                log: false,
+            };
+            space
+                .add_conditional(format!("{name}.x"), float, 0.5, cond.clone())
+                .unwrap();
+            space
+                .add_conditional(format!("{name}.k"), int, 4.0, cond)
+                .unwrap();
+        }
+        space
+            .add(
+                "shared",
+                Domain::Float {
+                    lo: 1e-3,
+                    hi: 1.0,
+                    log: true,
+                },
+                0.1,
+            )
+            .unwrap();
+        let mut engine = BracketEngine::mfes_hb(space.clone(), 1.0 / 9.0, 3, 41);
+        for _ in 0..120 {
+            let (cfg, f, _) = engine.suggest();
+            let enc = space.encode(&cfg);
+            let loss = enc[0] * 0.3
+                + enc[1..7]
+                    .iter()
+                    .filter(|&&v| v >= 0.0)
+                    .map(|v| (v - 0.4).powi(2))
+                    .sum::<f64>()
+                + (1.0 - f) * 0.05 * (enc[7] * 29.0).sin();
+            engine.observe(cfg, f, loss, f);
+        }
+        let members = engine
+            .ensemble()
+            .expect("enough observations for an ensemble");
+        let mut rng = crate::rng::from_seed(42);
+        let queries: Vec<Vec<f64>> = (0..24)
+            .map(|_| space.encode(&space.sample(&mut rng)))
+            .collect();
+        let mut values = Vec::new();
+        for (surrogate, weight) in &members {
+            for q in &queries {
+                let (m, v) = surrogate.predict(q);
+                values.extend([m, v]);
+            }
+            values.push(*weight);
+        }
+        values.push(engine.rng.random());
+        let got = crate::surrogate::tests::fnv1a_bits(values);
+        assert_eq!(got, 0xac31_ecbe_a82a_f704, "digest {got:#018x}");
     }
 
     #[test]

@@ -19,6 +19,10 @@ cargo build --release --workspace --offline
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
+echo "== cargo test --release (volcanoml-bo golden digests) =="
+# The surrogate's bit-for-bit contract must hold under optimisation too; tier-1 runs these in debug only.
+cargo test -q --release --offline -p volcanoml-bo --lib golden
+
 echo "== cargo test (benchmark/: its own workspace, path-deps on crates/) =="
 # The harness only touches the workspace through benchmark/src/layers.rs; a
 # workspace API change that breaks it would otherwise leave tier-1 green.

@@ -121,45 +121,58 @@ fn panicking_trial_is_isolated_and_journaled() {
     assert!(!after.panicked);
 }
 
+/// The deadline has headroom (2 s against a 60 s stall), so no ordinary
+/// trial can miss it on a busy machine: what is asserted is which trials
+/// timed out, what the journal says, and that the pool runs the next batch —
+/// never how fast the other trials were.
 #[test]
 fn stalled_trial_hits_the_deadline_and_pool_survives() {
     let space = SpaceDef::tiered(Task::Classification, SpaceTier::Small);
     let trials = sample_trials(&space, 5, 13);
     let slow_alg = trials[1].0["algorithm"];
+    let is_slow = |t: &Trial| t.0["algorithm"] == slow_alg;
 
     let ev = evaluator(&space, 7, 0);
     let journal = Arc::new(Journal::in_memory());
     ev.attach_journal(Arc::clone(&journal));
     ev.set_fault_hook(Arc::new(move |assignment, _fidelity| {
-        (assignment["algorithm"] == slow_alg).then_some(Fault::Stall(Duration::from_secs(30)))
+        (assignment["algorithm"] == slow_alg).then_some(Fault::Stall(Duration::from_secs(60)))
     }));
 
-    let mut config = PoolConfig::with_workers(4);
-    config.trial_deadline = Some(Duration::from_millis(200));
-    let pool = ExecPool::new(config);
+    let pool = ExecPool::new(PoolConfig {
+        workers: 4,
+        trial_deadline: Some(Duration::from_secs(2)),
+    });
     let outcomes = ev.evaluate_trials(Some(&pool), &trials);
 
     assert_eq!(outcomes.len(), trials.len());
-    for (trial, out) in trials.iter().zip(outcomes.iter()) {
-        if trial.0["algorithm"] == slow_alg {
-            assert!(out.timed_out, "stalled trial should time out");
-            assert!(out.loss.is_infinite());
-        }
+    for (i, (trial, out)) in trials.iter().zip(&outcomes).enumerate() {
+        assert_eq!(out.timed_out, is_slow(trial), "trial {i}");
+        assert_eq!(
+            out.loss.is_finite(),
+            !is_slow(trial),
+            "trial {i}: loss {}",
+            out.loss
+        );
     }
-    assert!(outcomes.iter().any(|o| !o.timed_out && o.loss.is_finite()));
 
-    // Timed-out trials still get a journal record (from the pool's view of
-    // the run), flagged as such.
-    assert!(journal.records().iter().any(|r| r.timed_out));
+    // One journal row per trial in submission order, flagged exactly where
+    // the trial timed out (from the pool's view of the run).
+    let rows = journal.records();
+    assert_eq!(rows.len(), trials.len());
+    for (trial, row) in trials.iter().zip(&rows) {
+        assert_eq!(row.digest, format!("{:016x}", assignment_digest(&trial.0)));
+        assert_eq!(row.timed_out, is_slow(trial));
+    }
 
-    // A fresh batch on the same pool still completes.
-    let clean: Vec<_> = trials
-        .iter()
-        .filter(|t| t.0["algorithm"] != slow_alg)
-        .cloned()
-        .collect();
-    let again = ev.evaluate_trials(Some(&pool), &clean);
-    assert!(again.iter().all(|o| !o.timed_out));
+    // The same pool runs the next batch: with the fault lifted the stalled
+    // trials (never cached) are fresh fits, the others cache hits.
+    ev.set_fault_hook(Arc::new(|_, _| None));
+    let again = ev.evaluate_trials(Some(&pool), &trials);
+    for (trial, out) in trials.iter().zip(&again) {
+        assert!(!out.timed_out && out.loss.is_finite());
+        assert_eq!(out.cached, !is_slow(trial));
+    }
 }
 
 /// The deadline bounds each `(trial, fold)` job; a CV trial is timed out if

@@ -7,22 +7,12 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use volcanoml_exec::JournalRow;
+use volcanoml_integration::tmp_dir;
 use volcanoml_serve::{ServeConfig, Server};
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "volcanoml-obs-serve-{}-{}",
-        name,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Minimal HTTP client: one request, one response, connection closed.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {

@@ -7,7 +7,7 @@
 //! re-derives the same block tree, bracket occupancy, EU intervals, and
 //! incumbent — which `StudyState` captures as canonical bitwise lines.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use volcanoml_core::{
     EngineKind, PlanSpec, SpaceGrowth, SpaceTier, StudyState, VolcanoML, VolcanoMlOptions,
@@ -15,17 +15,7 @@ use volcanoml_core::{
 use volcanoml_data::synthetic::make_moons;
 use volcanoml_data::Task;
 use volcanoml_exec::{ExpansionRecord, JournalRow, TrialRecord};
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "volcanoml-resume-{}-{}",
-        name,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use volcanoml_integration::tmp_dir;
 
 fn options(
     engine: EngineKind,

@@ -4,22 +4,11 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use volcanoml_exec::TrialRecord;
+use volcanoml_integration::tmp_dir;
 use volcanoml_serve::{ServeConfig, Server};
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "volcanoml-serve-{}-{}",
-        name,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Minimal HTTP client: one request, one response, connection closed.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {

@@ -17,6 +17,7 @@ use volcanoml_core::{
 };
 use volcanoml_data::synthetic::make_moons;
 use volcanoml_data::Task;
+use volcanoml_integration::fnv1a;
 
 /// `StudyState` lines without their wall-clock `cost=<16 hex digits>` field
 /// (evaluator log and joint history rows) — the only part of a cost-blind
@@ -30,15 +31,6 @@ fn strip_costs(state: &StudyState) -> Vec<String> {
             None => l.clone(),
         })
         .collect()
-}
-
-fn fnv1a(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in lines.iter().flat_map(|l| l.bytes().chain(std::iter::once(b'\n'))) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn fit(

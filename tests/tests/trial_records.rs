@@ -9,7 +9,7 @@
 //! journal's `TrialRecord` is what the tracer takes), and pass there.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use volcanoml_core::plans::{p1_joint, p3_volcano, p5_alternating_conditioning};
 use volcanoml_core::{
@@ -18,27 +18,8 @@ use volcanoml_core::{
 use volcanoml_data::synthetic::make_moons;
 use volcanoml_data::Task;
 use volcanoml_exec::{JournalRow, TrialRecord};
+use volcanoml_integration::{fnv1a, tmp_dir};
 use volcanoml_obs::json::{parse_object, JsonValue};
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "volcanoml-trial-records-{}-{}",
-        name.replace('/', "-"),
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn fnv1a(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in lines.iter().flat_map(|l| l.bytes().chain(std::iter::once(b'\n'))) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn fit(plan: PlanSpec, validation: ValidationStrategy, dir: &Path, resume: bool) {
     let options = VolcanoMlOptions {
