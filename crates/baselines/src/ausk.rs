@@ -46,7 +46,6 @@ pub fn run_ausk(
         plan: p1_joint(EngineKind::Bo),
         metric: Some(metric),
         max_evaluations: options.max_evaluations,
-        time_budget: None,
         seed: options.seed,
         warm_start: Vec::new(),
         ensemble_size: options.ensemble_size,

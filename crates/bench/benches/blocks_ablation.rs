@@ -6,31 +6,31 @@
 //!    (Algorithm 1) vs a plain round-robin MAB;
 //! 3. **Joint-leaf engine**: BO vs random vs MFES-HB.
 //!
-//! All variants run the Figure 2 tree shape on a slice of the classification
-//! suite; reported numbers are mean test losses.
+//! All variants compile the plan `fit` runs by default (P3, Figure 2) with
+//! different [`BlockOptions`], on a slice of the classification suite;
+//! reported numbers are mean test losses.
 
-use volcanoml_bench::{maybe_truncate, print_table, quick, scaled, write_csv, SystemSpec};
+use volcanoml_bench::{maybe_truncate, print_table, quick, scaled, write_csv};
 use volcanoml_core::evaluator::refit_assignment;
-use volcanoml_core::plans::build_figure2_tree;
-use volcanoml_core::{EngineKind, Evaluator, SpaceDef};
+use volcanoml_core::plans::p3_volcano;
+use volcanoml_core::{BlockOptions, EngineKind, Evaluator, SpaceDef};
 use volcanoml_data::rand_util::derive_seed;
 use volcanoml_data::repository::medium_classification_suite;
 use volcanoml_data::{train_test_split, Dataset, Metric, Task};
 
-/// Runs a hand-built Figure 2 tree with the given ablation knobs.
+/// Runs the P3 tree compiled with `options` and returns its test loss.
 fn run_tree(
     space: &SpaceDef,
     dataset: &Dataset,
     engine: EngineKind,
-    eui: bool,
-    elimination: bool,
+    options: &BlockOptions,
     budget: usize,
     seed: u64,
 ) -> Option<f64> {
     let (train, test) = train_test_split(dataset, 0.2, derive_seed(seed, 0xdead)).ok()?;
     let metric = Metric::BalancedAccuracy;
     let evaluator = Evaluator::new(space.clone(), &train, metric, seed).ok()?;
-    let mut root = build_figure2_tree(space, engine, eui, elimination, seed).ok()?;
+    let mut root = p3_volcano(engine).compile_with(space, seed, options).ok()?;
     while evaluator.evaluations() < budget {
         root.pull(&evaluator, None, 1).ok()?;
     }
@@ -57,27 +57,32 @@ fn main() {
         quick()
     );
 
-    // (name, engine, eui, elimination)
-    let variants: Vec<(&str, EngineKind, bool, bool)> = vec![
-        ("full (EUI+elim, BO)", EngineKind::Bo, true, true),
-        ("no EUI (round-robin alt)", EngineKind::Bo, false, true),
-        ("no elimination", EngineKind::Bo, true, false),
-        ("neither", EngineKind::Bo, false, false),
-        ("random leaves", EngineKind::Random, true, true),
-        ("mfes-hb leaves", EngineKind::MfesHb, true, true),
+    let full = BlockOptions::default();
+    let ablated = |eui_scheduling, arm_elimination| BlockOptions {
+        eui_scheduling,
+        arm_elimination,
+        ..full
+    };
+    let variants: Vec<(&str, EngineKind, BlockOptions)> = vec![
+        ("full (EUI+elim, BO)", EngineKind::Bo, full),
+        ("no EUI (round-robin alt)", EngineKind::Bo, ablated(false, true)),
+        ("no elimination", EngineKind::Bo, ablated(true, false)),
+        ("neither", EngineKind::Bo, ablated(false, false)),
+        ("random leaves", EngineKind::Random, full),
+        ("mfes-hb leaves", EngineKind::MfesHb, full),
     ];
 
     let headers: Vec<String> = std::iter::once("dataset".to_string())
-        .chain(variants.iter().map(|(n, _, _, _)| n.to_string()))
+        .chain(variants.iter().map(|(n, ..)| n.to_string()))
         .collect();
     let mut rows = Vec::new();
     let mut sums = vec![0.0; variants.len()];
     let mut counts = vec![0usize; variants.len()];
     for (di, dataset) in datasets.iter().enumerate() {
         let mut row = vec![dataset.name.clone()];
-        for (vi, (name, engine, eui, elim)) in variants.iter().enumerate() {
+        for (vi, (name, engine, options)) in variants.iter().enumerate() {
             let seed = derive_seed(derive_seed(53, di as u64), vi as u64);
-            match run_tree(&space, dataset, *engine, *eui, *elim, budget, seed) {
+            match run_tree(&space, dataset, *engine, options, budget, seed) {
                 Some(loss) => {
                     sums[vi] += loss;
                     counts[vi] += 1;
@@ -108,5 +113,4 @@ fn main() {
         &rows,
     );
     write_csv("blocks_ablation.csv", &headers, &rows);
-    let _ = SystemSpec::Tpot; // keep the harness linked for doc parity
 }

@@ -18,7 +18,8 @@
 use std::time::Instant;
 
 use volcanoml_bench::{print_table, quick, scaled, write_csv};
-use volcanoml_core::{EngineKind, PlanSpec, SpaceTier, VolcanoML, VolcanoMlOptions};
+use volcanoml_core::plans::p1_joint;
+use volcanoml_core::{EngineKind, SpaceTier, VolcanoML, VolcanoMlOptions};
 use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
 use volcanoml_data::Task;
 
@@ -41,7 +42,7 @@ fn dataset(seed: u64) -> volcanoml_data::Dataset {
 /// One MFES-HB fit; returns (wall_s, best_loss, fidelity mix).
 fn run_once(d: &volcanoml_data::Dataset, workers: usize, evals: usize) -> (f64, f64, Vec<(f64, usize)>) {
     let options = VolcanoMlOptions {
-        plan: PlanSpec::single_joint(EngineKind::MfesHb),
+        plan: p1_joint(EngineKind::MfesHb),
         max_evaluations: evals,
         seed: 29,
         n_workers: workers,

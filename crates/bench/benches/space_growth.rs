@@ -1,167 +1,183 @@
-//! Incremental space-construction study (`results/BENCH_space.json`).
+//! Incremental vs fixed space construction, paired (`results/BENCH_space.json`).
 //!
-//! Measures the tentpole claim of staged space growth: on a
-//! heavy-categorical dataset, starting the search from the minimal
-//! pipeline space and expanding on plateau evidence must reach the
-//! fixed-space run's quality at no more than 1.05x the trial budget —
-//! the stage-0 space is strictly smaller (fewer FE variables to model),
-//! so early trials are spent on the choices that matter first.
+//! Growing the space on plateau evidence claims to save cost: a small space
+//! is cheaper to model and its pipelines cheaper to fit. Each dataset of the
+//! repository's classification and regression suites is split 75/25 and
+//! searched per seed with a fixed space and with incremental construction at
+//! the default threshold (P3 plan, BO leaves, Medium tier, 100 evaluations).
+//! Charged seconds are the cumulative trial cost in `AutoMlReport::trajectory`.
+//! Per pair, incremental is scored against fixed on best validation loss at
+//! equal charged seconds (both cut at the cheaper run's total), charged
+//! seconds to the common target (the worse final best) and held-out loss:
+//! wins/ties/losses and a two-sided sign test over the untied pairs, plus the
+//! median charged-seconds ratio for the same evaluations. No gate.
 //!
-//! Per seed, both modes get the same evaluation budget; `trials_to`
-//! counts evaluations until each run's incumbent reaches the worse of
-//! the two final bests (a target both provably hit). Aggregated over
-//! fixed seeds the gate is `incremental_ratio <= 1.05`, plus a smoke
-//! check that at least one expansion actually fired and was journaled.
-//!
-//! Run: `cargo bench --bench space_growth` (`VOLCANO_QUICK=1` trims seeds).
+//! Run: `cargo bench --bench space_growth` (`VOLCANO_QUICK=1`: 6 datasets x 2
+//! seeds).
 
-use volcanoml_bench::{print_table, quick, scaled, write_csv};
-use volcanoml_core::growth::incremental_seed;
-use volcanoml_core::{SpaceDef, SpaceGrowth, SpaceTier, VolcanoML, VolcanoMlOptions};
-use volcanoml_data::synthetic::make_categorical;
-use volcanoml_data::Task;
+use std::cmp::Ordering;
+use volcanoml_bench::{print_table, quick, results_dir, scaled, write_csv};
+use volcanoml_core::growth::DEFAULT_EUI_THRESHOLD;
+use volcanoml_core::{SpaceGrowth, SpaceTier, VolcanoML, VolcanoMlOptions};
+use volcanoml_data::rand_util::derive_seed;
+use volcanoml_data::repository::{medium_classification_suite, regression_suite};
+use volcanoml_data::{train_test_split, Dataset, Metric};
 
-/// Evaluations until the trajectory's incumbent reaches `target`.
-fn trials_to(trajectory: &[(usize, f64, f64)], target: f64) -> usize {
-    trajectory
-        .iter()
-        .find(|(_, _, best)| *best <= target + 1e-12)
-        .map(|(i, _, _)| *i)
-        .unwrap_or(usize::MAX)
-}
+const EVALS: usize = 100;
 
-fn run(
-    data: &volcanoml_data::Dataset,
+/// `(evaluation, charged seconds, best validation loss)` per full-fidelity
+/// trial, and the refit winner's held-out loss.
+fn search(
+    train: &Dataset,
+    test: &Dataset,
     seed: u64,
-    evals: usize,
-    growth: SpaceGrowth,
-    journal: Option<std::path::PathBuf>,
-) -> (f64, Vec<(usize, f64, f64)>, usize) {
+    space_growth: SpaceGrowth,
+) -> (Vec<(usize, f64, f64)>, f64) {
     let options = VolcanoMlOptions {
-        max_evaluations: evals,
+        max_evaluations: EVALS,
         seed,
-        space_growth: growth,
-        journal_path: journal.clone(),
+        space_growth,
         ..Default::default()
     };
-    let engine = VolcanoML::with_tier(Task::Classification, SpaceTier::Medium, options);
-    let fitted = engine.fit(data).expect("bench fit succeeds");
-    let expansions = journal
-        .map(|p| {
-            let text = std::fs::read_to_string(&p).unwrap_or_default();
-            let _ = std::fs::remove_file(&p);
-            text.lines()
-                .filter(|l| l.contains("\"event\":\"expansion\""))
-                .count()
-        })
-        .unwrap_or(0);
-    (fitted.report.best_loss, fitted.report.trajectory, expansions)
+    let fitted = VolcanoML::with_tier(train.task, SpaceTier::Medium, options)
+        .fit(train)
+        .expect("fit");
+    let preds = fitted.predict(&test.x).expect("refit winner predicts");
+    (
+        fitted.report.trajectory,
+        Metric::default_for(train.task).loss(&test.y, &preds),
+    )
+}
+
+/// Incremental-vs-fixed wins, ties and losses (lower is better).
+#[derive(Default)]
+struct Tally([usize; 3]);
+
+impl Tally {
+    fn add(&mut self, incremental: f64, fixed: f64) {
+        let slot = match incremental.total_cmp(&fixed) {
+            Ordering::Less => 0,
+            Ordering::Equal => 1,
+            Ordering::Greater => 2,
+        };
+        self.0[slot] += 1;
+    }
+
+    /// Two-sided sign test: `2 P(X <= min(w, l))`, `X ~ Binomial(w + l, 1/2)`.
+    fn p(&self) -> f64 {
+        let [w, _, l] = self.0;
+        let mut ln_pmf = -((w + l) as f64) * std::f64::consts::LN_2;
+        let mut cdf = 0.0;
+        for i in 0..=w.min(l) {
+            cdf += ln_pmf.exp();
+            ln_pmf += ((w + l - i) as f64 / (i + 1) as f64).ln();
+        }
+        (2.0 * cdf).min(1.0)
+    }
 }
 
 fn main() {
-    let evals = 40;
-    let n_seeds = scaled(8, 4) as u64;
-    // Permissive enough that the plateau window fires inside the budget on
-    // a Medium-tier space, tight enough that a still-improving stage keeps
-    // its trials.
-    let growth = SpaceGrowth::Incremental { eui_threshold: 0.05 };
-    eprintln!("space_growth: {evals} evals, {n_seeds} seeds, threshold 0.05");
-
-    let full = SpaceDef::tiered(Task::Classification, SpaceTier::Medium);
-    let stage0 = incremental_seed(&full).expect("minimal seed builds");
-    assert!(
-        stage0.len() < full.len(),
-        "stage-0 must expose strictly fewer variables ({} vs {})",
-        stage0.len(),
-        full.len()
-    );
-
-    let mut fixed_total = 0usize;
-    let mut incremental_total = 0usize;
-    let mut expansions_total = 0usize;
-    let mut rows = Vec::new();
-    for seed in 0..n_seeds {
-        // Label = hash-parity of hidden categorical columns: exactly the
-        // regime where encoder/transform choices move the loss.
-        let data = make_categorical(400, 6, 8, 2, 0.05, seed);
-        let journal = std::env::temp_dir().join(format!(
-            "volcanoml-bench-space-{}-{seed}.jsonl",
-            std::process::id()
-        ));
-        let (fixed_best, fixed_traj, _) = run(&data, seed, evals, SpaceGrowth::Fixed, None);
-        let (inc_best, inc_traj, expansions) =
-            run(&data, seed, evals, growth, Some(journal));
-        // The worse of the two final bests: a quality level both runs
-        // demonstrably reached within the budget.
-        let target = fixed_best.max(inc_best);
-        let ft = trials_to(&fixed_traj, target);
-        let it = trials_to(&inc_traj, target);
-        assert!(
-            ft != usize::MAX && it != usize::MAX,
-            "seed {seed}: both runs must reach the common target"
-        );
-        fixed_total += ft;
-        incremental_total += it;
-        expansions_total += expansions;
-        rows.push(vec![
-            seed.to_string(),
-            format!("{fixed_best:.4}"),
-            format!("{inc_best:.4}"),
-            ft.to_string(),
-            it.to_string(),
-            expansions.to_string(),
-        ]);
-    }
-    let ratio = incremental_total as f64 / fixed_total as f64;
-    let headers: Vec<String> = [
-        "seed",
-        "fixed_best",
-        "incremental_best",
-        "fixed_trials_to_target",
-        "incremental_trials_to_target",
-        "expansions",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    print_table("trials to reach the common target loss", &headers, &rows);
-    write_csv("BENCH_space.csv", &headers, &rows);
-    println!(
-        "aggregate: incremental {incremental_total} trials vs fixed {fixed_total} \
-         ({ratio:.2}x) over {n_seeds} seeds, {expansions_total} journaled expansions"
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"space_growth_trials_to_target\",\n  \
-         \"evals\": {evals},\n  \"n_seeds\": {n_seeds},\n  \
-         \"stage0_vars\": {},\n  \"full_vars\": {},\n  \
-         \"fixed_trials_total\": {fixed_total},\n  \
-         \"incremental_trials_total\": {incremental_total},\n  \
-         \"expansions_total\": {expansions_total},\n  \
-         \"incremental_ratio\": {ratio:.4}\n}}\n",
-        stage0.len(),
-        full.len()
-    );
-    let dir = volcanoml_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("BENCH_space.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-    // Acceptance gates: incremental reaches fixed-space quality within
-    // 1.05x the trials, and the growth machinery actually engaged (at
-    // least one expansion journaled across the seeds).
-    assert!(
-        ratio <= 1.05,
-        "acceptance: incremental must reach the target within 1.05x the \
-         fixed-space trials (got {ratio:.2}x: {incremental_total} vs {fixed_total})"
-    );
-    assert!(
-        expansions_total >= 1,
-        "acceptance: expected at least one journaled expansion across {n_seeds} seeds"
-    );
+    let mut datasets = medium_classification_suite();
+    datasets.extend(regression_suite());
     if quick() {
-        println!("quick mode: gates checked on {n_seeds} seeds");
+        datasets = datasets.into_iter().step_by(9).collect();
     }
+    let n_seeds = scaled(10, 2) as u64;
+    let incremental = SpaceGrowth::Incremental {
+        eui_threshold: DEFAULT_EUI_THRESHOLD,
+    };
+    let names = ["valid_at_equal_seconds", "seconds_to_target", "held_out"];
+    let mut tallies: [Tally; 3] = Default::default();
+    let (mut ratios, mut rows) = (Vec::new(), Vec::new());
+    for (di, dataset) in datasets.iter().enumerate() {
+        for seed in 0..n_seeds {
+            let run_seed = derive_seed(di as u64, seed);
+            let (train, test) =
+                train_test_split(dataset, 0.25, derive_seed(run_seed, 0xdead)).expect("split");
+            let runs =
+                [incremental, SpaceGrowth::Fixed].map(|g| search(&train, &test, run_seed, g));
+            let last = |i: usize| *runs[i].0.last().expect("a full-fidelity trial");
+            let equal_s = last(0).1.min(last(1).1);
+            let target = last(0).2.max(last(1).2);
+            let stat = |i: usize| {
+                let traj = &runs[i].0;
+                let at_equal = traj.iter().take_while(|t| t.1 <= equal_s).last();
+                let to_target = traj.iter().find(|t| t.2 <= target);
+                [
+                    at_equal.map_or(f64::INFINITY, |t| t.2),
+                    to_target.map_or(f64::INFINITY, |t| t.1),
+                    runs[i].1,
+                ]
+            };
+            let (inc, fixed) = (stat(0), stat(1));
+            for k in 0..3 {
+                tallies[k].add(inc[k], fixed[k]);
+            }
+            ratios.push(last(0).1 / last(1).1);
+            let mut row = vec![dataset.name.clone(), seed.to_string()];
+            row.extend(
+                inc.iter()
+                    .chain(&fixed)
+                    .chain([&last(0).1, &last(1).1])
+                    .map(|v| format!("{v:.6}")),
+            );
+            rows.push(row);
+        }
+        eprintln!("  {} done ({}/{})", dataset.name, di + 1, datasets.len());
+    }
+    let mut headers = vec!["dataset".to_string(), "seed".to_string()];
+    for arm in ["incremental", "fixed"] {
+        headers.extend(names.iter().map(|n| format!("{arm}_{n}")));
+    }
+    headers.extend(["incremental_charged_s".into(), "fixed_charged_s".into()]);
+    write_csv("BENCH_space.csv", &headers, &rows);
+
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ratios.len() / 2];
+    let summary: Vec<Vec<String>> = names
+        .iter()
+        .zip(&tallies)
+        .map(|(n, t)| {
+            vec![
+                n.to_string(),
+                format!("{}/{}/{}", t.0[0], t.0[1], t.0[2]),
+                format!("{:.2e}", t.p()),
+            ]
+        })
+        .collect();
+    print_table(
+        "incremental vs fixed, paired",
+        &["statistic", "W/T/L", "sign-test p"].map(String::from),
+        &summary,
+    );
+    println!(
+        "charged seconds for the same {EVALS} evaluations: incremental/fixed median {median:.2}x"
+    );
+
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output();
+    let commit = commit.map_or("unknown".into(), |o| {
+        String::from_utf8_lossy(&o.stdout).trim().to_string()
+    });
+    let mut json = format!(
+        "{{\n  \"bench\": \"space_growth_paired\",\n  \"commit\": \"{commit}\",\n  \
+         \"n_cpus\": {},\n  \"quick\": {},\n  \"plan\": \"P3-volcano/bo\",\n  \
+         \"tier\": \"medium\",\n  \"evals\": {EVALS},\n  \
+         \"eui_threshold\": {DEFAULT_EUI_THRESHOLD},\n  \"n_pairs\": {},\n  \
+         \"charged_seconds_ratio_median\": {median:.4}",
+        volcanoml_models::parallel::hardware_parallelism(),
+        quick(),
+        rows.len()
+    );
+    for (n, t) in names.iter().zip(&tallies) {
+        let [w, ties, l] = t.0;
+        json += &format!(
+            ",\n  \"{n}\": {{\"wins\": {w}, \"ties\": {ties}, \"losses\": {l}, \"p\": {:.3e}}}",
+            t.p()
+        );
+    }
+    let path = results_dir().join("BENCH_space.json");
+    std::fs::write(&path, json + "\n}\n")
+        .unwrap_or_else(|e| eprintln!("could not write {}: {e}", path.display()));
 }

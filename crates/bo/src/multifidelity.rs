@@ -518,6 +518,13 @@ impl BracketEngine {
         }
     }
 
+    /// This engine promoting by loss improvement per second and opening
+    /// brackets no lower than the measured cost floor when `cost_aware`.
+    /// Fixed for the run: brackets and snapshots differ between the modes.
+    pub fn with_cost_aware(self, cost_aware: bool) -> Self {
+        BracketEngine { cost_aware, ..self }
+    }
+
     /// Opens the next bracket. Cost-aware runs clamp its starting rung to the
     /// measured cost floor: a bracket may never start below a rung whose
     /// trials cost nearly as much as full fidelity (see
@@ -670,10 +677,6 @@ impl Suggest for BracketEngine {
             self.fid_cost.capture(path, out);
         }
         self.sched.capture_state(path, out);
-    }
-
-    fn set_cost_aware(&mut self, enabled: bool) {
-        self.cost_aware = enabled;
     }
 
     fn history(&self) -> &RunHistory {
@@ -1284,10 +1287,8 @@ mod tests {
     fn cost_aware_sh_raises_bracket_floor_under_flat_costs() {
         let cost_of = |_f: f64| 1.0; // every fidelity costs the same second
         let run = |cost_aware: bool| {
-            let mut sh = BracketEngine::successive_halving(space_1d(), 4, 1.0 / 9.0, 3, 5);
-            if cost_aware {
-                sh.set_cost_aware(true);
-            }
+            let mut sh = BracketEngine::successive_halving(space_1d(), 4, 1.0 / 9.0, 3, 5)
+                .with_cost_aware(cost_aware);
             let mut low_fid = 0usize;
             // First bracket measures the costs; later brackets react.
             for _ in 0..60 {
@@ -1306,5 +1307,32 @@ mod tests {
             aware < blind,
             "cost-aware drew {aware} bottom-rung trials, cost-blind {blind}"
         );
+    }
+
+    /// Golden digests of cost-aware Successive Halving and MFES-HB schedules
+    /// (60 trials, batches of 1 and 3) under a cost with a fixed per-trial
+    /// overhead, so both promotion-by-rate and the bracket floor engage.
+    /// Recorded while cost-awareness was still switched on by a setter after
+    /// construction: an engine built cost-aware must schedule identically.
+    #[test]
+    fn golden_cost_aware_bracket_schedules() {
+        let loss_and_cost = |_: &ConfigSpace, c: &Configuration, f: f64| {
+            let x = c.get(0).unwrap_or(0.5);
+            (objective(c, f), 1.0 + f * (1.0 + 4.0 * x))
+        };
+        let build = |name: &str| match name {
+            "sh" => BracketEngine::successive_halving(space_1d(), 9, 1.0 / 9.0, 3, 13),
+            _ => BracketEngine::mfes_hb(space_1d(), 1.0 / 9.0, 3, 13),
+        };
+        for (name, k, want) in [
+            ("sh", 1, 0x01c0_573d_bae6_76dcu64),
+            ("sh", 3, 0x411d_d349_7aef_cd4f),
+            ("mfes-hb", 1, 0x45c0_d41b_bd3e_0115),
+            ("mfes-hb", 3, 0xb614_5a6b_2b70_516a),
+        ] {
+            let mut engine = build(name).with_cost_aware(true);
+            let got = crate::optimizer::tests::schedule_digest(&mut engine, 60, k, loss_and_cost);
+            assert_eq!(got, want, "{name} k={k} digest {got:#018x}");
+        }
     }
 }

@@ -37,12 +37,12 @@ pub type Suggestion = (Configuration, f64, TrialTag);
 /// Ask/tell optimizer interface shared by the joint-block engines.
 ///
 /// `suggest_batch` returns [`Suggestion`]s; `observe` feeds the results back.
-/// Beyond those, `history` and `space`, three methods have do-nothing
+/// Beyond those, `history` and `space`, two methods have do-nothing
 /// defaults because only some engines have the state they touch:
 /// `capture_scheduler_state` (only a bracket schedule has occupancy to
-/// snapshot), `set_cost_aware` (random search has nothing to rank by cost)
-/// and `grow_space` (an engine run only on fixed spaces may ignore
-/// expansions; all three engines here remap).
+/// snapshot) and `grow_space` (an engine run only on fixed spaces may ignore
+/// expansions; all three engines here remap). Cost-awareness is fixed when
+/// an engine is built ([`Smac::with_cost_aware`]).
 pub trait Suggest {
     /// Suggests `k` trials to evaluate before any of them is observed —
     /// concurrently behind `--workers N`, one at a time otherwise. Engines
@@ -74,15 +74,6 @@ pub trait Suggest {
     /// the state of the uninterrupted run. Default: nothing — full-fidelity
     /// engines carry no scheduler state beyond their history.
     fn capture_scheduler_state(&self, _path: &str, _out: &mut Vec<String>) {}
-
-    /// Turns cost-aware scheduling on or off. Cost-aware engines score
-    /// acquisitions by EI per predicted second and promote by
-    /// loss-improvement per second; cost-blind engines (and the default)
-    /// ignore the call entirely, so enabling it on e.g. random search is a
-    /// harmless no-op. Must be called before the first `suggest` — engines
-    /// do not support switching modes mid-run (the surrogate rng stream
-    /// would diverge from a resume replay).
-    fn set_cost_aware(&mut self, _enabled: bool) {}
 
     /// Replaces the engine's configuration space with a grown version — an
     /// incremental-space expansion landing mid-run. `new_space` must be a
@@ -197,10 +188,7 @@ pub struct Smac {
     rng: StdRng,
     suggestions: usize,
     stale: bool,
-    /// When set, acquisition is EI per predicted second (see
-    /// [`crate::cost::CostModel`]). Off by default; toggling draws extra
-    /// rng for the cost-model fit, so it must be set before the run starts
-    /// and match on resume.
+    /// Acquisition is EI per predicted second (see [`CostModel`]).
     cost_aware: bool,
     cost_model: CostModel,
 }
@@ -218,6 +206,12 @@ impl Smac {
             cost_aware: false,
             cost_model: CostModel::new(),
         }
+    }
+
+    /// This optimizer scoring EI per predicted second when `cost_aware`.
+    /// Fixed for the run: the cost-model fit draws from the rng.
+    pub fn with_cost_aware(self, cost_aware: bool) -> Self {
+        Smac { cost_aware, ..self }
     }
 
     fn refit(&mut self) {
@@ -331,10 +325,6 @@ impl Suggest for Smac {
         &self.space
     }
 
-    fn set_cost_aware(&mut self, enabled: bool) {
-        self.cost_aware = enabled;
-    }
-
     /// Growing marks the surrogate stale: the next model-based suggestion
     /// refits by re-encoding the (remapped) history in the new space, so no
     /// surrogate migration is needed.
@@ -359,9 +349,42 @@ impl Suggest for Smac {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::space::Domain;
+
+    /// Drives `engine` for `trials` trials, suggesting `k` at a time and
+    /// observing the whole batch against `objective` (`(loss, cost)` at a
+    /// fidelity), and digests what it scheduled: FNV-1a over one line per
+    /// suggestion (config bits, fidelity bits, tag) followed by the final
+    /// `capture_scheduler_state` lines.
+    pub(crate) fn schedule_digest(
+        engine: &mut dyn Suggest,
+        trials: usize,
+        k: usize,
+        objective: impl Fn(&ConfigSpace, &Configuration, f64) -> (f64, f64),
+    ) -> u64 {
+        let mut lines = Vec::new();
+        while lines.len() < trials {
+            for (cfg, fidelity, tag) in engine.suggest_batch(k.min(trials - lines.len())) {
+                lines.push(format!(
+                    "{} {:016x} {} {}",
+                    cfg.bits(),
+                    fidelity.to_bits(),
+                    tag.rung,
+                    tag.bracket
+                ));
+                let (loss, cost) = objective(engine.space(), &cfg, fidelity);
+                engine.observe(cfg, fidelity, loss, cost);
+            }
+        }
+        engine.capture_scheduler_state("engine", &mut lines);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in lines.iter().flat_map(|l| l.bytes().chain(std::iter::once(b'\n'))) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
 
     /// Synthetic objective: conditional quadratic with a categorical branch.
     fn objective(space: &ConfigSpace, c: &Configuration) -> f64 {
@@ -538,8 +561,7 @@ mod tests {
         for seed in 0..10 {
             let mut blind = Smac::new(branch_space(), seed);
             blind_total += cost_to_target(&mut blind, target, 250);
-            let mut aware = Smac::new(branch_space(), seed);
-            aware.set_cost_aware(true);
+            let mut aware = Smac::new(branch_space(), seed).with_cost_aware(true);
             aware_total += cost_to_target(&mut aware, target, 250);
         }
         assert!(
@@ -556,8 +578,7 @@ mod tests {
         // cost-model fit advances the rng, so only distributional — not
         // bitwise — equivalence holds until the warm-up threshold.)
         let mut blind = Smac::new(branch_space(), 3);
-        let mut aware = Smac::new(branch_space(), 3);
-        aware.set_cost_aware(true);
+        let mut aware = Smac::new(branch_space(), 3).with_cost_aware(true);
         for _ in 0..N_INIT {
             let (cb, fb, _) = blind.suggest();
             let (ca, fa, _) = aware.suggest();
@@ -566,6 +587,20 @@ mod tests {
             let (loss, cost) = symmetric_objective(blind.space(), &cb);
             blind.observe(cb, fb, loss, cost);
             aware.observe(ca, fa, loss, cost);
+        }
+    }
+
+    /// Golden digests of a cost-aware `Smac` schedule on the loss-symmetric,
+    /// cost-asymmetric branch space (60 trials, batches of 1 and 3), recorded
+    /// while cost-awareness was still switched on by a setter after
+    /// construction: an engine built cost-aware must schedule identically.
+    #[test]
+    fn golden_cost_aware_smac_schedule() {
+        let objective = |space: &ConfigSpace, c: &Configuration, _| symmetric_objective(space, c);
+        for (k, want) in [(1, 0x2b55_8b46_f3e3_cda9u64), (3, 0xfd5b_4230_588e_57c4)] {
+            let mut smac = Smac::new(branch_space(), 17).with_cost_aware(true);
+            let got = schedule_digest(&mut smac, 60, k, objective);
+            assert_eq!(got, want, "k={k} digest {got:#018x}");
         }
     }
 

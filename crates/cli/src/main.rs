@@ -22,7 +22,7 @@
 use std::process::ExitCode;
 use volcanoml_core::plans::{self, enumerate_coarse_plans};
 use volcanoml_core::{
-    EngineKind, Objective, PlanSpec, SpaceDef, SpaceGrowth, SpaceTier, ValidationStrategy,
+    EngineKind, Objective, SpaceDef, SpaceGrowth, SpaceTier, ValidationStrategy,
     VolcanoML, VolcanoMlOptions,
 };
 use volcanoml_data::{train_test_split, Metric, Task};
@@ -170,7 +170,7 @@ fn cmd_fit(args: &[String]) -> Result<(), String> {
     let engine_kind = EngineKind::from_name(flags.get("engine").unwrap_or("bo"))?;
     let plan = match flags.get("plan") {
         Some(p) => plans::by_name(p, engine_kind)?,
-        None => PlanSpec::volcano_default(engine_kind),
+        None => plans::p3_volcano(engine_kind),
     };
     let validation = match flags.get("cv") {
         Some(k) => ValidationStrategy::CrossValidation {

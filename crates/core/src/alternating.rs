@@ -5,11 +5,16 @@
 //! expected utility improvement. Before each play, the *other* child's best
 //! assignment is pinned into the played child (`set_var`).
 
-use crate::block::{Assignment, BestSolution, BuildingBlock};
+use crate::block::{Assignment, BestSolution, BlockOptions, BuildingBlock};
 use crate::evaluator::Evaluator;
 use crate::spaces::SpaceDef;
 use crate::Result;
 use volcanoml_obs::span;
+
+/// Round-robin plays per side before EUI scheduling (the paper's `L`;
+/// smaller than its 5 for the same reason as the conditioning block's
+/// warm-up).
+const INIT_ROUNDS: usize = 2;
 
 /// One side of the alternation.
 struct Side {
@@ -23,11 +28,9 @@ pub struct AlternatingBlock {
     label: String,
     left: Side,
     right: Side,
-    /// Round-robin plays per side before EUI scheduling (paper's `L`).
-    pub init_rounds: usize,
     /// When true, scheduling stays round-robin forever (the ablation
     /// baseline measured by the blocks-ablation bench).
-    pub round_robin_only: bool,
+    round_robin_only: bool,
     plays: usize,
     evaluations: usize,
     defaults: Assignment,
@@ -35,7 +38,8 @@ pub struct AlternatingBlock {
 
 impl AlternatingBlock {
     /// Creates an alternating block. `defaults` must cover both children's
-    /// variables (used to pin siblings before their first result).
+    /// variables (used to pin siblings before their first result); of
+    /// `options` it reads `eui_scheduling`.
     pub fn new(
         label: impl Into<String>,
         left: Box<dyn BuildingBlock>,
@@ -43,6 +47,7 @@ impl AlternatingBlock {
         right: Box<dyn BuildingBlock>,
         right_vars: Vec<String>,
         defaults: Assignment,
+        options: &BlockOptions,
     ) -> AlternatingBlock {
         let mut block = AlternatingBlock {
             label: label.into(),
@@ -54,10 +59,7 @@ impl AlternatingBlock {
                 block: right,
                 vars: right_vars,
             },
-            // Paper value is L = 5; see ConditioningBlock::warmup_plays for
-            // why the scaled-down default is smaller.
-            init_rounds: 2,
-            round_robin_only: false,
+            round_robin_only: !options.eui_scheduling,
             plays: 0,
             evaluations: 0,
             defaults,
@@ -101,7 +103,7 @@ impl AlternatingBlock {
     /// Which side to play next (Algorithm 2 during init, Algorithm 3 after),
     /// plus a trace annotation describing the decision.
     fn choose_side(&self) -> (bool, String) {
-        if self.round_robin_only || self.plays < 2 * self.init_rounds {
+        if self.round_robin_only || self.plays < 2 * INIT_ROUNDS {
             let left = self.plays.is_multiple_of(2);
             (
                 left,
@@ -121,16 +123,6 @@ impl AlternatingBlock {
                 ),
             )
         }
-    }
-
-    /// Plays delivered to the left child.
-    pub fn left_plays(&self) -> usize {
-        self.left.block.evaluations()
-    }
-
-    /// Plays delivered to the right child.
-    pub fn right_plays(&self) -> usize {
-        self.right.block.evaluations()
     }
 }
 
@@ -195,11 +187,6 @@ impl BuildingBlock for AlternatingBlock {
     fn set_fixed(&mut self, fixed: &Assignment) {
         self.left.block.set_fixed(fixed);
         self.right.block.set_fixed(fixed);
-    }
-
-    fn set_cost_aware(&mut self, enabled: bool) {
-        self.left.block.set_cost_aware(enabled);
-        self.right.block.set_cost_aware(enabled);
     }
 
     /// Partitions the new variables between the two sides and extends each
@@ -322,8 +309,18 @@ mod tests {
         (ev, space)
     }
 
+    impl AlternatingBlock {
+        fn left_plays(&self) -> usize {
+            self.left.block.evaluations()
+        }
+
+        fn right_plays(&self) -> usize {
+            self.right.block.evaluations()
+        }
+    }
+
     /// FE-vs-HP alternating block for a fixed algorithm.
-    fn fe_hp_alternating(space: &SpaceDef, alg: usize) -> AlternatingBlock {
+    fn fe_hp_alternating(space: &SpaceDef, alg: usize, options: &BlockOptions) -> AlternatingBlock {
         let mut ctx = Assignment::new();
         ctx.insert("algorithm".to_string(), alg as f64);
         let fe_vars: Vec<String> = space
@@ -340,27 +337,28 @@ mod tests {
             .collect();
         let fe_space = space.compile_subspace(&fe_vars, &ctx).unwrap();
         let hp_space = space.compile_subspace(&hp_vars, &ctx).unwrap();
-        let left = Box::new(JointBlock::new("fe", fe_space, JointEngine::Bo, ctx.clone(), 1));
-        let right = Box::new(JointBlock::new("hp", hp_space, JointEngine::Bo, ctx.clone(), 2));
-        AlternatingBlock::new("fe-vs-hp", left, fe_vars, right, hp_vars, space.defaults())
+        let joint = |label, cs, seed| {
+            Box::new(JointBlock::new(label, cs, JointEngine::Bo, ctx.clone(), seed, options))
+        };
+        let (left, right) = (joint("fe", fe_space, 1), joint("hp", hp_space, 2));
+        AlternatingBlock::new("fe-vs-hp", left, fe_vars, right, hp_vars, space.defaults(), options)
     }
 
     #[test]
     fn init_phase_is_round_robin() {
         let (ev, space) = setup();
-        let mut block = fe_hp_alternating(&space, 1);
-        block.init_rounds = 3;
-        for _ in 0..6 {
+        let mut block = fe_hp_alternating(&space, 1, &BlockOptions::default());
+        for _ in 0..2 * INIT_ROUNDS {
             block.pull(&ev, None, 1).unwrap();
         }
-        assert_eq!(block.left_plays(), 3);
-        assert_eq!(block.right_plays(), 3);
+        assert_eq!(block.left_plays(), INIT_ROUNDS);
+        assert_eq!(block.right_plays(), INIT_ROUNDS);
     }
 
     #[test]
     fn finds_a_finite_best_with_both_sides_contributing() {
         let (ev, space) = setup();
-        let mut block = fe_hp_alternating(&space, 1);
+        let mut block = fe_hp_alternating(&space, 1, &BlockOptions::default());
         for _ in 0..16 {
             block.pull(&ev, None, 1).unwrap();
         }
@@ -374,21 +372,23 @@ mod tests {
     #[test]
     fn eui_scheduling_plays_both_sides() {
         let (ev, space) = setup();
-        let mut block = fe_hp_alternating(&space, 1);
-        block.init_rounds = 2;
+        let mut block = fe_hp_alternating(&space, 1, &BlockOptions::default());
         for _ in 0..30 {
             block.pull(&ev, None, 1).unwrap();
         }
         assert_eq!(block.left_plays() + block.right_plays(), 30);
-        assert!(block.left_plays() >= 2);
-        assert!(block.right_plays() >= 2);
+        assert!(block.left_plays() >= INIT_ROUNDS);
+        assert!(block.right_plays() >= INIT_ROUNDS);
     }
 
     #[test]
     fn round_robin_only_splits_evenly() {
         let (ev, space) = setup();
-        let mut block = fe_hp_alternating(&space, 0);
-        block.round_robin_only = true;
+        let options = BlockOptions {
+            eui_scheduling: false,
+            ..BlockOptions::default()
+        };
+        let mut block = fe_hp_alternating(&space, 0, &options);
         for _ in 0..20 {
             block.pull(&ev, None, 1).unwrap();
         }
@@ -399,7 +399,7 @@ mod tests {
     #[test]
     fn trajectory_is_monotone() {
         let (ev, space) = setup();
-        let mut block = fe_hp_alternating(&space, 0);
+        let mut block = fe_hp_alternating(&space, 0, &BlockOptions::default());
         for _ in 0..12 {
             block.pull(&ev, None, 1).unwrap();
         }
@@ -410,7 +410,7 @@ mod tests {
     #[test]
     fn own_best_covers_both_sides() {
         let (ev, space) = setup();
-        let mut block = fe_hp_alternating(&space, 1);
+        let mut block = fe_hp_alternating(&space, 1, &BlockOptions::default());
         for _ in 0..12 {
             block.pull(&ev, None, 1).unwrap();
         }
@@ -423,7 +423,7 @@ mod tests {
     #[test]
     fn set_fixed_propagates_to_both_children() {
         let (ev, space) = setup();
-        let mut block = fe_hp_alternating(&space, 2);
+        let mut block = fe_hp_alternating(&space, 2, &BlockOptions::default());
         let mut extra = Assignment::new();
         extra.insert("algorithm".to_string(), 2.0);
         block.set_fixed(&extra);

@@ -1,19 +1,20 @@
 //! The user-facing AutoML engine: configure a space + plan + budget, call
 //! `fit`, get back a trained pipeline (or ensemble) and a search report.
 
-use crate::block::Assignment;
+use crate::block::{Assignment, BlockOptions};
 use crate::ensemble::Ensemble;
 use crate::evaluator::{Evaluator, ValidationStrategy};
 use crate::growth::{incremental_seed, GrowthController, SpaceGrowth, DEFAULT_PLATEAU_WINDOW};
 use crate::metalearn::MetaBase;
 use crate::objective::Objective;
 use crate::plan::{EngineKind, PlanSpec};
+use crate::plans::p3_volcano;
 use crate::spaces::{SpaceDef, SpaceTier};
 use crate::study::StudyState;
 use crate::{CoreError, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use volcanoml_data::{train_test_split, Dataset, Metric, Task};
 use volcanoml_exec::{ExecPool, Journal, PoolConfig};
 use volcanoml_fe::FePipeline;
@@ -31,8 +32,6 @@ pub struct VolcanoMlOptions {
     pub metric: Option<Metric>,
     /// Maximum number of pipeline evaluations.
     pub max_evaluations: usize,
-    /// Optional wall-clock cap checked between evaluations.
-    pub time_budget: Option<Duration>,
     /// Master seed.
     pub seed: u64,
     /// Warm-start assignments evaluated before the plan runs (meta-learning
@@ -43,7 +42,8 @@ pub struct VolcanoMlOptions {
     pub ensemble_size: usize,
     /// How pipeline quality is measured during search.
     pub validation: ValidationStrategy,
-    /// Feed measured trial cost back into the engines: BO leaves switch to
+    /// Feed measured trial cost back into the engines (the plan is compiled
+    /// with [`BlockOptions::cost_aware`]): BO leaves switch to
     /// EI-per-second acquisition (backed by a cost surrogate over observed
     /// wall times), and multi-fidelity leaves promote by loss-improvement
     /// per second and calibrate bracket floors from measured per-fidelity
@@ -125,10 +125,9 @@ pub struct VolcanoMlOptions {
 impl Default for VolcanoMlOptions {
     fn default() -> Self {
         VolcanoMlOptions {
-            plan: PlanSpec::volcano_default(EngineKind::Bo),
+            plan: p3_volcano(EngineKind::Bo),
             metric: None,
             max_evaluations: 60,
-            time_budget: None,
             seed: 0,
             warm_start: Vec::new(),
             ensemble_size: 1,
@@ -338,15 +337,13 @@ impl VolcanoML {
             .journal()
             .map(|j| j.expansions().len())
             .unwrap_or(0);
-        let mut root = match &growth {
-            Some(g) => self.options.plan.compile(g.space(), self.options.seed)?,
-            None => self.options.plan.compile(&self.space, self.options.seed)?,
+        let space = growth.as_ref().map_or(&self.space, GrowthController::space);
+        let block_options = BlockOptions {
+            cost_aware: self.options.cost_aware,
+            ..BlockOptions::default()
         };
-        if self.options.cost_aware {
-            root.set_cost_aware(true);
-        }
+        let mut root = self.options.plan.compile_with(space, self.options.seed, &block_options)?;
 
-        let start = Instant::now();
         // Saturation guard: `evaluations()` counts only non-cached trials,
         // so on a space whose distinct configs run out before the budget
         // does, an engine would draw cached duplicates forever without
@@ -358,10 +355,6 @@ impl VolcanoML {
         let out_of_budget = |evaluator: &Evaluator| {
             evaluator.evaluations() >= self.options.max_evaluations
                 || evaluator.consecutive_cached() >= saturation_limit
-                || self
-                    .options
-                    .time_budget
-                    .is_some_and(|b| start.elapsed() >= b)
                 || self
                     .options
                     .stop_flag
@@ -922,7 +915,7 @@ mod tests {
                 fe_options: volcanoml_fe::pipeline::FeSpaceOptions::default(),
             };
             let options = VolcanoMlOptions {
-                plan: PlanSpec::single_joint(EngineKind::Random),
+                plan: crate::plans::p1_joint(EngineKind::Random),
                 max_evaluations: 50,
                 ..Default::default()
             };

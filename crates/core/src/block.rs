@@ -37,6 +37,32 @@ pub struct BestSolution {
     pub loss: f64,
 }
 
+/// Everything a block or engine is configured with beyond its space and
+/// seed. Fixed when [`crate::PlanSpec::compile_with`] builds the tree;
+/// nothing reconfigures a built tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockOptions {
+    /// Joint leaves build their engine cost-aware (EI per predicted second,
+    /// promotion by loss improvement per second); random search ignores it.
+    pub cost_aware: bool,
+    /// Conditioning blocks eliminate dominated arms (Algorithm 1); off, they
+    /// are a plain round-robin bandit.
+    pub arm_elimination: bool,
+    /// Alternating blocks schedule by EUI after their round-robin warm-up
+    /// (Algorithm 3); off, they alternate round-robin forever.
+    pub eui_scheduling: bool,
+}
+
+impl Default for BlockOptions {
+    fn default() -> Self {
+        BlockOptions {
+            cost_aware: false,
+            arm_elimination: true,
+            eui_scheduling: true,
+        }
+    }
+}
+
 /// One node of a VolcanoML execution plan.
 pub trait BuildingBlock {
     /// Advances the optimization by (approximately) `k` evaluations of the
@@ -83,16 +109,6 @@ pub trait BuildingBlock {
     /// Pins context variables (the paper's `set_var`): the block must use
     /// these values for variables outside its own subspace from now on.
     fn set_fixed(&mut self, fixed: &Assignment);
-
-    /// Enables cost-aware scheduling in this block's subtree: joint leaves
-    /// forward to their engine (EI-per-second acquisition, loss-per-second
-    /// rung promotion), interior blocks forward to every child. Must be
-    /// called before the first `pull` — engines do not support switching
-    /// modes mid-run. The default ignores the call (leaf engines without a
-    /// cost model are legitimately cost-blind).
-    fn set_cost_aware(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
 
     /// Grows this block's subtree to cover an expanded search space:
     /// interior blocks forward to every child (extending their variable

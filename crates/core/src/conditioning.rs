@@ -9,12 +9,19 @@
 //! completed round once each active arm has had `L` plays. The sequence of
 //! arm plays and eliminations is identical to Algorithm 1's.
 
-use crate::block::{Assignment, BestSolution, BuildingBlock, LossInterval};
+use crate::block::{Assignment, BestSolution, BlockOptions, BuildingBlock, LossInterval};
 use crate::eu::eu_interval;
 use crate::evaluator::Evaluator;
 use crate::spaces::SpaceDef;
 use crate::Result;
 use volcanoml_obs::{span, EventFields, Tracer};
+
+/// Warm-up plays per arm before elimination starts (the paper's `L`). The
+/// paper sets L = 5 under budgets of hundreds to thousands of evaluations;
+/// the scaled-down experiments here run ~30-100, so each arm gets 3.
+const WARMUP_PLAYS: usize = 3;
+/// Look-ahead horizon for EU intervals (the paper's `K`).
+const EU_HORIZON: usize = 20;
 
 /// One arm of the bandit.
 struct Arm {
@@ -33,23 +40,21 @@ pub struct ConditioningBlock {
     /// The conditioned variable's name (e.g. `algorithm`).
     var: String,
     arms: Vec<Arm>,
-    /// Warm-up plays per arm before elimination starts (paper's `L`).
-    pub warmup_plays: usize,
     /// When false, arms are never eliminated (plain round-robin MAB — the
     /// ablation baseline measured by the blocks-ablation bench).
-    pub elimination_enabled: bool,
-    /// Look-ahead horizon for EU intervals (paper's `K`).
-    pub eu_horizon: usize,
+    elimination_enabled: bool,
     cursor: usize,
     evaluations: usize,
 }
 
 impl ConditioningBlock {
-    /// Creates a conditioning block from `(value, child)` pairs.
+    /// Creates a conditioning block from `(value, child)` pairs; of
+    /// `options` it reads `arm_elimination`.
     pub fn new(
         label: impl Into<String>,
         var: impl Into<String>,
         children: Vec<(usize, Box<dyn BuildingBlock>)>,
+        options: &BlockOptions,
     ) -> ConditioningBlock {
         ConditioningBlock {
             label: label.into(),
@@ -63,13 +68,7 @@ impl ConditioningBlock {
                     plays: 0,
                 })
                 .collect(),
-            // The paper sets L = 5 under second-scale budgets of hundreds
-            // to thousands of evaluations; our scaled-down experiments run
-            // ~30-100 evaluations, so the default warm-up is 3 plays per
-            // arm. The field is public for paper-exact runs.
-            warmup_plays: 3,
-            elimination_enabled: true,
-            eu_horizon: 20,
+            elimination_enabled: options.arm_elimination,
             cursor: 0,
             evaluations: 0,
         }
@@ -89,7 +88,7 @@ impl ConditioningBlock {
             .iter()
             .map(|a| {
                 if a.active {
-                    Some(a.block.expected_utility(self.eu_horizon))
+                    Some(a.block.expected_utility(EU_HORIZON))
                 } else {
                     None
                 }
@@ -133,7 +132,7 @@ impl ConditioningBlock {
             .map(|a| a.plays)
             .min()
             .unwrap_or(0);
-        if self.elimination_enabled && min_plays >= self.warmup_plays {
+        if self.elimination_enabled && min_plays >= WARMUP_PLAYS {
             let round_complete = self.cursor.is_multiple_of(self.arms.len());
             if round_complete {
                 self.eliminate_dominated(tracer);
@@ -243,12 +242,6 @@ impl BuildingBlock for ConditioningBlock {
         }
     }
 
-    fn set_cost_aware(&mut self, enabled: bool) {
-        for arm in &mut self.arms {
-            arm.block.set_cost_aware(enabled);
-        }
-    }
-
     /// Every arm's subtree grows — including eliminated arms, so that their
     /// captured state stays consistent with the live space.
     fn grow(&mut self, space: &SpaceDef, new_vars: &[String]) -> Result<()> {
@@ -327,7 +320,7 @@ impl BuildingBlock for ConditioningBlock {
         ));
         for a in &self.arms {
             let child = format!("{path}/{}={}", self.var, a.value);
-            let iv = a.block.expected_utility(self.eu_horizon);
+            let iv = a.block.expected_utility(EU_HORIZON);
             out.push(format!(
                 "{child} arm active={} plays={} eu=[{:016x},{:016x}]",
                 a.active,
@@ -367,7 +360,7 @@ mod tests {
         (ev, space)
     }
 
-    fn algorithm_conditioning(space: &SpaceDef) -> ConditioningBlock {
+    fn algorithm_conditioning(space: &SpaceDef, options: &BlockOptions) -> ConditioningBlock {
         let children: Vec<(usize, Box<dyn BuildingBlock>)> = (0..space.algorithms.len())
             .map(|idx| {
                 let mut fixed = Assignment::new();
@@ -379,17 +372,18 @@ mod tests {
                     JointEngine::Bo,
                     fixed,
                     idx as u64,
+                    options,
                 ));
                 (idx, block)
             })
             .collect();
-        ConditioningBlock::new("by-algorithm", "algorithm", children)
+        ConditioningBlock::new("by-algorithm", "algorithm", children, options)
     }
 
     #[test]
     fn warmup_is_round_robin() {
         let (ev, space) = setup();
-        let mut block = algorithm_conditioning(&space);
+        let mut block = algorithm_conditioning(&space, &BlockOptions::default());
         let n = space.algorithms.len();
         for _ in 0..n * 2 {
             block.pull(&ev, None, 1).unwrap();
@@ -403,7 +397,7 @@ mod tests {
     #[test]
     fn best_includes_conditioned_variable() {
         let (ev, space) = setup();
-        let mut block = algorithm_conditioning(&space);
+        let mut block = algorithm_conditioning(&space, &BlockOptions::default());
         for _ in 0..6 {
             block.pull(&ev, None, 1).unwrap();
         }
@@ -415,8 +409,7 @@ mod tests {
     #[test]
     fn last_arm_is_never_eliminated() {
         let (ev, space) = setup();
-        let mut block = algorithm_conditioning(&space);
-        block.warmup_plays = 1;
+        let mut block = algorithm_conditioning(&space, &BlockOptions::default());
         for _ in 0..60 {
             block.pull(&ev, None, 1).unwrap();
         }
@@ -426,25 +419,45 @@ mod tests {
     #[test]
     fn eliminated_arms_stop_consuming_budget() {
         let (ev, space) = setup();
-        let mut block = algorithm_conditioning(&space);
-        block.warmup_plays = 2;
-        block.eu_horizon = 3;
-        for _ in 0..80 {
+        let mut block = algorithm_conditioning(&space, &BlockOptions::default());
+        let n = block.arms.len();
+        // Elimination waits until every arm has had its warm-up plays.
+        for _ in 0..n * WARMUP_PLAYS - 1 {
             block.pull(&ev, None, 1).unwrap();
         }
-        if block.active_arms() < block.arms.len() {
+        assert_eq!(block.active_arms(), n, "an arm was eliminated during warm-up");
+        for _ in n * WARMUP_PLAYS - 1..80 {
+            block.pull(&ev, None, 1).unwrap();
+        }
+        if block.active_arms() < n {
             // Eliminated arms' play counts must be frozen below the leader's.
             let max_plays = block.arms.iter().map(|a| a.plays).max().unwrap();
             for a in block.arms.iter().filter(|a| !a.active) {
-                assert!(a.plays < max_plays);
+                assert!(a.plays >= WARMUP_PLAYS && a.plays < max_plays);
             }
         }
     }
 
     #[test]
+    fn without_arm_elimination_every_arm_stays_in_play() {
+        let (ev, space) = setup();
+        let options = BlockOptions {
+            arm_elimination: false,
+            ..BlockOptions::default()
+        };
+        let mut block = algorithm_conditioning(&space, &options);
+        let n = block.arms.len();
+        for _ in 0..n * 10 {
+            block.pull(&ev, None, 1).unwrap();
+        }
+        assert_eq!(block.active_arms(), n);
+        assert!(block.arms.iter().all(|a| a.plays == 10));
+    }
+
+    #[test]
     fn trajectory_is_monotone_nonincreasing() {
         let (ev, space) = setup();
-        let mut block = algorithm_conditioning(&space);
+        let mut block = algorithm_conditioning(&space, &BlockOptions::default());
         for _ in 0..20 {
             block.pull(&ev, None, 1).unwrap();
         }
@@ -456,7 +469,7 @@ mod tests {
     #[test]
     fn describe_renders_arm_tree() {
         let (_, space) = setup();
-        let block = algorithm_conditioning(&space);
+        let block = algorithm_conditioning(&space, &BlockOptions::default());
         let mut s = String::new();
         block.describe(0, &mut s);
         assert!(s.contains("Conditioning[by-algorithm]"));

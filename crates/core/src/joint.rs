@@ -2,7 +2,7 @@
 //! SMAC-style BO by default, random search or MFES-HB/Hyperband/Successive
 //! Halving as alternatives.
 
-use crate::block::{Assignment, BestSolution, BuildingBlock};
+use crate::block::{Assignment, BestSolution, BlockOptions, BuildingBlock};
 use crate::evaluator::{Evaluator, Trial, TrialTag};
 use crate::spaces::SpaceDef;
 use crate::Result;
@@ -42,19 +42,19 @@ impl JointEngine {
         JointEngine::MfesHb,
     ];
 
-    fn build(self, space: ConfigSpace, seed: u64) -> Box<dyn Suggest> {
+    /// The engine over `space`, built cost-aware when asked (random search
+    /// has nothing to rank by cost).
+    fn build(self, space: ConfigSpace, seed: u64, cost_aware: bool) -> Box<dyn Suggest> {
+        let bracket =
+            |b: BracketEngine| -> Box<dyn Suggest> { Box::new(b.with_cost_aware(cost_aware)) };
         match self {
-            JointEngine::Bo => Box::new(Smac::new(space, seed)),
+            JointEngine::Bo => Box::new(Smac::new(space, seed).with_cost_aware(cost_aware)),
             JointEngine::Random => Box::new(RandomSearch::new(space, seed)),
-            JointEngine::SuccessiveHalving => Box::new(BracketEngine::successive_halving(
-                space,
-                SH_BRACKET_SIZE,
-                R_MIN,
-                ETA,
-                seed,
-            )),
-            JointEngine::Hyperband => Box::new(BracketEngine::hyperband(space, R_MIN, ETA, seed)),
-            JointEngine::MfesHb => Box::new(BracketEngine::mfes_hb(space, R_MIN, ETA, seed)),
+            JointEngine::SuccessiveHalving => {
+                bracket(BracketEngine::successive_halving(space, SH_BRACKET_SIZE, R_MIN, ETA, seed))
+            }
+            JointEngine::Hyperband => bracket(BracketEngine::hyperband(space, R_MIN, ETA, seed)),
+            JointEngine::MfesHb => bracket(BracketEngine::mfes_hb(space, R_MIN, ETA, seed)),
         }
     }
 
@@ -97,18 +97,20 @@ pub struct JointBlock {
 }
 
 impl JointBlock {
-    /// Creates a joint block over `space` with pinned `context` variables.
+    /// Creates a joint block over `space` with pinned `context` variables;
+    /// of `options` it reads `cost_aware`, which its engine is built with.
     pub fn new(
         label: impl Into<String>,
         space: ConfigSpace,
         engine: JointEngine,
         context: Assignment,
         seed: u64,
+        options: &BlockOptions,
     ) -> JointBlock {
         JointBlock {
             label: label.into(),
             engine_kind: engine,
-            engine: engine.build(space, seed),
+            engine: engine.build(space, seed, options.cost_aware),
             context,
             fixed: Assignment::new(),
             seed_queue: Vec::new(),
@@ -128,11 +130,6 @@ impl JointBlock {
         }
         // Evaluate in push order.
         self.seed_queue.reverse();
-    }
-
-    /// The block's own search space.
-    pub fn space(&self) -> &ConfigSpace {
-        self.engine.space()
     }
 
     fn merged(&self, own: &Assignment) -> Assignment {
@@ -247,10 +244,6 @@ impl BuildingBlock for JointBlock {
     fn own_best(&self) -> Option<Assignment> {
         let best_cfg = self.engine.history().best()?.config.clone();
         Some(self.engine.space().to_map(&best_cfg))
-    }
-
-    fn set_cost_aware(&mut self, enabled: bool) {
-        self.engine.set_cost_aware(enabled);
     }
 
     /// Re-derives this leaf's `ConfigSpace` from the grown `space` — its
@@ -387,7 +380,7 @@ mod tests {
         let cs = space
             .compile_subspace(&space.var_names(), &Assignment::new())
             .unwrap();
-        JointBlock::new("full", cs, engine, Assignment::new(), 0)
+        JointBlock::new("full", cs, engine, Assignment::new(), 0, &BlockOptions::default())
     }
 
     #[test]
@@ -411,7 +404,8 @@ mod tests {
         let mut fixed = Assignment::new();
         fixed.insert("algorithm".to_string(), 1.0);
         let cs = space.compile_subspace(&space.var_names(), &fixed).unwrap();
-        let mut block = JointBlock::new("rf-only", cs, JointEngine::Bo, fixed, 0);
+        let mut block =
+            JointBlock::new("rf-only", cs, JointEngine::Bo, fixed, 0, &BlockOptions::default());
         for _ in 0..4 {
             block.pull(&ev, None, 1).unwrap();
         }
@@ -430,7 +424,9 @@ mod tests {
             .map(|v| v.name.clone())
             .collect();
         let cs = space.compile_subspace(&fe_vars, &Assignment::new()).unwrap();
-        let mut block = JointBlock::new("fe", cs, JointEngine::Random, Assignment::new(), 0);
+        let options = BlockOptions::default();
+        let mut block =
+            JointBlock::new("fe", cs, JointEngine::Random, Assignment::new(), 0, &options);
         let mut ctx = space.defaults();
         ctx.insert("algorithm".to_string(), 2.0);
         block.set_fixed(&ctx);
@@ -457,7 +453,8 @@ mod tests {
         let mut fixed = Assignment::new();
         fixed.insert("algorithm".to_string(), 0.0);
         let cs = space.compile_subspace(&space.var_names(), &fixed).unwrap();
-        let mut block = JointBlock::new("x", cs, JointEngine::Random, fixed, 0);
+        let mut block =
+            JointBlock::new("x", cs, JointEngine::Random, fixed, 0, &BlockOptions::default());
         block.pull(&ev, None, 1).unwrap();
         let own = block.own_best().unwrap();
         assert!(!own.contains_key("algorithm"));

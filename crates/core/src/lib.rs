@@ -39,7 +39,7 @@ pub mod study;
 
 pub use automl::{AutoMlReport, FittedVolcanoML, VolcanoML, VolcanoMlOptions};
 pub use study::StudyState;
-pub use block::{Assignment, BuildingBlock, LossInterval};
+pub use block::{Assignment, BlockOptions, BuildingBlock, LossInterval};
 pub use evaluator::{assignment_digest, EvalOutcome, Evaluator, TrialTag, ValidationStrategy};
 pub use growth::{ExpansionEvent, GrowthController, SpaceGrowth};
 pub use objective::{pareto_front, Objective};

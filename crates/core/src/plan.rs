@@ -3,7 +3,7 @@
 //! plan is compiled into physical operators.
 
 use crate::alternating::AlternatingBlock;
-use crate::block::{Assignment, BuildingBlock};
+use crate::block::{Assignment, BlockOptions, BuildingBlock};
 use crate::conditioning::ConditioningBlock;
 use crate::joint::JointBlock;
 use crate::spaces::{SpaceDef, VarDef, VarGroup};
@@ -59,28 +59,23 @@ pub enum PlanSpec {
 }
 
 impl PlanSpec {
-    /// The paper's default VolcanoML plan (Figure 2): condition on the
-    /// algorithm, then alternate FE vs HP, with joint leaves.
-    pub fn volcano_default(engine: EngineKind) -> PlanSpec {
-        PlanSpec::Conditioning {
-            on: "algorithm".to_string(),
-            child: Box::new(PlanSpec::Alternating {
-                left_filter: VarFilter::Fe,
-                left: Box::new(PlanSpec::Joint(engine)),
-                right: Box::new(PlanSpec::Joint(engine)),
-            }),
-        }
-    }
-
-    /// The auto-sklearn-style plan: a single joint block (Figure 1, Plan 1).
-    pub fn single_joint(engine: EngineKind) -> PlanSpec {
-        PlanSpec::Joint(engine)
-    }
-
-    /// Compiles the plan against a space into a block tree.
+    /// [`compile_with`](Self::compile_with) under the default
+    /// [`BlockOptions`].
     pub fn compile(&self, space: &SpaceDef, seed: u64) -> Result<Box<dyn BuildingBlock>> {
+        self.compile_with(space, seed, &BlockOptions::default())
+    }
+
+    /// Compiles the plan against a space into a block tree, every block and
+    /// engine configured from `options` — the only place a tree is
+    /// configured.
+    pub fn compile_with(
+        &self,
+        space: &SpaceDef,
+        seed: u64,
+        options: &BlockOptions,
+    ) -> Result<Box<dyn BuildingBlock>> {
         let vars = space.var_names();
-        self.compile_inner(space, &vars, &Assignment::new(), seed, "root")
+        self.compile_inner(space, &vars, &Assignment::new(), seed, "root", options)
     }
 
     fn compile_inner(
@@ -90,6 +85,7 @@ impl PlanSpec {
         context: &Assignment,
         seed: u64,
         label: &str,
+        options: &BlockOptions,
     ) -> Result<Box<dyn BuildingBlock>> {
         // Drop variables that are inactive under the pinned context.
         let active: Vec<String> = vars
@@ -118,6 +114,7 @@ impl PlanSpec {
                     *engine,
                     context.clone(),
                     seed,
+                    options,
                 )))
             }
             PlanSpec::Conditioning { on, child } => {
@@ -147,10 +144,11 @@ impl PlanSpec {
                         &ctx,
                         derive_seed(seed, value as u64 + 1),
                         &child_label,
+                        options,
                     )?;
                     children.push((value, block));
                 }
-                Ok(Box::new(ConditioningBlock::new(label, on.clone(), children)))
+                Ok(Box::new(ConditioningBlock::new(label, on.clone(), children, options)))
             }
             PlanSpec::Alternating {
                 left_filter,
@@ -175,6 +173,7 @@ impl PlanSpec {
                     context,
                     derive_seed(seed, 101),
                     &format!("{label}/left"),
+                    options,
                 )?;
                 let right_block = right.compile_inner(
                     space,
@@ -182,6 +181,7 @@ impl PlanSpec {
                     context,
                     derive_seed(seed, 202),
                     &format!("{label}/right"),
+                    options,
                 )?;
                 Ok(Box::new(AlternatingBlock::new(
                     label,
@@ -190,6 +190,7 @@ impl PlanSpec {
                     right_block,
                     right_vars,
                     space.defaults(),
+                    options,
                 )))
             }
         }
@@ -213,6 +214,7 @@ impl PlanSpec {
 mod tests {
     use super::*;
     use crate::evaluator::Evaluator;
+    use crate::plans::{p1_joint, p3_volcano};
     use crate::spaces::SpaceTier;
     use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
     use volcanoml_data::{Metric, Task};
@@ -239,7 +241,7 @@ mod tests {
     #[test]
     fn joint_plan_compiles_and_runs() {
         let (ev, space) = setup(SpaceTier::Small);
-        let mut block = PlanSpec::single_joint(EngineKind::Bo)
+        let mut block = p1_joint(EngineKind::Bo)
             .compile(&space, 0)
             .unwrap();
         for _ in 0..6 {
@@ -251,7 +253,7 @@ mod tests {
     #[test]
     fn volcano_plan_compiles_to_expected_tree() {
         let (_, space) = setup(SpaceTier::Small);
-        let plan = PlanSpec::volcano_default(EngineKind::Bo);
+        let plan = p3_volcano(EngineKind::Bo);
         let block = plan.compile(&space, 0).unwrap();
         let rendered = crate::block::explain(block.as_ref());
         assert!(rendered.contains("Conditioning[root]"));
@@ -267,7 +269,7 @@ mod tests {
     #[test]
     fn volcano_plan_runs_and_improves() {
         let (ev, space) = setup(SpaceTier::Small);
-        let mut block = PlanSpec::volcano_default(EngineKind::Bo)
+        let mut block = p3_volcano(EngineKind::Bo)
             .compile(&space, 0)
             .unwrap();
         for _ in 0..20 {
@@ -330,7 +332,7 @@ mod tests {
 
     #[test]
     fn render_shapes() {
-        let p = PlanSpec::volcano_default(EngineKind::Bo);
+        let p = p3_volcano(EngineKind::Bo);
         assert_eq!(
             p.render(),
             "Conditioning(algorithm) -> Alternating[Joint(bo) | Joint(bo)]"
@@ -340,7 +342,7 @@ mod tests {
     #[test]
     fn medium_tier_volcano_plan_runs() {
         let (ev, space) = setup(SpaceTier::Medium);
-        let mut block = PlanSpec::volcano_default(EngineKind::Bo)
+        let mut block = p3_volcano(EngineKind::Bo)
             .compile(&space, 0)
             .unwrap();
         for _ in 0..12 {

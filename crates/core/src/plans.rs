@@ -18,10 +18,17 @@ pub fn p2_conditioning_joint(engine: EngineKind) -> PlanSpec {
     }
 }
 
-/// P3 — the paper's chosen plan (Figure 2): condition on the algorithm, then
-/// alternate FE vs HP with joint leaves.
+/// P3 — the paper's chosen plan (Figure 2) and the default: condition on the
+/// algorithm, then alternate FE vs HP with joint leaves.
 pub fn p3_volcano(engine: EngineKind) -> PlanSpec {
-    PlanSpec::volcano_default(engine)
+    PlanSpec::Conditioning {
+        on: "algorithm".to_string(),
+        child: Box::new(PlanSpec::Alternating {
+            left_filter: VarFilter::Fe,
+            left: Box::new(PlanSpec::Joint(engine)),
+            right: Box::new(PlanSpec::Joint(engine)),
+        }),
+    }
 }
 
 /// P4 — alternate FE against (algorithm + HP) explored jointly.
@@ -43,72 +50,6 @@ pub fn p5_alternating_conditioning(engine: EngineKind) -> PlanSpec {
             child: Box::new(PlanSpec::Joint(engine)),
         }),
     }
-}
-
-/// Builds the Figure 2 tree by hand with ablation knobs exposed: EUI
-/// scheduling vs pure round-robin alternation, and arm elimination on/off in
-/// the conditioning block. Used by the blocks-ablation bench; with both
-/// features on this is behaviorally identical to compiling [`p3_volcano`].
-pub fn build_figure2_tree(
-    space: &crate::spaces::SpaceDef,
-    engine: EngineKind,
-    eui_scheduling: bool,
-    arm_elimination: bool,
-    seed: u64,
-) -> crate::Result<Box<dyn crate::block::BuildingBlock>> {
-    use crate::alternating::AlternatingBlock;
-    use crate::block::{Assignment, BuildingBlock};
-    use crate::conditioning::ConditioningBlock;
-    use crate::joint::JointBlock;
-    use crate::spaces::VarGroup;
-    use volcanoml_data::rand_util::derive_seed;
-
-    let fe_vars: Vec<String> = space
-        .vars
-        .iter()
-        .filter(|v| v.group == VarGroup::Fe)
-        .map(|v| v.name.clone())
-        .collect();
-    let mut children: Vec<(usize, Box<dyn BuildingBlock>)> = Vec::new();
-    for (idx, alg) in space.algorithms.iter().enumerate() {
-        let mut ctx = Assignment::new();
-        ctx.insert("algorithm".to_string(), idx as f64);
-        let hp_vars: Vec<String> = space
-            .vars
-            .iter()
-            .filter(|v| v.group == VarGroup::Hp(idx))
-            .map(|v| v.name.clone())
-            .collect();
-        let fe_space = space.compile_subspace(&fe_vars, &ctx)?;
-        let hp_space = space.compile_subspace(&hp_vars, &ctx)?;
-        let left = Box::new(JointBlock::new(
-            format!("fe/{}", alg.name()),
-            fe_space,
-            engine,
-            ctx.clone(),
-            derive_seed(seed, idx as u64 * 2 + 1),
-        ));
-        let right = Box::new(JointBlock::new(
-            format!("hp/{}", alg.name()),
-            hp_space,
-            engine,
-            ctx.clone(),
-            derive_seed(seed, idx as u64 * 2 + 2),
-        ));
-        let mut alternating = AlternatingBlock::new(
-            format!("alt/{}", alg.name()),
-            left,
-            fe_vars.clone(),
-            right,
-            hp_vars,
-            space.defaults(),
-        );
-        alternating.round_robin_only = !eui_scheduling;
-        children.push((idx, Box::new(alternating)));
-    }
-    let mut conditioning = ConditioningBlock::new("figure2", "algorithm", children);
-    conditioning.elimination_enabled = arm_elimination;
-    Ok(Box::new(conditioning))
 }
 
 /// All five coarse-grained plans with stable names.
@@ -313,14 +254,6 @@ mod tests {
         assert_eq!(
             by_name("p9", EngineKind::Bo).unwrap_err(),
             "unknown plan 'p9' (use p1..p5)"
-        );
-    }
-
-    #[test]
-    fn p3_is_the_volcano_default() {
-        assert_eq!(
-            p3_volcano(EngineKind::Bo),
-            PlanSpec::volcano_default(EngineKind::Bo)
         );
     }
 }

@@ -201,7 +201,7 @@ impl StudySpec {
     /// Resolves the plan name (or the default plan) for this spec.
     pub fn resolve_plan(&self) -> Result<PlanSpec, String> {
         match &self.plan {
-            None => Ok(PlanSpec::volcano_default(self.engine)),
+            None => Ok(plans::p3_volcano(self.engine)),
             Some(name) => plans::by_name(name, self.engine),
         }
     }

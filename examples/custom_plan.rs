@@ -8,6 +8,7 @@
 //! cargo run --release --example custom_plan
 //! ```
 
+use volcanoml_core::plans::{p1_joint, p3_volcano};
 use volcanoml_core::{
     EngineKind, PlanSpec, SpaceDef, SpaceTier, VarFilter, VolcanoML, VolcanoMlOptions,
 };
@@ -37,10 +38,10 @@ fn main() {
     );
 
     // Plan A — what auto-sklearn does: one joint BO block over everything.
-    let plan_a = PlanSpec::single_joint(EngineKind::Bo);
+    let plan_a = p1_joint(EngineKind::Bo);
 
     // Plan B — the paper's Figure 2 plan.
-    let plan_b = PlanSpec::volcano_default(EngineKind::Bo);
+    let plan_b = p3_volcano(EngineKind::Bo);
 
     // Plan C — a hand-rolled alternative: alternate the FE subspace against
     // a conditioning block over algorithms (each arm explored jointly).

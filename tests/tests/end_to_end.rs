@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the full AutoML stack end to end.
 
-use volcanoml_core::{
-    EngineKind, PlanSpec, SpaceTier, VolcanoML, VolcanoMlOptions,
-};
+use volcanoml_core::plans::p3_volcano;
+use volcanoml_core::{EngineKind, SpaceTier, VolcanoML, VolcanoMlOptions};
 use volcanoml_data::synthetic::{
     inject_missing, make_categorical, make_classification, make_moons, make_regression,
     ClassificationSpec, RegressionSpec,
@@ -95,7 +94,7 @@ fn all_engines_complete_on_the_same_plan() {
             Task::Classification,
             SpaceTier::Small,
             VolcanoMlOptions {
-                plan: PlanSpec::volcano_default(engine_kind),
+                plan: p3_volcano(engine_kind),
                 max_evaluations: 25,
                 seed: 4,
                 ..Default::default()

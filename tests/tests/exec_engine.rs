@@ -8,9 +8,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use volcanoml_core::evaluator::{Evaluator, Fault, Trial};
-use volcanoml_core::plans::p3_volcano;
+use volcanoml_core::plans::{p1_joint, p3_volcano};
 use volcanoml_core::{
-    assignment_digest, EngineKind, PlanSpec, SpaceDef, SpaceTier, TrialTag, ValidationStrategy,
+    assignment_digest, EngineKind, SpaceDef, SpaceTier, TrialTag, ValidationStrategy,
     VolcanoML, VolcanoMlOptions,
 };
 use volcanoml_data::synthetic::{make_classification, make_moons, ClassificationSpec};
@@ -226,7 +226,7 @@ fn stalled_cv_fold_times_out_its_trial_and_pool_survives() {
 fn pooled_cv_fit_bills_each_fold_to_the_worker_that_ran_it() {
     let registry = Arc::new(MetricsRegistry::new());
     let options = VolcanoMlOptions {
-        plan: PlanSpec::single_joint(EngineKind::MfesHb),
+        plan: p1_joint(EngineKind::MfesHb),
         validation: CV3,
         max_evaluations: 24,
         seed: 5,

@@ -8,7 +8,8 @@
 
 use std::path::PathBuf;
 
-use volcanoml_core::{EngineKind, PlanSpec, SpaceTier, VolcanoML, VolcanoMlOptions};
+use volcanoml_core::plans::p1_joint;
+use volcanoml_core::{EngineKind, SpaceTier, VolcanoML, VolcanoMlOptions};
 use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
 use volcanoml_data::Task;
 use volcanoml_obs::json::{parse_object, JsonValue};
@@ -44,7 +45,7 @@ fn pooled_run(engine: EngineKind, n_workers: usize, evals: usize, seed: u64) -> 
 
     let d = dataset(seed);
     let options = VolcanoMlOptions {
-        plan: PlanSpec::single_joint(engine),
+        plan: p1_joint(engine),
         max_evaluations: evals,
         seed,
         n_workers,

@@ -2,7 +2,7 @@
 //! decomposition claims that motivate the paper.
 
 use volcanoml_core::evaluator::Evaluator;
-use volcanoml_core::plans::{build_figure2_tree, enumerate_coarse_plans};
+use volcanoml_core::plans::{enumerate_coarse_plans, p1_joint, p3_volcano};
 use volcanoml_core::{EngineKind, SpaceDef, SpaceTier};
 use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
 use volcanoml_data::{Metric, Task};
@@ -44,38 +44,13 @@ fn every_coarse_plan_runs_on_the_large_space() {
 }
 
 #[test]
-fn figure2_tree_matches_compiled_plan_behavior() {
-    let space = SpaceDef::tiered(Task::Classification, SpaceTier::Small);
-    let d = dataset(2);
-    // Hand-built tree with both features on...
-    let ev1 = Evaluator::new(space.clone(), &d, Metric::BalancedAccuracy, 3).unwrap();
-    let mut hand = build_figure2_tree(&space, EngineKind::Bo, true, true, 3).unwrap();
-    for _ in 0..20 {
-        hand.pull(&ev1, None, 1).unwrap();
-    }
-    // ...solves the problem about as well as the compiled plan (not
-    // identical RNG streams, so compare only success).
-    let ev2 = Evaluator::new(space.clone(), &d, Metric::BalancedAccuracy, 3).unwrap();
-    let mut compiled = volcanoml_core::PlanSpec::volcano_default(EngineKind::Bo)
-        .compile(&space, 3)
-        .unwrap();
-    for _ in 0..20 {
-        compiled.pull(&ev2, None, 1).unwrap();
-    }
-    let h = hand.current_best().unwrap().loss;
-    let c = compiled.current_best().unwrap().loss;
-    assert!(h.is_finite() && c.is_finite());
-    assert!((h - c).abs() < 0.35, "hand {h} vs compiled {c}");
-}
-
-#[test]
 fn conditioning_block_eventually_focuses_budget() {
     // On a dataset where one algorithm family clearly dominates, elimination
     // should retire at least one arm within a moderate budget.
     let space = SpaceDef::tiered(Task::Classification, SpaceTier::Small);
     let d = volcanoml_data::synthetic::make_circles(350, 0.05, 0.5, 5);
     let evaluator = Evaluator::new(space.clone(), &d, Metric::BalancedAccuracy, 0).unwrap();
-    let mut root = build_figure2_tree(&space, EngineKind::Bo, true, true, 0).unwrap();
+    let mut root = p3_volcano(EngineKind::Bo).compile(&space, 0).unwrap();
     for _ in 0..45 {
         root.pull(&evaluator, None, 1).unwrap();
     }
@@ -100,9 +75,7 @@ fn deeper_decomposition_is_no_worse_on_large_space() {
         let d = dataset(20 + seed);
         let ev1 =
             Evaluator::new(space.clone(), &d, Metric::BalancedAccuracy, seed).unwrap();
-        let mut volcano = volcanoml_core::PlanSpec::volcano_default(EngineKind::Bo)
-            .compile(&space, seed)
-            .unwrap();
+        let mut volcano = p3_volcano(EngineKind::Bo).compile(&space, seed).unwrap();
         while ev1.evaluations() < budget {
             volcano.pull(&ev1, None, 1).unwrap();
         }
@@ -110,9 +83,7 @@ fn deeper_decomposition_is_no_worse_on_large_space() {
 
         let ev2 =
             Evaluator::new(space.clone(), &d, Metric::BalancedAccuracy, seed).unwrap();
-        let mut joint = volcanoml_core::PlanSpec::single_joint(EngineKind::Bo)
-            .compile(&space, seed)
-            .unwrap();
+        let mut joint = p1_joint(EngineKind::Bo).compile(&space, seed).unwrap();
         while ev2.evaluations() < budget {
             joint.pull(&ev2, None, 1).unwrap();
         }

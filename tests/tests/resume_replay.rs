@@ -9,8 +9,9 @@
 
 use std::path::Path;
 
+use volcanoml_core::plans::{p1_joint, p3_volcano};
 use volcanoml_core::{
-    EngineKind, PlanSpec, SpaceGrowth, SpaceTier, StudyState, VolcanoML, VolcanoMlOptions,
+    EngineKind, SpaceGrowth, SpaceTier, StudyState, VolcanoML, VolcanoMlOptions,
 };
 use volcanoml_data::synthetic::make_moons;
 use volcanoml_data::Task;
@@ -25,7 +26,7 @@ fn options(
     resume: bool,
 ) -> VolcanoMlOptions {
     VolcanoMlOptions {
-        plan: PlanSpec::volcano_default(engine),
+        plan: p3_volcano(engine),
         max_evaluations: evals,
         seed: 7,
         n_workers: workers,
@@ -248,7 +249,7 @@ fn incremental_options(
     // plateau signal fast while still exercising bracket remapping on
     // grow.
     if engine == EngineKind::MfesHb {
-        o.plan = PlanSpec::single_joint(engine);
+        o.plan = p1_joint(engine);
     }
     o
 }

@@ -5,8 +5,9 @@
 
 use std::sync::{Arc, Barrier};
 
+use volcanoml_core::plans::p1_joint;
 use volcanoml_core::{
-    AutoMlReport, EngineKind, PlanSpec, SpaceTier, ValidationStrategy, VolcanoML, VolcanoMlOptions,
+    AutoMlReport, EngineKind, SpaceTier, ValidationStrategy, VolcanoML, VolcanoMlOptions,
 };
 use volcanoml_data::synthetic::{
     make_classification, make_regression, ClassificationSpec, RegressionSpec,
@@ -70,7 +71,7 @@ fn volcano_bo(n_workers: usize) -> VolcanoMlOptions {
 /// fidelities and fold views, so index gathers actually happen.
 fn mfes_cv() -> VolcanoMlOptions {
     VolcanoMlOptions {
-        plan: PlanSpec::single_joint(EngineKind::MfesHb),
+        plan: p1_joint(EngineKind::MfesHb),
         validation: ValidationStrategy::CrossValidation { folds: 3 },
         max_evaluations: 30,
         seed: 9,

@@ -10,13 +10,14 @@
 
 use std::time::Duration;
 
+use volcanoml_core::block::explain;
 use volcanoml_core::plans::{p1_joint, p3_volcano};
 use volcanoml_core::{
-    EngineKind, FittedVolcanoML, PlanSpec, SpaceTier, StudyState, ValidationStrategy, VolcanoML,
-    VolcanoMlOptions,
+    BlockOptions, EngineKind, Evaluator, FittedVolcanoML, PlanSpec, SpaceDef, SpaceTier,
+    StudyState, ValidationStrategy, VolcanoML, VolcanoMlOptions,
 };
 use volcanoml_data::synthetic::make_moons;
-use volcanoml_data::Task;
+use volcanoml_data::{Metric, Task};
 use volcanoml_integration::fnv1a;
 
 /// `StudyState` lines without their wall-clock `cost=<16 hex digits>` field
@@ -118,4 +119,29 @@ fn four_worker_mfes_fit_matches_parent_recorded_digest() {
         got, 0xe375_39e0_c65f_50de,
         "p1_joint/mfes-hb x4: digest {got:#018x}"
     );
+}
+
+/// `compile` is `compile_with` under the default `BlockOptions`: both build
+/// the P3 tree that explains and searches identically over 20 pulls.
+#[test]
+fn compile_equals_compile_with_default_options() {
+    let data = make_moons(160, 0.2, 1, 5);
+    let space = SpaceDef::tiered(Task::Classification, SpaceTier::Small);
+    for engine in [EngineKind::Bo, EngineKind::MfesHb] {
+        let plan = p3_volcano(engine);
+        let trees = [
+            plan.compile(&space, 7).unwrap(),
+            plan.compile_with(&space, 7, &BlockOptions::default()).unwrap(),
+        ];
+        let [compiled, with_defaults] = trees.map(|mut root| {
+            let evaluator =
+                Evaluator::new(space.clone(), &data, Metric::BalancedAccuracy, 7).unwrap();
+            for _ in 0..20 {
+                root.pull(&evaluator, None, 1).unwrap();
+            }
+            let state = StudyState::capture(root.as_ref(), &evaluator);
+            (explain(root.as_ref()), strip_costs(&state))
+        });
+        assert_eq!(compiled, with_defaults, "p3_volcano/{}", engine.name());
+    }
 }
