@@ -117,8 +117,10 @@ fn timed_kernel_svm(reps: usize) -> (f64, f64) {
 
 /// Histogram forest training at ~10k rows: exact-vs-histogram headline, the
 /// PR 2 kernel (forced-u16 codes + per-node buffers) against the flat u8
-/// kernel, and one `kernel_svm` row for the Gram-matrix SMO path.
-/// `scripts/ci.sh` gates on `accuracy_delta` and `kernel_speedup`.
+/// kernel, and one `kernel_svm` row for the Gram-matrix SMO path. After the
+/// report is written the bench asserts its two gates — `|accuracy_delta| ≤
+/// 0.01` and `kernel_speedup ≥ 1.0` — so `cargo bench --bench micro_models`
+/// fails when either does, with the numbers still on disk.
 fn main() {
     let d = make_classification(
         &ClassificationSpec {
@@ -181,4 +183,18 @@ fn main() {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
+    let delta = (hist_acc - exact_acc).abs();
+    assert!(
+        delta <= 0.01,
+        "histogram accuracy drifted {delta:.4} from exact (> 0.01)"
+    );
+    assert!(
+        kernel_speedup >= 1.0,
+        "flat kernel slower than the per-node baseline ({kernel_speedup:.2}x)"
+    );
+    println!(
+        "micro_models gates ok: kernel_speedup {kernel_speedup:.2}x on {n_cpus} cpu(s), \
+         accuracy_delta {:+.4}",
+        hist_acc - exact_acc
+    );
 }

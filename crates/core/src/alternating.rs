@@ -7,6 +7,7 @@
 
 use crate::block::{Assignment, BestSolution, BlockOptions, BuildingBlock};
 use crate::evaluator::Evaluator;
+use crate::plan::VarFilter;
 use crate::spaces::SpaceDef;
 use crate::Result;
 use volcanoml_obs::span;
@@ -26,6 +27,8 @@ struct Side {
 /// Alternating block over two complementary children.
 pub struct AlternatingBlock {
     label: String,
+    /// The split the sides' variables came from, re-applied on growth.
+    filter: VarFilter,
     left: Side,
     right: Side,
     /// When true, scheduling stays round-robin forever (the ablation
@@ -37,20 +40,21 @@ pub struct AlternatingBlock {
 }
 
 impl AlternatingBlock {
-    /// Creates an alternating block. `defaults` must cover both children's
-    /// variables (used to pin siblings before their first result); of
-    /// `options` it reads `eui_scheduling`.
+    /// Creates an alternating block from two `(child, its variables)` sides,
+    /// split by `filter`. `defaults` must cover both children's variables
+    /// (used to pin siblings before their first result); of `options` it
+    /// reads `eui_scheduling`.
     pub fn new(
         label: impl Into<String>,
-        left: Box<dyn BuildingBlock>,
-        left_vars: Vec<String>,
-        right: Box<dyn BuildingBlock>,
-        right_vars: Vec<String>,
+        filter: VarFilter,
+        (left, left_vars): (Box<dyn BuildingBlock>, Vec<String>),
+        (right, right_vars): (Box<dyn BuildingBlock>, Vec<String>),
         defaults: Assignment,
         options: &BlockOptions,
     ) -> AlternatingBlock {
         let mut block = AlternatingBlock {
             label: label.into(),
+            filter,
             left: Side {
                 block: left,
                 vars: left_vars,
@@ -189,41 +193,15 @@ impl BuildingBlock for AlternatingBlock {
         self.right.block.set_fixed(fixed);
     }
 
-    /// Partitions the new variables between the two sides and extends each
-    /// side's ownership, the pin-defaults map, and the children. A new
-    /// variable joins the side that owns its condition parent; parentless
-    /// variables are classified by the `fe:` name prefix, matching the
-    /// plan's Fe/NonFe split. Both children are regrown even when they gain
-    /// no variables, so widened choice lists reach the owning side.
-    fn grow(&mut self, space: &SpaceDef, new_vars: &[String]) -> Result<()> {
-        let mut left_new: Vec<String> = Vec::new();
-        let mut right_new: Vec<String> = Vec::new();
-        let left_is_fe = self.left.vars.iter().any(|v| v.starts_with("fe:"));
-        for name in new_vars {
-            let parent = space
-                .var(name)
-                .and_then(|v| v.condition.as_ref())
-                .map(|(p, _)| p.clone());
-            let goes_left = match &parent {
-                Some(p) if self.left.vars.contains(p) || left_new.contains(p) => true,
-                Some(p) if self.right.vars.contains(p) || right_new.contains(p) => false,
-                _ => name.starts_with("fe:") == left_is_fe,
-            };
-            if goes_left {
-                left_new.push(name.clone());
-            } else {
-                right_new.push(name.clone());
-            }
-        }
-        for n in new_vars {
-            if let Some(v) = space.var(n) {
-                self.defaults.insert(n.clone(), v.default);
-            }
-        }
-        self.left.vars.extend(left_new.iter().cloned());
-        self.right.vars.extend(right_new.iter().cloned());
-        self.left.block.grow(space, &left_new)?;
-        self.right.block.grow(space, &right_new)?;
+    /// Re-splits `vars` with the compile-time filter, takes the grown
+    /// space's defaults, and grows both children over their new sides.
+    fn grow(&mut self, space: &SpaceDef, vars: &[String]) -> Result<()> {
+        let (left_vars, right_vars) = self.filter.split(space, vars);
+        self.left.block.grow(space, &left_vars)?;
+        self.right.block.grow(space, &right_vars)?;
+        self.left.vars = left_vars;
+        self.right.vars = right_vars;
+        self.defaults = space.defaults();
         Ok(())
     }
 
@@ -319,6 +297,14 @@ mod tests {
         }
     }
 
+    /// Whether `assignment` sets both an FE variable and a hyper-parameter.
+    fn covers_fe_and_hp(space: &SpaceDef, assignment: &Assignment) -> bool {
+        let has = |wanted: fn(&VarGroup) -> bool| {
+            assignment.keys().any(|k| space.var(k).is_some_and(|v| wanted(&v.group)))
+        };
+        has(|g| *g == VarGroup::Fe) && has(|g| matches!(g, VarGroup::Hp(_)))
+    }
+
     /// FE-vs-HP alternating block for a fixed algorithm.
     fn fe_hp_alternating(space: &SpaceDef, alg: usize, options: &BlockOptions) -> AlternatingBlock {
         let mut ctx = Assignment::new();
@@ -337,11 +323,18 @@ mod tests {
             .collect();
         let fe_space = space.compile_subspace(&fe_vars, &ctx).unwrap();
         let hp_space = space.compile_subspace(&hp_vars, &ctx).unwrap();
-        let joint = |label, cs, seed| {
-            Box::new(JointBlock::new(label, cs, JointEngine::Bo, ctx.clone(), seed, options))
+        let joint = |label, cs, seed| -> Box<dyn BuildingBlock> {
+            Box::new(JointBlock::new(label, "", cs, JointEngine::Bo, ctx.clone(), seed, options))
         };
         let (left, right) = (joint("fe", fe_space, 1), joint("hp", hp_space, 2));
-        AlternatingBlock::new("fe-vs-hp", left, fe_vars, right, hp_vars, space.defaults(), options)
+        AlternatingBlock::new(
+            "fe-vs-hp",
+            VarFilter::Fe,
+            (left, fe_vars),
+            (right, hp_vars),
+            space.defaults(),
+            options,
+        )
     }
 
     #[test]
@@ -365,8 +358,7 @@ mod tests {
         let best = block.current_best().unwrap();
         assert!(best.loss.is_finite());
         assert_eq!(best.assignment.get("algorithm"), Some(&1.0));
-        assert!(best.assignment.keys().any(|k| k.starts_with("fe:")));
-        assert!(best.assignment.keys().any(|k| k.starts_with("alg:")));
+        assert!(covers_fe_and_hp(&space, &best.assignment));
     }
 
     #[test]
@@ -415,8 +407,7 @@ mod tests {
             block.pull(&ev, None, 1).unwrap();
         }
         let own = block.own_best().unwrap();
-        assert!(own.keys().any(|k| k.starts_with("fe:")));
-        assert!(own.keys().any(|k| k.starts_with("alg:")));
+        assert!(covers_fe_and_hp(&space, &own));
         assert!(!own.contains_key("algorithm"));
     }
 

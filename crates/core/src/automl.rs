@@ -394,10 +394,11 @@ impl VolcanoML {
             root.pull(&evaluator, pool.as_deref(), k)?;
             // Plateau check between pulls: the batch just pulled is fully
             // observed, which is the only point where engine histories may
-            // be remapped into a grown space.
+            // be remapped into a grown space — laid out as a fresh compile
+            // on it would be.
             if let Some(g) = &mut growth {
                 if let Some(ev) = g.check(root.plateau_eui())? {
-                    root.grow(g.space(), &ev.new_vars)?;
+                    root.grow(g.space(), &g.space().var_names())?;
                     let journaled_trials = if let Some(journal) = evaluator.journal() {
                         if ev.stage > replayed_expansions {
                             journal.record_expansion(volcanoml_exec::ExpansionRecord {

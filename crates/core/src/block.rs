@@ -110,18 +110,23 @@ pub trait BuildingBlock {
     /// these values for variables outside its own subspace from now on.
     fn set_fixed(&mut self, fixed: &Assignment);
 
-    /// Grows this block's subtree to cover an expanded search space:
-    /// interior blocks forward to every child (extending their variable
-    /// partitions with the new variables), joint leaves re-derive their
-    /// per-block `ConfigSpace` against `space` and extend the live engine
-    /// in place, so existing observations stay valid and new variables
-    /// backfill defaults. `new_vars` lists the variable names the
-    /// expansion appended (widened choice lists need no mention — the
-    /// recompiled domains pick them up). Must be called only between a
-    /// fully observed batch and the next suggestion. The default ignores
-    /// the call (blocks that hold no space of their own).
-    fn grow(&mut self, space: &SpaceDef, new_vars: &[String]) -> Result<()> {
-        let _ = (space, new_vars);
+    /// Grows this block's subtree to cover an expanded search space with
+    /// the layout [`crate::PlanSpec::compile_with`] gives it. `vars` is the
+    /// block's scope in `space`, as the compiler hands it to this node (the
+    /// root's is `space.var_names()`): conditioning blocks narrow it per
+    /// arm and alternating blocks re-split it with their compile-time
+    /// `VarFilter`, through the compiler's own helpers; joint leaves compile
+    /// it under their context and extend the live engine in place, so
+    /// existing observations stay valid and new variables backfill
+    /// defaults. Must be called only between a fully observed batch and the
+    /// next suggestion. The default ignores the call (blocks that hold no
+    /// space of their own).
+    ///
+    /// `grow` and [`plateau_eui`](Self::plateau_eui) are tree walks, and
+    /// only the tree can reach its leaves, so both stay on this trait until
+    /// the `propose`/`deliver` walk can carry them.
+    fn grow(&mut self, space: &SpaceDef, vars: &[String]) -> Result<()> {
+        let _ = (space, vars);
         Ok(())
     }
 

@@ -12,6 +12,7 @@
 use crate::block::{Assignment, BestSolution, BlockOptions, BuildingBlock, LossInterval};
 use crate::eu::eu_interval;
 use crate::evaluator::Evaluator;
+use crate::plan::arm_vars;
 use crate::spaces::SpaceDef;
 use crate::Result;
 use volcanoml_obs::{span, EventFields, Tracer};
@@ -242,11 +243,12 @@ impl BuildingBlock for ConditioningBlock {
         }
     }
 
-    /// Every arm's subtree grows — including eliminated arms, so that their
-    /// captured state stays consistent with the live space.
-    fn grow(&mut self, space: &SpaceDef, new_vars: &[String]) -> Result<()> {
+    /// Every arm's subtree grows over its arm's scope — including eliminated
+    /// arms, so that their captured state stays consistent with the live
+    /// space.
+    fn grow(&mut self, space: &SpaceDef, vars: &[String]) -> Result<()> {
         for arm in &mut self.arms {
-            arm.block.grow(space, new_vars)?;
+            arm.block.grow(space, &arm_vars(space, vars, &self.var, arm.value))?;
         }
         Ok(())
     }
@@ -368,6 +370,7 @@ mod tests {
                 let cs = space.compile_subspace(&space.var_names(), &fixed).unwrap();
                 let block: Box<dyn BuildingBlock> = Box::new(JointBlock::new(
                     format!("alg={}", space.algorithms[idx].name()),
+                    format!("algorithm={idx}"),
                     cs,
                     JointEngine::Bo,
                     fixed,

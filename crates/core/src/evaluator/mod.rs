@@ -55,7 +55,8 @@ use volcanoml_data::{Dataset, DatasetView, Metric};
 use volcanoml_exec::{current_worker, ExecPool, Journal, TrialRecord, TrialRun, TrialStatus};
 use volcanoml_fe::FePipeline;
 use volcanoml_models::{binned, Model};
-use volcanoml_obs::{current_arm, MetricsRegistry, Tracer};
+pub use volcanoml_obs::TrialOrigin;
+use volcanoml_obs::{MetricsRegistry, Tracer};
 
 /// Default bound on the evaluator's result cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
@@ -511,11 +512,15 @@ impl Evaluator {
 
     /// Records one completed trial to every attached sink: one
     /// [`TrialRecord`] (arm + digest join keys included) goes to the journal
-    /// and to the span tracer (one `kind:"trial"` span parented to the
-    /// current pull), and the metrics registry is updated. Runs on
-    /// the coordinator thread so the obs span stack attributes the trial to
-    /// the block/arm that issued it.
-    fn record_trial(&self, journal: Option<&Arc<Journal>>, trial: &Trial, run: &RunRecord) {
+    /// and to the span tracer (one `kind:"trial"` span at `origin`'s path,
+    /// parented to its pull span), and the metrics registry is updated.
+    fn record_trial(
+        &self,
+        journal: Option<&Arc<Journal>>,
+        trial: &Trial,
+        run: &RunRecord,
+        origin: &TrialOrigin,
+    ) {
         let tracer = self.tracer();
         let metrics = self.metrics();
         if journal.is_none() && !tracer.enabled() && !tracer.has_bus() && metrics.is_none() {
@@ -552,13 +557,13 @@ impl Evaluator {
             fe_cached: outcome.fe_cached,
             panicked: outcome.panicked,
             timed_out: outcome.timed_out,
-            arm: current_arm(),
+            arm: origin.arm.to_string(),
             digest: format!("{:016x}", assignment_key(assignment)),
         };
         if let Some(j) = journal {
             j.record(rec.clone());
         }
-        tracer.trial(&rec);
+        tracer.trial(&rec, origin);
         if let Some(m) = &metrics {
             m.inc_counter("trial.total", 1);
             if outcome.cached {
@@ -604,7 +609,8 @@ impl Evaluator {
     /// warm starts, final promotion, baselines. Results are cached; failures
     /// and panics yield `loss = INFINITY`.
     pub fn evaluate(&self, assignment: &HashMap<String, f64>, fidelity: f64) -> EvalOutcome {
-        self.evaluate_trials(None, &[(assignment.clone(), fidelity, TrialTag::NONE)])
+        let trial = (assignment.clone(), fidelity, TrialTag::NONE);
+        self.evaluate_trials(None, &[trial], &TrialOrigin::default())
             .pop()
             .expect("one outcome per trial")
     }
@@ -623,11 +629,17 @@ impl Evaluator {
     ///    submission order, so the log order is the order trials were asked
     ///    for, never the order they finished in.
     ///
-    /// Each trial's [`TrialTag`] is journaled/traced as its `rung`/`bracket`.
-    /// A trial is panicked (or timed out) if any of its jobs was; a timed-out
-    /// trial reports infinite loss and leaves no cache or log entry (its
-    /// abandoned jobs may still fill FE-cache entries later).
-    pub fn evaluate_trials(&self, pool: Option<&ExecPool>, trials: &[Trial]) -> Vec<EvalOutcome> {
+    /// Each trial's [`TrialTag`] is journaled/traced as its `rung`/`bracket`,
+    /// and `origin` — the issuing block's path, arm and pull span — as its
+    /// attribution. A trial is panicked (or timed out) if any of its jobs
+    /// was; a timed-out trial reports infinite loss and leaves no cache or
+    /// log entry (its abandoned jobs may still fill FE-cache entries later).
+    pub fn evaluate_trials(
+        &self,
+        pool: Option<&ExecPool>,
+        trials: &[Trial],
+        origin: &TrialOrigin,
+    ) -> Vec<EvalOutcome> {
         let (prepared, jobs) = self.prepare(trials);
         let journal = self.journal();
         let epoch_s = journal.as_ref().map_or(0.0, |j| j.elapsed_s());
@@ -640,7 +652,7 @@ impl Evaluator {
             // Replayed trials were journaled by the interrupted run;
             // journaling them again would duplicate their trial ids.
             if !run.outcome.replayed {
-                self.record_trial(journal.as_ref(), trial, run);
+                self.record_trial(journal.as_ref(), trial, run, origin);
             }
         }
         records.into_iter().map(|run| run.outcome).collect()
@@ -1036,7 +1048,7 @@ mod tests {
             trials.push((a, 1.0, TrialTag::NONE));
         }
         let pool = ExecPool::with_workers(2);
-        let batch = ev.evaluate_trials(Some(&pool), &trials);
+        let batch = ev.evaluate_trials(Some(&pool), &trials, &TrialOrigin::default());
         assert_eq!(batch.len(), 3);
         for (i, (a, f, _)) in trials.iter().enumerate() {
             let s = serial.evaluate(a, *f);
@@ -1089,7 +1101,7 @@ mod tests {
         ];
         let mut flags = Vec::new();
         for batch in [first, second] {
-            for out in ev.evaluate_trials(pool, &batch) {
+            for out in ev.evaluate_trials(pool, &batch, &TrialOrigin::default()) {
                 flags.push((out.loss.to_bits(), out.cached, out.fe_cached, out.panicked));
             }
         }
@@ -1143,7 +1155,8 @@ mod tests {
         let pool = ExecPool::with_workers(2);
         let mut other = defaults.clone();
         other.insert("algorithm".to_string(), 1.0);
-        ev.evaluate_trials(Some(&pool), &[(other, 1.0, TrialTag::NONE)]);
+        let trials = [(other, 1.0, TrialTag::NONE)];
+        ev.evaluate_trials(Some(&pool), &trials, &TrialOrigin::default());
         let records = journal.records();
         assert_eq!(records.len(), 3);
         assert!(!records[0].cached && records[1].cached);

@@ -103,8 +103,6 @@ pub struct ExpansionEvent {
     pub name: String,
     /// The plateau EUI that triggered the expansion.
     pub trigger_eui: f64,
-    /// Variables the expansion appended to the space.
-    pub new_vars: Vec<String>,
 }
 
 /// Owns the live space and decides when to apply the next expansion.
@@ -152,7 +150,8 @@ impl GrowthController {
     /// accumulate; any other reading resets the streak (the space is still
     /// improving, or some arm has not produced a trajectory yet). When the
     /// streak reaches the window, the next expansion is applied to the live
-    /// space and reported; the caller must then regrow the block tree.
+    /// space and reported; the caller must then regrow the block tree over
+    /// the whole grown space.
     pub fn check(&mut self, eui: f64) -> Result<Option<ExpansionEvent>> {
         if self.pending.is_empty() {
             return Ok(None);
@@ -167,13 +166,12 @@ impl GrowthController {
         }
         self.below = 0;
         let exp = self.pending.remove(0);
-        let new_vars = self.space.apply_fe_expansion(&exp)?;
+        self.space.apply_fe_expansion(&exp)?;
         self.stage += 1;
         Ok(Some(ExpansionEvent {
             stage: self.stage,
             name: exp.name.to_string(),
             trigger_eui: eui,
-            new_vars,
         }))
     }
 
@@ -249,7 +247,6 @@ mod tests {
         assert_eq!(ev.stage, 1);
         assert_eq!(ev.name, "transform_stage");
         assert_eq!(ev.trigger_eui, 0.001);
-        assert!(!ev.new_vars.is_empty());
         assert!(c.space().len() > stage0_vars);
         assert_eq!(c.stage(), 1);
     }

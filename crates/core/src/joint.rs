@@ -3,7 +3,7 @@
 //! Halving as alternatives.
 
 use crate::block::{Assignment, BestSolution, BlockOptions, BuildingBlock};
-use crate::evaluator::{Evaluator, Trial, TrialTag};
+use crate::evaluator::{Evaluator, Trial, TrialOrigin};
 use crate::spaces::SpaceDef;
 use crate::Result;
 use volcanoml_bo::{
@@ -81,7 +81,11 @@ impl JointEngine {
 
 /// A leaf block running one optimizer over its own `ConfigSpace`.
 pub struct JointBlock {
+    /// The block's plan path, journaled and traced with its trials.
     label: String,
+    /// The nearest enclosing conditioning arm (`var=value`, empty outside
+    /// any), journaled and traced with its trials.
+    arm: String,
     engine_kind: JointEngine,
     engine: Box<dyn Suggest>,
     /// Variables resolved at plan-compile time (e.g. `algorithm = 3` inside
@@ -89,18 +93,18 @@ pub struct JointBlock {
     context: Assignment,
     /// Variables pinned at runtime via `set_fixed` (alternating siblings).
     fixed: Assignment,
-    /// Meta-learning seed configurations evaluated before the engine runs.
-    seed_queue: Vec<Configuration>,
     best: Option<BestSolution>,
     trajectory: Vec<f64>,
     evaluations: usize,
 }
 
 impl JointBlock {
-    /// Creates a joint block over `space` with pinned `context` variables;
-    /// of `options` it reads `cost_aware`, which its engine is built with.
+    /// Creates a joint block at plan path `label` under conditioning arm
+    /// `arm`, over `space` with pinned `context` variables; of `options` it
+    /// reads `cost_aware`, which its engine is built with.
     pub fn new(
         label: impl Into<String>,
+        arm: impl Into<String>,
         space: ConfigSpace,
         engine: JointEngine,
         context: Assignment,
@@ -109,27 +113,15 @@ impl JointBlock {
     ) -> JointBlock {
         JointBlock {
             label: label.into(),
+            arm: arm.into(),
             engine_kind: engine,
             engine: engine.build(space, seed, options.cost_aware),
             context,
             fixed: Assignment::new(),
-            seed_queue: Vec::new(),
             best: None,
             trajectory: Vec::new(),
             evaluations: 0,
         }
-    }
-
-    /// Queues warm-start configurations (from meta-learning) that will be
-    /// evaluated before the engine's own suggestions. Assignments may cover
-    /// more variables than this block's space; extras are ignored.
-    pub fn push_seed_assignments(&mut self, assignments: &[Assignment]) {
-        for a in assignments {
-            let cfg = self.engine.space().from_map(a);
-            self.seed_queue.push(cfg);
-        }
-        // Evaluate in push order.
-        self.seed_queue.reverse();
     }
 
     fn merged(&self, own: &Assignment) -> Assignment {
@@ -145,7 +137,7 @@ impl JointBlock {
 
     /// Feeds one completed trial back into the engine and incumbent state.
     /// Under an enabled tracer a Bo block reports each observation as a
-    /// `bo-observe` event, parented to whatever span is open.
+    /// `bo-observe` event at its path and arm, parented to its pull span.
     fn record_outcome(
         &mut self,
         tracer: &Tracer,
@@ -161,6 +153,8 @@ impl JointBlock {
             tracer.event(
                 "bo-observe",
                 EventFields {
+                    path: self.label.clone(),
+                    arm: self.arm.clone(),
                     fidelity,
                     loss,
                     detail: format!(
@@ -185,8 +179,8 @@ impl JointBlock {
 }
 
 impl BuildingBlock for JointBlock {
-    /// Seeds first, then the engine's batch suggestion (constant-liar for
-    /// SMAC), evaluated together.
+    /// The engine's batch suggestion (constant-liar for SMAC), evaluated
+    /// together and attributed to this leaf's path, arm and pull span.
     fn pull(
         &mut self,
         evaluator: &Evaluator,
@@ -199,22 +193,11 @@ impl BuildingBlock for JointBlock {
         let tracer = evaluator.tracer();
         let mut pull = span(&tracer, "pull", &self.label, "");
         pull.set_detail(format!("batch k={k}"));
-        let mut picks: Vec<Suggestion> = Vec::with_capacity(k);
-        while picks.len() < k {
-            match self.seed_queue.pop() {
-                Some(cfg) => picks.push((cfg, 1.0, TrialTag::NONE)),
-                None => break,
-            }
-        }
-        if picks.len() < k {
+        let picks: Vec<Suggestion> = {
             let mut s = span(&tracer, "suggest", &self.label, "");
-            s.set_detail(format!(
-                "engine={} batch k={}",
-                self.engine_kind.name(),
-                k - picks.len()
-            ));
-            picks.extend(self.engine.suggest_batch(k - picks.len()));
-        }
+            s.set_detail(format!("engine={} batch k={k}", self.engine_kind.name()));
+            self.engine.suggest_batch(k)
+        };
         let trials: Vec<Trial> = picks
             .iter()
             .map(|(cfg, fidelity, tag)| {
@@ -222,7 +205,12 @@ impl BuildingBlock for JointBlock {
                 (self.merged(&own), *fidelity, *tag)
             })
             .collect();
-        let outcomes = evaluator.evaluate_trials(pool, &trials);
+        let origin = TrialOrigin {
+            path: &self.label,
+            arm: &self.arm,
+            span: pull.id(),
+        };
+        let outcomes = evaluator.evaluate_trials(pool, &trials, &origin);
         let mut batch_cost = 0.0;
         let mut batch_best = f64::INFINITY;
         for (((config, fidelity, _), (assignment, ..)), outcome) in
@@ -246,25 +234,11 @@ impl BuildingBlock for JointBlock {
         Some(self.engine.space().to_map(&best_cfg))
     }
 
-    /// Re-derives this leaf's `ConfigSpace` from the grown `space` — its
-    /// current parameter set plus whichever `new_vars` are not pinned in the
-    /// context — and extends the live engine in place. Widened choice lists
-    /// need no mention in `new_vars`: the recompiled domains pick them up.
-    fn grow(&mut self, space: &SpaceDef, new_vars: &[String]) -> Result<()> {
-        let mut include: Vec<String> = self
-            .engine
-            .space()
-            .params()
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        for name in new_vars {
-            if !include.contains(name) && !self.context.contains_key(name) {
-                include.push(name.clone());
-            }
-        }
-        let cs = space.compile_subspace(&include, &self.context)?;
-        self.engine.grow_space(cs);
+    /// Compiles `vars` against the grown `space` under this leaf's context,
+    /// as the plan compiler does, and extends the live engine in place.
+    fn grow(&mut self, space: &SpaceDef, vars: &[String]) -> Result<()> {
+        self.engine
+            .grow_space(space.compile_subspace(vars, &self.context)?);
         Ok(())
     }
 
@@ -302,11 +276,12 @@ impl BuildingBlock for JointBlock {
     }
 
     fn capture_state(&self, path: &str, out: &mut Vec<String>) {
+        // `seeds_pending=0` stays so pinned `StudyState` digests hold: it
+        // once counted a warm-start queue that no longer exists.
         out.push(format!(
-            "{path} joint engine={} evaluations={} seeds_pending={}",
+            "{path} joint engine={} evaluations={} seeds_pending=0",
             self.engine_kind.name(),
             self.evaluations,
-            self.seed_queue.len()
         ));
         if let Some(best) = &self.best {
             out.push(format!("{path} joint best_loss={:016x}", best.loss.to_bits()));
@@ -380,7 +355,8 @@ mod tests {
         let cs = space
             .compile_subspace(&space.var_names(), &Assignment::new())
             .unwrap();
-        JointBlock::new("full", cs, engine, Assignment::new(), 0, &BlockOptions::default())
+        let options = BlockOptions::default();
+        JointBlock::new("full", "", cs, engine, Assignment::new(), 0, &options)
     }
 
     #[test]
@@ -404,8 +380,8 @@ mod tests {
         let mut fixed = Assignment::new();
         fixed.insert("algorithm".to_string(), 1.0);
         let cs = space.compile_subspace(&space.var_names(), &fixed).unwrap();
-        let mut block =
-            JointBlock::new("rf-only", cs, JointEngine::Bo, fixed, 0, &BlockOptions::default());
+        let options = BlockOptions::default();
+        let mut block = JointBlock::new("rf-only", "", cs, JointEngine::Bo, fixed, 0, &options);
         for _ in 0..4 {
             block.pull(&ev, None, 1).unwrap();
         }
@@ -425,8 +401,15 @@ mod tests {
             .collect();
         let cs = space.compile_subspace(&fe_vars, &Assignment::new()).unwrap();
         let options = BlockOptions::default();
-        let mut block =
-            JointBlock::new("fe", cs, JointEngine::Random, Assignment::new(), 0, &options);
+        let mut block = JointBlock::new(
+            "fe",
+            "",
+            cs,
+            JointEngine::Random,
+            Assignment::new(),
+            0,
+            &options,
+        );
         let mut ctx = space.defaults();
         ctx.insert("algorithm".to_string(), 2.0);
         block.set_fixed(&ctx);
@@ -436,25 +419,13 @@ mod tests {
     }
 
     #[test]
-    fn seed_assignments_are_evaluated_first() {
-        let (ev, space) = setup();
-        let mut block = full_joint(&space, JointEngine::Bo);
-        let mut seed = space.defaults();
-        seed.insert("algorithm".to_string(), 1.0);
-        block.push_seed_assignments(&[seed]);
-        block.pull(&ev, None, 1).unwrap();
-        let best = block.current_best().unwrap();
-        assert_eq!(best.assignment.get("algorithm"), Some(&1.0));
-    }
-
-    #[test]
     fn own_best_excludes_context() {
         let (ev, space) = setup();
         let mut fixed = Assignment::new();
         fixed.insert("algorithm".to_string(), 0.0);
         let cs = space.compile_subspace(&space.var_names(), &fixed).unwrap();
-        let mut block =
-            JointBlock::new("x", cs, JointEngine::Random, fixed, 0, &BlockOptions::default());
+        let options = BlockOptions::default();
+        let mut block = JointBlock::new("x", "", cs, JointEngine::Random, fixed, 0, &options);
         block.pull(&ev, None, 1).unwrap();
         let own = block.own_best().unwrap();
         assert!(!own.contains_key("algorithm"));

@@ -13,7 +13,8 @@
 //!   EUI estimates in [`eu`];
 //! - [`plan`] compiles a declarative [`plan::PlanSpec`] tree into a block
 //!   tree and [`plans`] enumerates the coarse-grained plan alternatives the
-//!   paper studies (Fig. 1, Fig. 2, Fig. 3, and the appendix plan search);
+//!   paper studies (Fig. 1, Fig. 2, Fig. 3; the appendix plan search over
+//!   them is the `plans_ablation` bench);
 //! - [`evaluator`] turns variable assignments into trained ML pipelines and
 //!   losses, with caching, cost accounting, and a subsampling fidelity axis;
 //! - [`metalearn`] provides dataset meta-features and k-NN warm starts;

@@ -33,6 +33,56 @@ impl VarFilter {
             VarFilter::Prefix(p) => var.name.starts_with(p.as_str()),
         }
     }
+
+    /// An alternating block's split of its scope `vars`: `(left, right)`,
+    /// both in `vars` order. The compiler and [`BuildingBlock::grow`] both
+    /// lay alternating sides out with it.
+    pub(crate) fn split(&self, space: &SpaceDef, vars: &[String]) -> (Vec<String>, Vec<String>) {
+        vars.iter()
+            .cloned()
+            .partition(|name| space.var(name).is_some_and(|v| self.matches(v)))
+    }
+}
+
+/// The scope of a conditioning block's arm `on = value`, given the block's
+/// own scope `vars`: `vars` without `on` and without the variables
+/// `on = value` deactivates. Every other pin of the arm's context was already
+/// applied above it, so this is the whole context activity filter. The
+/// compiler and [`BuildingBlock::grow`] both lay arms out with it.
+pub(crate) fn arm_vars(space: &SpaceDef, vars: &[String], on: &str, value: usize) -> Vec<String> {
+    vars.iter()
+        .filter(|name| {
+            *name != on
+                && space.var(name).is_some_and(|var| match &var.condition {
+                    Some((parent, values)) if parent == on => values.contains(&value),
+                    _ => true,
+                })
+        })
+        .cloned()
+        .collect()
+}
+
+/// Where a plan node is compiled: its block-tree path, the nearest enclosing
+/// conditioning arm (`var=value`, empty outside any), the variables pinned
+/// above it, and its seed.
+struct Site {
+    label: String,
+    arm: String,
+    context: Assignment,
+    seed: u64,
+}
+
+impl Site {
+    /// The site of an alternating side: same arm and context, its own path
+    /// and seed stream.
+    fn side(&self, name: &str, stream: u64) -> Site {
+        Site {
+            label: format!("{}/{name}", self.label),
+            arm: self.arm.clone(),
+            context: self.context.clone(),
+            seed: derive_seed(self.seed, stream),
+        }
+    }
 }
 
 /// A declarative execution plan.
@@ -74,51 +124,40 @@ impl PlanSpec {
         seed: u64,
         options: &BlockOptions,
     ) -> Result<Box<dyn BuildingBlock>> {
-        let vars = space.var_names();
-        self.compile_inner(space, &vars, &Assignment::new(), seed, "root", options)
+        let root = Site {
+            label: "root".to_string(),
+            arm: String::new(),
+            context: Assignment::new(),
+            seed,
+        };
+        self.compile_inner(space, &space.var_names(), root, options)
     }
 
+    /// Compiles this node over its scope `vars` — the variables of `space`
+    /// still active under `site.context` — at `site`.
     fn compile_inner(
         &self,
         space: &SpaceDef,
         vars: &[String],
-        context: &Assignment,
-        seed: u64,
-        label: &str,
+        site: Site,
         options: &BlockOptions,
     ) -> Result<Box<dyn BuildingBlock>> {
-        // Drop variables that are inactive under the pinned context.
-        let active: Vec<String> = vars
-            .iter()
-            .filter(|name| {
-                let Some(var) = space.var(name) else {
-                    return false;
-                };
-                match &var.condition {
-                    None => true,
-                    Some((parent, values)) => match context.get(parent) {
-                        Some(pv) => values.contains(&(pv.round().max(0.0) as usize)),
-                        None => true,
-                    },
-                }
-            })
-            .cloned()
-            .collect();
-
+        let label = &site.label;
         match self {
             PlanSpec::Joint(engine) => {
-                let cs = space.compile_subspace(&active, context)?;
+                let cs = space.compile_subspace(vars, &site.context)?;
                 Ok(Box::new(JointBlock::new(
-                    label,
+                    site.label,
+                    site.arm,
                     cs,
                     *engine,
-                    context.clone(),
-                    seed,
+                    site.context,
+                    site.seed,
                     options,
                 )))
             }
             PlanSpec::Conditioning { on, child } => {
-                if !active.contains(on) {
+                if !vars.contains(on) {
                     return Err(CoreError::Invalid(format!(
                         "conditioning variable {on} not in scope at {label}"
                     )));
@@ -131,34 +170,34 @@ impl PlanSpec {
                         "conditioning variable {on} must be categorical"
                     )));
                 };
-                let remaining: Vec<String> =
-                    active.iter().filter(|v| *v != on).cloned().collect();
                 let mut children: Vec<(usize, Box<dyn BuildingBlock>)> = Vec::with_capacity(n);
                 for value in 0..n {
-                    let mut ctx = context.clone();
-                    ctx.insert(on.clone(), value as f64);
-                    let child_label = format!("{label}/{on}={value}");
-                    let block = child.compile_inner(
-                        space,
-                        &remaining,
-                        &ctx,
-                        derive_seed(seed, value as u64 + 1),
-                        &child_label,
-                        options,
-                    )?;
+                    let arm = format!("{on}={value}");
+                    let mut context = site.context.clone();
+                    context.insert(on.clone(), value as f64);
+                    let arm_site = Site {
+                        label: format!("{label}/{arm}"),
+                        arm,
+                        context,
+                        seed: derive_seed(site.seed, value as u64 + 1),
+                    };
+                    let scope = arm_vars(space, vars, on, value);
+                    let block = child.compile_inner(space, &scope, arm_site, options)?;
                     children.push((value, block));
                 }
-                Ok(Box::new(ConditioningBlock::new(label, on.clone(), children, options)))
+                Ok(Box::new(ConditioningBlock::new(
+                    site.label,
+                    on.clone(),
+                    children,
+                    options,
+                )))
             }
             PlanSpec::Alternating {
                 left_filter,
                 left,
                 right,
             } => {
-                let (left_vars, right_vars): (Vec<String>, Vec<String>) =
-                    active.iter().cloned().partition(|name| {
-                        space.var(name).is_some_and(|v| left_filter.matches(v))
-                    });
+                let (left_vars, right_vars) = left_filter.split(space, vars);
                 if left_vars.is_empty() || right_vars.is_empty() {
                     return Err(CoreError::Invalid(format!(
                         "alternating split at {label} leaves one side empty \
@@ -167,28 +206,15 @@ impl PlanSpec {
                         right_vars.len()
                     )));
                 }
-                let left_block = left.compile_inner(
-                    space,
-                    &left_vars,
-                    context,
-                    derive_seed(seed, 101),
-                    &format!("{label}/left"),
-                    options,
-                )?;
-                let right_block = right.compile_inner(
-                    space,
-                    &right_vars,
-                    context,
-                    derive_seed(seed, 202),
-                    &format!("{label}/right"),
-                    options,
-                )?;
+                let left_block =
+                    left.compile_inner(space, &left_vars, site.side("left", 101), options)?;
+                let right_block =
+                    right.compile_inner(space, &right_vars, site.side("right", 202), options)?;
                 Ok(Box::new(AlternatingBlock::new(
-                    label,
-                    left_block,
-                    left_vars,
-                    right_block,
-                    right_vars,
+                    site.label,
+                    left_filter.clone(),
+                    (left_block, left_vars),
+                    (right_block, right_vars),
                     space.defaults(),
                     options,
                 )))

@@ -291,8 +291,7 @@ impl SpaceDef {
     /// untouched, so observed values stay valid), then appends the
     /// expansion's new variables at the end of `vars` (preserving the
     /// parents-before-children invariant — earlier variables never move).
-    /// Returns the names of the appended variables.
-    pub fn apply_fe_expansion(&mut self, exp: &FeExpansion) -> Result<Vec<String>> {
+    pub fn apply_fe_expansion(&mut self, exp: &FeExpansion) -> Result<()> {
         for (name, extra) in &exp.widen {
             let full = format!("fe:{name}");
             let var = self
@@ -315,7 +314,6 @@ impl SpaceDef {
                 }
             }
         }
-        let mut added = Vec::new();
         for fe in &exp.params {
             let (domain, default) = param_kind_to_domain(&fe.def.kind);
             let name = format!("fe:{}", fe.def.name);
@@ -354,15 +352,14 @@ impl SpaceDef {
                 }
             }
             self.vars.push(VarDef {
-                name: name.clone(),
+                name,
                 domain,
                 default,
                 condition,
                 group: VarGroup::Fe,
             });
-            added.push(name);
         }
-        Ok(added)
+        Ok(())
     }
 
     /// Names of all variables, in order.
@@ -500,16 +497,17 @@ mod tests {
         let expansions = fe_expansions(Task::Classification, &def.fe_options);
         // Stage 1: the dormant transform stage appears, everything existing
         // keeps its position.
-        let added = def.apply_fe_expansion(&expansions[0]).unwrap();
-        assert!(added.contains(&"fe:transform".to_string()));
+        def.apply_fe_expansion(&expansions[0]).unwrap();
         assert_eq!(&def.var_names()[..before_names.len()], &before_names[..]);
         let transform = def.var("fe:transform").unwrap();
         assert_eq!(transform.domain, Domain::Cat { n: 7 });
         // Stage 2: operator families widen `fe:transform` to 8 choices and
         // append the encoder family.
-        let added2 = def.apply_fe_expansion(&expansions[1]).unwrap();
-        assert!(added2.contains(&"fe:cat_encoder".to_string()));
-        assert!(added2.contains(&"fe:binning_bins".to_string()));
+        let before_second = def.len();
+        def.apply_fe_expansion(&expansions[1]).unwrap();
+        let added: Vec<&str> = def.vars[before_second..].iter().map(|v| v.name.as_str()).collect();
+        assert!(added.contains(&"fe:cat_encoder"));
+        assert!(added.contains(&"fe:binning_bins"));
         assert_eq!(def.var("fe:transform").unwrap().domain, Domain::Cat { n: 8 });
         // The grown space still compiles with valid conditions, and the new
         // children condition on their new parents.

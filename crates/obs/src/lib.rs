@@ -8,11 +8,12 @@
 //!   Every block pull, SMAC suggest, elimination decision, and trial
 //!   becomes a parent-linked [`SpanEvent`] appended (one JSON line, torn-line
 //!   free) to a JSONL stream alongside the trial journal. Parent links come
-//!   from a thread-local span stack — blocks open a [`SpanGuard`] around a
-//!   pull and everything emitted underneath (on the same thread) is linked
-//!   to it. Disabled tracers still maintain the stack (so journal rows can
-//!   be attributed to arms) but skip all serialization; the cost is one
-//!   branch plus a small string clone per pull, far below one pipeline fit.
+//!   from a thread-local stack of span ids — blocks open a [`SpanGuard`]
+//!   around a pull and spans and events opened underneath (on the same
+//!   thread) are linked to it; trials carry their path, arm and parent
+//!   explicitly ([`TrialOrigin`]). Disabled tracers skip all serialization;
+//!   the cost is one branch plus a small string clone per pull, far below
+//!   one pipeline fit.
 //! - [`MetricsRegistry`]: named counters, gauges, and fixed-bucket latency
 //!   histograms sampled from the evaluator caches, the worker pool, and the
 //!   binned-tree training path; snapshot-serializable to a stable JSON
@@ -46,4 +47,4 @@ pub mod tracer;
 pub use events::{BusEvent, EventBus, ObsEvent};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use prometheus::PrometheusText;
-pub use tracer::{current_arm, current_path, span, EventFields, SpanEvent, SpanGuard, Tracer};
+pub use tracer::{span, EventFields, SpanEvent, SpanGuard, Tracer, TrialOrigin};

@@ -25,21 +25,22 @@
 //! keeps none; only [`Tracer::in_memory`] retains them for
 //! [`Tracer::events`].
 //!
-//! Parent links come from a thread-local span *stack*: opening a
-//! [`SpanGuard`] (via [`span`]) pushes an entry, and any event emitted on
-//! the same thread before the guard drops is linked to it. Span events are
-//! written when the guard drops, so a parent appears *after* its children
-//! in the file — consumers re-link by id, never by line order. The stack is
-//! maintained even when tracing is disabled so that cheap queries like
-//! [`current_arm`] keep working (the journal uses them for arm
-//! attribution); a disabled tracer performs no locking and no I/O.
+//! Parent links of spans and instantaneous events come from a thread-local
+//! stack of span ids: opening a [`SpanGuard`] (via [`span`]) pushes its id,
+//! and any span or [`Tracer::event`] opened on the same thread before the
+//! guard drops is linked to it. The stack holds ids only: an event's path
+//! and arm are whatever its caller passes, and a trial's path, arm and
+//! parent come from the [`TrialOrigin`] its issuing block handed the
+//! evaluator. Span events are written when the guard drops, so a parent
+//! appears *after* its children in the file — consumers re-link by id,
+//! never by line order. A disabled tracer performs no locking and no I/O.
 //!
 //! Concurrency: the block tree is pulled from one coordinator thread, so
-//! the stack discipline holds there; trial events — pooled or inline — are
-//! all emitted on the coordinator (by `Evaluator::evaluate_trials`). The tracer itself
-//! is nevertheless fully thread-safe — each event is serialized and
-//! appended under one mutex as a single `writeln!`, so concurrent writers
-//! can never tear or interleave lines.
+//! the stack discipline holds there. Trial events do not read the stack,
+//! so they could be emitted from any thread. The tracer itself is fully
+//! thread-safe — each event is serialized and appended under one mutex as
+//! a single `writeln!`, so concurrent writers can never tear or interleave
+//! lines.
 //!
 //! Work counters (`data.*`, `binned.*` in the metrics snapshot) use the
 //! same thread-local idiom as the span stack — the thread that does the
@@ -54,38 +55,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One entry of the thread-local span stack.
-#[derive(Clone)]
-struct StackEntry {
-    id: u64,
-    path: String,
-    arm: String,
-}
-
 std::thread_local! {
-    static SPAN_STACK: RefCell<Vec<StackEntry>> = const { RefCell::new(Vec::new()) };
+    static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Id of the innermost open span on this thread (0 = none).
 pub fn current_span() -> u64 {
-    SPAN_STACK.with(|s| s.borrow().last().map_or(0, |e| e.id))
+    SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
 }
 
-/// Block-tree path of the innermost open span on this thread.
-pub fn current_path() -> Option<String> {
-    SPAN_STACK.with(|s| s.borrow().last().map(|e| e.path.clone()))
-}
-
-/// Arm label of the innermost open span that carries one — the nearest
-/// enclosing conditioning pull. Empty when no arm is in scope.
-pub fn current_arm() -> String {
-    SPAN_STACK.with(|s| {
-        s.borrow()
-            .iter()
-            .rev()
-            .find(|e| !e.arm.is_empty())
-            .map_or(String::new(), |e| e.arm.clone())
-    })
+/// Where a batch of trials was issued: the issuing block's plan path, its
+/// arm label (the nearest enclosing conditioning `var=value`, empty outside
+/// any arm) and the id of the pull span it was issued under (0 = none). The
+/// default, all empty, is a trial issued outside the block tree.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TrialOrigin<'a> {
+    /// Block-tree path of the issuing block.
+    pub path: &'a str,
+    /// Arm label, journaled and traced with each trial.
+    pub arm: &'a str,
+    /// The issuing pull span's id: each trial span's parent.
+    pub span: u64,
 }
 
 /// One trace event. See the module docs for the line schema.
@@ -187,9 +177,9 @@ impl SpanEvent {
 /// Optional fields for an instantaneous event (see [`Tracer::event`]).
 #[derive(Debug, Clone)]
 pub struct EventFields {
-    /// Path override (defaults to the stack's current path).
+    /// Block-tree path of the emitting block (empty outside the tree).
     pub path: String,
-    /// Arm label override (defaults to the stack's current arm).
+    /// Arm label of the emitting block (empty outside any arm).
     pub arm: String,
     /// Fidelity annotation.
     pub fidelity: f64,
@@ -252,8 +242,7 @@ impl Tracer {
         }
     }
 
-    /// A disabled tracer: span guards still maintain the thread-local stack
-    /// (for arm attribution) but nothing is recorded.
+    /// A disabled tracer: nothing is recorded.
     pub fn disabled() -> Tracer {
         Tracer::with_file(false, None)
     }
@@ -322,26 +311,15 @@ impl Tracer {
         }
     }
 
-    /// Emits an instantaneous event parented to the current span.
+    /// Emits an instantaneous event with the caller's path and arm,
+    /// parented to the current span.
     pub fn event(&self, kind: &str, fields: EventFields) {
-        if !self.enabled && self.bus.is_none() {
-            return;
-        }
-        let path = if fields.path.is_empty() {
-            current_path().unwrap_or_default()
-        } else {
-            fields.path
-        };
         if kind == "eliminate" {
             if let Some(bus) = &self.bus {
                 let (eu_opt, eu_pess) = fields.eu.unwrap_or((f64::NAN, f64::NAN));
                 bus.publish(crate::events::ObsEvent::ArmEliminated {
-                    path: path.clone(),
-                    arm: if fields.arm.is_empty() {
-                        current_arm()
-                    } else {
-                        fields.arm.clone()
-                    },
+                    path: fields.path.clone(),
+                    arm: fields.arm.clone(),
                     eu_opt,
                     eu_pess,
                     detail: fields.detail.clone(),
@@ -351,14 +329,10 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        let mut e = SpanEvent::new(kind, &path);
+        let mut e = SpanEvent::new(kind, &fields.path);
         e.span_id = self.next_span_id();
         e.parent_id = current_span();
-        e.arm = if fields.arm.is_empty() {
-            current_arm()
-        } else {
-            fields.arm
-        };
+        e.arm = fields.arm;
         e.t_s = self.elapsed_s();
         e.fidelity = fields.fidelity;
         e.loss = fields.loss;
@@ -370,12 +344,12 @@ impl Tracer {
         self.emit(e);
     }
 
-    /// Emits one `kind:"trial"` span parented to the current pull span,
-    /// from the record the journal gets. `start_s`/`end_s` are
-    /// journal-epoch relative; the event's `t_s` uses the tracer epoch for
-    /// ordering consistency, while `dur_s` preserves the journal-measured
-    /// wall window.
-    pub fn trial(&self, t: &TrialRecord) {
+    /// Emits one `kind:"trial"` span from the record the journal gets, at
+    /// `origin`'s path and parented to its pull span (the arm is the
+    /// record's). `start_s`/`end_s` are journal-epoch relative; the event's
+    /// `t_s` uses the tracer epoch for ordering consistency, while `dur_s`
+    /// preserves the journal-measured wall window.
+    pub fn trial(&self, t: &TrialRecord, origin: &TrialOrigin) {
         if let Some(bus) = &self.bus {
             // A config running at rung >= 1 got there by surviving the
             // rung below — the promotion decision itself happens inside
@@ -409,9 +383,9 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        let mut e = SpanEvent::new("trial", &current_path().unwrap_or_default());
+        let mut e = SpanEvent::new("trial", origin.path);
         e.span_id = self.next_span_id();
-        e.parent_id = current_span();
+        e.parent_id = origin.span;
         e.arm = t.arm.clone();
         e.t_s = self.elapsed_s();
         e.dur_s = (t.end_s - t.start_s).max(0.0);
@@ -472,8 +446,8 @@ impl Drop for Tracer {
     }
 }
 
-/// Opens a span: pushes onto the thread-local stack and returns a guard
-/// that emits the span event (with measured duration) when dropped.
+/// Opens a span: pushes its id onto the thread-local stack and returns a
+/// guard that emits the span event (with measured duration) when dropped.
 pub fn span(tracer: &Arc<Tracer>, kind: &'static str, path: &str, arm: &str) -> SpanGuard {
     let id = if tracer.enabled() {
         tracer.next_span_id()
@@ -481,13 +455,7 @@ pub fn span(tracer: &Arc<Tracer>, kind: &'static str, path: &str, arm: &str) -> 
         0
     };
     let parent = current_span();
-    SPAN_STACK.with(|s| {
-        s.borrow_mut().push(StackEntry {
-            id,
-            path: path.to_string(),
-            arm: arm.to_string(),
-        })
-    });
+    SPAN_STACK.with(|s| s.borrow_mut().push(id));
     SpanGuard {
         tracer: Arc::clone(tracer),
         kind,
@@ -575,7 +543,6 @@ mod tests {
             {
                 let inner = span(&tracer, "suggest", "root/algorithm=1", "");
                 assert_eq!(current_span(), inner.id());
-                assert_eq!(current_arm(), "algorithm=1");
             }
             assert_eq!(current_span(), outer.id());
         }
@@ -587,16 +554,25 @@ mod tests {
         assert_eq!(events[1].kind, "pull");
         assert_eq!(events[0].parent_id, events[1].span_id);
         assert_eq!(events[1].parent_id, 0);
+        assert_eq!(events[1].arm, "algorithm=1");
     }
 
+    /// A trial span takes its path and parent from the origin it is handed,
+    /// never from the spans open on the emitting thread.
     #[test]
     fn trial_event_inherits_context_and_joins() {
         let tracer = Arc::new(Tracer::in_memory());
-        let _pull = span(&tracer, "pull", "root/algorithm=2", "algorithm=2");
-        tracer.trial(&TrialRecord {
+        let pull = span(&tracer, "pull", "root/algorithm=2", "algorithm=2");
+        let _unrelated = span(&tracer, "suggest", "elsewhere", "");
+        let origin = TrialOrigin {
+            path: "root/algorithm=2",
+            arm: "algorithm=2",
+            span: pull.id(),
+        };
+        let record = TrialRecord {
             trial_id: 7,
             digest: format!("{:016x}", 0xdead_beefu64),
-            arm: current_arm(),
+            arm: origin.arm.to_string(),
             worker: 1,
             start_s: 0.5,
             end_s: 0.75,
@@ -609,7 +585,8 @@ mod tests {
             fe_cached: true,
             panicked: false,
             timed_out: false,
-        });
+        };
+        tracer.trial(&record, &origin);
         let events = tracer.events();
         assert_eq!(events.len(), 1);
         let t = &events[0];
@@ -620,7 +597,7 @@ mod tests {
         assert_eq!(t.detail, "fe_cached");
         assert_eq!(t.rung, 2);
         assert_eq!(t.bracket, 0);
-        assert!(t.parent_id != 0);
+        assert_eq!(t.parent_id, pull.id());
     }
 
     #[test]
@@ -654,13 +631,22 @@ mod tests {
         assert!(parsed["loss"].as_f64().unwrap().is_nan());
     }
 
+    /// A disabled tracer's guards push and pop id 0, so an enabled span
+    /// opened inside one is top-level; nothing disabled is recorded.
     #[test]
     fn disabled_tracer_records_nothing_but_stack_works() {
         let tracer = Arc::new(Tracer::disabled());
-        let _g = span(&tracer, "pull", "root", "algorithm=0");
-        assert_eq!(current_arm(), "algorithm=0");
-        tracer.event("noop", EventFields::default());
+        let enabled = Arc::new(Tracer::in_memory());
+        {
+            let g = span(&tracer, "pull", "root", "algorithm=0");
+            assert_eq!((g.id(), current_span()), (0, 0));
+            tracer.event("noop", EventFields::default());
+            let inner = span(&enabled, "suggest", "root", "");
+            assert_eq!(current_span(), inner.id());
+        }
+        assert_eq!(current_span(), 0);
         assert!(tracer.is_empty());
+        assert_eq!(enabled.events()[0].parent_id, 0);
     }
 
     #[test]
@@ -718,7 +704,7 @@ mod tests {
         tracer.set_bus(Arc::clone(&bus));
         assert!(tracer.has_bus());
         let tracer = Arc::new(tracer);
-        tracer.trial(&TrialRecord {
+        let record = TrialRecord {
             trial_id: 3,
             digest: format!("{:016x}", 0xfeed),
             arm: String::new(),
@@ -734,7 +720,8 @@ mod tests {
             fe_cached: false,
             panicked: false,
             timed_out: true,
-        });
+        };
+        tracer.trial(&record, &TrialOrigin::default());
         tracer.event(
             "eliminate",
             EventFields {

@@ -39,18 +39,9 @@ echo "== cargo bench --no-run (compile-check every bench) =="
 cargo bench --no-run --offline
 
 echo "== smoke: micro_models histogram-kernel report =="
-# Re-emits results/BENCH_models.json (exact vs histogram, kernel comparison).
+# Re-emits results/BENCH_models.json (exact vs histogram, kernel comparison)
+# and fails on its own gates: |accuracy_delta| <= 0.01, kernel_speedup >= 1.0.
 cargo bench --offline --bench micro_models
-python3 - results/BENCH_models.json <<'EOF'
-import json, sys
-b = json.load(open(sys.argv[1]))
-delta = abs(b["accuracy_delta"])
-assert delta <= 0.01, f"histogram accuracy drifted {delta:.4f} from exact (> 0.01)"
-ks = b["kernel_speedup"]
-assert ks >= 1.0, f"flat kernel slower than the per-node baseline ({ks:.2f}x)"
-print(f"micro_models smoke ok: kernel_speedup {ks:.2f}x on {b['n_cpus']} cpu(s), "
-      f"accuracy_delta {b['accuracy_delta']:+.4f}")
-EOF
 
 echo "== smoke: traced fit + report =="
 # The CLI smokes assert no more than "it runs, and report renders": what they

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use volcanoml_core::evaluator::{Evaluator, Fault, Trial};
+use volcanoml_core::evaluator::{Evaluator, Fault, Trial, TrialOrigin};
 use volcanoml_core::plans::{p1_joint, p3_volcano};
 use volcanoml_core::{
     assignment_digest, EngineKind, SpaceDef, SpaceTier, TrialTag, ValidationStrategy,
@@ -60,7 +60,7 @@ fn batch_losses_are_identical_across_worker_counts() {
     let ev1 = evaluator(&space, 5, 3);
     let pool1 = ExecPool::with_workers(1);
     let serial: Vec<f64> = ev1
-        .evaluate_trials(Some(&pool1), &trials)
+        .evaluate_trials(Some(&pool1), &trials, &TrialOrigin::default())
         .iter()
         .map(|o| o.loss)
         .collect();
@@ -68,7 +68,7 @@ fn batch_losses_are_identical_across_worker_counts() {
     let ev4 = evaluator(&space, 5, 3);
     let pool4 = ExecPool::with_workers(4);
     let parallel: Vec<f64> = ev4
-        .evaluate_trials(Some(&pool4), &trials)
+        .evaluate_trials(Some(&pool4), &trials, &TrialOrigin::default())
         .iter()
         .map(|o| o.loss)
         .collect();
@@ -94,7 +94,7 @@ fn panicking_trial_is_isolated_and_journaled() {
     }));
 
     let pool = ExecPool::with_workers(4);
-    let outcomes = ev.evaluate_trials(Some(&pool), &trials);
+    let outcomes = ev.evaluate_trials(Some(&pool), &trials, &TrialOrigin::default());
 
     assert_eq!(outcomes.len(), trials.len());
     for (i, (trial, out)) in trials.iter().zip(outcomes.iter()).enumerate() {
@@ -143,7 +143,7 @@ fn stalled_trial_hits_the_deadline_and_pool_survives() {
         workers: 4,
         trial_deadline: Some(Duration::from_secs(2)),
     });
-    let outcomes = ev.evaluate_trials(Some(&pool), &trials);
+    let outcomes = ev.evaluate_trials(Some(&pool), &trials, &TrialOrigin::default());
 
     assert_eq!(outcomes.len(), trials.len());
     for (i, (trial, out)) in trials.iter().zip(&outcomes).enumerate() {
@@ -168,7 +168,7 @@ fn stalled_trial_hits_the_deadline_and_pool_survives() {
     // The same pool runs the next batch: with the fault lifted the stalled
     // trials (never cached) are fresh fits, the others cache hits.
     ev.set_fault_hook(Arc::new(|_, _| None));
-    let again = ev.evaluate_trials(Some(&pool), &trials);
+    let again = ev.evaluate_trials(Some(&pool), &trials, &TrialOrigin::default());
     for (trial, out) in trials.iter().zip(&again) {
         assert!(!out.timed_out && out.loss.is_finite());
         assert_eq!(out.cached, !is_slow(trial));
@@ -195,7 +195,7 @@ fn stalled_cv_fold_times_out_its_trial_and_pool_survives() {
         workers: 2,
         trial_deadline: Some(Duration::from_secs(2)),
     });
-    let outcomes = ev.evaluate_trials(Some(&pool), &trials);
+    let outcomes = ev.evaluate_trials(Some(&pool), &trials, &TrialOrigin::default());
     assert!(outcomes[0].timed_out && outcomes[0].loss.is_infinite());
     assert!(outcomes[1..].iter().all(|o| !o.timed_out));
 
@@ -214,7 +214,7 @@ fn stalled_cv_fold_times_out_its_trial_and_pool_survives() {
     // The pool serves the next batch: the same trial, fault lifted, is a
     // fresh fit rather than a cache hit.
     ev.set_fault_hook(Arc::new(|_, _| None));
-    let again = ev.evaluate_trials(Some(&pool), &trials[..1]);
+    let again = ev.evaluate_trials(Some(&pool), &trials[..1], &TrialOrigin::default());
     assert!(!again[0].timed_out && !again[0].cached);
     assert_eq!(ev.evaluations(), trials.len());
 }
