@@ -11,6 +11,10 @@
 //! accumulate — no rung barrier, no full-fidelity random fallback. When the
 //! active brackets cannot supply a requested batch slot, the next bracket
 //! (for Hyperband: the next `s`) opens early instead.
+//!
+//! The engine stores each observation once, in its [`RunHistory`]: the
+//! cost-aware bracket floor ([`cost_floor`]) and its snapshot lines are
+//! per-fidelity sums read from that history, not a running table beside it.
 
 use crate::acquisition::expected_improvement;
 use crate::history::{Observation, RunHistory};
@@ -18,6 +22,7 @@ use crate::optimizer::{Suggest, Suggestion, TrialTag};
 use crate::space::{ConfigSpace, Configuration};
 use crate::surrogate::RandomForestSurrogate;
 use rand::rngs::StdRng;
+use std::collections::BTreeMap;
 
 /// One observed result at a rung of an asynchronous bracket.
 #[derive(Debug, Clone)]
@@ -222,65 +227,7 @@ impl Bracket {
             }
         }
     }
-}
 
-/// The set of concurrently active brackets behind a multi-fidelity engine.
-///
-/// `next` drains brackets in opening order (oldest first, so earlier
-/// brackets finish their ladders before new exploration starts); `record`
-/// routes an observation to the bracket that issued it and prunes completed
-/// brackets.
-#[derive(Debug, Default)]
-struct BracketScheduler {
-    brackets: Vec<Bracket>,
-    next_id: u64,
-}
-
-impl BracketScheduler {
-    /// Opens a new bracket over `configs` and returns its id.
-    fn open(
-        &mut self,
-        configs: Vec<Configuration>,
-        rungs: Vec<f64>,
-        rung_offset: usize,
-        eta: usize,
-        cost_aware: bool,
-    ) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.brackets
-            .push(Bracket::new(configs, rungs, rung_offset, eta, id, cost_aware));
-        id
-    }
-
-    /// Next unit of work from the oldest bracket able to supply one.
-    fn next(&mut self) -> Option<Suggestion> {
-        self.brackets.iter_mut().find_map(Bracket::next)
-    }
-
-    /// Routes an observation to its issuing bracket. `false` when no active
-    /// bracket has a matching in-flight entry.
-    fn record(&mut self, config: &Configuration, fidelity: f64, loss: f64, cost: f64) -> bool {
-        let mut matched = false;
-        for bracket in &mut self.brackets {
-            if bracket.record(config, fidelity, loss, cost) {
-                matched = true;
-                break;
-            }
-        }
-        self.brackets.retain(|b| !b.done());
-        matched
-    }
-
-    /// Remaps every active bracket's configurations into the grown space.
-    fn remap_space(&mut self, old: &ConfigSpace, new: &ConfigSpace) {
-        for bracket in &mut self.brackets {
-            bracket.remap_space(old, new);
-        }
-    }
-}
-
-impl Bracket {
     /// Appends canonical lines describing this bracket's full occupancy:
     /// shape, pending queue, in-flight set, and per-rung results. In-flight
     /// and result lines are sorted so pooled observation timing can never
@@ -338,76 +285,45 @@ impl Bracket {
     }
 }
 
-impl BracketScheduler {
-    /// Appends every active bracket's state (in opening order) plus the id
-    /// counter, so two schedulers dump identically iff their occupancy is
-    /// identical.
-    fn capture_state(&self, path: &str, out: &mut Vec<String>) {
-        out.push(format!("{path} next_bracket_id={}", self.next_id));
-        for bracket in &self.brackets {
-            bracket.capture_state(path, out);
-        }
-    }
-}
-
-/// Running per-fidelity mean-cost table — the "per-arm cost model" behind
-/// cost-aware bracket floors. Keys are fidelity bit patterns (fidelities are
-/// positive, so bit order equals numeric order).
-#[derive(Debug, Default, Clone)]
-struct FidelityCostTable {
-    /// fidelity bits → (total cost, count).
-    table: std::collections::BTreeMap<u64, (f64, usize)>,
-}
-
-impl FidelityCostTable {
-    /// Files one measured cost. Non-finite and non-positive costs (timed-out
-    /// trials, constant-liar lies, journal rows for cached replays) carry no
-    /// cost information and are dropped.
-    fn record(&mut self, fidelity: f64, cost: f64) {
-        if cost.is_finite() && cost > 0.0 {
-            let e = self.table.entry(fidelity.to_bits()).or_insert((0.0, 0));
-            e.0 += cost;
+/// Measured cost per fidelity — the "per-arm cost model" behind cost-aware
+/// bracket floors: fidelity bits → (total cost, count) over `history`'s
+/// costs, summed in observation order. Non-finite and non-positive costs
+/// (timed-out trials, journal rows for cached replays) carry no cost
+/// information and are skipped. Fidelities are positive, so bit order equals
+/// numeric order.
+fn fidelity_costs(history: &RunHistory) -> BTreeMap<u64, (f64, usize)> {
+    let mut table = BTreeMap::new();
+    for o in history.observations() {
+        if o.cost.is_finite() && o.cost > 0.0 {
+            let e = table.entry(o.fidelity.to_bits()).or_insert((0.0, 0));
+            e.0 += o.cost;
             e.1 += 1;
         }
     }
+    table
+}
 
-    fn mean(&self, fidelity: f64) -> Option<f64> {
-        self.table
-            .get(&fidelity.to_bits())
-            .map(|(s, n)| s / *n as f64)
-    }
-
-    /// Lowest viable starting rung of `ladder` given measured costs: the
-    /// first rung that is either unmeasured (optimism — trust the η-ladder
-    /// until evidence arrives) or measured to cost at most `1/eta` of a
-    /// measured full-fidelity trial. A rung whose trials cost nearly as
-    /// much as full fidelity (fixed per-trial overhead dominating the
-    /// subsample saving) is a waste of ladder steps, so it is skipped.
-    /// When every measured rung fails the test, only full fidelity pays.
-    fn floor(&self, ladder: &[f64], eta: usize) -> usize {
-        let full = match self.mean(1.0) {
-            Some(c) => c,
-            None => return 0,
-        };
-        for (i, &f) in ladder.iter().enumerate().take(ladder.len().saturating_sub(1)) {
-            match self.mean(f) {
-                None => return i,
-                Some(c) if c * eta as f64 <= full => return i,
-                Some(_) => continue,
-            }
-        }
-        ladder.len().saturating_sub(1)
-    }
-
-    /// Canonical bitwise lines for crash-resume snapshots.
-    fn capture(&self, path: &str, out: &mut Vec<String>) {
-        for (bits, (sum, n)) in &self.table {
-            out.push(format!(
-                "{path} fid_cost fidelity={bits:016x} total={:016x} n={n}",
-                sum.to_bits()
-            ));
+/// Lowest viable starting rung of `ladder` given the costs measured in
+/// `history`: the first rung that is either unmeasured (optimism — trust the
+/// η-ladder until evidence arrives) or measured to cost at most `1/eta` of a
+/// measured full-fidelity trial. A rung whose trials cost nearly as much as
+/// full fidelity (fixed per-trial overhead dominating the subsample saving)
+/// is a waste of ladder steps, so it is skipped. When every measured rung
+/// fails the test, only full fidelity pays.
+fn cost_floor(history: &RunHistory, ladder: &[f64], eta: usize) -> usize {
+    let costs = fidelity_costs(history);
+    let mean = |f: f64| costs.get(&f.to_bits()).map(|(sum, n)| sum / *n as f64);
+    let Some(full) = mean(1.0) else {
+        return 0;
+    };
+    for (i, &f) in ladder.iter().enumerate().take(ladder.len().saturating_sub(1)) {
+        match mean(f) {
+            None => return i,
+            Some(c) if c * eta as f64 <= full => return i,
+            Some(_) => continue,
         }
     }
+    ladder.len().saturating_sub(1)
 }
 
 /// Standard Hyperband rung ladder for `eta` and `r_min` (smallest fidelity).
@@ -462,14 +378,18 @@ const MFES_CANDIDATES: usize = 100;
 pub struct BracketEngine {
     space: ConfigSpace,
     history: RunHistory,
-    sched: BracketScheduler,
+    /// Active brackets in opening order. Work is drawn oldest first, so
+    /// earlier brackets finish their ladders before new exploration starts;
+    /// finished brackets are dropped.
+    brackets: Vec<Bracket>,
+    /// Id of the next bracket to open.
+    next_bracket_id: u64,
     rng: StdRng,
     eta: usize,
     r_min: f64,
     shape: Shape,
     seeds: SeedSource,
     cost_aware: bool,
-    fid_cost: FidelityCostTable,
 }
 
 impl BracketEngine {
@@ -478,14 +398,14 @@ impl BracketEngine {
         BracketEngine {
             space,
             history: RunHistory::new(),
-            sched: BracketScheduler::default(),
+            brackets: Vec::new(),
+            next_bracket_id: 0,
             rng: crate::rng::from_seed(seed),
             eta: eta.max(2),
             r_min,
             shape,
             seeds: SeedSource::Random,
             cost_aware: false,
-            fid_cost: FidelityCostTable::default(),
         }
     }
 
@@ -527,8 +447,7 @@ impl BracketEngine {
 
     /// Opens the next bracket. Cost-aware runs clamp its starting rung to the
     /// measured cost floor: a bracket may never start below a rung whose
-    /// trials cost nearly as much as full fidelity (see
-    /// [`FidelityCostTable::floor`]).
+    /// trials cost nearly as much as full fidelity (see [`cost_floor`]).
     fn open_bracket(&mut self) {
         let ladder = rung_ladder(self.r_min, self.eta);
         let (n, mut start) = match self.shape {
@@ -539,14 +458,23 @@ impl BracketEngine {
             }
         };
         if self.cost_aware {
-            start = start.max(self.fid_cost.floor(&ladder, self.eta));
+            start = start.max(cost_floor(&self.history, &ladder, self.eta));
         }
         let configs = match self.seeds {
             SeedSource::Random => (0..n).map(|_| self.space.sample(&mut self.rng)).collect(),
             SeedSource::Ensemble => self.propose(n),
         };
-        self.sched
-            .open(configs, ladder[start..].to_vec(), start, self.eta, self.cost_aware);
+        let rungs = ladder[start..].to_vec();
+        let id = self.next_bracket_id;
+        self.next_bracket_id += 1;
+        self.brackets.push(Bracket::new(
+            configs,
+            rungs,
+            start,
+            self.eta,
+            id,
+            self.cost_aware,
+        ));
         if let Shape::Cycling { s, s_max } = &mut self.shape {
             *s = if *s == 0 { *s_max } else { *s - 1 };
         }
@@ -650,7 +578,7 @@ impl Suggest for BracketEngine {
     fn suggest_batch(&mut self, k: usize) -> Vec<Suggestion> {
         let mut out = Vec::with_capacity(k);
         while out.len() < k {
-            match self.sched.next() {
+            match self.brackets.iter_mut().find_map(Bracket::next) {
                 Some(pick) => out.push(pick),
                 None => self.open_bracket(),
             }
@@ -658,9 +586,13 @@ impl Suggest for BracketEngine {
         out
     }
 
+    /// Files the result with the bracket that issued it (a foreign
+    /// observation lands in history only) and drops finished brackets.
     fn observe(&mut self, config: Configuration, fidelity: f64, loss: f64, cost: f64) {
-        self.sched.record(&config, fidelity, loss, cost);
-        self.fid_cost.record(fidelity, cost);
+        self.brackets
+            .iter_mut()
+            .any(|b| b.record(&config, fidelity, loss, cost));
+        self.brackets.retain(|b| !b.done());
         self.history.push(Observation {
             config,
             loss,
@@ -674,9 +606,19 @@ impl Suggest for BracketEngine {
             out.push(format!("{path} hyperband.s={s} s_max={s_max}"));
         }
         if self.cost_aware {
-            self.fid_cost.capture(path, out);
+            for (bits, (sum, n)) in fidelity_costs(&self.history) {
+                out.push(format!(
+                    "{path} fid_cost fidelity={bits:016x} total={:016x} n={n}",
+                    sum.to_bits()
+                ));
+            }
         }
-        self.sched.capture_state(path, out);
+        // Active brackets in opening order plus the id counter, so two
+        // engines dump identically iff their occupancy is identical.
+        out.push(format!("{path} next_bracket_id={}", self.next_bracket_id));
+        for bracket in &self.brackets {
+            bracket.capture_state(path, out);
+        }
     }
 
     fn history(&self) -> &RunHistory {
@@ -694,7 +636,9 @@ impl Suggest for BracketEngine {
     /// ensemble re-encodes the remapped history on every fit.
     fn grow_space(&mut self, new_space: ConfigSpace) {
         self.history = crate::optimizer::remap_history(&self.space, &new_space, &self.history);
-        self.sched.remap_space(&self.space, &new_space);
+        for bracket in &mut self.brackets {
+            bracket.remap_space(&self.space, &new_space);
+        }
         self.space = new_space;
     }
 }
@@ -1257,27 +1201,54 @@ mod tests {
     #[test]
     fn fidelity_cost_floor_tracks_measured_costs() {
         let ladder = vec![1.0 / 9.0, 1.0 / 3.0, 1.0];
-        let mut t = FidelityCostTable::default();
+        let mut t = RunHistory::new();
         // Unmeasured: trust the ladder.
-        assert_eq!(t.floor(&ladder, 3), 0);
+        assert_eq!(cost_floor(&t, &ladder, 3), 0);
         // Full fidelity measured at 9s; rung 0 measured at 1s → 1 * 3 ≤ 9
         // keeps the floor at 0.
-        t.record(1.0, 9.0);
-        t.record(1.0 / 9.0, 1.0);
-        assert_eq!(t.floor(&ladder, 3), 0);
+        push_cost(&mut t, 1.0, 9.0);
+        push_cost(&mut t, 1.0 / 9.0, 1.0);
+        assert_eq!(cost_floor(&t, &ladder, 3), 0);
         // Rung 0 dominated by fixed overhead (8s ≈ full) → floor climbs to
         // the unmeasured middle rung.
-        let mut t = FidelityCostTable::default();
-        t.record(1.0, 9.0);
-        t.record(1.0 / 9.0, 8.0);
-        assert_eq!(t.floor(&ladder, 3), 1);
+        let mut t = RunHistory::new();
+        push_cost(&mut t, 1.0, 9.0);
+        push_cost(&mut t, 1.0 / 9.0, 8.0);
+        assert_eq!(cost_floor(&t, &ladder, 3), 1);
         // Every sub-full rung measured and not worth eta× its cost → only
         // full fidelity pays.
-        let mut t = FidelityCostTable::default();
-        t.record(1.0, 9.0);
-        t.record(1.0 / 9.0, 8.0);
-        t.record(1.0 / 3.0, 8.5);
-        assert_eq!(t.floor(&ladder, 3), 2);
+        let mut t = RunHistory::new();
+        push_cost(&mut t, 1.0, 9.0);
+        push_cost(&mut t, 1.0 / 9.0, 8.0);
+        push_cost(&mut t, 1.0 / 3.0, 8.5);
+        assert_eq!(cost_floor(&t, &ladder, 3), 2);
+    }
+
+    /// Files one observation at `fidelity` that cost `cost` seconds.
+    fn push_cost(history: &mut RunHistory, fidelity: f64, cost: f64) {
+        history.push(Observation {
+            config: Configuration {
+                values: vec![Some(0.5)],
+            },
+            loss: 0.5,
+            cost,
+            fidelity,
+        });
+    }
+
+    /// Costs that carry no information — zero (a cached replay's journal
+    /// row), negative, non-finite (a timed-out trial) — leave the table.
+    #[test]
+    fn fidelity_costs_skip_uninformative_costs() {
+        let mut h = RunHistory::new();
+        for cost in [0.0, -1.0, f64::INFINITY, f64::NAN, 2.0, 3.0] {
+            push_cost(&mut h, 1.0, cost);
+        }
+        let table = fidelity_costs(&h);
+        assert_eq!(
+            table.into_iter().collect::<Vec<_>>(),
+            [(1.0f64.to_bits(), (5.0, 2))]
+        );
     }
 
     /// End-to-end: a cost-aware SH engine whose low rungs are measured as

@@ -37,12 +37,11 @@ pub type Suggestion = (Configuration, f64, TrialTag);
 /// Ask/tell optimizer interface shared by the joint-block engines.
 ///
 /// `suggest_batch` returns [`Suggestion`]s; `observe` feeds the results back.
-/// Beyond those, `history` and `space`, two methods have do-nothing
-/// defaults because only some engines have the state they touch:
+/// Beyond those, `history`, `space` and `grow_space`, one method has a
+/// do-nothing default because only some engines have the state it touches:
 /// `capture_scheduler_state` (only a bracket schedule has occupancy to
-/// snapshot) and `grow_space` (an engine run only on fixed spaces may ignore
-/// expansions; all three engines here remap). Cost-awareness is fixed when
-/// an engine is built ([`Smac::with_cost_aware`]).
+/// snapshot). Cost-awareness is fixed when an engine is built
+/// ([`Smac::with_cost_aware`]).
 pub trait Suggest {
     /// Suggests `k` trials to evaluate before any of them is observed —
     /// concurrently behind `--workers N`, one at a time otherwise. Engines
@@ -84,9 +83,8 @@ pub trait Suggest {
     /// variables backfill their defaults — the same discipline as
     /// constant-liar retraction) and model-based engines refit lazily
     /// against the new encoding. Must be called only between a fully
-    /// observed batch and the next `suggest`. Default: ignored, for
-    /// engines that carry no space of their own.
-    fn grow_space(&mut self, _new_space: ConfigSpace) {}
+    /// observed batch and the next `suggest`.
+    fn grow_space(&mut self, new_space: ConfigSpace);
 }
 
 /// Remaps every observation of `history` from `old` into `new` by

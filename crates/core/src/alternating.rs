@@ -6,6 +6,7 @@
 //! assignment is pinned into the played child (`set_var`).
 
 use crate::block::{Assignment, BestSolution, BlockOptions, BuildingBlock};
+use crate::eu::merge_trajectories;
 use crate::evaluator::Evaluator;
 use crate::plan::VarFilter;
 use crate::spaces::SpaceDef;
@@ -34,8 +35,8 @@ pub struct AlternatingBlock {
     /// When true, scheduling stays round-robin forever (the ablation
     /// baseline measured by the blocks-ablation bench).
     round_robin_only: bool,
+    /// Pulls so far (one scheduling decision each), not trials.
     plays: usize,
-    evaluations: usize,
     defaults: Assignment,
 }
 
@@ -65,7 +66,6 @@ impl AlternatingBlock {
             },
             round_robin_only: !options.eui_scheduling,
             plays: 0,
-            evaluations: 0,
             defaults,
         };
         // Algorithm 2 line 1: initialize ȳ and z̄ with defaults.
@@ -152,7 +152,6 @@ impl BuildingBlock for AlternatingBlock {
             self.right.block.pull(evaluator, pool, k)?;
         }
         self.plays += 1;
-        self.evaluations += k;
         Ok(())
     }
 
@@ -214,28 +213,11 @@ impl BuildingBlock for AlternatingBlock {
     }
 
     fn trajectory(&self) -> Vec<f64> {
-        let lt = self.left.block.trajectory();
-        let rt = self.right.block.trajectory();
-        let mut merged = Vec::with_capacity(lt.len() + rt.len());
-        let mut best = f64::INFINITY;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < lt.len() || j < rt.len() {
-            if i < lt.len() {
-                best = best.min(lt[i]);
-                merged.push(best);
-                i += 1;
-            }
-            if j < rt.len() {
-                best = best.min(rt[j]);
-                merged.push(best);
-                j += 1;
-            }
-        }
-        merged
+        merge_trajectories(&[self.left.block.trajectory(), self.right.block.trajectory()])
     }
 
     fn evaluations(&self) -> usize {
-        self.evaluations
+        self.left.block.evaluations() + self.right.block.evaluations()
     }
 
     fn describe(&self, indent: usize, out: &mut String) {
@@ -253,7 +235,8 @@ impl BuildingBlock for AlternatingBlock {
     fn capture_state(&self, path: &str, out: &mut Vec<String>) {
         out.push(format!(
             "{path} alternating plays={} evaluations={}",
-            self.plays, self.evaluations
+            self.plays,
+            self.evaluations()
         ));
         self.left.block.capture_state(&format!("{path}/left"), out);
         self.right.block.capture_state(&format!("{path}/right"), out);

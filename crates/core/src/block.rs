@@ -84,15 +84,16 @@ pub trait BuildingBlock {
         self.pull(evaluator, Some(pool), k)
     }
 
-    /// The best full-fidelity solution found so far, if any.
+    /// The best full-fidelity finite-loss solution observed so far, if any.
+    /// Derived, not stored: a joint leaf reads its engine history's
+    /// incumbent and merges it under its context and current pins; interior
+    /// blocks take the best over their children.
     fn current_best(&self) -> Option<BestSolution>;
 
     /// The best assignment restricted to the block's *own* variables
     /// (excluding pinned context) — what an alternating sibling pins via
-    /// `set_var`. The default returns the full best assignment.
-    fn own_best(&self) -> Option<Assignment> {
-        self.current_best().map(|b| b.assignment)
-    }
+    /// `set_var`.
+    fn own_best(&self) -> Option<Assignment>;
 
     /// Rising-bandit expected-utility interval given `k` more iterations,
     /// extrapolated from the block's own [`trajectory`](Self::trajectory)
@@ -119,16 +120,12 @@ pub trait BuildingBlock {
     /// it under their context and extend the live engine in place, so
     /// existing observations stay valid and new variables backfill
     /// defaults. Must be called only between a fully observed batch and the
-    /// next suggestion. The default ignores the call (blocks that hold no
-    /// space of their own).
+    /// next suggestion.
     ///
     /// `grow` and [`plateau_eui`](Self::plateau_eui) are tree walks, and
     /// only the tree can reach its leaves, so both stay on this trait until
     /// the `propose`/`deliver` walk can carry them.
-    fn grow(&mut self, space: &SpaceDef, vars: &[String]) -> Result<()> {
-        let _ = (space, vars);
-        Ok(())
-    }
+    fn grow(&mut self, space: &SpaceDef, vars: &[String]) -> Result<()>;
 
     /// The EUI signal used as plateau evidence for incremental space
     /// construction. Interior bandit blocks report the *maximum* EUI over
@@ -138,11 +135,15 @@ pub trait BuildingBlock {
         self.expected_utility_improvement()
     }
 
-    /// Best-so-far loss trajectory (one entry per full-fidelity evaluation
-    /// this block performed) — the raw signal behind EU/EUI.
+    /// Best-so-far loss trajectory, one entry per full-fidelity finite-loss
+    /// evaluation this block performed — the raw signal behind EU/EUI. A
+    /// joint leaf reads its engine history's; interior blocks merge their
+    /// children's round-robin ([`crate::eu::merge_trajectories`]).
     fn trajectory(&self) -> Vec<f64>;
 
-    /// Total evaluations this block (and its children) have triggered.
+    /// Trials this block (and its children) have observed: a joint leaf's
+    /// engine history length, an interior block's sum over its children. A
+    /// pull of `k > 0` raises it by exactly `k`.
     fn evaluations(&self) -> usize;
 
     /// Human-readable tree rendering for reports (one line per node).
@@ -155,10 +156,8 @@ pub trait BuildingBlock {
     /// identical futures must dump identical lines; crash-resume
     /// verification ([`crate::study::StudyState`]) relies on this to prove
     /// a journal-replayed tree reached exactly the interrupted run's
-    /// state. The default captures nothing.
-    fn capture_state(&self, path: &str, out: &mut Vec<String>) {
-        let _ = (path, out);
-    }
+    /// state.
+    fn capture_state(&self, path: &str, out: &mut Vec<String>);
 }
 
 /// Renders a block tree as a string (the "EXPLAIN" of an execution plan).
@@ -207,8 +206,16 @@ mod tests {
             })
         }
 
+        fn own_best(&self) -> Option<Assignment> {
+            self.current_best().map(|b| b.assignment)
+        }
+
         fn set_fixed(&mut self, fixed: &Assignment) {
             self.fixed = fixed.clone();
+        }
+
+        fn grow(&mut self, _space: &SpaceDef, _vars: &[String]) -> Result<()> {
+            Ok(())
         }
 
         fn trajectory(&self) -> Vec<f64> {
@@ -229,6 +236,10 @@ mod tests {
         fn describe(&self, indent: usize, out: &mut String) {
             out.push_str(&" ".repeat(indent));
             out.push_str("Stub\n");
+        }
+
+        fn capture_state(&self, path: &str, out: &mut Vec<String>) {
+            out.push(format!("{path} stub cursor={}", self.cursor));
         }
     }
 

@@ -10,7 +10,7 @@
 //! arm plays and eliminations is identical to Algorithm 1's.
 
 use crate::block::{Assignment, BestSolution, BlockOptions, BuildingBlock, LossInterval};
-use crate::eu::eu_interval;
+use crate::eu::{eu_interval, merge_trajectories};
 use crate::evaluator::Evaluator;
 use crate::plan::arm_vars;
 use crate::spaces::SpaceDef;
@@ -24,7 +24,8 @@ const WARMUP_PLAYS: usize = 3;
 /// Look-ahead horizon for EU intervals (the paper's `K`).
 const EU_HORIZON: usize = 20;
 
-/// One arm of the bandit.
+/// One arm of the bandit. Its plays are its child's `evaluations()`: a pull
+/// of `k > 0` raises any block's count by exactly `k`.
 struct Arm {
     /// Value of the conditioned variable this arm pins.
     value: usize,
@@ -32,7 +33,6 @@ struct Arm {
     block: Box<dyn BuildingBlock>,
     /// Eliminated arms are never played again.
     active: bool,
-    plays: usize,
 }
 
 /// Conditioning block: one child per value of a categorical variable.
@@ -45,7 +45,6 @@ pub struct ConditioningBlock {
     /// ablation baseline measured by the blocks-ablation bench).
     elimination_enabled: bool,
     cursor: usize,
-    evaluations: usize,
 }
 
 impl ConditioningBlock {
@@ -66,12 +65,10 @@ impl ConditioningBlock {
                     value,
                     block,
                     active: true,
-                    plays: 0,
                 })
                 .collect(),
             elimination_enabled: options.arm_elimination,
             cursor: 0,
-            evaluations: 0,
         }
     }
 
@@ -115,7 +112,9 @@ impl ConditioningBlock {
                         eu: Some((iv_i.optimistic, iv_i.pessimistic)),
                         detail: format!(
                             "dominated by {}={} after {} plays",
-                            self.var, self.arms[j].value, self.arms[i].plays
+                            self.var,
+                            self.arms[j].value,
+                            self.arms[i].block.evaluations()
                         ),
                         ..EventFields::default()
                     },
@@ -130,7 +129,7 @@ impl ConditioningBlock {
             .arms
             .iter()
             .filter(|a| a.active)
-            .map(|a| a.plays)
+            .map(|a| a.block.evaluations())
             .min()
             .unwrap_or(0);
         if self.elimination_enabled && min_plays >= WARMUP_PLAYS {
@@ -181,8 +180,6 @@ impl BuildingBlock for ConditioningBlock {
             let mut pull = span(&tracer, "pull", &self.label, &arm_label);
             pull.set_detail(format!("batch share={share}"));
             self.arms[i].block.pull(evaluator, pool, *share)?;
-            self.arms[i].plays += share;
-            self.evaluations += share;
         }
         self.maybe_eliminate(&tracer);
         Ok(())
@@ -265,35 +262,12 @@ impl BuildingBlock for ConditioningBlock {
     }
 
     fn trajectory(&self) -> Vec<f64> {
-        // Interleave child trajectories in global evaluation order is not
-        // recoverable; use the merged best-so-far over per-arm trajectories
-        // (monotone, one entry per full-fidelity evaluation overall).
-        let mut merged: Vec<f64> = Vec::new();
-        let mut cursors: Vec<(usize, Vec<f64>)> = self
-            .arms
-            .iter()
-            .map(|a| (0usize, a.block.trajectory()))
-            .collect();
-        let total: usize = cursors.iter().map(|(_, t)| t.len()).sum();
-        let mut best = f64::INFINITY;
-        // Round-robin merge approximates chronological order.
-        let mut progressed = true;
-        while merged.len() < total && progressed {
-            progressed = false;
-            for (cursor, traj) in &mut cursors {
-                if *cursor < traj.len() {
-                    best = best.min(traj[*cursor]);
-                    *cursor += 1;
-                    merged.push(best);
-                    progressed = true;
-                }
-            }
-        }
-        merged
+        let arms: Vec<Vec<f64>> = self.arms.iter().map(|a| a.block.trajectory()).collect();
+        merge_trajectories(&arms)
     }
 
     fn evaluations(&self) -> usize {
-        self.evaluations
+        self.arms.iter().map(|a| a.block.evaluations()).sum()
     }
 
     fn describe(&self, indent: usize, out: &mut String) {
@@ -309,7 +283,9 @@ impl BuildingBlock for ConditioningBlock {
             out.push_str(&" ".repeat(indent + 2));
             out.push_str(&format!(
                 "value={} active={} plays={}\n",
-                a.value, a.active, a.plays
+                a.value,
+                a.active,
+                a.block.evaluations()
             ));
             a.block.describe(indent + 4, out);
         }
@@ -318,7 +294,9 @@ impl BuildingBlock for ConditioningBlock {
     fn capture_state(&self, path: &str, out: &mut Vec<String>) {
         out.push(format!(
             "{path} conditioning var={} cursor={} evaluations={}",
-            self.var, self.cursor, self.evaluations
+            self.var,
+            self.cursor,
+            self.evaluations()
         ));
         for a in &self.arms {
             let child = format!("{path}/{}={}", self.var, a.value);
@@ -326,7 +304,7 @@ impl BuildingBlock for ConditioningBlock {
             out.push(format!(
                 "{child} arm active={} plays={} eu=[{:016x},{:016x}]",
                 a.active,
-                a.plays,
+                a.block.evaluations(),
                 iv.optimistic.to_bits(),
                 iv.pessimistic.to_bits()
             ));
@@ -393,7 +371,7 @@ mod tests {
         }
         // After 2 full rounds every arm has exactly 2 plays.
         for a in &block.arms {
-            assert_eq!(a.plays, 2);
+            assert_eq!(a.block.evaluations(), 2);
         }
     }
 
@@ -434,9 +412,10 @@ mod tests {
         }
         if block.active_arms() < n {
             // Eliminated arms' play counts must be frozen below the leader's.
-            let max_plays = block.arms.iter().map(|a| a.plays).max().unwrap();
+            let plays = |a: &Arm| a.block.evaluations();
+            let max_plays = block.arms.iter().map(plays).max().unwrap();
             for a in block.arms.iter().filter(|a| !a.active) {
-                assert!(a.plays >= WARMUP_PLAYS && a.plays < max_plays);
+                assert!(plays(a) >= WARMUP_PLAYS && plays(a) < max_plays);
             }
         }
     }
@@ -454,7 +433,7 @@ mod tests {
             block.pull(&ev, None, 1).unwrap();
         }
         assert_eq!(block.active_arms(), n);
-        assert!(block.arms.iter().all(|a| a.plays == 10));
+        assert!(block.arms.iter().all(|a| a.block.evaluations() == 10));
     }
 
     #[test]

@@ -86,6 +86,22 @@ pub fn eu_interval(trajectory: &[f64], k: usize, floor: f64) -> LossInterval {
     }
 }
 
+/// Merges child best-so-far trajectories into one, taking the next entry of
+/// each unfinished child in turn: chronological order across children is
+/// not recoverable, and round-robin approximates it. The result is
+/// monotone, with one entry per child entry.
+pub fn merge_trajectories(children: &[Vec<f64>]) -> Vec<f64> {
+    let rounds = children.iter().map(Vec::len).max().unwrap_or(0);
+    let mut best = f64::INFINITY;
+    (0..rounds)
+        .flat_map(|i| children.iter().filter_map(move |t| t.get(i)))
+        .map(|&loss| {
+            best = best.min(loss);
+            best
+        })
+        .collect()
+}
+
 /// Rotting-bandit EUI: the mean of the last `window` observed improvements
 /// of the best-so-far trajectory. Arms with no history get `INFINITY` so
 /// they are tried first.
@@ -170,6 +186,13 @@ mod tests {
         let decaying = vec![0.5, 0.3, 0.2, 0.15, 0.13, 0.125, 0.124, 0.1235];
         let iv = eu_interval(&decaying, 10, 0.0);
         assert!(iv.optimistic > 0.05, "over-optimistic: {}", iv.optimistic);
+    }
+
+    #[test]
+    fn merge_takes_children_round_robin() {
+        let merged = merge_trajectories(&[vec![0.5, 0.4, 0.1], vec![], vec![0.45, 0.3]]);
+        assert_eq!(merged, vec![0.5, 0.45, 0.4, 0.3, 0.1]);
+        assert!(merge_trajectories(&[]).is_empty());
     }
 
     #[test]

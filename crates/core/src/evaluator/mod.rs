@@ -223,8 +223,6 @@ struct EvalState {
     /// dataset. Bounded in practice by the handful of distinct fidelities a
     /// search schedules.
     plans: HashMap<u64, Plan>,
-    evaluations: usize,
-    total_cost: f64,
     /// Cache hits since the last non-cached evaluation (replayed rows
     /// mirror their original kind). Small spaces saturate: once every
     /// distinct config is cached, an engine drawing against a
@@ -323,8 +321,6 @@ impl Evaluator {
                     cache: BoundedCache::new(DEFAULT_CACHE_CAPACITY),
                     fe_cache: BoundedCache::new(DEFAULT_FE_CACHE_CAPACITY),
                     plans: HashMap::new(),
-                    evaluations: 0,
-                    total_cost: 0.0,
                     consecutive_cached: 0,
                     binned: binned::stats::Tally::default(),
                     gathered: (0, 0),
@@ -349,9 +345,9 @@ impl Evaluator {
         self.shared.metric
     }
 
-    /// Total number of (non-cached) evaluations performed.
+    /// Total number of (non-cached) evaluations performed: the log's length.
     pub fn evaluations(&self) -> usize {
-        self.state().evaluations
+        self.state().log.len()
     }
 
     /// Cache hits since the last non-cached evaluation. A persistently
@@ -375,9 +371,10 @@ impl Evaluator {
         *self.shared.objective.lock().expect("objective poisoned")
     }
 
-    /// Total wall-clock seconds spent in non-cached evaluations.
+    /// Total wall-clock seconds spent in non-cached evaluations: the log's
+    /// costs summed in log order.
     pub fn total_cost(&self) -> f64 {
-        self.state().total_cost
+        self.state().log.iter().fold(0.0, |total, e| total + e.cost)
     }
 
     /// Snapshot of the chronological evaluation log — consumed by the
@@ -483,7 +480,7 @@ impl Evaluator {
     /// pooled runs of the same schedule dump identically.
     pub fn capture_state(&self, out: &mut Vec<String>) {
         let s = self.state();
-        out.push(format!("evaluator.evaluations={}", s.evaluations));
+        out.push(format!("evaluator.evaluations={}", s.log.len()));
         let mut rows: Vec<String> = s
             .log
             .iter()
@@ -770,8 +767,6 @@ impl Evaluator {
                 state.consecutive_cached += 1;
             } else if let Some(entry) = entry {
                 state.cache.insert(key, (entry.loss, entry.cost));
-                state.evaluations += 1;
-                state.total_cost += entry.cost;
                 state.consecutive_cached = 0;
                 state.log.push(entry);
             }

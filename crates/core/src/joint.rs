@@ -93,9 +93,6 @@ pub struct JointBlock {
     context: Assignment,
     /// Variables pinned at runtime via `set_fixed` (alternating siblings).
     fixed: Assignment,
-    best: Option<BestSolution>,
-    trajectory: Vec<f64>,
-    evaluations: usize,
 }
 
 impl JointBlock {
@@ -118,9 +115,6 @@ impl JointBlock {
             engine: engine.build(space, seed, options.cost_aware),
             context,
             fixed: Assignment::new(),
-            best: None,
-            trajectory: Vec::new(),
-            evaluations: 0,
         }
     }
 
@@ -135,15 +129,14 @@ impl JointBlock {
         merged
     }
 
-    /// Feeds one completed trial back into the engine and incumbent state.
-    /// Under an enabled tracer a Bo block reports each observation as a
-    /// `bo-observe` event at its path and arm, parented to its pull span.
+    /// Feeds one completed trial back into the engine. Under an enabled
+    /// tracer a Bo block reports each observation as a `bo-observe` event at
+    /// its path and arm, parented to its pull span.
     fn record_outcome(
         &mut self,
         tracer: &Tracer,
         config: Configuration,
         fidelity: f64,
-        assignment: Assignment,
         loss: f64,
         cost: f64,
     ) {
@@ -165,15 +158,6 @@ impl JointBlock {
                     ..EventFields::default()
                 },
             );
-        }
-        self.evaluations += 1;
-        if fidelity >= 1.0 - 1e-9 && loss.is_finite() {
-            let improved = self.best.as_ref().is_none_or(|b| loss < b.loss);
-            if improved {
-                self.best = Some(BestSolution { assignment, loss });
-            }
-            let cur = self.best.as_ref().map(|b| b.loss).unwrap_or(loss);
-            self.trajectory.push(cur);
         }
     }
 }
@@ -213,25 +197,28 @@ impl BuildingBlock for JointBlock {
         let outcomes = evaluator.evaluate_trials(pool, &trials, &origin);
         let mut batch_cost = 0.0;
         let mut batch_best = f64::INFINITY;
-        for (((config, fidelity, _), (assignment, ..)), outcome) in
-            picks.into_iter().zip(trials).zip(outcomes)
-        {
+        for ((config, fidelity, _), outcome) in picks.into_iter().zip(outcomes) {
             batch_cost += outcome.cost;
             batch_best = batch_best.min(outcome.loss);
-            self.record_outcome(&tracer, config, fidelity, assignment, outcome.loss, outcome.cost);
+            self.record_outcome(&tracer, config, fidelity, outcome.loss, outcome.cost);
         }
         pull.set_loss(batch_best);
         pull.set_cost(batch_cost);
         Ok(())
     }
 
+    /// The engine's incumbent, merged under this leaf's context and its
+    /// current pins.
     fn current_best(&self) -> Option<BestSolution> {
-        self.best.clone()
+        Some(BestSolution {
+            assignment: self.merged(&self.own_best()?),
+            loss: self.engine.history().best_loss()?,
+        })
     }
 
     fn own_best(&self) -> Option<Assignment> {
-        let best_cfg = self.engine.history().best()?.config.clone();
-        Some(self.engine.space().to_map(&best_cfg))
+        let best = self.engine.history().best()?;
+        Some(self.engine.space().to_map(&best.config))
     }
 
     /// Compiles `vars` against the grown `space` under this leaf's context,
@@ -246,22 +233,14 @@ impl BuildingBlock for JointBlock {
         for (k, v) in fixed {
             self.fixed.insert(k.clone(), *v);
         }
-        // The incumbent's recorded assignment must reflect the new context
-        // for downstream consumers; its loss stays (stale context losses are
-        // the alternating block's accepted approximation).
-        if let Some(best) = &mut self.best {
-            for (k, v) in fixed {
-                best.assignment.insert(k.clone(), *v);
-            }
-        }
     }
 
     fn trajectory(&self) -> Vec<f64> {
-        self.trajectory.clone()
+        self.engine.history().trajectory()
     }
 
     fn evaluations(&self) -> usize {
-        self.evaluations
+        self.engine.history().len()
     }
 
     fn describe(&self, indent: usize, out: &mut String) {
@@ -271,23 +250,24 @@ impl BuildingBlock for JointBlock {
             self.label,
             self.engine_kind.name(),
             self.engine.space().len(),
-            self.evaluations
+            self.evaluations()
         ));
     }
 
     fn capture_state(&self, path: &str, out: &mut Vec<String>) {
+        let history = self.engine.history();
         // `seeds_pending=0` stays so pinned `StudyState` digests hold: it
         // once counted a warm-start queue that no longer exists.
         out.push(format!(
             "{path} joint engine={} evaluations={} seeds_pending=0",
             self.engine_kind.name(),
-            self.evaluations,
+            history.len(),
         ));
-        if let Some(best) = &self.best {
-            out.push(format!("{path} joint best_loss={:016x}", best.loss.to_bits()));
+        if let Some(loss) = history.best_loss() {
+            out.push(format!("{path} joint best_loss={:016x}", loss.to_bits()));
         }
-        let traj = self
-            .trajectory
+        let traj = history
+            .trajectory()
             .iter()
             .map(|l| format!("{:016x}", l.to_bits()))
             .collect::<Vec<_>>()
@@ -299,7 +279,7 @@ impl BuildingBlock for JointBlock {
         // cached trials now resolve to their memoized true cost on both the
         // live and the replayed path (the journal row's cost-0 accounting
         // is an accounting convention, not what the optimizer observes).
-        for (i, obs) in self.engine.history().observations().iter().enumerate() {
+        for (i, obs) in history.observations().iter().enumerate() {
             out.push(format!(
                 "{path} joint history[{i}] fidelity={:016x} loss={:016x} cost={:016x} config={}",
                 obs.fidelity.to_bits(),

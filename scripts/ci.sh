@@ -19,9 +19,11 @@ cargo build --release --workspace --offline
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
-echo "== cargo test --release (volcanoml-bo golden digests) =="
-# The surrogate's bit-for-bit contract must hold under optimisation too; tier-1 runs these in debug only.
+echo "== cargo test --release (bitwise pins: bo goldens, trial_path, resume_replay) =="
+# The surrogate's bit-for-bit contract and the StudyState pins must hold under
+# optimisation too; tier-1 runs these in debug only.
 cargo test -q --release --offline -p volcanoml-bo --lib golden
+cargo test -q --release --offline -p volcanoml-integration --test trial_path --test resume_replay
 
 echo "== cargo test (benchmark/: its own workspace, path-deps on crates/) =="
 # The harness only touches the workspace through benchmark/src/layers.rs; a
@@ -102,21 +104,20 @@ kill -9 "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 # Both studies finish with unique trial ids; the cost-aware spec keeps the
 # cost fields that drive its resume, and its journal rows carry real costs.
-python3 - "$SERVE_DIR" <<'EOF'
-import json, sys
-d = sys.argv[1]
-for name in ("smoke", "costaware"):
-    result = json.load(open(f"{d}/{name}/result.json"))
-    assert result["status"] == "done", result
-    rows = [json.loads(line) for line in open(f"{d}/{name}/journal.jsonl")]
-    ids = [row["trial"] for row in rows]
-    assert len(ids) == len(set(ids)), f"{name}: duplicate trial ids after crash-resume"
-    print(f"crash-resume smoke ok: {name}, {len(ids)} trials, best loss {result['best_loss']:.4f}")
-spec = json.load(open(f"{d}/costaware/spec.json"))
-assert (spec.get("cost_aware"), spec.get("objective"), spec.get("latency_weight")) \
-    == (True, "loss_and_cost", 50.0), spec
-assert any(row["cost"] > 0 for row in rows), "no cost-aware journal row has a positive cost"
-EOF
+for name in smoke costaware; do
+    grep -q '"status":"done"' "$SERVE_DIR/$name/result.json" \
+        || { echo "$name: $(cat "$SERVE_DIR/$name/result.json")"; exit 1; }
+    JOURNAL="$SERVE_DIR/$name/journal.jsonl"
+    DUPES=$(grep -o '^{"schema":[0-9]*,"trial":[0-9]*,' "$JOURNAL" | sort | uniq -d)
+    [ -z "$DUPES" ] || { echo "$name: duplicate trial ids after crash-resume: $DUPES"; exit 1; }
+    echo "crash-resume smoke ok: $name, $(grep -c '"worker":' "$JOURNAL") trials"
+done
+for field in '"cost_aware":true' '"objective":"loss_and_cost"' '"latency_weight":50[,}]'; do
+    grep -qE "$field" "$SERVE_DIR/costaware/spec.json" \
+        || { echo "cost-aware spec lost $field: $(cat "$SERVE_DIR/costaware/spec.json")"; exit 1; }
+done
+grep -qE '"cost":(0\.[0-9]*[1-9]|[1-9])' "$SERVE_DIR/costaware/journal.jsonl" \
+    || { echo "no cost-aware journal row has a positive cost"; exit 1; }
 
 echo "== smoke: live observability (/metrics scrape + SSE stream mid-run) =="
 OBS_DIR="$SMOKE_DIR/obsserve"

@@ -3,6 +3,8 @@
 
 use std::path::PathBuf;
 
+use volcanoml_core::StudyState;
+
 /// A fresh, empty directory under the system temp dir, unique to this test
 /// process (`/` in `name` becomes `-`).
 pub fn tmp_dir(name: &str) -> PathBuf {
@@ -28,4 +30,18 @@ pub fn fnv1a(lines: &[String]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// `StudyState` lines without their wall-clock `cost=<16 hex digits>` field
+/// (evaluator log and joint history rows in a cost-blind search) — the only
+/// part of a cost-blind search's state that differs between two live runs.
+pub fn strip_costs(state: &StudyState) -> Vec<String> {
+    state
+        .lines
+        .iter()
+        .map(|l| match l.find(" cost=") {
+            Some(i) => format!("{}{}", &l[..i], &l[i + " cost=".len() + 16..]),
+            None => l.clone(),
+        })
+        .collect()
 }

@@ -4,18 +4,19 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use volcanoml_core::evaluator::{Evaluator, Fault, Trial, TrialOrigin};
 use volcanoml_core::plans::{p1_joint, p3_volcano};
 use volcanoml_core::{
-    assignment_digest, EngineKind, SpaceDef, SpaceTier, TrialTag, ValidationStrategy,
+    assignment_digest, EngineKind, PlanSpec, SpaceDef, SpaceTier, TrialTag, ValidationStrategy,
     VolcanoML, VolcanoMlOptions,
 };
 use volcanoml_data::synthetic::{make_classification, make_moons, ClassificationSpec};
-use volcanoml_data::{train_test_split, Metric, Task};
+use volcanoml_data::{train_test_split, Dataset, Metric, Task};
 use volcanoml_exec::{ExecPool, Journal, PoolConfig};
+use volcanoml_integration::strip_costs;
 use volcanoml_obs::MetricsRegistry;
 
 const CV3: ValidationStrategy = ValidationStrategy::CrossValidation { folds: 3 };
@@ -302,6 +303,78 @@ fn pooled_fit_breaks_loss_ties_by_submission_order() {
                 "{validation:?}: run {attempt} differs from run 0"
             );
         }
+    }
+}
+
+/// One serve tenant's fit: on the shared `pool`, capped per batch to its
+/// fair share of the pool's workers among the `active` studies, as
+/// `volcanoml serve` runs it. Returns the cost-stripped `StudyState`.
+fn tenant_fit(
+    plan: &PlanSpec,
+    seed: u64,
+    data: &Dataset,
+    pool: &Arc<ExecPool>,
+    active: &Arc<AtomicUsize>,
+) -> Vec<String> {
+    let workers = pool.workers();
+    let active = Arc::clone(active);
+    let options = VolcanoMlOptions {
+        plan: plan.clone(),
+        max_evaluations: 24,
+        seed,
+        n_workers: workers,
+        shared_pool: Some(Arc::clone(pool)),
+        batch_cap: Some(Arc::new(move || {
+            (workers / active.load(Ordering::SeqCst).max(1)).max(1)
+        })),
+        ..Default::default()
+    };
+    let fitted = VolcanoML::with_tier(data.task, SpaceTier::Small, options)
+        .fit(data)
+        .unwrap();
+    strip_costs(&fitted.study_state)
+}
+
+/// Two studies sharing one 1-worker pool, released together, each search
+/// exactly as when it has the pool to itself: their trial batches
+/// interleave on the worker, and nothing of one reaches the other's state.
+#[test]
+fn co_tenant_fits_on_a_shared_pool_match_their_solo_runs() {
+    let pool = Arc::new(ExecPool::with_workers(1));
+    let tenants = [
+        (p3_volcano(EngineKind::Bo), 3, dataset(21)),
+        (
+            p1_joint(EngineKind::MfesHb),
+            4,
+            make_moons(200, 0.25, 1, 22),
+        ),
+    ];
+    let solo: Vec<Vec<String>> = tenants
+        .iter()
+        .map(|(plan, seed, data)| {
+            tenant_fit(plan, *seed, data, &pool, &Arc::new(AtomicUsize::new(1)))
+        })
+        .collect();
+    let active = Arc::new(AtomicUsize::new(2));
+    let barrier = Barrier::new(2);
+    let together: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let runs: Vec<_> = tenants
+            .iter()
+            .map(|(plan, seed, data)| {
+                let (pool, active, barrier) = (&pool, &active, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    tenant_fit(plan, *seed, data, pool, active)
+                })
+            })
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for (i, (alone, shared)) in solo.iter().zip(&together).enumerate() {
+        assert_eq!(
+            alone, shared,
+            "tenant {i}: co-tenant state differs from its solo run"
+        );
     }
 }
 

@@ -10,13 +10,11 @@
 use std::path::Path;
 
 use volcanoml_core::plans::{p1_joint, p3_volcano};
-use volcanoml_core::{
-    EngineKind, SpaceGrowth, SpaceTier, StudyState, VolcanoML, VolcanoMlOptions,
-};
+use volcanoml_core::{EngineKind, SpaceGrowth, SpaceTier, VolcanoML, VolcanoMlOptions};
 use volcanoml_data::synthetic::make_moons;
 use volcanoml_data::Task;
 use volcanoml_exec::{ExpansionRecord, JournalRow, TrialRecord};
-use volcanoml_integration::tmp_dir;
+use volcanoml_integration::{strip_costs, tmp_dir};
 
 fn options(
     engine: EngineKind,
@@ -85,39 +83,6 @@ fn assert_unique_trial_ids(records: &[TrialRecord]) {
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), n, "duplicate trial ids in journal");
-}
-
-/// Evaluator log lines and joint history lines carry wall-clock cost bits;
-/// fresh trials in a resumed run legitimately measure different costs than
-/// the original run, so the partial-journal comparison drops that one field
-/// from both line kinds. Everything else must match bitwise. (The
-/// *full*-replay tests compare unstripped — a complete journal hands every
-/// cost back bitwise.)
-fn strip_costs(state: &StudyState) -> Vec<String> {
-    state
-        .lines
-        .iter()
-        .map(|l| {
-            if l.starts_with("evaluator.log ") {
-                // cost= is the final field: drop the tail.
-                match l.find(" cost=") {
-                    Some(i) => l[..i].to_string(),
-                    None => l.clone(),
-                }
-            } else if l.contains(" joint history[") {
-                // cost=<16 hex digits> sits mid-line before config=.
-                match l.find(" cost=") {
-                    Some(i) => {
-                        let rest = &l[i + " cost=".len() + 16..];
-                        format!("{}{rest}", &l[..i])
-                    }
-                    None => l.clone(),
-                }
-            } else {
-                l.clone()
-            }
-        })
-        .collect()
 }
 
 /// Replaying a COMPLETE journal must be a bitwise no-op: identical

@@ -3,7 +3,7 @@
 //! interrupted study (simulated in-process by truncating its journal).
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use volcanoml_exec::TrialRecord;
@@ -263,6 +263,72 @@ fn cancellation_and_error_routes_behave() {
     wait_for_status(addr, "longrun", "cancelled", Duration::from_secs(60));
     assert!(dir.join("longrun/result.json").exists());
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The malformed-request corpus against a live server: each connection ends
+/// in a 4xx or a closed socket (a reset counts), and the accept loop still
+/// answers `/healthz` afterwards. Garbage pipelined after a valid request
+/// gets that request's 200 or a reset (the server closes with it unread).
+#[test]
+fn malformed_requests_get_4xx_and_the_server_keeps_serving() {
+    let dir = tmp_dir("malformed");
+    let server = Server::start(ServeConfig {
+        dir: dir.clone(),
+        workers: 1,
+        port: 0,
+        resume: false,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut long_line = b"GET /healthz HTTP/1.1\r\nX-Big: ".to_vec();
+    long_line.resize(long_line.len() + (1 << 20), b'a');
+    let flood = [
+        &b"GET /healthz HTTP/1.1\r\n"[..],
+        &b"X-A: b\r\n".repeat(20_000),
+        b"\r\n",
+    ]
+    .concat();
+    let post = |length: &str, body: &[u8]| {
+        [
+            format!("POST /studies HTTP/1.1\r\nContent-Length: {length}\r\n\r\n").as_bytes(),
+            body,
+        ]
+        .concat()
+    };
+    let corpus: Vec<(&str, Vec<u8>)> = vec![
+        (
+            "pipelined garbage",
+            b"GET /healthz HTTP/1.1\r\n\r\nGARBAGE\x00\xff\r\n\r\n".to_vec(),
+        ),
+        ("oversized header line", long_line),
+        ("header flood", flood),
+        ("negative content-length", post("-1", b"{}")),
+        ("non-numeric content-length", post("two", b"{}")),
+        (
+            "oversized content-length",
+            post("99999999999999999999", b"{}"),
+        ),
+        ("non-UTF-8 body", post("2", b"\xff\xfe")),
+        (
+            "truncated head",
+            b"GET /healthz HTTP/1.1\r\nHost: x".to_vec(),
+        ),
+    ];
+    for (name, bytes) in corpus {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let _ = stream.write_all(&bytes);
+        let _ = stream.shutdown(Shutdown::Write);
+        let mut response = Vec::new();
+        let _ = stream.read_to_end(&mut response);
+        let head = String::from_utf8_lossy(&response);
+        let code: Option<u16> = head.split_whitespace().nth(1).and_then(|c| c.parse().ok());
+        let allowed = |c: u16| (400..500).contains(&c) || (name == "pipelined garbage" && c == 200);
+        assert!(code.is_none_or(allowed), "{name}: answered {head:?}");
+    }
+    let (code, body) = request(server.addr(), "GET", "/healthz", "");
+    assert_eq!(code, 200, "{body}");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

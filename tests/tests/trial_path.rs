@@ -20,21 +20,7 @@ use volcanoml_core::{
 };
 use volcanoml_data::synthetic::make_moons;
 use volcanoml_data::{Metric, Task};
-use volcanoml_integration::fnv1a;
-
-/// `StudyState` lines without their wall-clock `cost=<16 hex digits>` field
-/// (evaluator log and joint history rows) — the only part of a cost-blind
-/// search's state that differs between two live runs.
-fn strip_costs(state: &StudyState) -> Vec<String> {
-    state
-        .lines
-        .iter()
-        .map(|l| match l.find(" cost=") {
-            Some(i) => format!("{}{}", &l[..i], &l[i + " cost=".len() + 16..]),
-            None => l.clone(),
-        })
-        .collect()
-}
+use volcanoml_integration::{fnv1a, strip_costs};
 
 fn fit(
     plan: PlanSpec,
