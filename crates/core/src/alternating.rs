@@ -5,8 +5,7 @@
 //! expected utility improvement. Before each play, the *other* child's best
 //! assignment is pinned into the played child (`set_var`).
 
-use crate::block::{Assignment, BestSolution, BlockOptions, BuildingBlock};
-use crate::eu::merge_trajectories;
+use crate::block::{Assignment, BlockOptions, BuildingBlock, NodeState};
 use crate::evaluator::Evaluator;
 use crate::plan::VarFilter;
 use crate::spaces::SpaceDef;
@@ -155,38 +154,6 @@ impl BuildingBlock for AlternatingBlock {
         Ok(())
     }
 
-    fn current_best(&self) -> Option<BestSolution> {
-        match (
-            self.left.block.current_best(),
-            self.right.block.current_best(),
-        ) {
-            (Some(l), Some(r)) => Some(if l.loss <= r.loss { l } else { r }),
-            (Some(l), None) => Some(l),
-            (None, Some(r)) => Some(r),
-            (None, None) => None,
-        }
-    }
-
-    fn own_best(&self) -> Option<Assignment> {
-        // This block owns both sides' variables: merge the winning side's
-        // own assignment with the other side's contribution.
-        let l = self.left.block.own_best();
-        let r = self.right.block.own_best();
-        match (l, r) {
-            (None, None) => None,
-            (l, r) => {
-                let mut merged = Assignment::new();
-                if let Some(r) = r {
-                    merged.extend(r);
-                }
-                if let Some(l) = l {
-                    merged.extend(l);
-                }
-                Some(merged)
-            }
-        }
-    }
-
     fn set_fixed(&mut self, fixed: &Assignment) {
         self.left.block.set_fixed(fixed);
         self.right.block.set_fixed(fixed);
@@ -204,42 +171,13 @@ impl BuildingBlock for AlternatingBlock {
         Ok(())
     }
 
-    /// Both sides must plateau before the space grows.
-    fn plateau_eui(&self) -> f64 {
-        self.left
-            .block
-            .plateau_eui()
-            .max(self.right.block.plateau_eui())
-    }
-
-    fn trajectory(&self) -> Vec<f64> {
-        merge_trajectories(&[self.left.block.trajectory(), self.right.block.trajectory()])
-    }
-
-    fn evaluations(&self) -> usize {
-        self.left.block.evaluations() + self.right.block.evaluations()
-    }
-
-    fn describe(&self, indent: usize, out: &mut String) {
-        out.push_str(&" ".repeat(indent));
-        out.push_str(&format!(
-            "Alternating[{}] plays(l/r)={}/{}\n",
-            self.label,
-            self.left.block.evaluations(),
-            self.right.block.evaluations()
-        ));
-        self.left.block.describe(indent + 2, out);
-        self.right.block.describe(indent + 2, out);
-    }
-
-    fn capture_state(&self, path: &str, out: &mut Vec<String>) {
-        out.push(format!(
-            "{path} alternating plays={} evaluations={}",
-            self.plays,
-            self.evaluations()
-        ));
-        self.left.block.capture_state(&format!("{path}/left"), out);
-        self.right.block.capture_state(&format!("{path}/right"), out);
+    fn state(&self) -> NodeState<'_> {
+        NodeState::Alternating {
+            label: &self.label,
+            plays: self.plays,
+            left: self.left.block.as_ref(),
+            right: self.right.block.as_ref(),
+        }
     }
 }
 

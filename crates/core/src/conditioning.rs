@@ -9,8 +9,7 @@
 //! completed round once each active arm has had `L` plays. The sequence of
 //! arm plays and eliminations is identical to Algorithm 1's.
 
-use crate::block::{Assignment, BestSolution, BlockOptions, BuildingBlock, LossInterval};
-use crate::eu::{eu_interval, merge_trajectories};
+use crate::block::{Assignment, BlockOptions, BuildingBlock, LossInterval, NodeState};
 use crate::evaluator::Evaluator;
 use crate::plan::arm_vars;
 use crate::spaces::SpaceDef;
@@ -21,18 +20,20 @@ use volcanoml_obs::{span, EventFields, Tracer};
 /// paper sets L = 5 under budgets of hundreds to thousands of evaluations;
 /// the scaled-down experiments here run ~30-100, so each arm gets 3.
 const WARMUP_PLAYS: usize = 3;
-/// Look-ahead horizon for EU intervals (the paper's `K`).
-const EU_HORIZON: usize = 20;
+/// Look-ahead horizon for EU intervals (the paper's `K`); `StudyState`
+/// pins each arm's interval at this horizon.
+pub(crate) const EU_HORIZON: usize = 20;
 
-/// One arm of the bandit. Its plays are its child's `evaluations()`: a pull
-/// of `k > 0` raises any block's count by exactly `k`.
-struct Arm {
+/// One arm of the bandit, as [`NodeState::Conditioning`] lends it out. Its
+/// plays are its child's `evaluations()`: a pull of `k > 0` raises any
+/// block's count by exactly `k`.
+pub struct Arm {
     /// Value of the conditioned variable this arm pins.
-    value: usize,
+    pub(crate) value: usize,
     /// Child block solving the conditioned subspace.
-    block: Box<dyn BuildingBlock>,
+    pub(crate) block: Box<dyn BuildingBlock>,
     /// Eliminated arms are never played again.
-    active: bool,
+    pub(crate) active: bool,
 }
 
 /// Conditioning block: one child per value of a categorical variable.
@@ -185,55 +186,6 @@ impl BuildingBlock for ConditioningBlock {
         Ok(())
     }
 
-    fn current_best(&self) -> Option<BestSolution> {
-        self.arms
-            .iter()
-            .filter_map(|a| {
-                a.block.current_best().map(|mut b| {
-                    b.assignment
-                        .entry(self.var.clone())
-                        .or_insert(a.value as f64);
-                    b
-                })
-            })
-            .min_by(|a, b| a.loss.partial_cmp(&b.loss).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
-    fn own_best(&self) -> Option<Assignment> {
-        // Best arm's own variables plus the conditioned variable itself.
-        let (arm, _) = self
-            .arms
-            .iter()
-            .filter_map(|a| a.block.current_best().map(|b| (a, b.loss)))
-            .min_by(|x, y| x.1.partial_cmp(&y.1).unwrap_or(std::cmp::Ordering::Equal))?;
-        let mut own = arm.block.own_best().unwrap_or_default();
-        own.insert(self.var.clone(), arm.value as f64);
-        Some(own)
-    }
-
-    fn expected_utility(&self, k: usize) -> LossInterval {
-        // The block's potential is its best arm's potential.
-        let mut best = LossInterval::unknown();
-        let mut any = false;
-        for a in self.arms.iter().filter(|a| a.active) {
-            let iv = a.block.expected_utility(k);
-            if !any || iv.optimistic < best.optimistic {
-                best = LossInterval {
-                    optimistic: iv.optimistic,
-                    pessimistic: best.pessimistic.min(iv.pessimistic),
-                };
-                any = true;
-            } else {
-                best.pessimistic = best.pessimistic.min(iv.pessimistic);
-            }
-        }
-        if any {
-            best
-        } else {
-            eu_interval(&self.trajectory(), k, 0.0)
-        }
-    }
-
     fn set_fixed(&mut self, fixed: &Assignment) {
         for arm in &mut self.arms {
             arm.block.set_fixed(fixed);
@@ -250,65 +202,12 @@ impl BuildingBlock for ConditioningBlock {
         Ok(())
     }
 
-    /// Space growth must wait for *every* surviving arm to plateau: a single
-    /// still-improving (or not-yet-warmed-up, EUI = ∞) arm keeps the space
-    /// fixed, so the maximum over active arms is the plateau signal.
-    fn plateau_eui(&self) -> f64 {
-        self.arms
-            .iter()
-            .filter(|a| a.active)
-            .map(|a| a.block.plateau_eui())
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    fn trajectory(&self) -> Vec<f64> {
-        let arms: Vec<Vec<f64>> = self.arms.iter().map(|a| a.block.trajectory()).collect();
-        merge_trajectories(&arms)
-    }
-
-    fn evaluations(&self) -> usize {
-        self.arms.iter().map(|a| a.block.evaluations()).sum()
-    }
-
-    fn describe(&self, indent: usize, out: &mut String) {
-        out.push_str(&" ".repeat(indent));
-        out.push_str(&format!(
-            "Conditioning[{}] on={} arms={} active={}\n",
-            self.label,
-            self.var,
-            self.arms.len(),
-            self.active_arms()
-        ));
-        for a in &self.arms {
-            out.push_str(&" ".repeat(indent + 2));
-            out.push_str(&format!(
-                "value={} active={} plays={}\n",
-                a.value,
-                a.active,
-                a.block.evaluations()
-            ));
-            a.block.describe(indent + 4, out);
-        }
-    }
-
-    fn capture_state(&self, path: &str, out: &mut Vec<String>) {
-        out.push(format!(
-            "{path} conditioning var={} cursor={} evaluations={}",
-            self.var,
-            self.cursor,
-            self.evaluations()
-        ));
-        for a in &self.arms {
-            let child = format!("{path}/{}={}", self.var, a.value);
-            let iv = a.block.expected_utility(EU_HORIZON);
-            out.push(format!(
-                "{child} arm active={} plays={} eu=[{:016x},{:016x}]",
-                a.active,
-                a.block.evaluations(),
-                iv.optimistic.to_bits(),
-                iv.pessimistic.to_bits()
-            ));
-            a.block.capture_state(&child, out);
+    fn state(&self) -> NodeState<'_> {
+        NodeState::Conditioning {
+            label: &self.label,
+            var: &self.var,
+            cursor: self.cursor,
+            arms: &self.arms,
         }
     }
 }
@@ -449,11 +348,10 @@ mod tests {
     }
 
     #[test]
-    fn describe_renders_arm_tree() {
+    fn explain_renders_arm_tree() {
         let (_, space) = setup();
         let block = algorithm_conditioning(&space, &BlockOptions::default());
-        let mut s = String::new();
-        block.describe(0, &mut s);
+        let s = crate::block::explain(&block);
         assert!(s.contains("Conditioning[by-algorithm]"));
         assert!(s.contains("Joint["));
     }

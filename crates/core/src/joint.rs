@@ -2,7 +2,7 @@
 //! SMAC-style BO by default, random search or MFES-HB/Hyperband/Successive
 //! Halving as alternatives.
 
-use crate::block::{Assignment, BestSolution, BlockOptions, BuildingBlock};
+use crate::block::{Assignment, BlockOptions, BuildingBlock, NodeState};
 use crate::evaluator::{Evaluator, Trial, TrialOrigin};
 use crate::spaces::SpaceDef;
 use crate::Result;
@@ -79,6 +79,19 @@ impl JointEngine {
     }
 }
 
+/// A leaf's own assignment over its `context` and `fixed` pins (own values
+/// win, then pins): what it evaluates and what its incumbent reports.
+pub(crate) fn merged(context: &Assignment, fixed: &Assignment, own: &Assignment) -> Assignment {
+    let mut merged = context.clone();
+    for (k, v) in fixed {
+        merged.insert(k.clone(), *v);
+    }
+    for (k, v) in own {
+        merged.insert(k.clone(), *v);
+    }
+    merged
+}
+
 /// A leaf block running one optimizer over its own `ConfigSpace`.
 pub struct JointBlock {
     /// The block's plan path, journaled and traced with its trials.
@@ -116,17 +129,6 @@ impl JointBlock {
             context,
             fixed: Assignment::new(),
         }
-    }
-
-    fn merged(&self, own: &Assignment) -> Assignment {
-        let mut merged = self.context.clone();
-        for (k, v) in &self.fixed {
-            merged.insert(k.clone(), *v);
-        }
-        for (k, v) in own {
-            merged.insert(k.clone(), *v);
-        }
-        merged
     }
 
     /// Feeds one completed trial back into the engine. Under an enabled
@@ -186,7 +188,7 @@ impl BuildingBlock for JointBlock {
             .iter()
             .map(|(cfg, fidelity, tag)| {
                 let own = self.engine.space().to_map(cfg);
-                (self.merged(&own), *fidelity, *tag)
+                (merged(&self.context, &self.fixed, &own), *fidelity, *tag)
             })
             .collect();
         let origin = TrialOrigin {
@@ -207,20 +209,6 @@ impl BuildingBlock for JointBlock {
         Ok(())
     }
 
-    /// The engine's incumbent, merged under this leaf's context and its
-    /// current pins.
-    fn current_best(&self) -> Option<BestSolution> {
-        Some(BestSolution {
-            assignment: self.merged(&self.own_best()?),
-            loss: self.engine.history().best_loss()?,
-        })
-    }
-
-    fn own_best(&self) -> Option<Assignment> {
-        let best = self.engine.history().best()?;
-        Some(self.engine.space().to_map(&best.config))
-    }
-
     /// Compiles `vars` against the grown `space` under this leaf's context,
     /// as the plan compiler does, and extends the live engine in place.
     fn grow(&mut self, space: &SpaceDef, vars: &[String]) -> Result<()> {
@@ -235,61 +223,14 @@ impl BuildingBlock for JointBlock {
         }
     }
 
-    fn trajectory(&self) -> Vec<f64> {
-        self.engine.history().trajectory()
-    }
-
-    fn evaluations(&self) -> usize {
-        self.engine.history().len()
-    }
-
-    fn describe(&self, indent: usize, out: &mut String) {
-        out.push_str(&" ".repeat(indent));
-        out.push_str(&format!(
-            "Joint[{}] engine={} vars={} evals={}\n",
-            self.label,
-            self.engine_kind.name(),
-            self.engine.space().len(),
-            self.evaluations()
-        ));
-    }
-
-    fn capture_state(&self, path: &str, out: &mut Vec<String>) {
-        let history = self.engine.history();
-        // `seeds_pending=0` stays so pinned `StudyState` digests hold: it
-        // once counted a warm-start queue that no longer exists.
-        out.push(format!(
-            "{path} joint engine={} evaluations={} seeds_pending=0",
-            self.engine_kind.name(),
-            history.len(),
-        ));
-        if let Some(loss) = history.best_loss() {
-            out.push(format!("{path} joint best_loss={:016x}", loss.to_bits()));
+    fn state(&self) -> NodeState<'_> {
+        NodeState::Joint {
+            label: &self.label,
+            kind: self.engine_kind,
+            engine: self.engine.as_ref(),
+            context: &self.context,
+            fixed: &self.fixed,
         }
-        let traj = history
-            .trajectory()
-            .iter()
-            .map(|l| format!("{:016x}", l.to_bits()))
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push(format!("{path} joint trajectory={traj}"));
-        // History rows drive every future suggestion — including, in
-        // cost-aware mode, the cost surrogate and promotion ranking — so
-        // cost is pinned bitwise alongside loss. This is safe for replay:
-        // cached trials now resolve to their memoized true cost on both the
-        // live and the replayed path (the journal row's cost-0 accounting
-        // is an accounting convention, not what the optimizer observes).
-        for (i, obs) in history.observations().iter().enumerate() {
-            out.push(format!(
-                "{path} joint history[{i}] fidelity={:016x} loss={:016x} cost={:016x} config={}",
-                obs.fidelity.to_bits(),
-                obs.loss.to_bits(),
-                obs.cost.to_bits(),
-                obs.config.bits()
-            ));
-        }
-        self.engine
-            .capture_scheduler_state(&format!("{path} engine"), out);
     }
 }
 

@@ -19,7 +19,8 @@
 //! property tests assert `capture` of a fully-replayed run equals `capture`
 //! of the uninterrupted run, line for line.
 
-use crate::block::BuildingBlock;
+use crate::block::{BuildingBlock, NodeState};
+use crate::conditioning::EU_HORIZON;
 use crate::evaluator::Evaluator;
 
 /// A canonical snapshot of a search's scheduling-relevant state.
@@ -35,7 +36,7 @@ impl StudyState {
     pub fn capture(root: &dyn BuildingBlock, evaluator: &Evaluator) -> StudyState {
         let mut lines = Vec::new();
         evaluator.capture_state(&mut lines);
-        root.capture_state("plan", &mut lines);
+        capture_node(root, "plan", &mut lines);
         StudyState { lines }
     }
 
@@ -60,6 +61,75 @@ impl StudyState {
             }
         }
         None
+    }
+}
+
+/// Appends `block`'s lines, then its children's, each prefixed with its
+/// position in the plan tree (`plan`, `plan/algorithm=1`, `.../left`).
+fn capture_node(block: &dyn BuildingBlock, path: &str, out: &mut Vec<String>) {
+    match block.state() {
+        NodeState::Joint { kind, engine, .. } => {
+            let history = engine.history();
+            // `seeds_pending=0` stays so pinned `StudyState` digests hold: it
+            // once counted a warm-start queue that no longer exists.
+            out.push(format!(
+                "{path} joint engine={} evaluations={} seeds_pending=0",
+                kind.name(),
+                history.len(),
+            ));
+            if let Some(loss) = history.best_loss() {
+                out.push(format!("{path} joint best_loss={:016x}", loss.to_bits()));
+            }
+            let traj = history
+                .trajectory()
+                .iter()
+                .map(|l| format!("{:016x}", l.to_bits()))
+                .collect::<Vec<_>>()
+                .join(",");
+            out.push(format!("{path} joint trajectory={traj}"));
+            // History rows drive every future suggestion — including, in
+            // cost-aware mode, the cost surrogate and promotion ranking — so
+            // cost is pinned bitwise alongside loss. This is safe for replay:
+            // cached trials now resolve to their memoized true cost on both the
+            // live and the replayed path (the journal row's cost-0 accounting
+            // is an accounting convention, not what the optimizer observes).
+            for (i, obs) in history.observations().iter().enumerate() {
+                out.push(format!(
+                    "{path} joint history[{i}] fidelity={:016x} loss={:016x} cost={:016x} config={}",
+                    obs.fidelity.to_bits(),
+                    obs.loss.to_bits(),
+                    obs.cost.to_bits(),
+                    obs.config.bits()
+                ));
+            }
+            engine.capture_scheduler_state(&format!("{path} engine"), out);
+        }
+        NodeState::Conditioning { var, cursor, arms, .. } => {
+            out.push(format!(
+                "{path} conditioning var={var} cursor={cursor} evaluations={}",
+                block.evaluations()
+            ));
+            for a in arms {
+                let child = format!("{path}/{var}={}", a.value);
+                let iv = a.block.expected_utility(EU_HORIZON);
+                out.push(format!(
+                    "{child} arm active={} plays={} eu=[{:016x},{:016x}]",
+                    a.active,
+                    a.block.evaluations(),
+                    iv.optimistic.to_bits(),
+                    iv.pessimistic.to_bits()
+                ));
+                capture_node(a.block.as_ref(), &child, out);
+            }
+        }
+        NodeState::Alternating { plays, left, right, .. } => {
+            out.push(format!(
+                "{path} alternating plays={plays} evaluations={}",
+                block.evaluations()
+            ));
+            capture_node(left, &format!("{path}/left"), out);
+            capture_node(right, &format!("{path}/right"), out);
+        }
     }
 }
 

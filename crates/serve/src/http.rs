@@ -5,7 +5,7 @@
 //! routes, not a web framework's worth of generality.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Largest request body the server accepts (study specs are < 1 KiB).
@@ -21,6 +21,11 @@ const MAX_HEAD: usize = 16 << 10;
 /// connection, so without it a client that connects and stalls, trickles
 /// bytes, or under-delivers its Content-Length would pin a thread forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long, and for how many bytes, [`linger_close`] keeps reading what a
+/// client sent past its one request before the socket drops.
+const LINGER: Duration = Duration::from_secs(1);
+const LINGER_BYTES: u64 = 1 << 20;
 
 /// One parsed request.
 #[derive(Debug)]
@@ -213,6 +218,21 @@ pub fn write_stream_head(stream: &mut TcpStream, content_type: &str) -> bool {
     stream.write_all(head.as_bytes()).is_ok() && stream.flush().is_ok()
 }
 
+/// Ends a connection after its response. Dropping a socket with unread
+/// bytes (anything a client pipelined past its one request) makes the
+/// kernel answer with a reset, which can destroy the response before the
+/// client has read it. So: send FIN (`shutdown(Write)`), read and discard
+/// until EOF, `LINGER_BYTES` or `LINGER`, whichever comes first, and
+/// only then let the caller drop the socket.
+pub fn linger_close(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let drain = DeadlineReader {
+        stream,
+        deadline: Instant::now() + LINGER,
+    };
+    let _ = std::io::copy(&mut drain.take(LINGER_BYTES), &mut std::io::sink());
+}
+
 /// JSON error body shared by every failure path.
 pub fn error_body(message: &str) -> String {
     format!("{{\"error\":\"{}\"}}", volcanoml_obs::json::escape(message))
@@ -221,13 +241,13 @@ pub fn error_body(message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{Shutdown, TcpListener};
+    use std::net::TcpListener;
 
     /// Connects a client running `client` and reads one request from the
     /// server side with `timeout`, answering as the server does (200 when it
-    /// parses). The client then holds its end open until the server closes
-    /// it; a write or read the server's close cuts short is a closed socket,
-    /// which the corpus accepts.
+    /// parses) and closing as it does. The client then holds its end open
+    /// until the server closes it; a write or read the server's close cuts
+    /// short is a closed socket, which the corpus accepts.
     fn serve_one(
         timeout: Duration,
         client: impl FnOnce(&mut TcpStream) + Send + 'static,
@@ -243,6 +263,7 @@ mod tests {
         let result = read_request_with_timeout(&mut stream, timeout);
         let code = result.as_ref().map_or_else(|e| e.code, |_| 200);
         write_response(&mut stream, code, "application/json", "{}");
+        linger_close(&stream);
         drop(stream);
         client.join().unwrap();
         result
@@ -378,5 +399,25 @@ mod tests {
             ("POST", "/studies")
         );
         assert_eq!(req.body, "{}");
+    }
+
+    /// A request with 64 KiB pipelined behind it, read back only after a
+    /// pause: the server has closed by then, and the client must still get
+    /// its whole response and a clean EOF, not a connection reset.
+    #[test]
+    fn pipelined_bytes_do_not_reset_the_response() {
+        let mut bytes = b"GET /healthz HTTP/1.1\r\n\r\n".to_vec();
+        bytes.extend(std::iter::repeat_n(b'#', 64 << 10));
+        let req = serve_one(READ_TIMEOUT, move |s| {
+            s.write_all(&bytes).unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            let mut response = Vec::new();
+            s.read_to_end(&mut response).expect("response read to a clean EOF");
+            let response = String::from_utf8(response).unwrap();
+            assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+            assert!(response.ends_with("\r\n\r\n{}"), "{response}");
+        })
+        .unwrap();
+        assert_eq!(req.path, "/healthz");
     }
 }

@@ -38,7 +38,9 @@ use volcanoml_obs::json::{escape, num};
 use volcanoml_obs::metrics::MetricsRegistry;
 use volcanoml_obs::prometheus::{labeled, PrometheusText};
 
-use crate::http::{error_body, read_request, write_response, write_stream_head, Request};
+use crate::http::{
+    error_body, linger_close, read_request, write_response, write_stream_head, Request,
+};
 use crate::spec::StudySpec;
 use crate::study::{spawn_driver, Study, StudyStatus};
 
@@ -137,7 +139,10 @@ impl Server {
                 }
                 if let Ok(mut stream) = stream {
                     let conn_inner = Arc::clone(&accept_inner);
-                    std::thread::spawn(move || conn_inner.handle_connection(&mut stream));
+                    std::thread::spawn(move || {
+                        conn_inner.handle_connection(&mut stream);
+                        linger_close(&stream);
+                    });
                 }
             }
         });

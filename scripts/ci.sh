@@ -167,26 +167,17 @@ done
 [ "$TRIAL_SEEN" -eq 1 ] || { echo "stream yielded no TrialFinished before completion"; exit 1; }
 # Mid-run scrape: must be valid Prometheus exposition with live trial counters.
 curl -fsS "http://$ADDR/metrics" > "$SMOKE_DIR/obs_scrape.txt"
-python3 - "$SMOKE_DIR/obs_scrape.txt" <<'EOF'
-import re, sys
-line_re = re.compile(r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? (-?\d+(\.\d+)?([eE][+-]?\d+)?|[+-]Inf|NaN)$')
-trials = 0.0
-names = set()
-for line in open(sys.argv[1]):
-    line = line.rstrip("\n")
-    if not line or line.startswith("#"):
-        continue
-    assert line_re.match(line), f"invalid exposition line: {line!r}"
-    name = line.split("{")[0].split(" ")[0]
-    names.add(name)
-    if line.startswith('volcanoml_trial_total{study="obs"}'):
-        trials = float(line.rsplit(" ", 1)[1])
-assert trials > 0, "mid-run scrape shows no finished trials for study obs"
-for want in ("volcanoml_serve_pool_workers", "volcanoml_serve_uptime_seconds",
-             "volcanoml_http_requests_total"):
-    assert want in names, f"scrape missing {want}"
-print(f"observability scrape ok: {trials:.0f} trials mid-run, {len(names)} series families")
-EOF
+SCRAPE="$SMOKE_DIR/obs_scrape.txt"
+BAD=$(grep -vE '^(#|$)' "$SCRAPE" \
+    | grep -vE '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? (-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?|[+-]Inf|NaN)$' || true)
+[ -z "$BAD" ] || { echo "invalid exposition line: $BAD"; exit 1; }
+TRIALS=$(awk 'index($0, "volcanoml_trial_total{study=\"obs\"} ") == 1 { n = $NF } END { print n + 0 }' "$SCRAPE")
+awk -v n="$TRIALS" 'BEGIN { exit !(n > 0) }' \
+    || { echo "mid-run scrape shows no finished trials for study obs"; exit 1; }
+for want in volcanoml_serve_pool_workers volcanoml_serve_uptime_seconds volcanoml_http_requests_total; do
+    grep -qE "^$want(\{| )" "$SCRAPE" || { echo "scrape missing $want"; exit 1; }
+done
+echo "observability scrape ok: $TRIALS trials mid-run"
 for _ in $(seq 1 1200); do
     [ -f "$OBS_DIR/obs/result.json" ] && break
     sleep 0.1

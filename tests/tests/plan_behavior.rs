@@ -54,8 +54,7 @@ fn conditioning_block_eventually_focuses_budget() {
     for _ in 0..45 {
         root.pull(&evaluator, None, 1).unwrap();
     }
-    let mut description = String::new();
-    root.describe(0, &mut description);
+    let description = volcanoml_core::block::explain(root.as_ref());
     // kNN (index 2) dominates circles; logistic cannot exceed chance.
     // At minimum the search must have found a strong pipeline.
     let best = root.current_best().unwrap();

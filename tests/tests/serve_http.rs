@@ -332,3 +332,32 @@ fn malformed_requests_get_4xx_and_the_server_keeps_serving() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The server closes a connection without resetting it: a request with
+/// 64 KiB pipelined behind it, read back only after a pause, still gets its
+/// whole response and a clean EOF.
+#[test]
+fn pipelined_bytes_do_not_reset_a_served_response() {
+    let dir = tmp_dir("linger");
+    let server = Server::start(ServeConfig {
+        dir: dir.clone(),
+        workers: 1,
+        port: 0,
+        resume: false,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut bytes = b"GET /healthz HTTP/1.1\r\n\r\n".to_vec();
+    bytes.extend(std::iter::repeat_n(b'#', 64 << 10));
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.write_all(&bytes).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let mut response = Vec::new();
+    stream
+        .read_to_end(&mut response)
+        .expect("response read to a clean EOF");
+    let response = String::from_utf8(response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
