@@ -566,6 +566,7 @@ impl VolcanoML {
                 ("binned.hist_bytes_scanned", counters.binned.hist_bytes_scanned),
                 ("binned.arena_reuses", counters.binned.arena_reuses),
                 ("binned.feature_parallel_merges", counters.binned.feature_parallel_merges),
+                ("binned.slab_cells_swept", counters.binned.slab_cells_swept),
                 ("data.bytes_gathered", counters.bytes_gathered),
                 ("data.gathers_skipped", counters.gathers_skipped),
             ] {

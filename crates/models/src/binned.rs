@@ -64,6 +64,10 @@ pub mod stats {
         /// Per-node histogram fills that split features across workers and
         /// merged the partial arenas deterministically.
         pub feature_parallel_merges: u64,
+        /// Histogram-slab cells (one `f64` each) visited by the passes that
+        /// sweep a slab rather than fill it: sibling subtraction, split
+        /// scans and slab zeroing on retirement.
+        pub slab_cells_swept: u64,
     }
 
     impl Tally {
@@ -75,6 +79,7 @@ pub mod stats {
             self.hist_bytes_scanned += other.hist_bytes_scanned;
             self.arena_reuses += other.arena_reuses;
             self.feature_parallel_merges += other.feature_parallel_merges;
+            self.slab_cells_swept += other.slab_cells_swept;
         }
     }
 

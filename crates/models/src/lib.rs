@@ -18,6 +18,8 @@ pub mod binned;
 pub mod boosting;
 pub mod discriminant;
 pub mod forest;
+#[cfg(test)]
+mod hist_goldens;
 pub mod linear;
 pub mod mlp;
 pub mod naive_bayes;
@@ -188,6 +190,19 @@ pub(crate) mod test_util {
             }
         }
         h
+    }
+
+    /// Rounds the first `k` columns onto four levels `{0, 1, 2, 3}`: every
+    /// such column has four bins, each shared by many rows, so splits on the
+    /// other columns leave rows of both children in one bin.
+    pub fn discretize(mut d: Dataset, k: usize) -> Dataset {
+        for i in 0..d.x.rows() {
+            for j in 0..k.min(d.x.cols()) {
+                let v = (d.x.get(i, j).floor() + 2.0).clamp(0.0, 3.0);
+                d.x.set(i, j, v);
+            }
+        }
+        d
     }
 
     /// Train/test split helper.

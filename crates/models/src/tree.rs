@@ -1230,6 +1230,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
         let mut slab = self.local_pool.pop().unwrap_or_default();
         slab.clear();
         slab.resize(len, 0.0);
+        crate::binned::stats::bump(|t| t.slab_cells_swept += len as u64);
         let mut off = 0usize;
         for &f in features {
             let col = &self.codes[f * n..(f + 1) * n];
@@ -1272,6 +1273,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
                     // Tracked fill: zero exactly the populated cells.
                     let ch = self.channels;
                     let mut off = 0usize;
+                    let mut swept = 0usize;
                     for (fi, &f) in features.iter().enumerate() {
                         let width = self.width(f);
                         let h = &mut slab[off..off + width];
@@ -1279,6 +1281,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
                             Tracked::Bits => {
                                 for_each_bit(&self.touched_bits[fi], |b| {
                                     h[b * ch..b * ch + ch].fill(0.0);
+                                    swept += ch;
                                 });
                             }
                             _ => {
@@ -1286,10 +1289,12 @@ impl<C: BinCode> HistBuilder<'_, C> {
                                     let base = b as usize * ch;
                                     h[base..base + ch].fill(0.0);
                                 }
+                                swept += self.touched[fi].len() * ch;
                             }
                         }
                         off += width;
                     }
+                    crate::binned::stats::bump(|t| t.slab_cells_swept += swept as u64);
                     self.tracked = Tracked::None;
                 } else {
                     match rows {
@@ -1299,7 +1304,10 @@ impl<C: BinCode> HistBuilder<'_, C> {
                         {
                             self.zero_touched(&mut slab, start, end, features);
                         }
-                        _ => slab.fill(0.0),
+                        _ => {
+                            slab.fill(0.0);
+                            crate::binned::stats::bump(|t| t.slab_cells_swept += slab.len() as u64);
+                        }
                     }
                 }
                 put_slab(slab);
@@ -1324,6 +1332,9 @@ impl<C: BinCode> HistBuilder<'_, C> {
             }
             off += width;
         }
+        crate::binned::stats::bump(|t| {
+            t.slab_cells_swept += ((end - start) * features.len() * ch) as u64;
+        });
     }
 
     /// Scans bin boundaries for the best split; returns the winning
@@ -1344,9 +1355,12 @@ impl<C: BinCode> HistBuilder<'_, C> {
         // Parent statistics = any feature's histogram summed over bins.
         let mut total_hist = vec![0.0; k];
         let (mut total_w, mut total_sum, mut total_sq) = (0.0, 0.0, 0.0);
+        // Bins read by the parent-total walk and the boundary scans.
+        let mut bins_visited = 0usize;
         {
             let h0 = &slab[..self.bm.n_bins(features[0]) * ch];
             let mut add_parent = |bin: &[f64]| {
+                bins_visited += 1;
                 if is_mse {
                     total_w += bin[0];
                     total_sum += bin[1];
@@ -1382,6 +1396,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
         }
         let parent_impurity = self.config.criterion.impurity(&total_hist, total_w, total_sum, total_sq);
         if parent_impurity <= 1e-12 {
+            crate::binned::stats::bump(|t| t.slab_cells_swept += (bins_visited * ch) as u64);
             return None;
         }
 
@@ -1407,6 +1422,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
             // strictly-greater gain rule. The untracked walk skips them by
             // testing the count channel; tracked nodes never visit them.
             let mut visit = |b: usize| {
+                bins_visited += 1;
                 let bin = &h[b * ch..(b + 1) * ch];
                 if bin[ch - 1] == 0.0 {
                     return;
@@ -1479,6 +1495,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
                 }
             }
         }
+        crate::binned::stats::bump(|t| t.slab_cells_swept += (bins_visited * ch) as u64);
         best.map(|(fi, b, _)| (fi, b))
     }
 
@@ -1590,6 +1607,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
             for (a, b) in large.iter_mut().zip(small.iter()) {
                 *a -= b;
             }
+            crate::binned::stats::bump(|t| t.slab_cells_swept += large.len() as u64);
             // Both slabs are donated to the children, whose scans and
             // retirements must not consult this node's touched sets.
             self.tracked = Tracked::None;
@@ -1632,6 +1650,7 @@ fn fill_parallel<C: BinCode>(ctx: &FillCtx<'_, C>, features: &[usize], slab: &mu
         slab[off..off + part.len()].copy_from_slice(&part);
         off += part.len();
         part.fill(0.0);
+        crate::binned::stats::bump(|t| t.slab_cells_swept += part.len() as u64);
         put_slab(part);
     }
 }
@@ -1809,7 +1828,7 @@ impl Estimator for DecisionTreeRegressor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{easy_binary, easy_multiclass, nonlinear_binary, split};
+    use crate::test_util::{discretize, easy_binary, easy_multiclass, nonlinear_binary, split};
     use volcanoml_data::metrics::{accuracy, r2};
     use volcanoml_data::synthetic::{make_piecewise, make_xor};
 
@@ -2079,16 +2098,26 @@ mod tests {
         let r = make_piecewise(250, 4, 3, 0.05, 13);
         let w = varied_weights(d.x.rows());
         let wr = varied_weights(r.x.rows());
+        // A root above 256 rows, and four-level columns whose bins hold
+        // rows of both children of most splits.
+        let big = make_piecewise(700, 5, 3, 0.05, 17);
+        let wb = varied_weights(big.x.rows());
+        let tied = discretize(make_piecewise(300, 5, 3, 0.05, 19), 3);
+        let tied_cls = discretize(easy_multiclass(), 3);
         for max_features in [MaxFeatures::All, MaxFeatures::Sqrt] {
             let mut cls = TreeConfig::classification();
             cls.max_features = max_features;
             let mut reg = TreeConfig::regression();
             reg.max_features = max_features;
             reg.seed = 42;
-            let cases: [(FitCase, &TreeConfig); 3] = [
+            let cases: [(FitCase, &TreeConfig); 7] = [
                 ((&d.x, &d.y, Some(&w), 3), &cls),
                 ((&d.x, &d.y, None, 3), &cls),
                 ((&r.x, &r.y, Some(&wr), 1), &reg),
+                ((&big.x, &big.y, Some(&wb), 1), &reg),
+                ((&big.x, &big.y, None, 1), &reg),
+                ((&tied.x, &tied.y, None, 1), &reg),
+                ((&tied_cls.x, &tied_cls.y, Some(&w), 3), &cls),
             ];
             for ((x, y, weights, n_outputs), cfg) in cases {
                 let bm = BinnedMatrix::from_matrix(x, cfg.max_bins);

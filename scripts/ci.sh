@@ -19,10 +19,14 @@ cargo build --release --workspace --offline
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
-echo "== cargo test --release (bitwise pins: bo goldens, trial_path, resume_replay) =="
-# The surrogate's bit-for-bit contract and the StudyState pins must hold under
-# optimisation too; tier-1 runs these in debug only.
+echo "== cargo test --release (bitwise pins: bo and tree goldens, kernel parity, trial_path, resume_replay) =="
+# The surrogate's bit-for-bit contract, the histogram-tree goldens and
+# kernel-parity tests, and the StudyState pins must hold under optimisation
+# too; tier-1 runs these in debug only.
 cargo test -q --release --offline -p volcanoml-bo --lib golden
+cargo test -q --release --offline -p volcanoml-models --lib -- \
+    hist_goldens kernels_are_bitwise_identical u8_and_u16_codes_grow_identical_trees \
+    feature_parallel_fill_is_bitwise_identical
 cargo test -q --release --offline -p volcanoml-integration --test trial_path --test resume_replay
 
 echo "== cargo test (benchmark/: its own workspace, path-deps on crates/) =="

@@ -19,11 +19,12 @@ use volcanoml_obs::MetricsRegistry;
 /// (`binned.arena_reuses` also depends on what the running thread's slab
 /// pool held before the trial, so it is exact only when one study owns the
 /// threads — pinned below, not compared across concurrent runs.)
-const SCHEDULE_INDEPENDENT: [&str; 6] = [
+const SCHEDULE_INDEPENDENT: [&str; 7] = [
     "binned.matrices_built",
     "binned.cells_encoded",
     "binned.hist_node_scans",
     "binned.hist_bytes_scanned",
+    "binned.slab_cells_swept",
     "data.bytes_gathered",
     "data.gathers_skipped",
 ];
