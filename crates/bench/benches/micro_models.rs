@@ -1,7 +1,8 @@
 //! Timed model-kernel report, written to `results/BENCH_models.json`: the
-//! three comparisons no `benchmark/` metric makes — exact vs histogram forest
-//! at AutoML-realistic scale (~10k rows), the flat u8 histogram kernel vs the
-//! `PerNode` u16 reference kernel, and one kernel-SVM row. Per-family fit
+//! comparisons no `benchmark/` metric makes — exact vs histogram forest at
+//! AutoML-realistic scale (~10k rows) and at the small-data scale of the
+//! benchmark's regression trials (225 rows), the flat u8 histogram kernel vs
+//! the `PerNode` u16 reference kernel, and one kernel-SVM row. Per-family fit
 //! times and the `n_jobs` speed-up are `benchmark/`'s `models.fit_s.*` and
 //! `models.forest.n_jobs_speedup`.
 
@@ -9,10 +10,12 @@ use rand::RngExt;
 use std::hint::black_box;
 use std::time::Instant;
 use volcanoml_data::rand_util::{derive_seed, rng_from_seed};
-use volcanoml_data::synthetic::{make_classification, ClassificationSpec};
+use volcanoml_data::synthetic::{
+    make_classification, make_regression, ClassificationSpec, RegressionSpec,
+};
 use volcanoml_data::{metrics::accuracy, train_test_split};
 use volcanoml_models::binned::{BinnedMatrix, DEFAULT_MAX_BINS};
-use volcanoml_models::forest::{ForestClassifier, ForestConfig};
+use volcanoml_models::forest::{ForestClassifier, ForestConfig, ForestRegressor};
 use volcanoml_models::svm::{Kernel, SvmClassifier};
 use volcanoml_models::tree::{HistKernel, MaxFeatures, SplitStrategy, Tree, TreeConfig};
 use volcanoml_models::Estimator;
@@ -39,6 +42,35 @@ fn timed_forest_fit(
         acc = accuracy(&test.y, &m.predict(&test.x).unwrap());
     }
     (fit_ms, acc)
+}
+
+/// Times a 50-tree all-features random-forest regressor on 225 × 10 — the
+/// shape of most fits in the benchmark's small regression workloads, where
+/// nodes are small and per-node slab sweeps, not fills, decide the cost.
+/// Returns the fastest of `reps` fits in ms.
+fn timed_small_forest_reg(strategy: SplitStrategy, reps: usize) -> f64 {
+    let d = make_regression(
+        &RegressionSpec {
+            n_samples: 225,
+            n_features: 10,
+            n_informative: 6,
+            noise: 0.2,
+            nonlinear: true,
+        },
+        5,
+    );
+    let mut cfg = ForestConfig::random_forest();
+    cfg.max_features = MaxFeatures::All;
+    cfg.split_strategy = strategy;
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let mut m = ForestRegressor::new(cfg.clone());
+        let start = Instant::now();
+        m.fit(&d.x, &d.y).unwrap();
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        black_box(&m);
+    }
+    best
 }
 
 /// Fits `n_trees` bootstrapped histogram trees against a prebuilt binned
@@ -117,10 +149,12 @@ fn timed_kernel_svm(reps: usize) -> (f64, f64) {
 
 /// Histogram forest training at ~10k rows: exact-vs-histogram headline, the
 /// PR 2 kernel (forced-u16 codes + per-node buffers) against the flat u8
-/// kernel, and one `kernel_svm` row for the Gram-matrix SMO path. After the
-/// report is written the bench asserts its two gates — `|accuracy_delta| ≤
-/// 0.01` and `kernel_speedup ≥ 1.0` — so `cargo bench --bench micro_models`
-/// fails when either does, with the numbers still on disk.
+/// kernel, the small-data forest row, and one `kernel_svm` row for the
+/// Gram-matrix SMO path. After the report is written the bench asserts its
+/// three gates — `|accuracy_delta| ≤ 0.01`, `kernel_speedup ≥ 1.0` and a
+/// small-data histogram fit at most 2× the exact one — so `cargo bench
+/// --bench micro_models` fails when any does, with the numbers still on
+/// disk.
 fn main() {
     let d = make_classification(
         &ClassificationSpec {
@@ -152,6 +186,10 @@ fn main() {
     let legacy_kernel_ms = timed_kernel_fit(&bm_u16, &train.y, 3, HistKernel::PerNode, n_trees, 5);
     let flat_kernel_ms = timed_kernel_fit(&bm_u8, &train.y, 3, HistKernel::Flat, n_trees, 5);
 
+    let small_exact_ms = timed_small_forest_reg(SplitStrategy::Best, 3);
+    let small_hist_ms = timed_small_forest_reg(SplitStrategy::Histogram, 3);
+    let small_ratio = small_hist_ms / small_exact_ms;
+
     let (svm_fit_ms, svm_predict_ms) = timed_kernel_svm(3);
 
     let speedup = exact_ms / hist_ms;
@@ -166,6 +204,9 @@ fn main() {
          \"kernel_speedup\": {kernel_speedup:.2},\n  \
          \"exact_acc\": {exact_acc:.4},\n  \
          \"hist_acc\": {hist_acc:.4},\n  \"accuracy_delta\": {:.4},\n  \
+         \"small_forest_reg\": {{\"bench\": \"rf_reg50_all_225x10\", \
+         \"exact_fit_ms\": {small_exact_ms:.1}, \"hist_fit_ms\": {small_hist_ms:.1}, \
+         \"hist_over_exact\": {small_ratio:.2}}},\n  \
          \"kernel_svm\": {{\"bench\": \"svc_rbf_3class_2000x30\", \
          \"fit_ms\": {svm_fit_ms:.1}, \"predict_ms\": {svm_predict_ms:.1}}}\n}}\n",
         train.n_samples(),
@@ -192,9 +233,13 @@ fn main() {
         kernel_speedup >= 1.0,
         "flat kernel slower than the per-node baseline ({kernel_speedup:.2}x)"
     );
+    assert!(
+        small_ratio <= 2.0,
+        "small-data histogram forest {small_ratio:.2}x the exact fit (> 2.0x)"
+    );
     println!(
         "micro_models gates ok: kernel_speedup {kernel_speedup:.2}x on {n_cpus} cpu(s), \
-         accuracy_delta {:+.4}",
+         accuracy_delta {:+.4}, small-data hist/exact {small_ratio:.2}x",
         hist_acc - exact_acc
     );
 }

@@ -66,7 +66,8 @@ pub mod stats {
         pub feature_parallel_merges: u64,
         /// Histogram-slab cells (one `f64` each) visited by the passes that
         /// sweep a slab rather than fill it: sibling subtraction, split
-        /// scans and slab zeroing on retirement.
+        /// scans, slab zeroing on retirement, and the count-channel read
+        /// that records a large node's touched bins.
         pub slab_cells_swept: u64,
     }
 

@@ -19,12 +19,17 @@ pub struct ForestConfig {
     pub min_samples_leaf: usize,
     /// Minimum samples to split.
     pub min_samples_split: usize,
-    /// Features considered per split.
+    /// Features considered per split. [`ForestRegressor::new`] turns
+    /// `Sqrt` into `All` (scikit-learn's regression default), so a
+    /// regression forest configured with `Sqrt` considers every feature.
     pub max_features: MaxFeatures,
     /// Bootstrap resampling of rows (classic RF); extra-trees typically
     /// disable it.
     pub bootstrap: bool,
-    /// `Best` for random forest, `Random` for extra-trees.
+    /// Threshold strategy: `Best` (exact) or `Histogram` (binned once,
+    /// shared by every tree) for random forests — the AutoML search space
+    /// builds random forests with `Histogram` — and `Random` for
+    /// extra-trees.
     pub split_strategy: SplitStrategy,
     /// Impurity criterion (Gini/Entropy for classification, Mse for
     /// regression — set automatically by the typed wrappers).

@@ -152,3 +152,18 @@ fn golden_rf_cls_five_classes() {
     m.fit(&d.x, &d.y).unwrap();
     assert_golden(proba_digest(&m, &d), 0xb174_0d2d_c2f2_399f);
 }
+
+/// The sweep counter on the 225 × 10 forest: the fills (node scans, code
+/// bytes) are those recorded before slabs carried their touched sets, and
+/// the cells swept by subtraction, split scans and retirement are at least
+/// ten times fewer than the 24 306 484 recorded then.
+#[test]
+fn touched_slabs_cut_cells_swept_tenfold() {
+    let d = regression(225, 10, 1);
+    let mut m = ForestRegressor::new(forest(MaxFeatures::All, 3));
+    crate::binned::stats::take();
+    m.fit(&d.x, &d.y).unwrap();
+    let tally = crate::binned::stats::take();
+    assert_eq!((tally.hist_node_scans, tally.hist_bytes_scanned), (1126, 69820), "{tally:?}");
+    assert!(tally.slab_cells_swept * 10 <= 24_306_484, "{tally:?}");
+}

@@ -650,12 +650,13 @@ const FEATURE_PARALLEL_MIN_CELLS: usize = 8192;
 /// without pinning unbounded memory after a wide ensemble fit.
 const SLAB_POOL_CAP: usize = 64;
 
-/// Largest node (rows) whose flat-kernel fill tracks touched bins. A node
-/// this small populates at most `rows` of a feature's ≤ 255 bins, so split
-/// search and slab retirement walk the short touched list instead of every
-/// bin — the dominant per-node cost for the thousands of small nodes a
-/// deep tree visits. Larger nodes touch most bins anyway and skip the
-/// tracking branch.
+/// Largest node (rows) whose fill records touched bins row by row. A node
+/// this small populates at most `rows` of a feature's bins. Off the padded
+/// fixed-channel layout (u16 codes, or four or more classes) it records
+/// sorted lists, and larger nodes, which touch most bins anyway, record
+/// nothing. Padded fixed-channel fills record [`TouchedBits`] at every
+/// size: an OR per row up to this size, a read of the count channel above
+/// it.
 const TRACKED_MAX_ROWS: usize = 256;
 
 /// Bins per feature region in the flat u8 kernel's padded slab layout.
@@ -692,17 +693,72 @@ fn for_each_bit(bits: &TouchedBits, mut f: impl FnMut(usize)) {
     }
 }
 
-/// Which touched-bin representation the current node's tracked fill
-/// produced (consumed by `scan_split` and `retire_slab`, invalidated when
-/// slabs are donated through the subtraction trick).
+/// Which representation a slab's touched-bin sets use.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Tracked {
-    /// Untracked fill (large node, feature-parallel, or PerNode).
+    /// No touched sets: every bin may be non-zero (large list-layout
+    /// nodes, feature-parallel fills, the PerNode kernel, and slabs
+    /// inherited from such a node).
     None,
-    /// Sorted `Vec<u32>` lists (generic layouts).
+    /// Sorted `Vec<u32>` lists (generic layouts, small nodes).
     Lists,
     /// [`TouchedBits`] bitmaps (padded u8 layout, fixed channel count).
     Bits,
+}
+
+/// Per-candidate-feature bin sets outside which a slab's cells are exactly
+/// `0.0`. A fill records the bins its rows hit. A slab that inherits its
+/// parent's cells through sibling subtraction keeps the parent's sets: the
+/// child's rows are a subset of the parent's, and subtraction writes only
+/// inside the sibling's (smaller) sets. A bin a child's rows left empty
+/// stays in the set with a count of exactly `0.0`, which the split scan
+/// skips.
+struct Touched {
+    kind: Tracked,
+    bits: Vec<TouchedBits>,
+    lists: Vec<Vec<u32>>,
+}
+
+impl Touched {
+    const NONE: Touched = Touched {
+        kind: Tracked::None,
+        bits: Vec::new(),
+        lists: Vec::new(),
+    };
+
+    /// Calls `f` for each bin below `limit` that may hold a non-zero cell
+    /// of candidate feature `fi`, ascending: the touched set when there is
+    /// one, every bin otherwise. Bins outside the set hold exact `0.0`s,
+    /// so a walk that skips them adds and subtracts the same bits.
+    fn for_each_bin(&self, fi: usize, limit: usize, mut f: impl FnMut(usize)) {
+        match self.kind {
+            Tracked::None => (0..limit).for_each(f),
+            Tracked::Bits => for_each_bit(&self.bits[fi], |b| {
+                if b < limit {
+                    f(b);
+                }
+            }),
+            Tracked::Lists => {
+                for &b in &self.lists[fi] {
+                    let b = b as usize;
+                    if b >= limit {
+                        break;
+                    }
+                    f(b);
+                }
+            }
+        }
+    }
+}
+
+/// A node's histograms — candidate features in order, one region apiece —
+/// together with the touched sets that bound where its cells are non-zero.
+/// The sets travel with the cells through sibling subtraction and back
+/// into the pool, so subtraction, split scans and retirement all walk
+/// only the touched bins.
+struct Slab {
+    cells: Vec<f64>,
+    touched: Touched,
 }
 
 thread_local! {
@@ -710,11 +766,12 @@ thread_local! {
     /// tree an ensemble fits on this worker thread. The tree visits
     /// thousands of small nodes; without pooling, per-node arena
     /// allocation dominates deep-tree fit time.
-    static SLAB_POOL: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
+    static SLAB_POOL: RefCell<Vec<Slab>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A zeroed histogram slab of `len` floats, from the pool when possible.
-fn take_slab(len: usize) -> Vec<f64> {
+/// A zeroed, untracked histogram slab of `len` floats, from the pool when
+/// possible (its touched-set buffers come along for reuse).
+fn take_slab(len: usize) -> Slab {
     let pooled = SLAB_POOL.with(|p| p.borrow_mut().pop());
     match pooled {
         Some(mut slab) => {
@@ -723,25 +780,29 @@ fn take_slab(len: usize) -> Vec<f64> {
             // clearing pass: shrinking truncates a zeroed prefix, growing
             // appends zeros. This is where deep trees win — a full memset
             // of a ~255-bin slab dwarfs the fill cost of a small node.
-            slab.resize(len, 0.0);
+            slab.cells.resize(len, 0.0);
+            slab.touched.kind = Tracked::None;
             slab
         }
-        None => vec![0.0; len],
+        None => Slab {
+            cells: vec![0.0; len],
+            touched: Touched::NONE,
+        },
     }
 }
 
 /// Retires a slab into the thread-local pool.
 ///
-/// Invariant: `slab` must be all-zero — `take_slab` skips the clearing
-/// memset and hands pooled slabs straight to the fill loop. Retiring nodes
-/// restore the invariant by zeroing exactly the cells they touched
-/// ([`HistBuilder::retire_slab`]), which for a small node is far cheaper
-/// than clearing the whole arena.
-fn put_slab(slab: Vec<f64>) {
-    if slab.capacity() == 0 {
+/// Invariant: `slab.cells` must be all-zero — `take_slab` skips the
+/// clearing memset and hands pooled slabs straight to the fill loop.
+/// Retiring nodes restore the invariant by zeroing only their touched
+/// cells ([`HistBuilder::retire_slab`]), which for a small node is far
+/// cheaper than clearing the whole arena.
+fn put_slab(slab: Slab) {
+    if slab.cells.capacity() == 0 {
         return;
     }
-    debug_assert!(slab.iter().all(|&v| v == 0.0), "pooled slab not zeroed");
+    debug_assert!(slab.cells.iter().all(|&v| v == 0.0), "pooled slab not zeroed");
     SLAB_POOL.with(|p| {
         let mut pool = p.borrow_mut();
         if pool.len() < SLAB_POOL_CAP {
@@ -991,6 +1052,31 @@ impl<C: BinCode> FillCtx<'_, C> {
         }
     }
 
+    /// Fills the padded slab and records each feature's touched bins as a
+    /// [`TouchedBits`] bitmap. Nodes of up to [`TRACKED_MAX_ROWS`] rows OR
+    /// each row's bin in as they accumulate; larger ones take the paired
+    /// untracked fill and read the set back off the count channel — one
+    /// pass over each feature's real bins instead of a read-modify-write on
+    /// the bitmap per row. Either way the set is exactly the bins with a
+    /// non-zero count.
+    fn fill_bits<const CH: usize>(&self, features: &[usize], slab: &mut [f64], touched: &mut [TouchedBits]) {
+        if self.rows.len() <= TRACKED_MAX_ROWS {
+            return self.fill_tracked_fixed::<CH>(features, slab, touched);
+        }
+        self.fill_fixed::<CH>(features, slab);
+        let mut read = 0usize;
+        for ((&f, bits), region) in features.iter().zip(touched.iter_mut()).zip(slab.chunks_exact(PAD_BINS * CH)) {
+            let nb = self.bm.n_bins(f);
+            for (wi, word) in bits.iter_mut().enumerate() {
+                let lo = (wi * 64).min(nb);
+                let hi = (lo + 64).min(nb);
+                *word = (lo..hi).fold(0u64, |w, b| w | u64::from(region[b * CH + CH - 1] != 0.0) << (b - lo));
+            }
+            read += nb;
+        }
+        crate::binned::stats::bump(|t| t.slab_cells_swept += read as u64);
+    }
+
     /// [`FillCtx::fill_tracked`] on the padded fixed-array layout — the
     /// same bounds-check-free accumulation as [`FillCtx::fill_fixed`],
     /// with each touched bin recorded by an idempotent OR into a
@@ -1069,14 +1155,6 @@ struct HistBuilder<'a, C: BinCode> {
     /// [`HistKernel::PerNode`]'s builder-local slab pool, mirroring the
     /// PR 2 kernel's recycling so the bench baseline keeps its real costs.
     local_pool: Vec<Vec<f64>>,
-    /// Per-candidate-feature touched-bin sets for the current node (flat
-    /// kernel, nodes of ≤ [`TRACKED_MAX_ROWS`] rows) — bitmaps on the
-    /// padded u8 layout, sorted lists otherwise. Valid only between a
-    /// tracked `build_hists` and the node's `scan_split`/`retire_slab`;
-    /// donated (subtraction-trick) slabs never consult them.
-    touched: Vec<Vec<u32>>,
-    touched_bits: Vec<TouchedBits>,
-    tracked: Tracked,
     /// Padded slab layout — flat kernel over u8 codes (see [`PAD_BINS`]).
     pad: bool,
 }
@@ -1165,14 +1243,16 @@ impl<C: BinCode> HistBuilder<'_, C> {
 
     /// One pass over the node's rows fills every candidate feature's bins
     /// into a single flat slab (features in candidate order, running
-    /// offsets). Also charges the bandwidth counters: each fill reads
-    /// `rows × features × C::BYTES` of bin codes.
-    fn build_hists(&mut self, start: usize, end: usize, features: &[usize]) -> Vec<f64> {
+    /// offsets) and records the touched bins with it: bitmaps for every
+    /// serial fill on the padded fixed-channel layout, sorted lists for
+    /// other layouts up to [`TRACKED_MAX_ROWS`] rows. Also charges the
+    /// bandwidth counters: each fill reads `rows × features × C::BYTES` of
+    /// bin codes.
+    fn build_hists(&mut self, start: usize, end: usize, features: &[usize]) -> Slab {
         crate::binned::stats::bump(|t| {
             t.hist_node_scans += 1;
             t.hist_bytes_scanned += ((end - start) * features.len() * C::BYTES) as u64;
         });
-        self.tracked = Tracked::None;
         if self.config.hist_kernel == HistKernel::PerNode {
             return self.build_hists_per_node(start, end, features);
         }
@@ -1189,31 +1269,34 @@ impl<C: BinCode> HistBuilder<'_, C> {
             pad: self.pad,
         };
         let mut slab = take_slab(ctx.slab_len(features));
+        let Slab { cells, touched } = &mut slab;
         let jobs = self.config.hist_n_jobs;
-        let cells = (end - start) * features.len();
-        if jobs > 1 && features.len() > 1 && cells >= FEATURE_PARALLEL_MIN_CELLS {
-            fill_parallel(&ctx, features, &mut slab, jobs);
-        } else if end - start <= TRACKED_MAX_ROWS {
-            match self.channels {
-                3 if self.pad => {
-                    self.touched_bits.resize(features.len(), [0; PAD_BINS / 64]);
-                    ctx.fill_tracked_fixed::<3>(features, &mut slab, &mut self.touched_bits);
-                    self.tracked = Tracked::Bits;
-                }
-                4 if self.pad => {
-                    self.touched_bits.resize(features.len(), [0; PAD_BINS / 64]);
-                    ctx.fill_tracked_fixed::<4>(features, &mut slab, &mut self.touched_bits);
-                    self.tracked = Tracked::Bits;
-                }
-                _ => {
-                    self.touched.resize(features.len(), Vec::new());
-                    ctx.fill_tracked(features, &mut slab, &mut self.touched);
-                    self.tracked = Tracked::Lists;
-                }
-            }
-        } else {
-            ctx.fill(features, &mut slab);
+        let n_cells = (end - start) * features.len();
+        if jobs > 1 && features.len() > 1 && n_cells >= FEATURE_PARALLEL_MIN_CELLS {
+            fill_parallel(&ctx, features, cells, jobs);
+            return slab;
         }
+        touched.kind = match self.channels {
+            3 if self.pad => {
+                touched.bits.resize(features.len(), [0; PAD_BINS / 64]);
+                ctx.fill_bits::<3>(features, cells, &mut touched.bits);
+                Tracked::Bits
+            }
+            4 if self.pad => {
+                touched.bits.resize(features.len(), [0; PAD_BINS / 64]);
+                ctx.fill_bits::<4>(features, cells, &mut touched.bits);
+                Tracked::Bits
+            }
+            _ if end - start <= TRACKED_MAX_ROWS => {
+                touched.lists.resize(features.len(), Vec::new());
+                ctx.fill_tracked(features, cells, &mut touched.lists);
+                Tracked::Lists
+            }
+            _ => {
+                ctx.fill(features, cells);
+                Tracked::None
+            }
+        };
         slab
     }
 
@@ -1222,7 +1305,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
     /// serial. Produces the same slab layout (and, channel by channel, the
     /// same sums in the same order) as the flat kernel — the bitwise
     /// equivalence the property tests pin down.
-    fn build_hists_per_node(&mut self, start: usize, end: usize, features: &[usize]) -> Vec<f64> {
+    fn build_hists_per_node(&mut self, start: usize, end: usize, features: &[usize]) -> Slab {
         let is_mse = self.is_mse();
         let ch = self.channels;
         let n = self.bm.n_rows();
@@ -1252,73 +1335,49 @@ impl<C: BinCode> HistBuilder<'_, C> {
             }
             off += width;
         }
-        slab
+        Slab {
+            cells: slab,
+            touched: Touched::NONE,
+        }
     }
 
     /// Returns a node's histogram slab to the matching pool.
     ///
     /// The flat pool's invariant is that parked slabs are all-zero, so the
-    /// retiring node pays the clearing cost — and it knows exactly which
-    /// cells its fill touched: `rows = Some((start, end))` when the slab
-    /// was built from `idx[start..end]` (partition may have reordered the
-    /// range, but zeroing only needs the row *set*). Small nodes then zero
-    /// `rows × features` cells instead of the whole ~`bins × features`
-    /// arena; inherited (subtraction-trick) slabs and large nodes fall
-    /// back to one sequential clear.
-    fn retire_slab(&mut self, mut slab: Vec<f64>, rows: Option<(usize, usize)>, features: &[usize]) {
-        match self.config.hist_kernel {
-            HistKernel::PerNode => self.local_pool.push(slab),
-            HistKernel::Flat => {
-                if self.tracked != Tracked::None && rows.is_some() {
-                    // Tracked fill: zero exactly the populated cells.
-                    let ch = self.channels;
-                    let mut off = 0usize;
-                    let mut swept = 0usize;
-                    for (fi, &f) in features.iter().enumerate() {
-                        let width = self.width(f);
-                        let h = &mut slab[off..off + width];
-                        match self.tracked {
-                            Tracked::Bits => {
-                                for_each_bit(&self.touched_bits[fi], |b| {
-                                    h[b * ch..b * ch + ch].fill(0.0);
-                                    swept += ch;
-                                });
-                            }
-                            _ => {
-                                for &b in &self.touched[fi] {
-                                    let base = b as usize * ch;
-                                    h[base..base + ch].fill(0.0);
-                                }
-                                swept += self.touched[fi].len() * ch;
-                            }
-                        }
-                        off += width;
-                    }
-                    crate::binned::stats::bump(|t| t.slab_cells_swept += swept as u64);
-                    self.tracked = Tracked::None;
-                } else {
-                    match rows {
-                        Some((start, end))
-                            if (end - start) * features.len() * self.channels * 2
-                                <= slab.len() =>
-                        {
-                            self.zero_touched(&mut slab, start, end, features);
-                        }
-                        _ => {
-                            slab.fill(0.0);
-                            crate::binned::stats::bump(|t| t.slab_cells_swept += slab.len() as u64);
-                        }
-                    }
+    /// retiring node pays the clearing cost. A tracked slab — filled here
+    /// or inherited through subtraction — zeroes its touched bins only.
+    /// An untracked one built from `idx[start..end]` (`rows = Some(..)`;
+    /// partition may have reordered the range, but zeroing only needs the
+    /// row *set*) zeroes its rows' cells when that is cheaper than one
+    /// sequential clear of the whole slab, which everything else pays.
+    fn retire_slab(&mut self, slab: Slab, rows: Option<(usize, usize)>, features: &[usize]) {
+        let mut slab = match self.config.hist_kernel {
+            HistKernel::PerNode => return self.local_pool.push(slab.cells),
+            HistKernel::Flat => slab,
+        };
+        let swept = if slab.touched.kind != Tracked::None {
+            self.for_each_touched_cells(&slab.touched, features, |cells| slab.cells[cells].fill(0.0))
+        } else {
+            match rows {
+                Some((start, end))
+                    if (end - start) * features.len() * self.channels * 2 <= slab.cells.len() =>
+                {
+                    self.zero_touched(&mut slab.cells, start, end, features)
                 }
-                put_slab(slab);
+                _ => {
+                    slab.cells.fill(0.0);
+                    slab.cells.len()
+                }
             }
-        }
+        };
+        crate::binned::stats::bump(|t| t.slab_cells_swept += swept as u64);
+        put_slab(slab);
     }
 
     /// Zeroes exactly the cells a fill over `idx[start..end] × features`
     /// touched, restoring the all-zero pool invariant without a full-slab
-    /// memset.
-    fn zero_touched(&self, slab: &mut [f64], start: usize, end: usize, features: &[usize]) {
+    /// memset. Returns the cells visited.
+    fn zero_touched(&self, slab: &mut [f64], start: usize, end: usize, features: &[usize]) -> usize {
         let ch = self.channels;
         let n = self.bm.n_rows();
         let mut off = 0usize;
@@ -1332,21 +1391,20 @@ impl<C: BinCode> HistBuilder<'_, C> {
             }
             off += width;
         }
-        crate::binned::stats::bump(|t| {
-            t.slab_cells_swept += ((end - start) * features.len() * ch) as u64;
-        });
+        (end - start) * features.len() * ch
     }
 
     /// Scans bin boundaries for the best split; returns the winning
     /// candidate's position in `features` and the boundary bin.
     ///
-    /// When the node's fill tracked its touched bins, only those bins are
-    /// visited (in ascending order, exactly the non-empty bins the full
-    /// walk would not have skipped — and empty bins contribute exact `0.0`
-    /// terms to the parent sums, so skipping them is bitwise neutral).
-    /// Untracked nodes — large ones, and the PerNode oracle — walk every
-    /// bin with the empty-skip, as the PR 2 kernel did.
-    fn scan_split(&self, slab: &[f64], features: &[usize], n_node: usize) -> Option<(usize, usize)> {
+    /// A tracked slab visits only its touched bins, in ascending order: a
+    /// superset of the non-empty bins the full walk would not have skipped,
+    /// and every bin outside it holds exact `0.0`s, which add nothing to
+    /// the parent sums, so skipping them is bitwise neutral. Untracked
+    /// slabs — and the PerNode oracle — walk every bin with the empty-skip,
+    /// as the PR 2 kernel did.
+    fn scan_split(&self, slab: &Slab, features: &[usize], n_node: usize) -> Option<(usize, usize)> {
+        let (cells, touched) = (&slab.cells, &slab.touched);
         let is_mse = self.is_mse();
         let ch = self.channels;
         let k = if is_mse { 0 } else { self.n_outputs };
@@ -1358,7 +1416,8 @@ impl<C: BinCode> HistBuilder<'_, C> {
         // Bins read by the parent-total walk and the boundary scans.
         let mut bins_visited = 0usize;
         {
-            let h0 = &slab[..self.bm.n_bins(features[0]) * ch];
+            let nb0 = self.bm.n_bins(features[0]);
+            let h0 = &cells[..nb0 * ch];
             let mut add_parent = |bin: &[f64]| {
                 bins_visited += 1;
                 if is_mse {
@@ -1371,25 +1430,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
                     }
                 }
             };
-            match self.tracked {
-                Tracked::Bits => {
-                    for_each_bit(&self.touched_bits[0], |b| {
-                        let base = b * ch;
-                        add_parent(&h0[base..base + ch]);
-                    });
-                }
-                Tracked::Lists => {
-                    for &b in &self.touched[0] {
-                        let base = b as usize * ch;
-                        add_parent(&h0[base..base + ch]);
-                    }
-                }
-                Tracked::None => {
-                    for bin in h0.chunks_exact(ch) {
-                        add_parent(bin);
-                    }
-                }
-            }
+            touched.for_each_bin(0, nb0, |b| add_parent(&h0[b * ch..(b + 1) * ch]));
         }
         if !is_mse {
             total_w = total_hist.iter().sum();
@@ -1408,7 +1449,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
             let nb = self.bm.n_bins(f);
             // Scan only the feature's real bins; padding (if any) sits
             // between `nb * ch` and the region width and is never read.
-            let h = &slab[off..off + nb * ch];
+            let h = &cells[off..off + nb * ch];
             off += self.width(f);
             if nb < 2 {
                 continue;
@@ -1419,9 +1460,10 @@ impl<C: BinCode> HistBuilder<'_, C> {
             // An empty bin leaves the partition unchanged, so boundary `b`
             // duplicates boundary `b - 1`; only the first boundary of each
             // run (where the added bin is non-empty) can win under the
-            // strictly-greater gain rule. The untracked walk skips them by
-            // testing the count channel; tracked nodes never visit them.
-            let mut visit = |b: usize| {
+            // strictly-greater gain rule. The walk skips them by testing the
+            // count channel (a touched set may still hold bins this node's
+            // rows left empty).
+            let visit = |b: usize| {
                 bins_visited += 1;
                 let bin = &h[b * ch..(b + 1) * ch];
                 if bin[ch - 1] == 0.0 {
@@ -1467,33 +1509,8 @@ impl<C: BinCode> HistBuilder<'_, C> {
                     best = Some((fi, b, gain));
                 }
             };
-            match self.tracked {
-                Tracked::Bits => {
-                    // Ascending bit order matches the sorted-list walk;
-                    // the last real bin is never a boundary.
-                    for_each_bit(&self.touched_bits[fi], |b| {
-                        if b + 1 < nb {
-                            visit(b);
-                        }
-                    });
-                }
-                Tracked::Lists => {
-                    for &b in &self.touched[fi] {
-                        let b = b as usize;
-                        // Lists are sorted; the last bin is never a
-                        // boundary (the full walk stops at `nb - 1`).
-                        if b >= nb - 1 {
-                            break;
-                        }
-                        visit(b);
-                    }
-                }
-                Tracked::None => {
-                    for b in 0..nb - 1 {
-                        visit(b);
-                    }
-                }
-            }
+            // The last real bin is never a boundary.
+            touched.for_each_bin(fi, nb - 1, visit);
         }
         crate::binned::stats::bump(|t| t.slab_cells_swept += (bins_visited * ch) as u64);
         best.map(|(fi, b, _)| (fi, b))
@@ -1526,6 +1543,48 @@ impl<C: BinCode> HistBuilder<'_, C> {
             && n >= 2 * self.config.min_samples_leaf
     }
 
+    /// `large -= small`, cell by cell. Only the small slab's touched bins
+    /// are walked when it has touched sets: its other cells are the pool's
+    /// exact `0.0`, and `x - 0.0 == x` bit for bit. An untracked small slab
+    /// (and every PerNode slab) pays one pass over the whole slab.
+    fn subtract(&self, large: &mut [f64], small: &Slab, features: &[usize]) {
+        let swept = if small.touched.kind == Tracked::None {
+            for (a, b) in large.iter_mut().zip(small.cells.iter()) {
+                *a -= b;
+            }
+            large.len()
+        } else {
+            self.for_each_touched_cells(&small.touched, features, |cells| {
+                for (a, b) in large[cells.clone()].iter_mut().zip(&small.cells[cells]) {
+                    *a -= b;
+                }
+            })
+        };
+        crate::binned::stats::bump(|t| t.slab_cells_swept += swept as u64);
+    }
+
+    /// Calls `f` with the slab cell range of each touched bin, feature by
+    /// feature in candidate order; returns the number of cells covered.
+    fn for_each_touched_cells(
+        &self,
+        touched: &Touched,
+        features: &[usize],
+        mut f: impl FnMut(std::ops::Range<usize>),
+    ) -> usize {
+        let ch = self.channels;
+        let mut off = 0usize;
+        let mut cells = 0usize;
+        for (fi, &feature) in features.iter().enumerate() {
+            let width = self.width(feature);
+            touched.for_each_bin(fi, width / ch, |b| {
+                f(off + b * ch..off + (b + 1) * ch);
+                cells += ch;
+            });
+            off += width;
+        }
+        cells
+    }
+
     /// Builds the subtree for `idx[start..end]`, returning the node id.
     /// `inherited` carries the slab precomputed by the parent (the
     /// subtraction trick); it is only ever `Some` in all-features mode,
@@ -1536,14 +1595,14 @@ impl<C: BinCode> HistBuilder<'_, C> {
         start: usize,
         end: usize,
         depth: usize,
-        inherited: Option<Vec<f64>>,
+        inherited: Option<Slab>,
     ) -> usize {
         let n_node = end - start;
         if !self.may_split(n_node, depth) || self.is_pure(start, end) {
             if let Some(h) = inherited {
-                // Inherited slabs hold parent-minus-sibling values whose
-                // nonzero set we don't track; full clear on retirement.
-                self.retire_slab(h, None, &[]);
+                // Inherited slabs cover all features, in order.
+                let all: Vec<usize> = (0..self.bm.n_features()).collect();
+                self.retire_slab(h, None, &all);
             }
             return self.make_leaf(start, end);
         }
@@ -1557,9 +1616,9 @@ impl<C: BinCode> HistBuilder<'_, C> {
             sample_without_replacement(&mut self.rng, d, n_candidates)
         };
 
-        // Fresh slabs were filled from exactly `idx[start..end]`, so their
-        // touched cells are recomputable for targeted zeroing; inherited
-        // ones are not.
+        // Fresh slabs were filled from exactly `idx[start..end]`, so an
+        // untracked one can still zero just its rows' cells; inherited ones
+        // cannot.
         let fresh_rows = if inherited.is_none() {
             Some((start, end))
         } else {
@@ -1603,14 +1662,9 @@ impl<C: BinCode> HistBuilder<'_, C> {
                 (mid, end, false)
             };
             let small = self.build_hists(s_start, s_end, &features);
-            let mut large = hists; // reuse the parent's slab
-            for (a, b) in large.iter_mut().zip(small.iter()) {
-                *a -= b;
-            }
-            crate::binned::stats::bump(|t| t.slab_cells_swept += large.len() as u64);
-            // Both slabs are donated to the children, whose scans and
-            // retirements must not consult this node's touched sets.
-            self.tracked = Tracked::None;
+            // The large child reuses the parent's slab, touched sets and all.
+            let mut large = hists;
+            self.subtract(&mut large.cells, &small, &features);
             if small_is_left {
                 (Some(small), Some(large))
             } else {
@@ -1651,7 +1705,10 @@ fn fill_parallel<C: BinCode>(ctx: &FillCtx<'_, C>, features: &[usize], slab: &mu
         off += part.len();
         part.fill(0.0);
         crate::binned::stats::bump(|t| t.slab_cells_swept += part.len() as u64);
-        put_slab(part);
+        put_slab(Slab {
+            cells: part,
+            touched: Touched::NONE,
+        });
     }
 }
 
@@ -1710,9 +1767,6 @@ fn fit_binned_codes<C: BinCode>(
         row_wyy,
         row_cls,
         local_pool: Vec::new(),
-        touched: Vec::new(),
-        touched_bits: Vec::new(),
-        tracked: Tracked::None,
         pad: config.hist_kernel == HistKernel::Flat && C::BYTES == 1,
     };
     builder.build(0, n_rows_fit, 0, None);
