@@ -66,8 +66,7 @@ pub mod stats {
         pub feature_parallel_merges: u64,
         /// Histogram-slab cells (one `f64` each) visited by the passes that
         /// sweep a slab rather than fill it: sibling subtraction, split
-        /// scans, slab zeroing on retirement, and the count-channel read
-        /// that records a large node's touched bins.
+        /// scans and slab zeroing on retirement.
         pub slab_cells_swept: u64,
     }
 

@@ -16,6 +16,7 @@ use crate::{check_fit_inputs, infer_n_classes, Estimator, ModelError, Result};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::cell::RefCell;
+use std::ops::Range;
 use volcanoml_data::rand_util::{rng_from_seed, sample_without_replacement};
 use volcanoml_linalg::Matrix;
 
@@ -655,8 +656,7 @@ const SLAB_POOL_CAP: usize = 64;
 /// fixed-channel layout (u16 codes, or four or more classes) it records
 /// sorted lists, and larger nodes, which touch most bins anyway, record
 /// nothing. Padded fixed-channel fills record [`TouchedBits`] at every
-/// size: an OR per row up to this size, a read of the count channel above
-/// it.
+/// size: an OR per row up to this size, every real bin above it.
 const TRACKED_MAX_ROWS: usize = 256;
 
 /// Bins per feature region in the flat u8 kernel's padded slab layout.
@@ -693,6 +693,38 @@ fn for_each_bit(bits: &TouchedBits, mut f: impl FnMut(usize)) {
     }
 }
 
+/// Calls `f` with each maximal run of consecutive set bits below `limit`,
+/// in ascending order — a sparse set yields single bins, a dense one a few
+/// long ranges that subtraction and zeroing sweep as contiguous slices.
+fn for_each_bit_run(bits: &TouchedBits, limit: usize, mut f: impl FnMut(Range<usize>)) {
+    let mut run = 0..0;
+    'words: for (wi, &word) in bits.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            let tz = w.trailing_zeros();
+            let start = wi * 64 + tz as usize;
+            if start >= limit {
+                break 'words;
+            }
+            let end = start + (w >> tz).trailing_ones() as usize;
+            // Clear the lowest run of ones: adding its lowest bit carries
+            // through it.
+            w &= w.wrapping_add(1 << tz);
+            if start == run.end && !run.is_empty() {
+                run.end = end;
+            } else {
+                if !run.is_empty() {
+                    f(run.start..run.end.min(limit));
+                }
+                run = start..end;
+            }
+        }
+    }
+    if !run.is_empty() {
+        f(run.start..run.end.min(limit));
+    }
+}
+
 /// Which representation a slab's touched-bin sets use.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Tracked {
@@ -726,27 +758,49 @@ impl Touched {
         lists: Vec::new(),
     };
 
-    /// Calls `f` for each bin below `limit` that may hold a non-zero cell
-    /// of candidate feature `fi`, ascending: the touched set when there is
-    /// one, every bin otherwise. Bins outside the set hold exact `0.0`s,
-    /// so a walk that skips them adds and subtracts the same bits.
-    fn for_each_bin(&self, fi: usize, limit: usize, mut f: impl FnMut(usize)) {
+    /// Calls `f` with each maximal run of bins below `limit` that may hold
+    /// a non-zero cell of candidate feature `fi`, ascending: the runs of
+    /// the touched set when there is one, `0..limit` otherwise. Bins
+    /// outside the set hold exact `0.0`s, so a walk that skips them adds
+    /// and subtracts the same bits.
+    fn for_each_run(&self, fi: usize, limit: usize, mut f: impl FnMut(Range<usize>)) {
         match self.kind {
-            Tracked::None => (0..limit).for_each(f),
-            Tracked::Bits => for_each_bit(&self.bits[fi], |b| {
-                if b < limit {
-                    f(b);
-                }
-            }),
+            Tracked::None => f(0..limit),
+            Tracked::Bits => for_each_bit_run(&self.bits[fi], limit, f),
             Tracked::Lists => {
+                let mut run = 0..0;
                 for &b in &self.lists[fi] {
                     let b = b as usize;
                     if b >= limit {
                         break;
                     }
-                    f(b);
+                    if b == run.end && !run.is_empty() {
+                        run.end += 1;
+                    } else {
+                        if !run.is_empty() {
+                            f(run);
+                        }
+                        run = b..b + 1;
+                    }
+                }
+                if !run.is_empty() {
+                    f(run);
                 }
             }
+        }
+    }
+
+    /// [`Touched::for_each_run`], one bin at a time. A bitmap is walked
+    /// bit by bit, which is cheaper than finding runs in the sparse set of
+    /// a small node.
+    fn for_each_bin(&self, fi: usize, limit: usize, mut f: impl FnMut(usize)) {
+        match self.kind {
+            Tracked::Bits => for_each_bit(&self.bits[fi], |b| {
+                if b < limit {
+                    f(b);
+                }
+            }),
+            _ => self.for_each_run(fi, limit, |run| run.for_each(&mut f)),
         }
     }
 }
@@ -1054,27 +1108,24 @@ impl<C: BinCode> FillCtx<'_, C> {
 
     /// Fills the padded slab and records each feature's touched bins as a
     /// [`TouchedBits`] bitmap. Nodes of up to [`TRACKED_MAX_ROWS`] rows OR
-    /// each row's bin in as they accumulate; larger ones take the paired
-    /// untracked fill and read the set back off the count channel — one
-    /// pass over each feature's real bins instead of a read-modify-write on
-    /// the bitmap per row. Either way the set is exactly the bins with a
-    /// non-zero count.
+    /// each row's bin in as they accumulate. Larger ones take the paired
+    /// untracked fill and every real bin as their set: a superset of the
+    /// touched bins that costs nothing to record, and a single run, so the
+    /// sweeps over it stay contiguous. A node that large touches most of a
+    /// many-valued feature's bins anyway, and a few-valued feature has few
+    /// real bins to sweep.
     fn fill_bits<const CH: usize>(&self, features: &[usize], slab: &mut [f64], touched: &mut [TouchedBits]) {
         if self.rows.len() <= TRACKED_MAX_ROWS {
             return self.fill_tracked_fixed::<CH>(features, slab, touched);
         }
         self.fill_fixed::<CH>(features, slab);
-        let mut read = 0usize;
-        for ((&f, bits), region) in features.iter().zip(touched.iter_mut()).zip(slab.chunks_exact(PAD_BINS * CH)) {
+        for (&f, bits) in features.iter().zip(touched.iter_mut()) {
             let nb = self.bm.n_bins(f);
             for (wi, word) in bits.iter_mut().enumerate() {
-                let lo = (wi * 64).min(nb);
-                let hi = (lo + 64).min(nb);
-                *word = (lo..hi).fold(0u64, |w, b| w | u64::from(region[b * CH + CH - 1] != 0.0) << (b - lo));
+                let below = nb.saturating_sub(wi * 64);
+                *word = if below >= 64 { u64::MAX } else { (1u64 << below) - 1 };
             }
-            read += nb;
         }
-        crate::binned::stats::bump(|t| t.slab_cells_swept += read as u64);
     }
 
     /// [`FillCtx::fill_tracked`] on the padded fixed-array layout — the
@@ -1131,8 +1182,8 @@ impl<C: BinCode> FillCtx<'_, C> {
 /// computed once per tree. When both children can still split and the
 /// candidate set is all features, only the smaller child's slab is built
 /// from data — the larger child's is the parent's minus the smaller's
-/// (LightGBM's subtraction trick), a single vectorizable pass on flat
-/// storage.
+/// (LightGBM's subtraction trick), taken over the smaller slab's touched
+/// bins only (see [`Slab`]).
 struct HistBuilder<'a, C: BinCode> {
     bm: &'a BinnedMatrix,
     codes: &'a [C],
@@ -1563,22 +1614,23 @@ impl<C: BinCode> HistBuilder<'_, C> {
         crate::binned::stats::bump(|t| t.slab_cells_swept += swept as u64);
     }
 
-    /// Calls `f` with the slab cell range of each touched bin, feature by
-    /// feature in candidate order; returns the number of cells covered.
+    /// Calls `f` with the slab cell range of each run of touched bins,
+    /// feature by feature in candidate order; returns the number of cells
+    /// covered.
     fn for_each_touched_cells(
         &self,
         touched: &Touched,
         features: &[usize],
-        mut f: impl FnMut(std::ops::Range<usize>),
+        mut f: impl FnMut(Range<usize>),
     ) -> usize {
         let ch = self.channels;
         let mut off = 0usize;
         let mut cells = 0usize;
         for (fi, &feature) in features.iter().enumerate() {
             let width = self.width(feature);
-            touched.for_each_bin(fi, width / ch, |b| {
-                f(off + b * ch..off + (b + 1) * ch);
-                cells += ch;
+            touched.for_each_run(fi, width / ch, |run| {
+                f(off + run.start * ch..off + run.end * ch);
+                cells += run.len() * ch;
             });
             off += width;
         }
@@ -2211,6 +2263,38 @@ mod tests {
         // the job count.
         assert!(merges[0] > 0, "parallel fill never ran");
         assert!(merges.iter().all(|&m| m == merges[0]), "{merges:?}");
+    }
+
+    #[test]
+    fn touched_bins_and_runs_walk_exactly_the_set() {
+        let mut rng = rng_from_seed(5);
+        for case in 0..200 {
+            // Densities from sparse to full, so runs cross word edges.
+            let density = (case % 9) as f64 / 8.0;
+            let mut bits: TouchedBits = [0; PAD_BINS / 64];
+            let mut set = Vec::new();
+            for b in 0..PAD_BINS {
+                if rng.random::<f64>() < density {
+                    bits[b / 64] |= 1 << (b % 64);
+                    set.push(b as u32);
+                }
+            }
+            let limit = rng.random_range(0..=PAD_BINS);
+            let want: Vec<usize> = set.iter().map(|&b| b as usize).filter(|&b| b < limit).collect();
+            let lists = Touched { kind: Tracked::Lists, bits: Vec::new(), lists: vec![set] };
+            let bitmap = Touched { kind: Tracked::Bits, bits: vec![bits], lists: Vec::new() };
+            for touched in [&lists, &bitmap] {
+                let mut runs: Vec<Range<usize>> = Vec::new();
+                touched.for_each_run(0, limit, |run| runs.push(run));
+                let got: Vec<usize> = runs.iter().flat_map(|r| r.clone()).collect();
+                assert_eq!(got, want, "case {case}");
+                assert!(runs.iter().all(|r| !r.is_empty()), "case {case}");
+                assert!(runs.windows(2).all(|w| w[0].end < w[1].start), "case {case}: runs not maximal");
+                let mut bins = Vec::new();
+                touched.for_each_bin(0, limit, |b| bins.push(b));
+                assert_eq!(bins, want, "case {case}");
+            }
+        }
     }
 
     #[test]
