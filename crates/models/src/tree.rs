@@ -706,22 +706,32 @@ fn for_each_bit_run(bits: &TouchedBits, limit: usize, mut f: impl FnMut(Range<us
             if start >= limit {
                 break 'words;
             }
-            let end = start + (w >> tz).trailing_ones() as usize;
+            let end = (start + (w >> tz).trailing_ones() as usize).min(limit);
             // Clear the lowest run of ones: adding its lowest bit carries
             // through it.
             w &= w.wrapping_add(1 << tz);
-            if start == run.end && !run.is_empty() {
-                run.end = end;
-            } else {
-                if !run.is_empty() {
-                    f(run.start..run.end.min(limit));
-                }
-                run = start..end;
-            }
+            run = extend_run(run, start..end, &mut f);
         }
     }
     if !run.is_empty() {
-        f(run.start..run.end.min(limit));
+        f(run);
+    }
+}
+
+/// Appends the ascending range `next` to the open `run` and returns the
+/// open run, handing `f` the run it closes when the two are not adjacent.
+fn extend_run(
+    run: Range<usize>,
+    next: Range<usize>,
+    f: &mut impl FnMut(Range<usize>),
+) -> Range<usize> {
+    if run.is_empty() {
+        next
+    } else if next.start == run.end {
+        run.start..next.end
+    } else {
+        f(run);
+        next
     }
 }
 
@@ -774,14 +784,7 @@ impl Touched {
                     if b >= limit {
                         break;
                     }
-                    if b == run.end && !run.is_empty() {
-                        run.end += 1;
-                    } else {
-                        if !run.is_empty() {
-                            f(run);
-                        }
-                        run = b..b + 1;
-                    }
+                    run = extend_run(run, b..b + 1, &mut f);
                 }
                 if !run.is_empty() {
                     f(run);
@@ -1114,7 +1117,12 @@ impl<C: BinCode> FillCtx<'_, C> {
     /// sweeps over it stay contiguous. A node that large touches most of a
     /// many-valued feature's bins anyway, and a few-valued feature has few
     /// real bins to sweep.
-    fn fill_bits<const CH: usize>(&self, features: &[usize], slab: &mut [f64], touched: &mut [TouchedBits]) {
+    fn fill_bits<const CH: usize>(
+        &self,
+        features: &[usize],
+        slab: &mut [f64],
+        touched: &mut [TouchedBits],
+    ) {
         if self.rows.len() <= TRACKED_MAX_ROWS {
             return self.fill_tracked_fixed::<CH>(features, slab, touched);
         }
@@ -1407,7 +1415,9 @@ impl<C: BinCode> HistBuilder<'_, C> {
             HistKernel::Flat => slab,
         };
         let swept = if slab.touched.kind != Tracked::None {
-            self.for_each_touched_cells(&slab.touched, features, |cells| slab.cells[cells].fill(0.0))
+            self.for_each_touched_cells(&slab.touched, features, |cells| {
+                slab.cells[cells].fill(0.0)
+            })
         } else {
             match rows {
                 Some((start, end))
@@ -1428,7 +1438,13 @@ impl<C: BinCode> HistBuilder<'_, C> {
     /// Zeroes exactly the cells a fill over `idx[start..end] × features`
     /// touched, restoring the all-zero pool invariant without a full-slab
     /// memset. Returns the cells visited.
-    fn zero_touched(&self, slab: &mut [f64], start: usize, end: usize, features: &[usize]) -> usize {
+    fn zero_touched(
+        &self,
+        slab: &mut [f64],
+        start: usize,
+        end: usize,
+        features: &[usize],
+    ) -> usize {
         let ch = self.channels;
         let n = self.bm.n_rows();
         let mut off = 0usize;
@@ -2289,7 +2305,8 @@ mod tests {
                 let got: Vec<usize> = runs.iter().flat_map(|r| r.clone()).collect();
                 assert_eq!(got, want, "case {case}");
                 assert!(runs.iter().all(|r| !r.is_empty()), "case {case}");
-                assert!(runs.windows(2).all(|w| w[0].end < w[1].start), "case {case}: runs not maximal");
+                let maximal = runs.windows(2).all(|w| w[0].end < w[1].start);
+                assert!(maximal, "case {case}: runs not maximal");
                 let mut bins = Vec::new();
                 touched.for_each_bin(0, limit, |b| bins.push(b));
                 assert_eq!(bins, want, "case {case}");
