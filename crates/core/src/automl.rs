@@ -1,9 +1,9 @@
 //! The user-facing AutoML engine: configure a space + plan + budget, call
 //! `fit`, get back a trained pipeline (or ensemble) and a search report.
 
-use crate::block::{Assignment, BlockOptions};
+use crate::block::{Assignment, BlockOptions, BuildingBlock};
 use crate::ensemble::Ensemble;
-use crate::evaluator::{Evaluator, ValidationStrategy};
+use crate::evaluator::{Evaluator, RunCounters, ValidationStrategy};
 use crate::growth::{incremental_seed, GrowthController, SpaceGrowth, DEFAULT_PLATEAU_WINDOW};
 use crate::metalearn::MetaBase;
 use crate::objective::Objective;
@@ -12,7 +12,6 @@ use crate::plans::p3_volcano;
 use crate::spaces::{SpaceDef, SpaceTier};
 use crate::study::StudyState;
 use crate::{CoreError, Result};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use volcanoml_data::{train_test_split, Dataset, Metric, Task};
@@ -93,13 +92,6 @@ pub struct VolcanoMlOptions {
     /// pool across concurrent studies. `n_workers` still bounds this run's
     /// batch size.
     pub shared_pool: Option<Arc<ExecPool>>,
-    /// Dynamic cap on the per-pull batch size, consulted before every pull.
-    /// A fair-share arbiter returns `workers / active_studies` here so
-    /// concurrent studies split a shared pool without starving each other.
-    pub batch_cap: Option<Arc<dyn Fn() -> usize + Send + Sync>>,
-    /// Cooperative cancellation: checked between pulls alongside the
-    /// budgets. Setting it makes `fit` wind down after the in-flight batch.
-    pub stop_flag: Option<Arc<AtomicBool>>,
     /// Externally owned metrics registry (e.g. a server streaming progress
     /// while the run is live). Takes precedence over the run-private
     /// registry `metrics_path` would create; the end-of-run snapshot is
@@ -142,8 +134,6 @@ impl Default for VolcanoMlOptions {
             model_n_jobs: 1,
             resume: false,
             shared_pool: None,
-            batch_cap: None,
-            stop_flag: None,
             shared_metrics: None,
             event_bus: None,
             space_growth: SpaceGrowth::Fixed,
@@ -247,8 +237,22 @@ impl VolcanoML {
         n
     }
 
-    /// Runs the search and refits the winner on the full training data.
+    /// Runs the search and refits the winner on the full training data:
+    /// [`VolcanoML::open`], [`Study::step`] until [`Study::done`], then
+    /// [`Study::finish`].
     pub fn fit(&self, data: &Dataset) -> Result<FittedVolcanoML> {
+        let mut study = self.open(data)?;
+        while !study.done() {
+            study.step(study.batch_size())?;
+        }
+        study.finish()
+    }
+
+    /// Opens a search on `data`: builds the evaluator and its sinks
+    /// (journal or resume replay, tracer and bus, metrics), the worker pool,
+    /// the growth controller and the compiled plan root, then evaluates the
+    /// warm starts. The caller drives the returned [`Study`].
+    pub fn open<'a>(&'a self, data: &'a Dataset) -> Result<Study<'a>> {
         if data.task != self.space.task {
             return Err(CoreError::Invalid(format!(
                 "dataset task {:?} does not match space task {:?}",
@@ -282,30 +286,24 @@ impl VolcanoML {
                 "resume requires a journal_path to replay from".into(),
             ));
         }
-        if let Some(path) = &self.options.trace_path {
-            let mut tracer = Tracer::to_path(path)
-                .map_err(|e| CoreError::Invalid(format!("cannot open trace: {e}")))?;
+        if self.options.trace_path.is_some() || self.options.event_bus.is_some() {
+            // Without an archival trace a disabled tracer still carries the
+            // bus, so live subscribers see events without trace I/O.
+            let mut tracer = match &self.options.trace_path {
+                Some(path) => Tracer::to_path(path)
+                    .map_err(|e| CoreError::Invalid(format!("cannot open trace: {e}")))?,
+                None => Tracer::disabled(),
+            };
             if let Some(bus) = &self.options.event_bus {
                 tracer.set_bus(Arc::clone(bus));
             }
             evaluator.set_tracer(Arc::new(tracer));
-        } else if let Some(bus) = &self.options.event_bus {
-            // No archival trace requested: a disabled tracer still carries
-            // the bus, so live subscribers see events without trace I/O.
-            let mut tracer = Tracer::disabled();
-            tracer.set_bus(Arc::clone(bus));
-            evaluator.set_tracer(Arc::new(tracer));
         }
-        let metrics = if let Some(m) = &self.options.shared_metrics {
+        if let Some(m) = &self.options.shared_metrics {
             evaluator.set_metrics(Arc::clone(m));
-            Some(Arc::clone(m))
         } else if self.options.metrics_path.is_some() {
-            let m = Arc::new(MetricsRegistry::new());
-            evaluator.set_metrics(Arc::clone(&m));
-            Some(m)
-        } else {
-            None
-        };
+            evaluator.set_metrics(Arc::new(MetricsRegistry::new()));
+        }
         evaluator.set_model_n_jobs(self.options.model_n_jobs);
         evaluator.set_objective(self.options.objective);
         let pool: Option<Arc<ExecPool>> = if let Some(pool) = &self.options.shared_pool {
@@ -322,7 +320,7 @@ impl VolcanoML {
         // full space either way: assignments are interpreted by prefix and
         // digested as maps, so stage-0 configs hash and evaluate identically
         // under both modes (and stay cache-valid across expansions).
-        let mut growth: Option<GrowthController> = match self.options.space_growth {
+        let growth: Option<GrowthController> = match self.options.space_growth {
             SpaceGrowth::Fixed => None,
             SpaceGrowth::Incremental { eui_threshold } => Some(GrowthController::new(
                 incremental_seed(&self.space)?,
@@ -330,20 +328,68 @@ impl VolcanoML {
                 DEFAULT_PLATEAU_WINDOW,
             )),
         };
-        // Expansions already journaled by an interrupted run: the replay
-        // re-derives the same triggers from the same losses, so these fire
-        // again during re-drive and must not be re-journaled.
-        let replayed_expansions = evaluator
-            .journal()
-            .map(|j| j.expansions().len())
-            .unwrap_or(0);
         let space = growth.as_ref().map_or(&self.space, GrowthController::space);
         let block_options = BlockOptions {
             cost_aware: self.options.cost_aware,
             ..BlockOptions::default()
         };
-        let mut root = self.options.plan.compile_with(space, self.options.seed, &block_options)?;
+        let root = self.options.plan.compile_with(space, self.options.seed, &block_options)?;
+        let study = Study {
+            options: &self.options,
+            data,
+            evaluator,
+            pool,
+            root,
+            growth,
+        };
 
+        // Meta-learning initial design: evaluate warm starts first. They both
+        // seed the global best and prime the evaluator cache.
+        for assignment in &self.options.warm_start {
+            if study.done() {
+                break;
+            }
+            // Complete partial assignments with defaults.
+            let mut full = self.space.defaults();
+            for (k, v) in assignment {
+                full.insert(k.clone(), *v);
+            }
+            study.evaluator.evaluate(&full, 1.0);
+        }
+        Ok(study)
+    }
+}
+
+/// One search in progress, opened by [`VolcanoML::open`]. Like every plan
+/// node it is a pull-based iterator: [`Study::step`] pulls one batch of
+/// trials from the plan root, [`Study::done`] says when the budget is
+/// spent, and [`Study::finish`] turns the evaluated trials into a
+/// [`FittedVolcanoML`]. The caller owns the loop, so it chooses each
+/// batch's size and may stop between batches (`volcanoml serve` does both
+/// for fair sharing and cancellation).
+pub struct Study<'a> {
+    options: &'a VolcanoMlOptions,
+    data: &'a Dataset,
+    evaluator: Evaluator,
+    pool: Option<Arc<ExecPool>>,
+    root: Box<dyn BuildingBlock>,
+    growth: Option<GrowthController>,
+}
+
+impl Study<'_> {
+    /// The batch [`VolcanoML::fit`] pulls: one trial per worker (the pool's,
+    /// bounded by `n_workers`; 1 without a pool), capped by the remaining
+    /// budget, and at least one.
+    pub fn batch_size(&self) -> usize {
+        let pool_workers = self.pool.as_ref().map_or(1, |p| p.workers());
+        let workers = pool_workers.min(self.options.n_workers.max(1));
+        let (budget, spent) = (self.options.max_evaluations, self.evaluator.evaluations());
+        workers.min(budget.saturating_sub(spent)).max(1)
+    }
+
+    /// Whether the search is over: the evaluation budget is spent or the
+    /// space is saturated.
+    pub fn done(&self) -> bool {
         // Saturation guard: `evaluations()` counts only non-cached trials,
         // so on a space whose distinct configs run out before the budget
         // does, an engine would draw cached duplicates forever without
@@ -352,104 +398,74 @@ impl VolcanoML {
         // scaled with batch width so one pooled pull can't trip it) means
         // there is nothing fresh left to draw — treat it as out of budget.
         let saturation_limit = 16usize.max(2 * self.options.n_workers.max(1));
-        let out_of_budget = |evaluator: &Evaluator| {
-            evaluator.evaluations() >= self.options.max_evaluations
-                || evaluator.consecutive_cached() >= saturation_limit
-                || self
-                    .options
-                    .stop_flag
-                    .as_ref()
-                    .is_some_and(|f| f.load(Ordering::Relaxed))
+        self.evaluator.evaluations() >= self.options.max_evaluations
+            || self.evaluator.consecutive_cached() >= saturation_limit
+    }
+
+    /// Pulls at most `k` (at least one) trials from the plan root, then
+    /// runs the plateau check: the batch just pulled is fully observed,
+    /// which is the only point where engine histories may be remapped into
+    /// a grown space — laid out as a fresh compile on it would be.
+    pub fn step(&mut self, k: usize) -> Result<()> {
+        let evaluator = &self.evaluator;
+        self.root.pull(evaluator, self.pool.as_deref(), k.max(1))?;
+        let Some(g) = &mut self.growth else {
+            return Ok(());
         };
-
-        // Meta-learning initial design: evaluate warm starts first. They both
-        // seed the global best and prime the evaluator cache.
-        for assignment in &self.options.warm_start {
-            if out_of_budget(&evaluator) {
-                break;
-            }
-            // Complete partial assignments with defaults.
-            let mut full = self.space.defaults();
-            for (k, v) in assignment {
-                full.insert(k.clone(), *v);
-            }
-            evaluator.evaluate(&full, 1.0);
-        }
-
-        // The Volcano loop: pull on the root until the budget is gone. Each
-        // pull requests (at most) one trial per worker, capped by the
-        // remaining budget — a single trial when there is no pool.
-        let workers = pool
-            .as_ref()
-            .map_or(1, |p| p.workers().min(self.options.n_workers.max(1)));
-        while !out_of_budget(&evaluator) {
-            let remaining = self
-                .options
-                .max_evaluations
-                .saturating_sub(evaluator.evaluations());
-            let mut k = workers.min(remaining).max(1);
-            if let Some(cap) = &self.options.batch_cap {
-                k = k.min(cap().max(1));
-            }
-            root.pull(&evaluator, pool.as_deref(), k)?;
-            // Plateau check between pulls: the batch just pulled is fully
-            // observed, which is the only point where engine histories may
-            // be remapped into a grown space — laid out as a fresh compile
-            // on it would be.
-            if let Some(g) = &mut growth {
-                if let Some(ev) = g.check(root.plateau_eui())? {
-                    root.grow(g.space(), &g.space().var_names())?;
-                    let journaled_trials = if let Some(journal) = evaluator.journal() {
-                        if ev.stage > replayed_expansions {
-                            journal.record_expansion(volcanoml_exec::ExpansionRecord {
-                                stage: ev.stage as u64,
-                                name: ev.name.clone(),
-                                trigger_eui: ev.trigger_eui,
-                                trial: journal.len() as u64,
-                            });
-                        }
-                        journal.len() as u64
-                    } else {
-                        evaluator.evaluations() as u64
-                    };
-                    let tracer = evaluator.tracer();
-                    if let Some(bus) = tracer.bus() {
-                        bus.publish(volcanoml_obs::ObsEvent::SpaceExpanded {
-                            stage: ev.stage as u64,
-                            name: ev.name.clone(),
-                            trigger_eui: ev.trigger_eui,
-                            trial: journaled_trials,
-                        });
-                    }
-                    tracer.event(
-                        "expansion",
-                        volcanoml_obs::EventFields {
-                            detail: format!(
-                                "stage {} {} trigger_eui={}",
-                                ev.stage, ev.name, ev.trigger_eui
-                            ),
-                            ..Default::default()
-                        },
-                    );
-                }
+        let Some(ev) = g.check(self.root.plateau_eui())? else {
+            return Ok(());
+        };
+        self.root.grow(g.space(), &g.space().var_names())?;
+        let (stage, name, trigger_eui) = (ev.stage as u64, ev.name, ev.trigger_eui);
+        // The journal's row count, with or without a journal attached.
+        let trial = evaluator.trials() as u64;
+        // An interrupted run's expansions are journaled already: resume
+        // re-derives them from the same losses and must not repeat them.
+        if let Some(journal) = evaluator.journal() {
+            if stage > journal.expansions().len() as u64 {
+                journal.record_expansion(volcanoml_exec::ExpansionRecord {
+                    stage,
+                    name: name.clone(),
+                    trigger_eui,
+                    trial,
+                });
             }
         }
+        let tracer = evaluator.tracer();
+        if let Some(bus) = tracer.bus() {
+            bus.publish(volcanoml_obs::ObsEvent::SpaceExpanded {
+                stage,
+                name: name.clone(),
+                trigger_eui,
+                trial,
+            });
+        }
+        tracer.event(
+            "expansion",
+            volcanoml_obs::EventFields {
+                detail: format!("stage {stage} {name} trigger_eui={trigger_eui}"),
+                ..Default::default()
+            },
+        );
+        Ok(())
+    }
 
+    /// Ends the search: captures its [`StudyState`], derives the report,
+    /// writes the metrics snapshot and flushes the journal and trace, then
+    /// refits the best pipeline on the full data (or selects an ensemble).
+    pub fn finish(self) -> Result<FittedVolcanoML> {
+        let (options, evaluator, root) = (self.options, &self.evaluator, &self.root);
         // Multi-fidelity engines may exhaust a small budget before promoting
         // anything to full fidelity; promote the best low-fidelity candidate
         // with one final full evaluation so `fit` always yields a pipeline.
         let log = evaluator.log();
-        let has_full = log
-            .iter()
-            .any(|e| e.fidelity >= 1.0 - 1e-9 && e.loss.is_finite());
-        if !has_full {
+        if !log.iter().any(|e| e.fidelity >= 1.0 - 1e-9 && e.loss.is_finite()) {
             let best_low = log
                 .iter()
                 .filter(|e| e.loss.is_finite())
-                .min_by(|a, b| a.loss.partial_cmp(&b.loss).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|e| e.assignment.clone());
-            if let Some(assignment) = best_low {
-                evaluator.evaluate(&assignment, 1.0);
+                .min_by(|a, b| a.loss.partial_cmp(&b.loss).unwrap_or(std::cmp::Ordering::Equal));
+            if let Some(e) = best_low {
+                evaluator.evaluate(&e.assignment, 1.0);
             }
         }
 
@@ -458,103 +474,16 @@ impl VolcanoML {
         // reproduce bitwise. In incremental mode the growth controller's
         // ladder position joins the snapshot: two runs that will expand
         // differently in the future must not compare equal.
-        let mut study_state = StudyState::capture(root.as_ref(), &evaluator);
-        if let Some(g) = &growth {
+        let mut study_state = StudyState::capture(root.as_ref(), evaluator);
+        if let Some(g) = &self.growth {
             g.capture_state(&mut study_state.lines);
         }
-
-        // Collect the global best and trajectory from the evaluator log
-        // (warm starts + all blocks).
-        let mut best_loss = f64::INFINITY;
-        let mut best_assignment: Option<Assignment> = None;
-        let mut trajectory = Vec::new();
-        let mut incumbent_steps = Vec::new();
-        let mut cum_cost = 0.0;
-        let log = evaluator.log();
-        for (i, entry) in log.iter().enumerate() {
-            cum_cost += entry.cost;
-            if entry.fidelity >= 1.0 - 1e-9 && entry.loss < best_loss {
-                best_loss = entry.loss;
-                best_assignment = Some(entry.assignment.clone());
-                incumbent_steps.push((i + 1, cum_cost, best_loss, entry.assignment.clone()));
-            }
-            if entry.fidelity >= 1.0 - 1e-9 && best_loss.is_finite() {
-                trajectory.push((i + 1, cum_cost, best_loss));
-            }
-        }
-        let best_assignment = best_assignment.ok_or_else(|| {
-            CoreError::Invalid("no successful full-fidelity evaluation within budget".into())
-        })?;
-
-        // The distinct finite full-fidelity pipelines, best first (an
-        // assignment evaluated twice keeps its better loss).
-        let mut seen = std::collections::HashSet::new();
-        let mut distinct: Vec<_> = log
-            .iter()
-            .filter(|e| e.fidelity >= 1.0 - 1e-9 && e.loss.is_finite())
-            .collect();
-        distinct.sort_by(|a, b| a.loss.total_cmp(&b.loss));
-        distinct.retain(|e| {
-            let mut key: Vec<(&str, u64)> = e
-                .assignment
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.to_bits()))
-                .collect();
-            key.sort();
-            seen.insert(key)
-        });
-
-        // Top assignments for ensembling / meta-learning.
-        let top: Vec<(Assignment, f64)> = distinct
-            .iter()
-            .take(10)
-            .map(|e| (e.assignment.clone(), e.loss))
-            .collect();
-
-        // Pareto front over the same pipelines: scalarization drives the
-        // search to one number, the front recovers the (loss, inference
-        // latency) trade-offs it collapsed.
-        let points: Vec<(f64, f64)> = distinct.iter().map(|e| (e.loss, e.infer_cost)).collect();
-        let pareto_front: Vec<(Assignment, f64, f64)> = crate::objective::pareto_front(&points)
-            .into_iter()
-            .map(|i| (distinct[i].assignment.clone(), distinct[i].loss, distinct[i].infer_cost))
-            .collect();
-
-        // The fidelity mix exercised by the run (ascending): a multi-fidelity
-        // engine that degraded to full-fidelity-only shows up immediately as
-        // a single (1.0, n) entry here.
-        let mut fid_counts: std::collections::BTreeMap<u64, (f64, usize)> =
-            std::collections::BTreeMap::new();
-        for e in &log {
-            let entry = fid_counts.entry(e.fidelity.to_bits()).or_insert((e.fidelity, 0));
-            entry.1 += 1;
-        }
-        let mut fidelity_counts: Vec<(f64, usize)> = fid_counts.into_values().collect();
-        fidelity_counts.sort_by(|a, b| a.0.total_cmp(&b.0));
-
         let counters = evaluator.run_counters();
-        let report = AutoMlReport {
-            best_loss,
-            best_assignment: best_assignment.clone(),
-            trajectory,
-            incumbent_steps,
-            n_evaluations: evaluator.evaluations(),
-            total_cost: evaluator.total_cost(),
-            plan_explain: crate::block::explain(root.as_ref()),
-            top_assignments: top.clone(),
-            cache_hits: counters.cache_hits,
-            cache_misses: counters.cache_misses,
-            fe_cache_hits: counters.fe_cache_hits,
-            fe_cache_misses: counters.fe_cache_misses,
-            fidelity_counts,
-            bytes_gathered: counters.bytes_gathered,
-            gathers_skipped: counters.gathers_skipped,
-            pareto_front,
-        };
+        let report = search_report(evaluator, &counters, crate::block::explain(root.as_ref()))?;
 
         // End-of-run observability: sample run-level figures into the
         // registry, write the snapshot, and flush the append-only files.
-        if let Some(m) = &metrics {
+        if let Some(m) = evaluator.metrics() {
             for (name, count) in [
                 ("cache.result.hits", counters.cache_hits),
                 ("cache.result.misses", counters.cache_misses),
@@ -574,9 +503,9 @@ impl VolcanoML {
             }
             m.set_gauge("run.evaluations", report.n_evaluations as f64);
             m.set_gauge("run.total_cost_s", report.total_cost);
-            m.set_gauge("run.workers", self.options.n_workers as f64);
-            m.set_gauge("run.best_loss", best_loss);
-            if let Some(path) = &self.options.metrics_path {
+            m.set_gauge("run.workers", options.n_workers as f64);
+            m.set_gauge("run.best_loss", report.best_loss);
+            if let Some(path) = &options.metrics_path {
                 m.write_to(path)
                     .map_err(|e| CoreError::Invalid(format!("cannot write metrics: {e}")))?;
             }
@@ -587,37 +516,117 @@ impl VolcanoML {
         }
 
         // Final artifact.
-        if self.options.ensemble_size > 1 && top.len() > 1 {
+        let top = &report.top_assignments;
+        let (single, ensemble) = if options.ensemble_size > 1 && top.len() > 1 {
             // Internal split for greedy selection.
-            let (ens_train, ens_valid) =
-                train_test_split(data, 0.25, self.options.seed ^ 0xe5e)?;
+            let (ens_train, ens_valid) = train_test_split(self.data, 0.25, options.seed ^ 0xe5e)?;
             let ensemble = Ensemble::select(
-                &evaluator,
-                &top,
+                evaluator,
+                top,
                 &ens_train,
                 &ens_valid,
-                metric,
-                self.options.ensemble_size,
-                self.options.ensemble_size * 2,
+                evaluator.metric(),
+                options.ensemble_size,
+                options.ensemble_size * 2,
             )?;
-            Ok(FittedVolcanoML {
-                single: None,
-                ensemble: Some(ensemble),
-                report,
-                study_state,
-                task: data.task,
-            })
+            (None, Some(ensemble))
         } else {
-            let (pipeline, model) = evaluator.refit(&best_assignment, data)?;
-            Ok(FittedVolcanoML {
-                single: Some((pipeline, model)),
-                ensemble: None,
-                report,
-                study_state,
-                task: data.task,
-            })
+            let best = evaluator.refit(&report.best_assignment, self.data)?;
+            (Some(best), None)
+        };
+        Ok(FittedVolcanoML {
+            single,
+            ensemble,
+            report,
+            study_state,
+            task: self.data.task,
+        })
+    }
+}
+
+/// The search report, derived from the evaluator's log (warm starts, every
+/// block's trials and the final promotion) and its run counters.
+fn search_report(
+    evaluator: &Evaluator,
+    counters: &RunCounters,
+    plan_explain: String,
+) -> Result<AutoMlReport> {
+    let log = evaluator.log();
+    let mut best_loss = f64::INFINITY;
+    let mut best_assignment: Option<Assignment> = None;
+    let mut trajectory = Vec::new();
+    let mut incumbent_steps = Vec::new();
+    let mut cum_cost = 0.0;
+    for (i, entry) in log.iter().enumerate() {
+        cum_cost += entry.cost;
+        if entry.fidelity >= 1.0 - 1e-9 && entry.loss < best_loss {
+            best_loss = entry.loss;
+            best_assignment = Some(entry.assignment.clone());
+            incumbent_steps.push((i + 1, cum_cost, best_loss, entry.assignment.clone()));
+        }
+        if entry.fidelity >= 1.0 - 1e-9 && best_loss.is_finite() {
+            trajectory.push((i + 1, cum_cost, best_loss));
         }
     }
+    let best_assignment = best_assignment.ok_or_else(|| {
+        CoreError::Invalid("no successful full-fidelity evaluation within budget".into())
+    })?;
+
+    // The distinct finite full-fidelity pipelines, best first (an
+    // assignment evaluated twice keeps its better loss), told apart by the
+    // digest the result cache keys on.
+    let mut seen = std::collections::HashSet::new();
+    let mut distinct: Vec<_> = log
+        .iter()
+        .filter(|e| e.fidelity >= 1.0 - 1e-9 && e.loss.is_finite())
+        .collect();
+    distinct.sort_by(|a, b| a.loss.total_cmp(&b.loss));
+    distinct.retain(|e| seen.insert(crate::evaluator::assignment_digest(&e.assignment)));
+
+    // Pareto front over the same pipelines: scalarization drives the
+    // search to one number, the front recovers the (loss, inference
+    // latency) trade-offs it collapsed.
+    let points: Vec<(f64, f64)> = distinct.iter().map(|e| (e.loss, e.infer_cost)).collect();
+    let pareto_front = crate::objective::pareto_front(&points)
+        .into_iter()
+        .map(|i| (distinct[i].assignment.clone(), distinct[i].loss, distinct[i].infer_cost))
+        .collect();
+
+    // The fidelity mix exercised by the run (ascending): a multi-fidelity
+    // engine that degraded to full-fidelity-only shows up immediately as
+    // a single (1.0, n) entry here.
+    let mut fid_counts: std::collections::BTreeMap<u64, (f64, usize)> =
+        std::collections::BTreeMap::new();
+    for e in &log {
+        let entry = fid_counts.entry(e.fidelity.to_bits()).or_insert((e.fidelity, 0));
+        entry.1 += 1;
+    }
+    // Positive floats order by their bits, so the map is already ascending.
+    let fidelity_counts = fid_counts.into_values().collect();
+
+    Ok(AutoMlReport {
+        best_loss,
+        best_assignment,
+        trajectory,
+        incumbent_steps,
+        n_evaluations: evaluator.evaluations(),
+        total_cost: evaluator.total_cost(),
+        plan_explain,
+        // Top assignments for ensembling / meta-learning.
+        top_assignments: distinct
+            .iter()
+            .take(10)
+            .map(|e| (e.assignment.clone(), e.loss))
+            .collect(),
+        cache_hits: counters.cache_hits,
+        cache_misses: counters.cache_misses,
+        fe_cache_hits: counters.fe_cache_hits,
+        fe_cache_misses: counters.fe_cache_misses,
+        fidelity_counts,
+        bytes_gathered: counters.bytes_gathered,
+        gathers_skipped: counters.gathers_skipped,
+        pareto_front,
+    })
 }
 
 impl FittedVolcanoML {
@@ -851,6 +860,46 @@ mod tests {
                 .map(str::to_string)
         };
         assert_eq!(growth_line(&state), growth_line(&state2));
+    }
+
+    #[test]
+    fn space_expanded_trial_is_the_same_with_or_without_a_journal() {
+        let d = cls_data(15);
+        let path = std::env::temp_dir().join(format!(
+            "volcanoml-automl-expansions-{}.jsonl",
+            std::process::id()
+        ));
+        let run = |journal_path: Option<std::path::PathBuf>| {
+            let bus = Arc::new(volcanoml_obs::EventBus::new());
+            let mut options = quick_options(40);
+            options.space_growth = SpaceGrowth::Incremental {
+                eui_threshold: 10.0,
+            };
+            options.event_bus = Some(Arc::clone(&bus));
+            options.journal_path = journal_path;
+            let engine = VolcanoML::with_tier(Task::Classification, SpaceTier::Small, options);
+            engine.fit(&d).unwrap();
+            bus.read_after(None)
+                .into_iter()
+                .filter_map(|e| match e.event {
+                    volcanoml_obs::ObsEvent::SpaceExpanded { stage, trial, .. } => {
+                        Some((stage, trial))
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let journaled = run(Some(path.clone()));
+        let rows: Vec<(u64, u64)> = Journal::resume_from_path(&path)
+            .unwrap()
+            .expansions()
+            .iter()
+            .map(|r| (r.stage, r.trial))
+            .collect();
+        let _ = std::fs::remove_file(&path);
+        assert!(!journaled.is_empty(), "no expansion fired within budget");
+        assert_eq!(journaled, rows, "published and journaled trials differ");
+        assert_eq!(run(None), journaled, "the journal changed the trials");
     }
 
     #[test]

@@ -229,6 +229,9 @@ struct EvalState {
     /// `max_evaluations` budget that only counts fresh trials would spin
     /// forever — the budget check reads this to detect saturation.
     consecutive_cached: usize,
+    /// Trials answered so far, cached and replayed ones included: a
+    /// journaled run's row count, whether or not a journal is attached.
+    trials: usize,
     /// Sum of the per-trial work tallies of every fresh fit.
     binned: binned::stats::Tally,
     /// `(bytes_gathered, gathers_skipped)`, summed the same way.
@@ -322,6 +325,7 @@ impl Evaluator {
                     fe_cache: BoundedCache::new(DEFAULT_FE_CACHE_CAPACITY),
                     plans: HashMap::new(),
                     consecutive_cached: 0,
+                    trials: 0,
                     binned: binned::stats::Tally::default(),
                     gathered: (0, 0),
                     log: Vec::new(),
@@ -348,6 +352,11 @@ impl Evaluator {
     /// Total number of (non-cached) evaluations performed: the log's length.
     pub fn evaluations(&self) -> usize {
         self.state().log.len()
+    }
+
+    /// Trials answered so far, cached and replayed ones included.
+    pub(crate) fn trials(&self) -> usize {
+        self.state().trials
     }
 
     /// Cache hits since the last non-cached evaluation. A persistently
@@ -716,6 +725,7 @@ impl Evaluator {
         let coordinator = current_worker().unwrap_or(0);
         let mut state = self.state();
         let mut records: Vec<RunRecord> = Vec::with_capacity(trials.len());
+        state.trials += trials.len();
         for ((assignment, fidelity, _), prep) in trials.iter().zip(prepared) {
             let fidelity = fidelity.clamp(0.01, 1.0);
             let key = (assignment_key(assignment), fidelity.to_bits());

@@ -20,7 +20,8 @@
 //! - [`metalearn`] provides dataset meta-features and k-NN warm starts;
 //! - [`ensemble`] implements greedy ensemble selection over evaluated
 //!   pipelines (the auto-sklearn post-pass);
-//! - [`automl`] exposes the user-facing [`automl::VolcanoML`] engine.
+//! - [`automl`] exposes the user-facing [`automl::VolcanoML`] engine, whose
+//!   `fit` is [`VolcanoML::open`], a [`Study::step`] loop and [`Study::finish`].
 
 pub mod alternating;
 pub mod automl;
@@ -38,7 +39,7 @@ pub mod plans;
 pub mod spaces;
 pub mod study;
 
-pub use automl::{AutoMlReport, FittedVolcanoML, VolcanoML, VolcanoMlOptions};
+pub use automl::{AutoMlReport, FittedVolcanoML, Study, VolcanoML, VolcanoMlOptions};
 pub use study::StudyState;
 pub use block::{Assignment, BlockOptions, BuildingBlock, LossInterval};
 pub use evaluator::{assignment_digest, EvalOutcome, Evaluator, TrialTag, ValidationStrategy};

@@ -2,11 +2,12 @@
 //!
 //! The crate turns the single-shot `VolcanoML::fit` engine into a daemon:
 //! clients `POST` study specifications over a tiny std-only HTTP/JSON API,
-//! the server schedules every study onto ONE shared [`volcanoml_exec::ExecPool`]
-//! under fair-share batch caps (each of the k active studies gets at most
-//! `workers / k` slots per batch), and all trial evidence streams to a
-//! per-study directory: `spec.json`, the crash-safe trial journal,
-//! `trace.jsonl`, `metrics.json`, and a terminal `result.json`.
+//! each study's driver runs `fit`'s own `open`/`step`/`finish` loop on ONE
+//! shared [`volcanoml_exec::ExecPool`], capping each step at a fair share
+//! (each of the k active studies gets at most `workers / k` slots), and all
+//! trial evidence streams to a per-study directory: `spec.json`, the
+//! crash-safe trial journal, `trace.jsonl`, `metrics.json`, and a terminal
+//! `result.json`.
 //!
 //! The keystone property is **crash-resume**: `kill -9` the server, restart
 //! it with `resume`, and every interrupted study continues where it left
@@ -25,9 +26,9 @@
 //!                     │ GET  .../report    ──▶ render_live_report (mid-run ok)
 //!                     │ GET  .../events    ──▶ SSE stream of the study's EventBus
 //!                     │ GET  /metrics      ──▶ Prometheus scrape (all tenants)
-//!                     │ DELETE /studies/:id──▶ stop flag → cancelled
+//!                     │ DELETE /studies/:id──▶ stop flag, read before each step
 //!                     ▼
-//!               shared ExecPool (fair-share batch caps)
+//!               driver: open → step(fair share)… → finish, on the shared ExecPool
 //! ```
 //!
 //! The **live observability plane** (PR 8) rides on the same registry and

@@ -1,5 +1,6 @@
 //! One tenant study: its spec, on-disk layout, lifecycle state, and the
-//! driver thread that runs `VolcanoML::fit` against the shared worker pool.
+//! driver thread that runs its search, one `step` at a time, against the
+//! shared worker pool.
 //!
 //! On-disk layout per study (`<serve dir>/<id>/`):
 //!
@@ -102,7 +103,7 @@ pub struct Study {
     pub spec: StudySpec,
     /// `<serve dir>/<id>/`.
     pub dir: PathBuf,
-    /// Set by `DELETE`; the fit loop observes it between batches.
+    /// Set by `DELETE`; the driver reads it before every step.
     pub stop: Arc<AtomicBool>,
     /// The study's live metrics registry, shared with the fit so the status
     /// route streams counters mid-run (a snapshot still lands in
@@ -158,8 +159,8 @@ impl Study {
 /// Spawns the driver thread for `study`. `resume` asks the driver to replay
 /// an existing journal instead of starting fresh; `workers` is the shared
 /// pool's size (it must also be passed as `n_workers`, which bounds this
-/// run's batch size); `active` counts concurrently running studies and feeds
-/// the fair-share batch cap.
+/// run's batch size); `active` counts concurrently running studies and sets
+/// each step's fair share.
 pub fn spawn_driver(
     study: Arc<Study>,
     pool: Arc<ExecPool>,
@@ -179,30 +180,9 @@ pub fn spawn_driver(
             }
         });
         active.fetch_add(1, Ordering::SeqCst);
-        let outcome = fit_study(&runner, pool, workers, Arc::clone(&active), resume);
+        let status = fit_study(&runner, pool, workers, &active, resume)
+            .unwrap_or_else(|error| StudyStatus::Failed { error });
         active.fetch_sub(1, Ordering::SeqCst);
-        // Cancelled-vs-done is decided by whether the fit itself stopped
-        // early (captured inside fit_study, right as the fit returns) — not
-        // by re-reading the stop flag here, where a DELETE landing after a
-        // complete fit would discard its real result as "cancelled". An Err
-        // with the flag set is still Cancelled: an interrupted run's "no
-        // evaluations" error is not a meaningful failure.
-        let status = match outcome {
-            Ok(FitOutcome {
-                best_loss,
-                n_evaluations,
-                stopped_early: false,
-            }) => StudyStatus::Done {
-                best_loss,
-                n_evaluations,
-            },
-            Ok(FitOutcome {
-                stopped_early: true,
-                ..
-            }) => StudyStatus::Cancelled,
-            Err(_) if runner.stop.load(Ordering::SeqCst) => StudyStatus::Cancelled,
-            Err(error) => StudyStatus::Failed { error },
-        };
         // result.json is the durable terminal marker; write it before
         // flipping the in-memory state so a crash between the two still
         // leaves the study resumable (it would just re-run the tail).
@@ -234,24 +214,16 @@ pub fn spawn_driver(
     *study.handle.lock().expect("study handle lock") = Some(handle);
 }
 
-/// What a successful fit produced, plus whether it was cut short.
-struct FitOutcome {
-    best_loss: f64,
-    n_evaluations: usize,
-    /// True when the stop flag interrupted the fit before it spent its
-    /// budget; distinguishes a cancelled partial result from a real Done.
-    stopped_early: bool,
-}
-
-/// Builds the dataset, wires the study into the shared pool with fair-share
-/// batching, and runs the fit.
+/// Runs the study's search loop on the shared pool to a terminal status:
+/// `Cancelled` when the loop ended on the stop flag, whatever `finish`
+/// returns; otherwise `Done` or `Failed`, even if a `DELETE` lands later.
 fn fit_study(
     study: &Study,
     pool: Arc<ExecPool>,
     workers: usize,
-    active: Arc<AtomicUsize>,
+    active: &AtomicUsize,
     resume: bool,
-) -> Result<FitOutcome, String> {
+) -> Result<StudyStatus, String> {
     let data = study.spec.build_dataset()?;
     let plan = study.spec.resolve_plan()?;
     let journal_path = study.journal_path();
@@ -270,38 +242,42 @@ fn fit_study(
         metrics_path: Some(study.dir.join("metrics.json")),
         resume: resume && journal_path.exists(),
         shared_pool: Some(pool),
-        // Fair share: each of the k active studies may occupy at most
-        // workers/k slots per batch, re-read every batch so capacity
-        // rebalances as studies come and go. Each decision is also
-        // recorded (granted vs. requested share, decision count) so a
-        // scrape can see how contention squeezed this tenant.
-        batch_cap: Some(Arc::new({
-            let sched_metrics = Arc::clone(&study.metrics);
-            move || {
-                let share = (workers / active.load(Ordering::SeqCst).max(1)).max(1);
-                sched_metrics.inc_counter("sched.batch_cap_decisions", 1);
-                sched_metrics.set_gauge("sched.share_granted", share as f64);
-                sched_metrics.set_gauge("sched.share_requested", workers as f64);
-                share
-            }
-        })),
-        stop_flag: Some(Arc::clone(&study.stop)),
         shared_metrics: Some(Arc::clone(&study.metrics)),
         event_bus: Some(Arc::clone(&study.bus)),
         ..VolcanoMlOptions::default()
     };
     let engine = VolcanoML::with_tier(data.task, study.spec.tier, options);
-    let fitted = engine.fit(&data).map_err(|e| e.to_string())?;
-    // Capture the stop flag NOW, while still inside the fit path: a fit that
-    // spent its full budget is Done even if a DELETE raced in afterwards,
-    // and a fit the flag interrupted is Cancelled even though it returned Ok
-    // with partial results.
-    let stopped_early = study.stop.load(Ordering::SeqCst)
-        && fitted.report.n_evaluations < study.spec.max_evaluations;
-    Ok(FitOutcome {
-        best_loss: fitted.report.best_loss,
-        n_evaluations: fitted.report.n_evaluations,
-        stopped_early,
+    let mut search = engine.open(&data).map_err(|e| e.to_string())?;
+    let cancelled = loop {
+        if search.done() {
+            break false;
+        }
+        if study.stop.load(Ordering::SeqCst) {
+            break true;
+        }
+        // Fair share: each of the k active studies may occupy at most
+        // workers/k slots per step, re-read every step so capacity
+        // rebalances as studies come and go. Each decision is also
+        // recorded (granted vs. requested share, decision count) so a
+        // scrape can see how contention squeezed this tenant.
+        let share = (workers / active.load(Ordering::SeqCst).max(1)).max(1);
+        let metrics = &study.metrics;
+        metrics.inc_counter("sched.batch_cap_decisions", 1);
+        metrics.set_gauge("sched.share_granted", share as f64);
+        metrics.set_gauge("sched.share_requested", workers as f64);
+        let k = search.batch_size().min(share);
+        search.step(k).map_err(|e| e.to_string())?;
+    };
+    // `finish` writes metrics.json and flushes the journal and trace even
+    // for a cancelled study.
+    let fitted = search.finish().map_err(|e| e.to_string());
+    if cancelled {
+        return Ok(StudyStatus::Cancelled);
+    }
+    let report = fitted?.report;
+    Ok(StudyStatus::Done {
+        best_loss: report.best_loss,
+        n_evaluations: report.n_evaluations,
     })
 }
 
@@ -362,6 +338,114 @@ mod tests {
         // Fair-share instrumentation fired at least once per batch.
         assert!(study.metrics.counter("sched.batch_cap_decisions") >= 1);
         assert_eq!(study.metrics.gauge("sched.share_requested"), Some(2.0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh, empty scratch directory for one test.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("volcanoml-serve-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The columns of a journal the schedule determines (ids, workers and
+    /// clocks excluded): digest, fidelity, rung, bracket, loss, cached, arm.
+    fn schedule_columns(path: &std::path::Path) -> Vec<(String, u64, i64, i64, u64, bool, String)> {
+        volcanoml_exec::Journal::resume_from_path(path)
+            .unwrap()
+            .records()
+            .into_iter()
+            .map(|r| {
+                let fidelity = r.fidelity.to_bits();
+                (
+                    r.digest,
+                    fidelity,
+                    r.rung,
+                    r.bracket,
+                    r.loss.to_bits(),
+                    r.cached,
+                    r.arm,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn serve_and_fit_run_the_same_search() {
+        let dir = scratch_dir("parity");
+        let spec = StudySpec::from_json(
+            r#"{"dataset":"moons","engine":"mfes-hb","plan":"p1","max_evaluations":24,"seed":3}"#,
+        )
+        .unwrap();
+        let study = Arc::new(Study::new("p0".to_string(), spec.clone(), dir.join("p0")));
+        std::fs::create_dir_all(&study.dir).unwrap();
+        let pool = Arc::new(ExecPool::with_workers(2));
+        spawn_driver(
+            Arc::clone(&study),
+            pool,
+            2,
+            Arc::new(AtomicUsize::new(0)),
+            false,
+        );
+        study.join();
+        assert!(
+            matches!(study.status(), StudyStatus::Done { .. }),
+            "{:?}",
+            study.status()
+        );
+
+        let data = spec.build_dataset().unwrap();
+        let fit_journal = dir.join("fit.jsonl");
+        let options = VolcanoMlOptions {
+            plan: spec.resolve_plan().unwrap(),
+            max_evaluations: spec.max_evaluations,
+            seed: spec.seed,
+            cost_aware: spec.cost_aware,
+            objective: spec.objective,
+            space_growth: spec.space,
+            n_workers: 2,
+            journal_path: Some(fit_journal.clone()),
+            ..VolcanoMlOptions::default()
+        };
+        VolcanoML::with_tier(data.task, spec.tier, options)
+            .fit(&data)
+            .unwrap();
+
+        let served = schedule_columns(&study.journal_path());
+        assert!(!served.is_empty());
+        assert_eq!(served, schedule_columns(&fit_journal));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_study_stopped_before_its_driver_starts_ends_cancelled() {
+        let dir = scratch_dir("stopped");
+        let spec = StudySpec::from_json(
+            r#"{"dataset":"moons","engine":"random","max_evaluations":4,"seed":1}"#,
+        )
+        .unwrap();
+        let study = Arc::new(Study::new("s0".to_string(), spec, dir.clone()));
+        study.stop.store(true, Ordering::SeqCst);
+        let pool = Arc::new(ExecPool::with_workers(2));
+        spawn_driver(
+            Arc::clone(&study),
+            pool,
+            2,
+            Arc::new(AtomicUsize::new(0)),
+            false,
+        );
+        study.join();
+        assert_eq!(study.status(), StudyStatus::Cancelled);
+        let result = std::fs::read_to_string(dir.join("result.json")).unwrap();
+        assert_eq!(
+            StudyStatus::from_json(&result),
+            Some(StudyStatus::Cancelled)
+        );
+        let events = study.bus.read_after(None);
+        assert_eq!(events.last().unwrap().event.kind(), "StudyCancelled");
+        assert!(events.iter().all(|e| e.event.kind() != "StudyFailed"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -306,9 +306,9 @@ fn pooled_fit_breaks_loss_ties_by_submission_order() {
     }
 }
 
-/// One serve tenant's fit: on the shared `pool`, capped per batch to its
+/// One serve tenant's fit: on the shared `pool`, each step capped to its
 /// fair share of the pool's workers among the `active` studies, as
-/// `volcanoml serve` runs it. Returns the cost-stripped `StudyState`.
+/// `volcanoml serve` drives it. Returns the cost-stripped `StudyState`.
 fn tenant_fit(
     plan: &PlanSpec,
     seed: u64,
@@ -317,22 +317,21 @@ fn tenant_fit(
     active: &Arc<AtomicUsize>,
 ) -> Vec<String> {
     let workers = pool.workers();
-    let active = Arc::clone(active);
     let options = VolcanoMlOptions {
         plan: plan.clone(),
         max_evaluations: 24,
         seed,
         n_workers: workers,
         shared_pool: Some(Arc::clone(pool)),
-        batch_cap: Some(Arc::new(move || {
-            (workers / active.load(Ordering::SeqCst).max(1)).max(1)
-        })),
         ..Default::default()
     };
-    let fitted = VolcanoML::with_tier(data.task, SpaceTier::Small, options)
-        .fit(data)
-        .unwrap();
-    strip_costs(&fitted.study_state)
+    let engine = VolcanoML::with_tier(data.task, SpaceTier::Small, options);
+    let mut study = engine.open(data).unwrap();
+    while !study.done() {
+        let share = (workers / active.load(Ordering::SeqCst).max(1)).max(1);
+        study.step(study.batch_size().min(share)).unwrap();
+    }
+    strip_costs(&study.finish().unwrap().study_state)
 }
 
 /// Two studies sharing one 1-worker pool, released together, each search
