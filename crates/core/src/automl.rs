@@ -253,6 +253,9 @@ impl VolcanoML {
     /// the growth controller and the compiled plan root, then evaluates the
     /// warm starts. The caller drives the returned [`Study`].
     pub fn open<'a>(&'a self, data: &'a Dataset) -> Result<Study<'a>> {
+        if self.options.max_evaluations == 0 {
+            return Err(CoreError::Invalid("max_evaluations must be at least 1".into()));
+        }
         if data.task != self.space.task {
             return Err(CoreError::Invalid(format!(
                 "dataset task {:?} does not match space task {:?}",
@@ -351,9 +354,7 @@ impl VolcanoML {
             }
             // Complete partial assignments with defaults.
             let mut full = self.space.defaults();
-            for (k, v) in assignment {
-                full.insert(k.clone(), *v);
-            }
+            full.extend(assignment.clone());
             study.evaluator.evaluate(&full, 1.0);
         }
         Ok(study)
@@ -768,6 +769,24 @@ mod tests {
         assert!(fitted.is_ensemble());
         let preds = fitted.predict(&d.x).unwrap();
         assert_eq!(preds.len(), d.n_samples());
+    }
+
+    #[test]
+    fn zero_budget_is_rejected_before_any_sink_is_created() {
+        let d = cls_data(8);
+        let journal = std::env::temp_dir().join(format!(
+            "volcanoml-automl-zero-budget-{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&journal);
+        let mut options = quick_options(0);
+        options.journal_path = Some(journal.clone());
+        let engine = VolcanoML::with_tier(Task::Classification, SpaceTier::Small, options);
+        let Err(err) = engine.open(&d) else {
+            panic!("a zero budget opened a study");
+        };
+        assert!(err.to_string().contains("max_evaluations"), "{err}");
+        assert!(!journal.exists(), "journal created before the budget check");
     }
 
     #[test]

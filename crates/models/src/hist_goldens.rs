@@ -5,10 +5,10 @@
 //! reaches). The digests were recorded before the histogram slabs carried
 //! their own touched-bin sets, so any change to how slabs are filled,
 //! subtracted, scanned or retired must reproduce every bit. The fixtures
-//! cover both kernels' tracking layouts: the padded u8 bitmaps (regression
-//! and up to three classes) and the sorted lists (five classes), roots above
-//! and below 256 rows, bootstrap and subsample weights, and discrete columns
-//! whose bins hold rows of both children.
+//! cover both fills on the padded u8 layout: the fixed-channel one
+//! (regression and up to three classes) and the generic one (five classes),
+//! roots above and below 256 rows, bootstrap and subsample weights, and
+//! discrete columns whose bins hold rows of both children.
 
 use crate::boosting::{GradientBoostingClassifier, GradientBoostingRegressor};
 use crate::forest::{ForestClassifier, ForestConfig, ForestRegressor};
@@ -166,4 +166,19 @@ fn touched_slabs_cut_cells_swept_tenfold() {
     let tally = crate::binned::stats::take();
     assert_eq!((tally.hist_node_scans, tally.hist_bytes_scanned), (1126, 69820), "{tally:?}");
     assert!(tally.slab_cells_swept * 10 <= 24_306_484, "{tally:?}");
+}
+
+/// The sweep counter on the five-class forest, the fixture whose six
+/// channels take the generic fill on the padded layout: the fills are
+/// those recorded before every flat slab carried a bitmap, and the cells
+/// swept are no more than the 2 318 058 recorded then.
+#[test]
+fn five_class_slabs_sweep_no_more_cells() {
+    let d = classification(400, 8, 5, 10);
+    let mut m = ForestClassifier::new(forest(MaxFeatures::All, 12));
+    crate::binned::stats::take();
+    m.fit(&d.x, &d.y).unwrap();
+    let tally = crate::binned::stats::take();
+    assert_eq!((tally.hist_node_scans, tally.hist_bytes_scanned), (557, 79392), "{tally:?}");
+    assert!(tally.slab_cells_swept <= 2_318_058, "{tally:?}");
 }

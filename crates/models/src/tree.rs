@@ -651,12 +651,11 @@ const FEATURE_PARALLEL_MIN_CELLS: usize = 8192;
 /// without pinning unbounded memory after a wide ensemble fit.
 const SLAB_POOL_CAP: usize = 64;
 
-/// Largest node (rows) whose fill records touched bins row by row. A node
-/// this small populates at most `rows` of a feature's bins. Off the padded
-/// fixed-channel layout (u16 codes, or four or more classes) it records
-/// sorted lists, and larger nodes, which touch most bins anyway, record
-/// nothing. Padded fixed-channel fills record [`TouchedBits`] at every
-/// size: an OR per row up to this size, every real bin above it.
+/// Largest node (rows) whose fill records its touched bins row by row, an
+/// OR into the feature's bitmap per row. A node this small populates at
+/// most `rows` of a feature's bins. Larger nodes, which touch most of a
+/// many-valued feature's bins anyway, take the plain fill and every real
+/// bin as their set (see [`Touched::set_all`]).
 const TRACKED_MAX_ROWS: usize = 256;
 
 /// Bins per feature region in the flat u8 kernel's padded slab layout.
@@ -677,13 +676,8 @@ fn fixed_region<const CH: usize>(region: &mut [f64]) -> &mut [[f64; CH]; PAD_BIN
     cells.try_into().expect("padded region is PAD_BINS cells")
 }
 
-/// One padded feature region's touched-bin set as a bitmap — cheaper to
-/// maintain than a sorted list (an idempotent OR per row, no 0 → 1 test,
-/// no sort) and iterated in the same ascending bin order.
-type TouchedBits = [u64; PAD_BINS / 64];
-
 /// Calls `f` for each set bit, in ascending order.
-fn for_each_bit(bits: &TouchedBits, mut f: impl FnMut(usize)) {
+fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
     for (wi, &word) in bits.iter().enumerate() {
         let mut w = word;
         while w != 0 {
@@ -696,7 +690,7 @@ fn for_each_bit(bits: &TouchedBits, mut f: impl FnMut(usize)) {
 /// Calls `f` with each maximal run of consecutive set bits below `limit`,
 /// in ascending order — a sparse set yields single bins, a dense one a few
 /// long ranges that subtraction and zeroing sweep as contiguous slices.
-fn for_each_bit_run(bits: &TouchedBits, limit: usize, mut f: impl FnMut(Range<usize>)) {
+fn for_each_bit_run(bits: &[u64], limit: usize, mut f: impl FnMut(Range<usize>)) {
     let mut run = 0..0;
     'words: for (wi, &word) in bits.iter().enumerate() {
         let mut w = word;
@@ -710,7 +704,14 @@ fn for_each_bit_run(bits: &TouchedBits, limit: usize, mut f: impl FnMut(Range<us
             // Clear the lowest run of ones: adding its lowest bit carries
             // through it.
             w &= w.wrapping_add(1 << tz);
-            run = extend_run(run, start..end, &mut f);
+            if start == run.end {
+                run.end = end;
+            } else {
+                if !run.is_empty() {
+                    f(run);
+                }
+                run = start..end;
+            }
         }
     }
     if !run.is_empty() {
@@ -718,93 +719,64 @@ fn for_each_bit_run(bits: &TouchedBits, limit: usize, mut f: impl FnMut(Range<us
     }
 }
 
-/// Appends the ascending range `next` to the open `run` and returns the
-/// open run, handing `f` the run it closes when the two are not adjacent.
-fn extend_run(
-    run: Range<usize>,
-    next: Range<usize>,
-    f: &mut impl FnMut(Range<usize>),
-) -> Range<usize> {
-    if run.is_empty() {
-        next
-    } else if next.start == run.end {
-        run.start..next.end
-    } else {
-        f(run);
-        next
-    }
-}
-
-/// Which representation a slab's touched-bin sets use.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Tracked {
-    /// No touched sets: every bin may be non-zero (large list-layout
-    /// nodes, feature-parallel fills, the PerNode kernel, and slabs
-    /// inherited from such a node).
-    None,
-    /// Sorted `Vec<u32>` lists (generic layouts, small nodes).
-    Lists,
-    /// [`TouchedBits`] bitmaps (padded u8 layout, fixed channel count).
-    Bits,
-}
-
-/// Per-candidate-feature bin sets outside which a slab's cells are exactly
-/// `0.0`. A fill records the bins its rows hit. A slab that inherits its
-/// parent's cells through sibling subtraction keeps the parent's sets: the
-/// child's rows are a subset of the parent's, and subtraction writes only
-/// inside the sibling's (smaller) sets. A bin a child's rows left empty
-/// stays in the set with a count of exactly `0.0`, which the split scan
-/// skips.
+/// Per-candidate-feature bitmaps of the bins outside which a slab's cells
+/// are exactly `0.0`: `words` words per feature, bin `b` of candidate `fi`
+/// at bit `b % 64` of word `fi * words + b / 64`. A small node's fill ORs
+/// in the bins its rows hit; every other fill marks every real bin. A slab
+/// that inherits its parent's cells through sibling subtraction keeps the
+/// parent's sets: the child's rows are a subset of the parent's, and
+/// subtraction writes only inside the sibling's (smaller) sets. A bin a
+/// child's rows left empty stays in the set with a count of exactly `0.0`,
+/// which the split scan skips.
+#[derive(Default)]
 struct Touched {
-    kind: Tracked,
-    bits: Vec<TouchedBits>,
-    lists: Vec<Vec<u32>>,
+    words: usize,
+    bits: Vec<u64>,
 }
 
 impl Touched {
-    const NONE: Touched = Touched {
-        kind: Tracked::None,
-        bits: Vec::new(),
-        lists: Vec::new(),
-    };
+    /// Empties the sets and sizes them for `n_features` candidates of
+    /// `words` words each.
+    fn clear(&mut self, n_features: usize, words: usize) {
+        self.words = words;
+        self.bits.clear();
+        self.bits.resize(n_features * words, 0);
+    }
 
-    /// Calls `f` with each maximal run of bins below `limit` that may hold
-    /// a non-zero cell of candidate feature `fi`, ascending: the runs of
-    /// the touched set when there is one, `0..limit` otherwise. Bins
-    /// outside the set hold exact `0.0`s, so a walk that skips them adds
-    /// and subtracts the same bits.
-    fn for_each_run(&self, fi: usize, limit: usize, mut f: impl FnMut(Range<usize>)) {
-        match self.kind {
-            Tracked::None => f(0..limit),
-            Tracked::Bits => for_each_bit_run(&self.bits[fi], limit, f),
-            Tracked::Lists => {
-                let mut run = 0..0;
-                for &b in &self.lists[fi] {
-                    let b = b as usize;
-                    if b >= limit {
-                        break;
-                    }
-                    run = extend_run(run, b..b + 1, &mut f);
-                }
-                if !run.is_empty() {
-                    f(run);
-                }
-            }
+    /// Candidate `fi`'s bitmap.
+    fn feature(&self, fi: usize) -> &[u64] {
+        &self.bits[fi * self.words..(fi + 1) * self.words]
+    }
+
+    fn feature_mut(&mut self, fi: usize) -> &mut [u64] {
+        &mut self.bits[fi * self.words..(fi + 1) * self.words]
+    }
+
+    /// Marks every real bin (`0..n_bins`) of candidate `fi`: a superset of
+    /// any node's touched bins that costs nothing to record, and a single
+    /// run, so the sweeps over it stay contiguous.
+    fn set_all(&mut self, fi: usize, n_bins: usize) {
+        for (wi, word) in self.feature_mut(fi).iter_mut().enumerate() {
+            let below = n_bins.saturating_sub(wi * 64);
+            *word = if below >= 64 { u64::MAX } else { (1u64 << below) - 1 };
         }
     }
 
-    /// [`Touched::for_each_run`], one bin at a time. A bitmap is walked
-    /// bit by bit, which is cheaper than finding runs in the sparse set of
-    /// a small node.
+    /// Calls `f` with each maximal run of candidate `fi`'s set bins below
+    /// `limit`, ascending. Bins outside the set hold exact `0.0`s, so a
+    /// walk that skips them adds and subtracts the same bits.
+    fn for_each_run(&self, fi: usize, limit: usize, f: impl FnMut(Range<usize>)) {
+        for_each_bit_run(self.feature(fi), limit, f)
+    }
+
+    /// [`Touched::for_each_run`], one bin at a time — cheaper than finding
+    /// runs in the sparse set of a small node.
     fn for_each_bin(&self, fi: usize, limit: usize, mut f: impl FnMut(usize)) {
-        match self.kind {
-            Tracked::Bits => for_each_bit(&self.bits[fi], |b| {
-                if b < limit {
-                    f(b);
-                }
-            }),
-            _ => self.for_each_run(fi, limit, |run| run.for_each(&mut f)),
-        }
+        for_each_bit(self.feature(fi), |b| {
+            if b < limit {
+                f(b);
+            }
+        })
     }
 }
 
@@ -813,6 +785,7 @@ impl Touched {
 /// The sets travel with the cells through sibling subtraction and back
 /// into the pool, so subtraction, split scans and retirement all walk
 /// only the touched bins.
+#[derive(Default)]
 struct Slab {
     cells: Vec<f64>,
     touched: Touched,
@@ -826,8 +799,8 @@ thread_local! {
     static SLAB_POOL: RefCell<Vec<Slab>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A zeroed, untracked histogram slab of `len` floats, from the pool when
-/// possible (its touched-set buffers come along for reuse).
+/// A zeroed histogram slab of `len` floats, from the pool when possible
+/// (its touched-set buffer comes along for reuse; the caller sets it).
 fn take_slab(len: usize) -> Slab {
     let pooled = SLAB_POOL.with(|p| p.borrow_mut().pop());
     match pooled {
@@ -838,12 +811,11 @@ fn take_slab(len: usize) -> Slab {
             // appends zeros. This is where deep trees win — a full memset
             // of a ~255-bin slab dwarfs the fill cost of a small node.
             slab.cells.resize(len, 0.0);
-            slab.touched.kind = Tracked::None;
             slab
         }
         None => Slab {
             cells: vec![0.0; len],
-            touched: Touched::NONE,
+            ..Slab::default()
         },
     }
 }
@@ -1070,14 +1042,20 @@ impl<C: BinCode> FillCtx<'_, C> {
         }
     }
 
-    /// [`FillCtx::fill`] plus touched-bin tracking: each feature's list in
-    /// `touched` receives the bins this node actually populated (pushed on
-    /// the count channel's 0 → 1 transition, then sorted ascending). Small
-    /// nodes touch a handful of a feature's ≤ 255 bins, and the lists let
-    /// split search and slab retirement walk only those cells instead of
-    /// the whole arena. Accumulation arithmetic is untouched, so the slab
-    /// is bitwise identical to the untracked fill's.
-    fn fill_tracked(&self, features: &[usize], slab: &mut [f64], touched: &mut [Vec<u32>]) {
+    /// [`FillCtx::fill`] plus touched-bin tracking: each row's bin is ORed
+    /// into its feature's bitmap in `touched` (idempotent, so no 0 → 1 test
+    /// and no sort). Small nodes touch a handful of a feature's bins, and
+    /// the sets let subtraction, split search and slab retirement walk only
+    /// those cells instead of the whole slab. Accumulation arithmetic is
+    /// untouched, so the slab is bitwise identical to the plain fill's.
+    fn fill_tracked(&self, features: &[usize], slab: &mut [f64], touched: &mut Touched) {
+        if self.pad {
+            match self.channels {
+                3 => return self.fill_tracked_fixed::<3>(features, slab, touched),
+                4 => return self.fill_tracked_fixed::<4>(features, slab, touched),
+                _ => {}
+            }
+        }
         let ch = self.channels;
         let n = self.bm.n_rows();
         let mut off = 0usize;
@@ -1085,15 +1063,12 @@ impl<C: BinCode> FillCtx<'_, C> {
             let col = &self.codes[f * n..(f + 1) * n];
             let width = self.width(f);
             let h = &mut slab[off..off + width];
-            let list = &mut touched[fi];
-            list.clear();
+            let bits = touched.feature_mut(fi);
             for &i in self.rows {
                 let i = i as usize;
                 let bin = col[i].bin();
+                bits[bin >> 6] |= 1u64 << (bin & 63);
                 let base = bin * ch;
-                if h[base + ch - 1] == 0.0 {
-                    list.push(bin as u32);
-                }
                 if self.is_mse {
                     h[base] += self.row_w[i];
                     h[base + 1] += self.row_wy[i];
@@ -1104,48 +1079,19 @@ impl<C: BinCode> FillCtx<'_, C> {
                     h[base + ch - 1] += 1.0;
                 }
             }
-            list.sort_unstable();
             off += width;
         }
     }
 
-    /// Fills the padded slab and records each feature's touched bins as a
-    /// [`TouchedBits`] bitmap. Nodes of up to [`TRACKED_MAX_ROWS`] rows OR
-    /// each row's bin in as they accumulate. Larger ones take the paired
-    /// untracked fill and every real bin as their set: a superset of the
-    /// touched bins that costs nothing to record, and a single run, so the
-    /// sweeps over it stay contiguous. A node that large touches most of a
-    /// many-valued feature's bins anyway, and a few-valued feature has few
-    /// real bins to sweep.
-    fn fill_bits<const CH: usize>(
-        &self,
-        features: &[usize],
-        slab: &mut [f64],
-        touched: &mut [TouchedBits],
-    ) {
-        if self.rows.len() <= TRACKED_MAX_ROWS {
-            return self.fill_tracked_fixed::<CH>(features, slab, touched);
-        }
-        self.fill_fixed::<CH>(features, slab);
-        for (&f, bits) in features.iter().zip(touched.iter_mut()) {
-            let nb = self.bm.n_bins(f);
-            for (wi, word) in bits.iter_mut().enumerate() {
-                let below = nb.saturating_sub(wi * 64);
-                *word = if below >= 64 { u64::MAX } else { (1u64 << below) - 1 };
-            }
-        }
-    }
-
     /// [`FillCtx::fill_tracked`] on the padded fixed-array layout — the
-    /// same bounds-check-free accumulation as [`FillCtx::fill_fixed`],
-    /// with each touched bin recorded by an idempotent OR into a
-    /// [`TouchedBits`] bitmap (no per-row 0 → 1 test, no sort; iteration
-    /// is ascending either way).
+    /// same bounds-check-free accumulation as [`FillCtx::fill_fixed`], with
+    /// each feature's words viewed as a `PAD_BINS / 64` array so the OR
+    /// is unchecked too.
     fn fill_tracked_fixed<const CH: usize>(
         &self,
         features: &[usize],
         slab: &mut [f64],
-        touched: &mut [TouchedBits],
+        touched: &mut Touched,
     ) {
         debug_assert_eq!(self.channels, CH);
         let n = self.bm.n_rows();
@@ -1153,8 +1099,8 @@ impl<C: BinCode> FillCtx<'_, C> {
         for (fi, &f) in features.iter().enumerate() {
             let col = &self.codes[f * n..(f + 1) * n];
             let h = fixed_region::<CH>(&mut slab[off..off + PAD_BINS * CH]);
-            let bits = &mut touched[fi];
-            *bits = [0; PAD_BINS / 64];
+            let bits: &mut [u64; PAD_BINS / 64] =
+                touched.feature_mut(fi).try_into().expect("padded bitmap is PAD_BINS bits");
             for &i in self.rows {
                 let i = i as usize;
                 let bin = col[i].bin() & (PAD_BINS - 1);
@@ -1213,9 +1159,12 @@ struct HistBuilder<'a, C: BinCode> {
     row_cls: Vec<u32>,
     /// [`HistKernel::PerNode`]'s builder-local slab pool, mirroring the
     /// PR 2 kernel's recycling so the bench baseline keeps its real costs.
-    local_pool: Vec<Vec<f64>>,
+    local_pool: Vec<Slab>,
     /// Padded slab layout — flat kernel over u8 codes (see [`PAD_BINS`]).
     pad: bool,
+    /// Touched-bitmap words per candidate feature: `PAD_BINS / 64` on the
+    /// padded layout, enough for the widest feature otherwise.
+    words: usize,
 }
 
 impl<C: BinCode> HistBuilder<'_, C> {
@@ -1302,60 +1251,50 @@ impl<C: BinCode> HistBuilder<'_, C> {
 
     /// One pass over the node's rows fills every candidate feature's bins
     /// into a single flat slab (features in candidate order, running
-    /// offsets) and records the touched bins with it: bitmaps for every
-    /// serial fill on the padded fixed-channel layout, sorted lists for
-    /// other layouts up to [`TRACKED_MAX_ROWS`] rows. Also charges the
-    /// bandwidth counters: each fill reads `rows × features × C::BYTES` of
-    /// bin codes.
+    /// offsets) and sets the slab's touched bitmaps with it: a node of at
+    /// most [`TRACKED_MAX_ROWS`] rows ORs in the bins its rows hit, while
+    /// larger nodes, feature-parallel fills and the PerNode oracle mark
+    /// every real bin. Also charges the bandwidth counters: each fill reads
+    /// `rows × features × C::BYTES` of bin codes.
     fn build_hists(&mut self, start: usize, end: usize, features: &[usize]) -> Slab {
         crate::binned::stats::bump(|t| {
             t.hist_node_scans += 1;
             t.hist_bytes_scanned += ((end - start) * features.len() * C::BYTES) as u64;
         });
-        if self.config.hist_kernel == HistKernel::PerNode {
-            return self.build_hists_per_node(start, end, features);
-        }
-        let ctx = FillCtx {
-            bm: self.bm,
-            codes: self.codes,
-            rows: &self.idx[start..end],
-            channels: self.channels,
-            is_mse: self.is_mse(),
-            row_w: &self.row_w,
-            row_wy: &self.row_wy,
-            row_wyy: &self.row_wyy,
-            row_cls: &self.row_cls,
-            pad: self.pad,
-        };
-        let mut slab = take_slab(ctx.slab_len(features));
-        let Slab { cells, touched } = &mut slab;
-        let jobs = self.config.hist_n_jobs;
-        let n_cells = (end - start) * features.len();
-        if jobs > 1 && features.len() > 1 && n_cells >= FEATURE_PARALLEL_MIN_CELLS {
-            fill_parallel(&ctx, features, cells, jobs);
-            return slab;
-        }
-        touched.kind = match self.channels {
-            3 if self.pad => {
-                touched.bits.resize(features.len(), [0; PAD_BINS / 64]);
-                ctx.fill_bits::<3>(features, cells, &mut touched.bits);
-                Tracked::Bits
-            }
-            4 if self.pad => {
-                touched.bits.resize(features.len(), [0; PAD_BINS / 64]);
-                ctx.fill_bits::<4>(features, cells, &mut touched.bits);
-                Tracked::Bits
-            }
-            _ if end - start <= TRACKED_MAX_ROWS => {
-                touched.lists.resize(features.len(), Vec::new());
-                ctx.fill_tracked(features, cells, &mut touched.lists);
-                Tracked::Lists
-            }
-            _ => {
-                ctx.fill(features, cells);
-                Tracked::None
+        let mut slab = match self.config.hist_kernel {
+            HistKernel::PerNode => self.build_hists_per_node(start, end, features),
+            HistKernel::Flat => {
+                let ctx = FillCtx {
+                    bm: self.bm,
+                    codes: self.codes,
+                    rows: &self.idx[start..end],
+                    channels: self.channels,
+                    is_mse: self.is_mse(),
+                    row_w: &self.row_w,
+                    row_wy: &self.row_wy,
+                    row_wyy: &self.row_wyy,
+                    row_cls: &self.row_cls,
+                    pad: self.pad,
+                };
+                let mut slab = take_slab(ctx.slab_len(features));
+                let Slab { cells, touched } = &mut slab;
+                touched.clear(features.len(), self.words);
+                let jobs = self.config.hist_n_jobs;
+                let n_cells = (end - start) * features.len();
+                if jobs > 1 && features.len() > 1 && n_cells >= FEATURE_PARALLEL_MIN_CELLS {
+                    fill_parallel(&ctx, features, cells, jobs);
+                } else if end - start <= TRACKED_MAX_ROWS {
+                    ctx.fill_tracked(features, cells, touched);
+                    return slab;
+                } else {
+                    ctx.fill(features, cells);
+                }
+                slab
             }
         };
+        for (fi, &f) in features.iter().enumerate() {
+            slab.touched.set_all(fi, self.bm.n_bins(f));
+        }
         slab
     }
 
@@ -1370,14 +1309,15 @@ impl<C: BinCode> HistBuilder<'_, C> {
         let n = self.bm.n_rows();
         let len: usize = features.iter().map(|&f| self.bm.n_bins(f) * ch).sum();
         let mut slab = self.local_pool.pop().unwrap_or_default();
-        slab.clear();
-        slab.resize(len, 0.0);
+        slab.cells.clear();
+        slab.cells.resize(len, 0.0);
+        slab.touched.clear(features.len(), self.words);
         crate::binned::stats::bump(|t| t.slab_cells_swept += len as u64);
         let mut off = 0usize;
         for &f in features {
             let col = &self.codes[f * n..(f + 1) * n];
             let width = self.bm.n_bins(f) * ch;
-            let h = &mut slab[off..off + width];
+            let h = &mut slab.cells[off..off + width];
             for &i in &self.idx[start..end] {
                 let i = i as usize;
                 let w = self.weights.map_or(1.0, |w| w[i]);
@@ -1394,82 +1334,36 @@ impl<C: BinCode> HistBuilder<'_, C> {
             }
             off += width;
         }
-        Slab {
-            cells: slab,
-            touched: Touched::NONE,
-        }
+        slab
     }
 
     /// Returns a node's histogram slab to the matching pool.
     ///
     /// The flat pool's invariant is that parked slabs are all-zero, so the
-    /// retiring node pays the clearing cost. A tracked slab — filled here
-    /// or inherited through subtraction — zeroes its touched bins only.
-    /// An untracked one built from `idx[start..end]` (`rows = Some(..)`;
-    /// partition may have reordered the range, but zeroing only needs the
-    /// row *set*) zeroes its rows' cells when that is cheaper than one
-    /// sequential clear of the whole slab, which everything else pays.
-    fn retire_slab(&mut self, slab: Slab, rows: Option<(usize, usize)>, features: &[usize]) {
-        let mut slab = match self.config.hist_kernel {
-            HistKernel::PerNode => return self.local_pool.push(slab.cells),
-            HistKernel::Flat => slab,
-        };
-        let swept = if slab.touched.kind != Tracked::None {
-            self.for_each_touched_cells(&slab.touched, features, |cells| {
-                slab.cells[cells].fill(0.0)
-            })
-        } else {
-            match rows {
-                Some((start, end))
-                    if (end - start) * features.len() * self.channels * 2 <= slab.cells.len() =>
-                {
-                    self.zero_touched(&mut slab.cells, start, end, features)
-                }
-                _ => {
-                    slab.cells.fill(0.0);
-                    slab.cells.len()
-                }
-            }
-        };
+    /// retiring node pays the clearing cost: it zeroes the runs of its
+    /// touched sets — recorded by its own fill or inherited through
+    /// subtraction — which for a small node is far cheaper than clearing
+    /// the whole slab.
+    fn retire_slab(&mut self, mut slab: Slab, features: &[usize]) {
+        if self.config.hist_kernel == HistKernel::PerNode {
+            return self.local_pool.push(slab);
+        }
+        let swept = self.for_each_touched_cells(&slab.touched, features, |cells| {
+            slab.cells[cells].fill(0.0)
+        });
         crate::binned::stats::bump(|t| t.slab_cells_swept += swept as u64);
         put_slab(slab);
-    }
-
-    /// Zeroes exactly the cells a fill over `idx[start..end] × features`
-    /// touched, restoring the all-zero pool invariant without a full-slab
-    /// memset. Returns the cells visited.
-    fn zero_touched(
-        &self,
-        slab: &mut [f64],
-        start: usize,
-        end: usize,
-        features: &[usize],
-    ) -> usize {
-        let ch = self.channels;
-        let n = self.bm.n_rows();
-        let mut off = 0usize;
-        for &f in features {
-            let col = &self.codes[f * n..(f + 1) * n];
-            let width = self.width(f);
-            let h = &mut slab[off..off + width];
-            for &i in &self.idx[start..end] {
-                let base = col[i as usize].bin() * ch;
-                h[base..base + ch].fill(0.0);
-            }
-            off += width;
-        }
-        (end - start) * features.len() * ch
     }
 
     /// Scans bin boundaries for the best split; returns the winning
     /// candidate's position in `features` and the boundary bin.
     ///
-    /// A tracked slab visits only its touched bins, in ascending order: a
+    /// The walk visits only the slab's touched bins, in ascending order: a
     /// superset of the non-empty bins the full walk would not have skipped,
     /// and every bin outside it holds exact `0.0`s, which add nothing to
-    /// the parent sums, so skipping them is bitwise neutral. Untracked
-    /// slabs — and the PerNode oracle — walk every bin with the empty-skip,
-    /// as the PR 2 kernel did.
+    /// the parent sums, so skipping them is bitwise neutral. A set of every
+    /// real bin (large nodes, the PerNode oracle) makes it the full walk,
+    /// empty-skip included.
     fn scan_split(&self, slab: &Slab, features: &[usize], n_node: usize) -> Option<(usize, usize)> {
         let (cells, touched) = (&slab.cells, &slab.touched);
         let is_mse = self.is_mse();
@@ -1610,23 +1504,15 @@ impl<C: BinCode> HistBuilder<'_, C> {
             && n >= 2 * self.config.min_samples_leaf
     }
 
-    /// `large -= small`, cell by cell. Only the small slab's touched bins
-    /// are walked when it has touched sets: its other cells are the pool's
-    /// exact `0.0`, and `x - 0.0 == x` bit for bit. An untracked small slab
-    /// (and every PerNode slab) pays one pass over the whole slab.
+    /// `large -= small`, cell by cell, over the small slab's touched bins
+    /// only: its other cells are the pool's exact `0.0`, and `x - 0.0 == x`
+    /// bit for bit.
     fn subtract(&self, large: &mut [f64], small: &Slab, features: &[usize]) {
-        let swept = if small.touched.kind == Tracked::None {
-            for (a, b) in large.iter_mut().zip(small.cells.iter()) {
+        let swept = self.for_each_touched_cells(&small.touched, features, |cells| {
+            for (a, b) in large[cells.clone()].iter_mut().zip(&small.cells[cells]) {
                 *a -= b;
             }
-            large.len()
-        } else {
-            self.for_each_touched_cells(&small.touched, features, |cells| {
-                for (a, b) in large[cells.clone()].iter_mut().zip(&small.cells[cells]) {
-                    *a -= b;
-                }
-            })
-        };
+        });
         crate::binned::stats::bump(|t| t.slab_cells_swept += swept as u64);
     }
 
@@ -1670,7 +1556,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
             if let Some(h) = inherited {
                 // Inherited slabs cover all features, in order.
                 let all: Vec<usize> = (0..self.bm.n_features()).collect();
-                self.retire_slab(h, None, &all);
+                self.retire_slab(h, &all);
             }
             return self.make_leaf(start, end);
         }
@@ -1684,21 +1570,13 @@ impl<C: BinCode> HistBuilder<'_, C> {
             sample_without_replacement(&mut self.rng, d, n_candidates)
         };
 
-        // Fresh slabs were filled from exactly `idx[start..end]`, so an
-        // untracked one can still zero just its rows' cells; inherited ones
-        // cannot.
-        let fresh_rows = if inherited.is_none() {
-            Some((start, end))
-        } else {
-            None
-        };
         let hists = match inherited {
             Some(h) => h,
             None => self.build_hists(start, end, &features),
         };
 
         let Some((fpos, bin)) = self.scan_split(&hists, &features, n_node) else {
-            self.retire_slab(hists, fresh_rows, &features);
+            self.retire_slab(hists, &features);
             return self.make_leaf(start, end);
         };
         let feature = features[fpos];
@@ -1706,7 +1584,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
         let mid = self.partition(start, end, feature, bin);
         let (ln, rn) = (mid - start, end - mid);
         if ln < self.config.min_samples_leaf || rn < self.config.min_samples_leaf {
-            self.retire_slab(hists, fresh_rows, &features);
+            self.retire_slab(hists, &features);
             return self.make_leaf(start, end);
         }
 
@@ -1739,7 +1617,7 @@ impl<C: BinCode> HistBuilder<'_, C> {
                 (Some(large), Some(small))
             }
         } else {
-            self.retire_slab(hists, fresh_rows, &features);
+            self.retire_slab(hists, &features);
             (None, None)
         };
 
@@ -1775,7 +1653,7 @@ fn fill_parallel<C: BinCode>(ctx: &FillCtx<'_, C>, features: &[usize], slab: &mu
         crate::binned::stats::bump(|t| t.slab_cells_swept += part.len() as u64);
         put_slab(Slab {
             cells: part,
-            touched: Touched::NONE,
+            ..Slab::default()
         });
     }
 }
@@ -1817,6 +1695,8 @@ fn fit_binned_codes<C: BinCode>(
         }
     }
     let n_rows_fit = idx.len();
+    let pad = config.hist_kernel == HistKernel::Flat && C::BYTES == 1;
+    let widest = (0..bm.n_features()).map(|f| bm.n_bins(f)).max().unwrap_or(0);
     let mut builder = HistBuilder {
         bm,
         codes,
@@ -1835,7 +1715,8 @@ fn fit_binned_codes<C: BinCode>(
         row_wyy,
         row_cls,
         local_pool: Vec::new(),
-        pad: config.hist_kernel == HistKernel::Flat && C::BYTES == 1,
+        pad,
+        words: if pad { PAD_BINS / 64 } else { widest.div_ceil(64) },
     };
     builder.build(0, n_rows_fit, 0, None);
     debug_assert_eq!(builder.values.len(), builder.nodes.len() * n_outputs);
@@ -2285,32 +2166,38 @@ mod tests {
     fn touched_bins_and_runs_walk_exactly_the_set() {
         let mut rng = rng_from_seed(5);
         for case in 0..200 {
-            // Densities from sparse to full, so runs cross word edges.
+            // Densities from sparse to full, so runs cross word edges; the
+            // padded width, and wider features whose runs cross more than
+            // four words, one of them ending mid-word.
             let density = (case % 9) as f64 / 8.0;
-            let mut bits: TouchedBits = [0; PAD_BINS / 64];
+            let n_bins = [PAD_BINS, 300, 384][case % 3];
+            let mut touched = Touched::default();
+            touched.clear(2, n_bins.div_ceil(64));
+            touched.set_all(0, n_bins);
             let mut set = Vec::new();
-            for b in 0..PAD_BINS {
+            for b in 0..n_bins {
                 if rng.random::<f64>() < density {
-                    bits[b / 64] |= 1 << (b % 64);
-                    set.push(b as u32);
+                    touched.feature_mut(1)[b / 64] |= 1 << (b % 64);
+                    set.push(b);
                 }
             }
-            let limit = rng.random_range(0..=PAD_BINS);
-            let want: Vec<usize> = set.iter().map(|&b| b as usize).filter(|&b| b < limit).collect();
-            let lists = Touched { kind: Tracked::Lists, bits: Vec::new(), lists: vec![set] };
-            let bitmap = Touched { kind: Tracked::Bits, bits: vec![bits], lists: Vec::new() };
-            for touched in [&lists, &bitmap] {
-                let mut runs: Vec<Range<usize>> = Vec::new();
-                touched.for_each_run(0, limit, |run| runs.push(run));
-                let got: Vec<usize> = runs.iter().flat_map(|r| r.clone()).collect();
-                assert_eq!(got, want, "case {case}");
-                assert!(runs.iter().all(|r| !r.is_empty()), "case {case}");
-                let maximal = runs.windows(2).all(|w| w[0].end < w[1].start);
-                assert!(maximal, "case {case}: runs not maximal");
-                let mut bins = Vec::new();
-                touched.for_each_bin(0, limit, |b| bins.push(b));
-                assert_eq!(bins, want, "case {case}");
-            }
+            let limit = rng.random_range(0..=n_bins);
+            let mut all = Vec::new();
+            touched.for_each_run(0, limit, |run| all.push(run));
+            let want_all: Vec<Range<usize>> = (limit > 0).then_some(0..limit).into_iter().collect();
+            assert_eq!(all, want_all, "case {case}: set_all");
+            // The second feature's words follow the first's.
+            let want: Vec<usize> = set.into_iter().filter(|&b| b < limit).collect();
+            let mut runs: Vec<Range<usize>> = Vec::new();
+            touched.for_each_run(1, limit, |run| runs.push(run));
+            let got: Vec<usize> = runs.iter().flat_map(|r| r.clone()).collect();
+            assert_eq!(got, want, "case {case}");
+            assert!(runs.iter().all(|r| !r.is_empty()), "case {case}");
+            let maximal = runs.windows(2).all(|w| w[0].end < w[1].start);
+            assert!(maximal, "case {case}: runs not maximal");
+            let mut bins = Vec::new();
+            touched.for_each_bin(1, limit, |b| bins.push(b));
+            assert_eq!(bins, want, "case {case}");
         }
     }
 

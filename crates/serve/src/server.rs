@@ -643,10 +643,7 @@ fn journal_stats(path: &Path) -> (usize, usize, Option<f64>) {
             evaluations += 1;
         }
         if rec.fidelity >= 1.0 - 1e-9 && rec.loss.is_finite() {
-            best = Some(match best {
-                Some(b) => b.min(rec.loss),
-                None => rec.loss,
-            });
+            best = Some(best.map_or(rec.loss, |b| b.min(rec.loss)));
         }
     }
     (rows, evaluations, best)

@@ -3,7 +3,7 @@
 //! restarted server can resume the study from its journal alone.
 
 use volcanoml_core::plans;
-use volcanoml_core::{EngineKind, Objective, PlanSpec, SpaceGrowth, SpaceTier};
+use volcanoml_core::{EngineKind, Objective, SpaceGrowth, SpaceTier, VolcanoMlOptions};
 use volcanoml_data::synthetic::{self, NAMED_KINDS};
 use volcanoml_data::Dataset;
 use volcanoml_obs::json::{escape, parse_object, JsonValue};
@@ -98,11 +98,6 @@ impl StudySpec {
             Some(s) => EngineKind::from_name(&s)?,
             None => EngineKind::Bo,
         };
-        let plan = get_str("plan")?;
-        if let Some(p) = &plan {
-            // Validate eagerly so a bad plan 400s at submission, not at fit.
-            plans::by_name(p, engine)?;
-        }
         let tier = match get_str("tier")? {
             Some(s) => SpaceTier::from_name(&s)?,
             None => SpaceTier::Small,
@@ -137,18 +132,21 @@ impl StudySpec {
             Some(s) => SpaceGrowth::parse(&s).map_err(|e| e.to_string())?,
             None => SpaceGrowth::Fixed,
         };
-        Ok(StudySpec {
+        let spec = StudySpec {
             name: get_str("name")?,
             dataset,
             engine,
-            plan,
+            plan: get_str("plan")?,
             tier,
             max_evaluations,
             seed: get_u64("seed", 0)?,
             cost_aware,
             objective,
             space,
-        })
+        };
+        // Validate eagerly so a bad plan 400s at submission, not at fit.
+        spec.options()?;
+        Ok(spec)
     }
 
     /// Serializes the spec back to the same flat JSON shape `from_json`
@@ -198,12 +196,21 @@ impl StudySpec {
         }
     }
 
-    /// Resolves the plan name (or the default plan) for this spec.
-    pub fn resolve_plan(&self) -> Result<PlanSpec, String> {
-        match &self.plan {
-            None => Ok(plans::p3_volcano(self.engine)),
-            Some(name) => plans::by_name(name, self.engine),
-        }
+    /// The search options the spec asks for: its plan (or the paper's
+    /// default one), budget, seed, cost feedback, objective, space growth.
+    pub fn options(&self) -> Result<VolcanoMlOptions, String> {
+        Ok(VolcanoMlOptions {
+            plan: match &self.plan {
+                None => plans::p3_volcano(self.engine),
+                Some(name) => plans::by_name(name, self.engine)?,
+            },
+            max_evaluations: self.max_evaluations,
+            seed: self.seed,
+            cost_aware: self.cost_aware,
+            objective: self.objective,
+            space_growth: self.space,
+            ..VolcanoMlOptions::default()
+        })
     }
 }
 
@@ -233,7 +240,8 @@ mod tests {
         assert_eq!(spec.max_evaluations, 30);
         assert_eq!(spec.seed, 0);
         assert!(spec.plan.is_none());
-        spec.resolve_plan().unwrap();
+        let options = spec.options().unwrap();
+        assert_eq!((options.max_evaluations, options.seed), (30, 0));
     }
 
     #[test]

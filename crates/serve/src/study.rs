@@ -225,15 +225,8 @@ fn fit_study(
     resume: bool,
 ) -> Result<StudyStatus, String> {
     let data = study.spec.build_dataset()?;
-    let plan = study.spec.resolve_plan()?;
     let journal_path = study.journal_path();
     let options = VolcanoMlOptions {
-        plan,
-        max_evaluations: study.spec.max_evaluations,
-        seed: study.spec.seed,
-        cost_aware: study.spec.cost_aware,
-        objective: study.spec.objective,
-        space_growth: study.spec.space,
         // Without this the per-run batch size caps at
         // min(pool.workers(), n_workers) = 1 and the pool sits idle.
         n_workers: workers,
@@ -244,7 +237,7 @@ fn fit_study(
         shared_pool: Some(pool),
         shared_metrics: Some(Arc::clone(&study.metrics)),
         event_bus: Some(Arc::clone(&study.bus)),
-        ..VolcanoMlOptions::default()
+        ..study.spec.options()?
     };
     let engine = VolcanoML::with_tier(data.task, study.spec.tier, options);
     let mut search = engine.open(&data).map_err(|e| e.to_string())?;
@@ -399,15 +392,9 @@ mod tests {
         let data = spec.build_dataset().unwrap();
         let fit_journal = dir.join("fit.jsonl");
         let options = VolcanoMlOptions {
-            plan: spec.resolve_plan().unwrap(),
-            max_evaluations: spec.max_evaluations,
-            seed: spec.seed,
-            cost_aware: spec.cost_aware,
-            objective: spec.objective,
-            space_growth: spec.space,
             n_workers: 2,
             journal_path: Some(fit_journal.clone()),
-            ..VolcanoMlOptions::default()
+            ..spec.options().unwrap()
         };
         VolcanoML::with_tier(data.task, spec.tier, options)
             .fit(&data)
