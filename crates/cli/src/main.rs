@@ -1,14 +1,14 @@
 //! `volcanoml` — command-line front end for the VolcanoML engine.
 //!
 //! ```text
-//! volcanoml fit data.csv [--evals N] [--tier small|medium|large]
-//!                        [--plan p1|p2|p3|p4|p5] [--engine bo|random|sh|hyperband|mfes-hb]
-//!                        [--seed S] [--cv K] [--ensemble N] [--smote]
-//!                        [--workers N] [--n-jobs N]
-//!                        [--cost-aware] [--objective loss|loss_and_cost[:WEIGHT]]
-//!                        [--space fixed|incremental[:EUI_THRESHOLD]]
-//!                        [--journal trials.jsonl] [--trace trace.jsonl]
-//!                        [--metrics metrics.json] [--trial-timeout SECS]
+//! volcanoml fit [data.csv] [--dataset KIND [--data-seed S]] [--max-evaluations N]
+//!               [--tier small|medium|large] [--plan p1|p2|p3|p4|p5]
+//!               [--engine bo|random|sh|hyperband|mfes-hb] [--seed S] [--cost-aware]
+//!               [--objective loss|loss_and_cost [--latency-weight W]]
+//!               [--space fixed|incremental[:EUI_THRESHOLD]] [--name NAME]
+//!               [--cv K] [--ensemble N] [--smote] [--workers N] [--n-jobs N]
+//!               [--journal trials.jsonl] [--trace trace.jsonl]
+//!               [--metrics metrics.json] [--trial-timeout SECS]
 //! volcanoml spaces                      # print the tiered search-space sizes
 //! volcanoml plans                       # print the plan catalogue
 //! volcanoml generate <kind> <out.csv>   # emit a synthetic benchmark dataset
@@ -16,24 +16,35 @@
 //! volcanoml serve --dir DIR [--port P] [--workers N] [--resume] [--log-requests]
 //! ```
 //!
+//! `fit`'s search flags are the fields of a [`StudySpec`], the document
+//! `volcanoml serve` takes on `POST /studies`: `--max-evaluations 20` is
+//! `"max_evaluations":20`, a leading CSV path is `"csv"`, and the line `fit`
+//! prints first is that spec as JSON. The other nine flags say how the
+//! search runs, not what it searches. An unknown flag is an error.
+//!
 //! CSV dialect: first line `#types:` declaration, then a header, then rows;
 //! see `volcanoml_data::csv`. `volcanoml generate` produces compliant files.
 
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::process::ExitCode;
-use volcanoml_core::plans::{self, enumerate_coarse_plans};
+use std::time::Duration;
+use volcanoml_core::plans::enumerate_coarse_plans;
+use volcanoml_core::spec::field_u64;
 use volcanoml_core::{
-    EngineKind, Objective, SpaceDef, SpaceGrowth, SpaceTier, ValidationStrategy,
-    VolcanoML, VolcanoMlOptions,
+    EngineKind, SpaceDef, SpaceTier, StudySpec, ValidationStrategy, VolcanoML, VolcanoMlOptions,
 };
 use volcanoml_data::{train_test_split, Metric, Task};
 use volcanoml_fe::pipeline::FeSpaceOptions;
+use volcanoml_obs::json::JsonValue;
 
 fn usage() -> &'static str {
-    "usage:\n  volcanoml fit <data.csv> [--evals N] [--tier small|medium|large] \
-     [--plan p1|p2|p3|p4|p5] [--engine bo|random|sh|hyperband|mfes-hb] [--seed S] \
+    "usage:\n  volcanoml fit [data.csv] [--dataset KIND [--data-seed S]] [--max-evaluations N] \
+     [--tier small|medium|large] [--plan p1|p2|p3|p4|p5] \
+     [--engine bo|random|sh|hyperband|mfes-hb] [--seed S] [--cost-aware] \
+     [--objective loss|loss_and_cost [--latency-weight W]] \
+     [--space fixed|incremental[:EUI_THRESHOLD]] [--name NAME] \
      [--cv K] [--ensemble N] [--smote] [--workers N] [--n-jobs N] \
-     [--cost-aware] [--objective loss|loss_and_cost[:WEIGHT]] \
-     [--space fixed|incremental[:EUI_THRESHOLD]] \
      [--journal trials.jsonl] [--trace trace.jsonl] [--metrics metrics.json] \
      [--trial-timeout SECS]\n  volcanoml spaces\n  \
      volcanoml plans\n  \
@@ -42,144 +53,110 @@ fn usage() -> &'static str {
      volcanoml serve --dir DIR [--port P] [--workers N] [--resume] [--log-requests]"
 }
 
-/// Minimal flag parser: `--key value` pairs after positional arguments.
-struct Flags {
-    pairs: Vec<(String, String)>,
-    switches: Vec<String>,
-}
+/// Flags that take no value; each reads as `true`.
+const SWITCHES: [&str; 5] = ["smote", "live", "resume", "log-requests", "cost-aware"];
+
+/// `--key value` flags as flat fields: `--a-b v` is field `a_b`, a value
+/// that parses as a finite number is a number and any other a string, and a
+/// switch is `true`. Each command takes the fields it reads.
+#[derive(Debug)]
+struct Flags(BTreeMap<String, JsonValue>);
 
 impl Flags {
     fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut switches = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let a = &args[i];
-            let Some(key) = a.strip_prefix("--") else {
-                return Err(format!("unexpected argument '{a}'"));
+        let mut fields = BTreeMap::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(flag) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument '{arg}'"));
             };
-            // Switch-style flags take no value.
-            if matches!(
-                key,
-                "smote" | "live" | "resume" | "log-requests" | "cost-aware"
-            ) {
-                switches.push(key.to_string());
-                i += 1;
-                continue;
+            let value = if SWITCHES.contains(&flag) {
+                JsonValue::Bool(true)
+            } else {
+                let v = args.next().ok_or_else(|| format!("flag --{flag} needs a value"))?;
+                match v.parse::<f64>() {
+                    Ok(x) if x.is_finite() => JsonValue::Num(x),
+                    _ => JsonValue::Str(v.clone()),
+                }
+            };
+            if fields.insert(flag.replace('-', "_"), value).is_some() {
+                return Err(format!("flag --{flag} given twice"));
             }
-            let Some(value) = args.get(i + 1) else {
-                return Err(format!("flag --{key} needs a value"));
-            };
-            pairs.push((key.to_string(), value.clone()));
-            i += 2;
         }
-        Ok(Flags { pairs, switches })
+        Ok(Flags(fields))
     }
 
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+    fn take(&mut self, key: &str) -> Option<JsonValue> {
+        self.0.remove(key)
     }
 
-    fn has(&self, key: &str) -> bool {
-        self.switches.iter().any(|s| s == key)
+    fn take_u64(&mut self, key: &str, default: u64) -> Result<u64, String> {
+        self.take(key).map_or(Ok(default), |v| field_u64(key, &v))
     }
 
-    fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value '{v}' for --{key}")),
+    fn take_str(&mut self, key: &str) -> Result<Option<String>, String> {
+        match self.take(key) {
+            None => Ok(None),
+            Some(JsonValue::Str(s)) => Ok(Some(s)),
+            Some(_) => Err(format!("field \"{key}\" must be a string")),
         }
     }
-}
 
-/// `loss` or `loss_and_cost[:WEIGHT]` (WEIGHT defaults to 100 loss units
-/// per second of per-row inference latency).
-fn parse_objective(s: &str) -> Result<Objective, String> {
-    if s == "loss" {
-        return Ok(Objective::Loss);
+    /// Rejects any flag the command did not take.
+    fn finish(self) -> Result<(), String> {
+        match self.0.keys().next() {
+            Some(key) => Err(format!("unknown flag --{}", key.replace('_', "-"))),
+            None => Ok(()),
+        }
     }
-    let Some(rest) = s.strip_prefix("loss_and_cost") else {
-        return Err(format!("unknown objective '{s}' (use loss|loss_and_cost[:WEIGHT])"));
-    };
-    let latency_weight = match rest.strip_prefix(':') {
-        None if rest.is_empty() => None,
-        Some(w) => Some(
-            w.parse()
-                .map_err(|_| format!("invalid objective weight '{w}'"))?,
-        ),
-        None => return Err(format!("unknown objective '{s}'")),
-    };
-    Objective::loss_and_cost(latency_weight).map_err(|e| e.to_string())
 }
 
 fn cmd_fit(args: &[String]) -> Result<(), String> {
-    let Some(path) = args.first() else {
-        return Err("fit needs a CSV path".to_string());
-    };
-    let flags = Flags::parse(&args[1..])?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let dataset = volcanoml_data::csv::from_csv(path, &text).map_err(|e| e.to_string())?;
-    println!(
-        "loaded {}: {} samples x {} features, task {:?}",
-        path,
-        dataset.n_samples(),
-        dataset.n_features(),
-        dataset.task
-    );
-
-    let evals: usize = flags.get_parsed("evals", 60)?;
-    let seed: u64 = flags.get_parsed("seed", 0)?;
-    let ensemble: usize = flags.get_parsed("ensemble", 1)?;
-    let workers: usize = flags.get_parsed("workers", 1)?;
+    let mut args = args.to_vec();
+    if args.first().is_some_and(|a| !a.starts_with("--")) {
+        args.insert(0, "--csv".to_string());
+    }
+    let mut flags = Flags::parse(&args)?;
+    let workers = flags.take_u64("workers", 1)? as usize;
     if workers == 0 {
         return Err("--workers must be >= 1".to_string());
     }
     // Threads inside each model fit; orthogonal to --workers (trials).
-    let n_jobs: usize = flags.get_parsed("n-jobs", 1)?;
+    let n_jobs = flags.take_u64("n_jobs", 1)? as usize;
     if n_jobs == 0 {
         return Err("--n-jobs must be >= 1".to_string());
     }
-    let cost_aware = flags.has("cost-aware");
-    let objective = parse_objective(flags.get("objective").unwrap_or("loss"))?;
-    let space_growth =
-        SpaceGrowth::parse(flags.get("space").unwrap_or("fixed")).map_err(|e| e.to_string())?;
-    let journal_path = flags.get("journal").map(std::path::PathBuf::from);
-    let trace_path = flags.get("trace").map(std::path::PathBuf::from);
-    let metrics_path = flags.get("metrics").map(std::path::PathBuf::from);
     // Seconds each pool job may take: a holdout trial is one job, a CV
     // trial one per fold, and it times out when any of them does.
-    let trial_deadline = match flags.get("trial-timeout") {
-        Some(v) => {
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| "invalid --trial-timeout".to_string())?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err("--trial-timeout must be positive".to_string());
-            }
-            Some(std::time::Duration::from_secs_f64(secs))
-        }
+    let trial_deadline = match flags.take("trial_timeout") {
         None => None,
+        Some(v) => Some(
+            v.as_f64()
+                .filter(|secs| *secs > 0.0)
+                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                .ok_or("--trial-timeout must be a positive number of seconds")?,
+        ),
     };
-    let tier = SpaceTier::from_name(flags.get("tier").unwrap_or("large"))?;
-    let engine_kind = EngineKind::from_name(flags.get("engine").unwrap_or("bo"))?;
-    let plan = match flags.get("plan") {
-        Some(p) => plans::by_name(p, engine_kind)?,
-        None => plans::p3_volcano(engine_kind),
-    };
-    let validation = match flags.get("cv") {
-        Some(k) => ValidationStrategy::CrossValidation {
-            folds: k.parse().map_err(|_| "invalid --cv".to_string())?,
-        },
+    let validation = match flags.take("cv") {
         None => ValidationStrategy::default(),
+        Some(k) => ValidationStrategy::CrossValidation {
+            folds: field_u64("cv", &k)? as usize,
+        },
     };
+    let ensemble_size = flags.take_u64("ensemble", 1)? as usize;
+    let smote = flags.take("smote").is_some();
+    let journal_path = flags.take_str("journal")?.map(PathBuf::from);
+    let trace_path = flags.take_str("trace")?.map(PathBuf::from);
+    let metrics_path = flags.take_str("metrics")?.map(PathBuf::from);
+    let spec = StudySpec::from_fields(&flags.0)?;
+    // The SMOTE space is built over every algorithm, which is the large tier.
+    if smote && spec.tier != SpaceTier::Large {
+        return Err("--smote searches the large tier: add --tier large".to_string());
+    }
+    let dataset = spec.build_dataset()?;
+    println!("{}", spec.to_json());
 
-    let space = if flags.has("smote") {
+    let space = if smote {
         if dataset.task != Task::Classification {
             return Err("--smote only applies to classification".to_string());
         }
@@ -191,55 +168,31 @@ fn cmd_fit(args: &[String]) -> Result<(), String> {
             },
         )
     } else {
-        SpaceDef::tiered(dataset.task, tier)
+        SpaceDef::tiered(dataset.task, spec.tier)
+    };
+    let options = VolcanoMlOptions {
+        ensemble_size,
+        validation,
+        n_workers: workers,
+        trial_deadline,
+        journal_path: journal_path.clone(),
+        trace_path: trace_path.clone(),
+        metrics_path: metrics_path.clone(),
+        model_n_jobs: n_jobs,
+        ..spec.options()?
     };
     println!(
         "space: {} hyper-parameters over {} algorithms | plan: {}",
         space.len(),
         space.algorithms.len(),
-        plan.render()
+        options.plan.render()
     );
 
     let (train, test) =
-        train_test_split(&dataset, 0.2, seed).map_err(|e| e.to_string())?;
-    let engine = VolcanoML::new(
-        space,
-        VolcanoMlOptions {
-            plan,
-            max_evaluations: evals,
-            seed,
-            ensemble_size: ensemble,
-            validation,
-            n_workers: workers,
-            trial_deadline,
-            journal_path: journal_path.clone(),
-            trace_path: trace_path.clone(),
-            metrics_path: metrics_path.clone(),
-            model_n_jobs: n_jobs,
-            cost_aware,
-            objective,
-            space_growth,
-            ..Default::default()
-        },
-    );
-    if workers > 1 {
-        println!("executing trials on {workers} worker threads");
-    }
-    if n_jobs > 1 {
-        println!("fitting tree ensembles with {n_jobs} threads per trial");
-    }
-    if cost_aware {
-        println!("cost-aware scheduling: EI-per-second acquisition, loss-per-second promotion");
-    }
-    if let Objective::LossAndCost { latency_weight } = objective {
-        println!("objective: loss + {latency_weight} x per-row inference seconds");
-    }
-    if let SpaceGrowth::Incremental { eui_threshold } = space_growth {
-        println!(
-            "incremental space construction: start minimal, expand when plateau EUI < {eui_threshold}"
-        );
-    }
-    let fitted = engine.fit(&train).map_err(|e| e.to_string())?;
+        train_test_split(&dataset, 0.2, spec.seed).map_err(|e| e.to_string())?;
+    let fitted = VolcanoML::new(space, options)
+        .fit(&train)
+        .map_err(|e| e.to_string())?;
     println!("\nexecution plan after the run:\n{}", fitted.report.plan_explain);
     println!(
         "search: {} evaluations in {:.2}s, best validation loss {:.4}",
@@ -282,7 +235,7 @@ fn cmd_fit(args: &[String]) -> Result<(), String> {
             .collect();
         println!("fidelity mix: {}", mix.join(", "));
     }
-    if !r.pareto_front.is_empty() && objective.is_cost_sensitive() {
+    if !r.pareto_front.is_empty() && spec.objective.is_cost_sensitive() {
         println!("\nloss / inference-latency Pareto front:");
         for (assignment, loss, infer) in &r.pareto_front {
             let alg = assignment.get("algorithm").copied().unwrap_or(-1.0);
@@ -305,27 +258,21 @@ fn cmd_fit(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    let Some(trace) = args.first() else {
+    let Some((trace, rest)) = args.split_first() else {
         return Err("report needs a trace JSONL path".to_string());
     };
-    let flags = Flags::parse(&args[1..])?;
-    let trace_text =
-        std::fs::read_to_string(trace).map_err(|e| format!("cannot read {trace}: {e}"))?;
-    let journal_text = match flags.get("journal") {
-        Some(p) => {
-            Some(std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?)
-        }
-        None => None,
-    };
-    let metrics_text = match flags.get("metrics") {
-        Some(p) => {
-            Some(std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?)
-        }
-        None => None,
-    };
+    let mut flags = Flags::parse(rest)?;
+    let journal = flags.take_str("journal")?;
+    let metrics = flags.take_str("metrics")?;
+    let live = flags.take("live").is_some();
+    flags.finish()?;
+    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
+    let trace_text = read(trace)?;
+    let journal_text = journal.as_deref().map(read).transpose()?;
+    let metrics_text = metrics.as_deref().map(read).transpose()?;
     // --live tolerates a torn final line in trace/journal (the run may
     // still be writing them) and marks the report as running/partial.
-    let report = if flags.has("live") {
+    let report = if live {
         volcanoml_obs::report::render_live_report(
             &trace_text,
             journal_text.as_deref(),
@@ -344,25 +291,25 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    let Some(dir) = flags.get("dir") else {
+    let mut flags = Flags::parse(args)?;
+    let Some(dir) = flags.take_str("dir")? else {
         return Err("serve needs --dir DIR for study state".to_string());
     };
+    let port = flags.take_u64("port", 0)?;
     let config = volcanoml_serve::ServeConfig {
-        dir: std::path::PathBuf::from(dir),
-        workers: flags.get_parsed("workers", 2usize)?.max(1),
-        port: flags.get_parsed("port", 0u16)?,
-        resume: flags.has("resume"),
-        log_requests: flags.has("log-requests"),
+        dir: PathBuf::from(&dir),
+        workers: flags.take_u64("workers", 2)?.max(1) as usize,
+        port: u16::try_from(port).map_err(|_| format!("--port {port} is above 65535"))?,
+        resume: flags.take("resume").is_some(),
+        log_requests: flags.take("log_requests").is_some(),
     };
-    let resume = config.resume;
-    let workers = config.workers;
-    let server = volcanoml_serve::Server::start(config)?;
+    flags.finish()?;
+    let server = volcanoml_serve::Server::start(config.clone())?;
     println!(
         "volcanoml-serve listening on http://{} ({} workers{}); study state in {}",
         server.addr(),
-        workers,
-        if resume { ", resuming" } else { "" },
+        config.workers,
+        if config.resume { ", resuming" } else { "" },
         dir
     );
     println!("POST /studies to submit; Ctrl-C to stop");
@@ -403,8 +350,9 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let (Some(kind), Some(out)) = (args.first(), args.get(1)) else {
         return Err("generate needs <kind> <out.csv>".to_string());
     };
-    let flags = Flags::parse(&args[2..])?;
-    let seed: u64 = flags.get_parsed("seed", 0)?;
+    let mut flags = Flags::parse(&args[2..])?;
+    let seed = flags.take_u64("seed", 0)?;
+    flags.finish()?;
     let dataset = volcanoml_data::synthetic::by_name(kind, seed)
         .ok_or_else(|| format!("unknown generator '{kind}'"))?;
     let text = volcanoml_data::csv::to_csv(&dataset);
@@ -448,27 +396,105 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use volcanoml_core::plans;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
 
     #[test]
     fn flag_parser_pairs_and_switches() {
-        let args: Vec<String> = ["--evals", "40", "--smote", "--cost-aware", "--seed", "7"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = Flags::parse(&args).unwrap();
-        assert_eq!(f.get("evals"), Some("40"));
-        assert_eq!(f.get_parsed("seed", 0u64).unwrap(), 7);
-        assert!(f.has("smote"));
-        assert!(f.has("cost-aware"));
-        assert_eq!(f.get_parsed("missing", 3usize).unwrap(), 3);
+        let f = Flags::parse(&args(&[
+            "--max-evaluations", "40", "--smote", "--cost-aware", "--space", "incremental:0.05",
+            "--seed", "inf",
+        ]))
+        .unwrap();
+        let field = |k: &str| f.0.get(k).cloned();
+        assert_eq!(field("max_evaluations"), Some(JsonValue::Num(40.0)));
+        assert_eq!(field("smote"), Some(JsonValue::Bool(true)));
+        assert_eq!(field("cost_aware"), Some(JsonValue::Bool(true)));
+        assert_eq!(field("space"), Some(JsonValue::Str("incremental:0.05".into())));
+        // A non-finite number stays a string, which no integer field takes.
+        assert_eq!(field("seed"), Some(JsonValue::Str("inf".into())));
+        assert!(StudySpec::from_fields(&f.0).unwrap_err().contains("\"smote\""));
+    }
+
+    #[test]
+    fn executor_flags_parse() {
+        let mut f = Flags::parse(&args(&[
+            "--workers", "4", "--n-jobs", "2", "--journal", "trials.jsonl",
+            "--trial-timeout", "2.5",
+        ]))
+        .unwrap();
+        assert_eq!(f.take_u64("workers", 1).unwrap(), 4);
+        assert_eq!(f.take_u64("n_jobs", 1).unwrap(), 2);
+        assert_eq!(f.take_u64("ensemble", 1).unwrap(), 1);
+        assert_eq!(f.take_str("journal").unwrap().as_deref(), Some("trials.jsonl"));
+        assert_eq!(f.take("trial_timeout"), Some(JsonValue::Num(2.5)));
+        f.finish().unwrap();
     }
 
     #[test]
     fn flag_parser_rejects_bad_input() {
-        let args: Vec<String> = ["positional"].iter().map(|s| s.to_string()).collect();
-        assert!(Flags::parse(&args).is_err());
-        let dangling: Vec<String> = ["--evals"].iter().map(|s| s.to_string()).collect();
-        assert!(Flags::parse(&dangling).is_err());
+        assert!(Flags::parse(&args(&["positional"])).is_err());
+        assert!(Flags::parse(&args(&["--seed"])).is_err());
+        let twice = Flags::parse(&args(&["--seed", "1", "--seed", "2"])).unwrap_err();
+        assert!(twice.contains("twice"), "{twice}");
+    }
+
+    #[test]
+    fn every_command_rejects_an_unknown_flag() {
+        let fit = cmd_fit(&args(&["--dataset", "moons", "--max-evaluation", "5"])).unwrap_err();
+        assert!(fit.contains("\"max_evaluation\""), "{fit}");
+        for (cmd, a) in [
+            (cmd_report as fn(&[String]) -> Result<(), String>, &["t.jsonl", "--jurnal", "j"][..]),
+            (cmd_serve, &["--dir", "d", "--prot", "1"]),
+            (cmd_generate, &["moons", "out.csv", "--sed", "1"]),
+        ] {
+            let err = cmd(&args(a)).unwrap_err();
+            assert!(err.starts_with("unknown flag --"), "{a:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn fit_flags_and_spec_json_read_the_same_spec() {
+        let flags = Flags::parse(&args(&[
+            "--dataset", "moons", "--engine", "mfes-hb", "--plan", "p1",
+            "--max-evaluations", "24", "--seed", "3", "--cost-aware",
+            "--objective", "loss_and_cost", "--latency-weight", "12.5",
+            "--space", "incremental:0.05",
+        ]))
+        .unwrap();
+        let from_flags = StudySpec::from_fields(&flags.0).unwrap();
+        let from_json = StudySpec::from_json(
+            r#"{"dataset":"moons","engine":"mfes-hb","plan":"p1","max_evaluations":24,
+                "seed":3,"cost_aware":true,"objective":"loss_and_cost",
+                "latency_weight":12.5,"space":"incremental:0.05"}"#,
+        )
+        .unwrap();
+        assert_eq!(from_flags, from_json);
+        assert_eq!(from_flags.to_json(), from_json.to_json());
+    }
+
+    #[test]
+    fn smote_needs_the_large_tier() {
+        let err = cmd_fit(&args(&["--dataset", "moons", "--smote", "--tier", "small"]));
+        assert!(err.unwrap_err().contains("--tier large"));
+    }
+
+    #[test]
+    fn run_flags_are_checked() {
+        for (a, needle) in [
+            (&["--workers", "0"][..], "--workers"),
+            (&["--n-jobs", "0"], "--n-jobs"),
+            (&["--trial-timeout", "-5"], "--trial-timeout"),
+            (&["--trial-timeout", "1e300"], "--trial-timeout"),
+            (&["--cv", "2.5"], "\"cv\""),
+            (&["--journal", "7"], "\"journal\""),
+        ] {
+            let err = cmd_fit(&args(&[&["--dataset", "moons"], a].concat())).unwrap_err();
+            assert!(err.contains(needle), "{a:?}: {err}");
+        }
     }
 
     #[test]
@@ -477,70 +503,5 @@ mod tests {
             plans::by_name(p, EngineKind::Bo).unwrap();
         }
         assert!(plans::by_name("p9", EngineKind::Bo).is_err());
-    }
-
-    #[test]
-    fn objective_flag_parses_and_rejects() {
-        assert_eq!(parse_objective("loss").unwrap(), Objective::Loss);
-        assert_eq!(
-            parse_objective("loss_and_cost").unwrap(),
-            Objective::LossAndCost { latency_weight: 100.0 }
-        );
-        assert_eq!(
-            parse_objective("loss_and_cost:2.5").unwrap(),
-            Objective::LossAndCost { latency_weight: 2.5 }
-        );
-        assert!(parse_objective("latency").is_err());
-        assert!(parse_objective("loss_and_cost:-1").is_err());
-        assert!(parse_objective("loss_and_cost:nope").is_err());
-    }
-
-    #[test]
-    fn space_flag_parses_and_rejects() {
-        let args: Vec<String> = ["--space", "incremental:0.05"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = Flags::parse(&args).unwrap();
-        assert_eq!(
-            SpaceGrowth::parse(f.get("space").unwrap()).unwrap(),
-            SpaceGrowth::Incremental { eui_threshold: 0.05 }
-        );
-        assert_eq!(SpaceGrowth::parse("fixed").unwrap(), SpaceGrowth::Fixed);
-        assert!(SpaceGrowth::parse("huge").is_err());
-        assert!(SpaceGrowth::parse("incremental:-3").is_err());
-    }
-
-    #[test]
-    fn cost_aware_switch_parses() {
-        let args: Vec<String> = ["--cost-aware", "--objective", "loss_and_cost:10"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = Flags::parse(&args).unwrap();
-        assert!(f.has("cost-aware"));
-        assert_eq!(f.get("objective"), Some("loss_and_cost:10"));
-    }
-
-    #[test]
-    fn executor_flags_parse() {
-        let args: Vec<String> = [
-            "--workers",
-            "4",
-            "--n-jobs",
-            "2",
-            "--journal",
-            "trials.jsonl",
-            "--trial-timeout",
-            "2.5",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let f = Flags::parse(&args).unwrap();
-        assert_eq!(f.get_parsed("workers", 1usize).unwrap(), 4);
-        assert_eq!(f.get_parsed("n-jobs", 1usize).unwrap(), 2);
-        assert_eq!(f.get("journal"), Some("trials.jsonl"));
-        assert_eq!(f.get("trial-timeout"), Some("2.5"));
     }
 }

@@ -1264,13 +1264,28 @@ mod tests {
         )
         .is_err());
         assert!(Evaluator::with_strategy(
-            space,
+            space.clone(),
             &dataset(),
             Metric::BalancedAccuracy,
             ValidationStrategy::CrossValidation { folds: 1 },
             0,
         )
         .is_err());
+        let rows = dataset().n_samples();
+        let Err(err) = Evaluator::with_strategy(
+            space,
+            &dataset(),
+            Metric::BalancedAccuracy,
+            ValidationStrategy::CrossValidation { folds: rows + 1 },
+            0,
+        ) else {
+            panic!("{} folds over {rows} rows were accepted", rows + 1);
+        };
+        assert!(
+            err.to_string().contains(&format!("{} folds", rows + 1))
+                && err.to_string().contains(&format!("got {rows}")),
+            "{err}"
+        );
     }
 
     #[test]

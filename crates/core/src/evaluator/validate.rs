@@ -152,6 +152,12 @@ pub(super) fn build_validation_views(
                     "cross-validation needs at least 2 folds, got {folds}"
                 )));
             }
+            if folds > data.n_samples() {
+                return Err(CoreError::Invalid(format!(
+                    "cross-validation with {folds} folds needs at least {folds} rows, got {}",
+                    data.n_samples()
+                )));
+            }
             let storage = Arc::new(data.clone());
             Ok((
                 DatasetView::full(Arc::clone(&storage)),

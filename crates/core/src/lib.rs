@@ -20,6 +20,8 @@
 //! - [`metalearn`] provides dataset meta-features and k-NN warm starts;
 //! - [`ensemble`] implements greedy ensemble selection over evaluated
 //!   pipelines (the auto-sklearn post-pass);
+//! - [`spec`] reads a [`StudySpec`], the flat fields that declare one
+//!   study (data, tier, plan, engine, budget), for the CLI and the server;
 //! - [`automl`] exposes the user-facing [`automl::VolcanoML`] engine, whose
 //!   `fit` is [`VolcanoML::open`], a [`Study::step`] loop and [`Study::finish`].
 
@@ -37,6 +39,7 @@ pub mod objective;
 pub mod plan;
 pub mod plans;
 pub mod spaces;
+pub mod spec;
 pub mod study;
 
 pub use automl::{AutoMlReport, FittedVolcanoML, Study, VolcanoML, VolcanoMlOptions};
@@ -47,6 +50,7 @@ pub use growth::{ExpansionEvent, GrowthController, SpaceGrowth};
 pub use objective::{pareto_front, Objective};
 pub use plan::{EngineKind, PlanSpec, VarFilter};
 pub use spaces::{SpaceDef, SpaceTier, VarDef, VarGroup};
+pub use spec::{DatasetSpec, StudySpec};
 
 /// Errors produced by the AutoML engine.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,20 +1,54 @@
-//! Study specifications: the flat JSON documents clients `POST /studies`,
-//! persisted verbatim-equivalent as `spec.json` in the study directory so a
-//! restarted server can resume the study from its journal alone.
+//! Study specifications: the flat fields that declare a study's data,
+//! space tier, plan, engine and budget. Serve reads them from the JSON a
+//! client `POST /studies` and persists them as `spec.json` so a restarted
+//! server can resume the study from its journal alone; the CLI's `fit`
+//! flags are the same fields. [`StudySpec::from_fields`] is the one reader.
 
-use volcanoml_core::plans;
-use volcanoml_core::{EngineKind, Objective, SpaceGrowth, SpaceTier, VolcanoMlOptions};
+use std::collections::BTreeMap;
+
 use volcanoml_data::synthetic::{self, NAMED_KINDS};
 use volcanoml_data::Dataset;
 use volcanoml_obs::json::{escape, parse_object, JsonValue};
 
+use crate::plans;
+use crate::{EngineKind, Objective, SpaceGrowth, SpaceTier, VolcanoMlOptions};
+
+/// Every field [`StudySpec::from_fields`] reads; any other is rejected.
+const FIELDS: [&str; 13] = [
+    "name",
+    "dataset",
+    "csv",
+    "data_seed",
+    "engine",
+    "plan",
+    "tier",
+    "max_evaluations",
+    "seed",
+    "cost_aware",
+    "objective",
+    "latency_weight",
+    "space",
+];
+
+/// Reads an integer field. A JSON number is an `f64`, which holds every
+/// integer below 2^53 exactly; at 2^53 and above distinct integers parse
+/// to the same value, so they are rejected with fractions and negatives.
+pub fn field_u64(key: &str, value: &JsonValue) -> Result<u64, String> {
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    value
+        .as_f64()
+        .filter(|x| (0.0..EXACT).contains(x) && x.fract() == 0.0)
+        .map(|x| x as u64)
+        .ok_or_else(|| format!("field \"{key}\" must be a non-negative integer below 2^53"))
+}
+
 /// Where a study's data comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatasetSpec {
-    /// One of the CLI's synthetic generators (`classification`, `moons`,
-    /// `xor`, `friedman1`, `imbalanced`), drawn with `seed`.
+    /// One of the synthetic generators (`classification`, `moons`, `xor`,
+    /// `friedman1`, `imbalanced`), drawn with `seed`.
     Synthetic { kind: String, seed: u64 },
-    /// A CSV file on the server's filesystem (the CLI's dialect: `#types:`
+    /// A CSV file on the local filesystem (the CLI's dialect: `#types:`
     /// line, header, rows).
     Csv { path: String },
 }
@@ -55,9 +89,23 @@ impl StudySpec {
     /// `{"dataset":"moons","engine":"bo","max_evaluations":20,"seed":3}` or
     /// `{"csv":"/data/d.csv","tier":"medium"}`.
     pub fn from_json(text: &str) -> Result<StudySpec, String> {
-        let doc = parse_object(text).ok_or_else(|| "unparseable JSON".to_string())?;
+        let fields = parse_object(text).ok_or_else(|| "unparseable JSON".to_string())?;
+        StudySpec::from_fields(&fields)
+    }
+
+    /// Reads a spec from its flat fields (absent or `null` fields take
+    /// their defaults) and checks that its plan builds. A field outside the
+    /// spec's thirteen is an error, so a misspelt key never runs silently
+    /// with the default it meant to override.
+    pub fn from_fields(fields: &BTreeMap<String, JsonValue>) -> Result<StudySpec, String> {
+        if let Some(key) = fields.keys().find(|k| !FIELDS.contains(&k.as_str())) {
+            return Err(format!(
+                "unknown field \"{key}\" (the spec's fields: {})",
+                FIELDS.join(", ")
+            ));
+        }
         let get_str = |key: &str| -> Result<Option<String>, String> {
-            match doc.get(key) {
+            match fields.get(key) {
                 None | Some(JsonValue::Null) => Ok(None),
                 Some(v) => v
                     .as_str()
@@ -65,15 +113,9 @@ impl StudySpec {
                     .ok_or_else(|| format!("field \"{key}\" must be a string")),
             }
         };
-        let get_u64 = |key: &str, default: u64| -> Result<u64, String> {
-            match doc.get(key) {
-                None | Some(JsonValue::Null) => Ok(default),
-                Some(v) => v
-                    .as_f64()
-                    .filter(|x| x.is_finite() && *x >= 0.0 && x.fract() == 0.0)
-                    .map(|x| x as u64)
-                    .ok_or_else(|| format!("field \"{key}\" must be a non-negative integer")),
-            }
+        let get_u64 = |key: &str, default: u64| match fields.get(key) {
+            None | Some(JsonValue::Null) => Ok(default),
+            Some(v) => field_u64(key, v),
         };
         let dataset = match (get_str("dataset")?, get_str("csv")?) {
             (Some(_), Some(_)) => {
@@ -106,7 +148,7 @@ impl StudySpec {
         if max_evaluations == 0 {
             return Err("\"max_evaluations\" must be >= 1".into());
         }
-        let cost_aware = match doc.get("cost_aware") {
+        let cost_aware = match fields.get("cost_aware") {
             None | Some(JsonValue::Null) => false,
             Some(JsonValue::Bool(b)) => *b,
             Some(_) => return Err("field \"cost_aware\" must be a boolean".into()),
@@ -114,7 +156,7 @@ impl StudySpec {
         let objective = match get_str("objective")?.as_deref() {
             None | Some("loss") => Objective::Loss,
             Some("loss_and_cost") => {
-                let latency_weight = match doc.get("latency_weight") {
+                let latency_weight = match fields.get("latency_weight") {
                     None | Some(JsonValue::Null) => None,
                     Some(v) => Some(v.as_f64().ok_or_else(|| {
                         "field \"latency_weight\" must be a number".to_string()
@@ -256,6 +298,9 @@ mod tests {
             (r#"{"dataset":"moons","plan":"p9"}"#, "unknown plan"),
             (r#"{"dataset":"moons","max_evaluations":0}"#, ">= 1"),
             (r#"{"dataset":"moons","seed":-1}"#, "non-negative"),
+            (r#"{"dataset":"moons","seed":1e300}"#, "non-negative"),
+            (r#"{"dataset":"moons","seed":9007199254740993}"#, "non-negative"),
+            (r#"{"dataset":"moons","max_evaluation":5}"#, r#"unknown field "max_evaluation""#),
             (r#"{"dataset":"moons","cost_aware":"yes"}"#, "must be a boolean"),
             (r#"{"dataset":"moons","objective":"latency"}"#, "unknown objective"),
             (

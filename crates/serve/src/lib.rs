@@ -44,9 +44,7 @@
 
 pub mod http;
 pub mod server;
-pub mod spec;
 pub mod study;
 
 pub use server::{ServeConfig, Server};
-pub use spec::{DatasetSpec, StudySpec};
 pub use study::{Study, StudyStatus};

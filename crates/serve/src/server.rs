@@ -33,6 +33,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use volcanoml_core::StudySpec;
 use volcanoml_exec::{ExecPool, TrialRecord};
 use volcanoml_obs::json::{escape, num};
 use volcanoml_obs::metrics::MetricsRegistry;
@@ -41,7 +42,6 @@ use volcanoml_obs::prometheus::{labeled, PrometheusText};
 use crate::http::{
     error_body, linger_close, read_request, write_response, write_stream_head, Request,
 };
-use crate::spec::StudySpec;
 use crate::study::{spawn_driver, Study, StudyStatus};
 
 /// Buckets for HTTP request latency: most routes answer in microseconds,
@@ -732,5 +732,27 @@ mod tests {
         assert_eq!(sanitize_id("../../etc"), "..-..-etc");
         assert_eq!(sanitize_id("._."), "");
         assert_eq!(sanitize_id("..keep2"), "..keep2");
+    }
+
+    #[test]
+    fn an_unknown_spec_field_is_a_400_that_names_it() {
+        let dir = std::env::temp_dir().join(format!("volcanoml-serve-field-{}", std::process::id()));
+        let server = Server::start(ServeConfig {
+            dir: dir.clone(),
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let (code, _, body) = server.inner.route(&Request {
+            method: "POST".to_string(),
+            path: "/studies".to_string(),
+            body: r#"{"dataset":"moons","max_evaluation":5}"#.to_string(),
+            last_event_id: None,
+        });
+        assert_eq!(code, 400, "{body}");
+        assert!(body.contains(r#"unknown field \"max_evaluation\""#), "{body}");
+        assert!(server.inner.studies.lock().unwrap().is_empty());
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,13 +16,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use volcanoml_core::{VolcanoML, VolcanoMlOptions};
+use volcanoml_core::{StudySpec, VolcanoML, VolcanoMlOptions};
 use volcanoml_exec::ExecPool;
 use volcanoml_obs::events::{EventBus, ObsEvent};
 use volcanoml_obs::json::{escape, num, parse_object};
 use volcanoml_obs::metrics::MetricsRegistry;
-
-use crate::spec::StudySpec;
 
 /// Lifecycle of one study. `Running` covers queued-and-executing; the three
 /// terminal states mirror what `result.json` records.

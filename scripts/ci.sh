@@ -68,11 +68,16 @@ SMOKE_DIR="$(mktemp -d)"
 trap 'kill -9 $(jobs -p) 2>/dev/null || true; rm -rf "$SMOKE_DIR"' EXIT
 VOLCANOML=target/release/volcanoml
 "$VOLCANOML" generate moons "$SMOKE_DIR/data.csv" --seed 7
-"$VOLCANOML" fit "$SMOKE_DIR/data.csv" --evals 10 --tier small --workers 4 \
+"$VOLCANOML" fit "$SMOKE_DIR/data.csv" --max-evaluations 10 --tier small --workers 4 \
     --journal "$SMOKE_DIR/trials.jsonl" --trace "$SMOKE_DIR/trace.jsonl" \
     --metrics "$SMOKE_DIR/metrics.json"
 "$VOLCANOML" report "$SMOKE_DIR/trace.jsonl" \
     --journal "$SMOKE_DIR/trials.jsonl" --metrics "$SMOKE_DIR/metrics.json"
+# A flag that is not a spec field fails before any trial, naming the flag.
+if ERR=$("$VOLCANOML" fit "$SMOKE_DIR/data.csv" --evals 10 2>&1); then
+    echo "fit accepted the unknown flag --evals"; exit 1
+fi
+grep -q '"evals"' <<<"$ERR" || { echo "the error does not name evals: $ERR"; exit 1; }
 
 echo "== smoke: serve crash-resume (kill -9, restart --resume) =="
 SERVE_DIR="$SMOKE_DIR/serve"
@@ -142,18 +147,21 @@ ADDR="$(cat "$OBS_DIR/serve.addr")"
 # An 8000-row dataset (vs the 500-row synthetic toys) keeps per-trial cost
 # well above the fixed per-trial recording cost, so the 1% overhead gate
 # below measures a real ratio instead of noise around sub-millisecond trials.
-python3 - "$SMOKE_DIR/obs_data.csv" <<'EOF'
-import random, sys
-rng = random.Random(13)
-with open(sys.argv[1], "w") as f:
-    cols = [f"f{i}" for i in range(12)]
-    f.write("#types:" + ",".join(["n"] * 12) + ",label\n")
-    f.write(",".join(cols) + ",target\n")
-    for _ in range(8000):
-        y = rng.randint(0, 1)
-        row = [rng.gauss(0.9 if (y and i < 6) else 0.0, 1.0) for i in range(12)]
-        f.write(",".join(f"{v:.6f}" for v in row) + f",{y}\n")
-EOF
+# 8000 rows x 12 gaussian features; features 0-5 shift by 0.9 when the
+# label is 1 (Box-Muller normals from awk's seeded rand()).
+awk 'BEGIN {
+    srand(13)
+    printf "#types:"; for (i = 0; i < 12; i++) printf "n,"; print "label"
+    for (i = 0; i < 12; i++) printf "f%d,", i; print "target"
+    for (r = 0; r < 8000; r++) {
+        y = int(rand() * 2)
+        for (i = 0; i < 12; i++) {
+            g = sqrt(-2 * log(1 - rand())) * cos(6.283185307179586 * rand())
+            printf "%.6f,", g + ((y && i < 6) ? 0.9 : 0)
+        }
+        print y
+    }
+}' > "$SMOKE_DIR/obs_data.csv"
 curl -fsS -X POST "http://$ADDR/studies" -d \
     "{\"name\":\"obs\",\"csv\":\"$SMOKE_DIR/obs_data.csv\",\"engine\":\"mfes-hb\",\"max_evaluations\":60,\"seed\":13}" \
     >/dev/null
