@@ -396,7 +396,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use volcanoml_core::plans;
+    use volcanoml_core::{plans, Objective, SpaceGrowth};
 
     fn args(a: &[&str]) -> Vec<String> {
         a.iter().map(|s| s.to_string()).collect()
@@ -474,6 +474,35 @@ mod tests {
         .unwrap();
         assert_eq!(from_flags, from_json);
         assert_eq!(from_flags.to_json(), from_json.to_json());
+    }
+
+    #[test]
+    fn space_flag_parses_and_rejects() {
+        let spec = |space: &str| {
+            let f = Flags::parse(&args(&["--dataset", "moons", "--space", space])).unwrap();
+            StudySpec::from_fields(&f.0)
+        };
+        assert_eq!(
+            spec("incremental:0.05").unwrap().space,
+            SpaceGrowth::Incremental { eui_threshold: 0.05 }
+        );
+        assert_eq!(spec("fixed").unwrap().space, SpaceGrowth::Fixed);
+        assert!(spec("huge").is_err());
+        assert!(spec("incremental:-3").is_err());
+    }
+
+    #[test]
+    fn cost_aware_switch_parses() {
+        let f = Flags::parse(&args(&[
+            "--dataset", "moons", "--cost-aware", "--objective", "loss_and_cost",
+            "--latency-weight", "10",
+        ]))
+        .unwrap();
+        let spec = StudySpec::from_fields(&f.0).unwrap();
+        assert!(spec.cost_aware);
+        assert_eq!(spec.objective, Objective::LossAndCost { latency_weight: 10.0 });
+        let plain = Flags::parse(&args(&["--dataset", "moons"])).unwrap();
+        assert!(!StudySpec::from_fields(&plain.0).unwrap().cost_aware);
     }
 
     #[test]
