@@ -602,6 +602,18 @@ pub(crate) mod tests {
         }
     }
 
+    /// The same setup's first 50 trials, which no refit schedule may move:
+    /// every pick of a history this short refits.
+    #[test]
+    fn golden_cost_aware_smac_first_50_trials() {
+        let objective = |space: &ConfigSpace, c: &Configuration, _| symmetric_objective(space, c);
+        for (k, want) in [(1, 0x4aa1_d083_22b3_834du64), (3, 0x2b5c_b433_56ca_e41a)] {
+            let mut smac = Smac::new(branch_space(), 17).with_cost_aware(true);
+            let got = schedule_digest(&mut smac, 50, k, objective);
+            assert_eq!(got, want, "k={k} digest {got:#018x}");
+        }
+    }
+
     /// `branch_space` grown by one trailing branch choice, one conditional
     /// child for it, and one new unconditional variable with a default.
     fn grown_branch_space() -> ConfigSpace {

@@ -119,6 +119,51 @@ impl SurrogateTree {
     }
 }
 
+/// Surrogate-fit work tallied on the thread that fits: how often a forest
+/// was fitted and on how many rows in total. Thread-local, taken and reset
+/// by the caller around the work it wants to attribute (a study's suggest
+/// path runs on its coordinator thread).
+pub mod stats {
+    use std::cell::Cell;
+
+    /// Counts of surrogate-fit work.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Tally {
+        /// Forests fitted ([`super::RandomForestSurrogate::fit`] calls on a
+        /// non-empty history).
+        pub fits: u64,
+        /// Sum of the rows (observations) over those fits.
+        pub rows: u64,
+    }
+
+    impl Tally {
+        /// Adds `other` to `self`, counter by counter.
+        pub fn add(&mut self, other: &Tally) {
+            self.fits += other.fits;
+            self.rows += other.rows;
+        }
+    }
+
+    thread_local! {
+        static TALLY: Cell<Tally> = Cell::new(Tally::default());
+    }
+
+    /// Counts one fit on `rows` rows on this thread.
+    pub(crate) fn bump(rows: usize) {
+        TALLY.with(|cell| {
+            let mut tally = cell.get();
+            tally.fits += 1;
+            tally.rows += rows as u64;
+            cell.set(tally);
+        });
+    }
+
+    /// This thread's tally since the last call; resets it to zero.
+    pub fn take() -> Tally {
+        TALLY.take()
+    }
+}
+
 /// Random-forest regression surrogate with predictive variance.
 #[derive(Debug, Clone)]
 pub struct RandomForestSurrogate {
@@ -154,6 +199,7 @@ impl RandomForestSurrogate {
             return;
         }
         let n = xs.len();
+        stats::bump(n);
         let binned = BinnedConfigs::from_rows(xs);
         let mut builder = TreeBuilder::new(&binned, ys, self.max_depth, self.min_leaf);
         let mut idx = Vec::with_capacity(n);

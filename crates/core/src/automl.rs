@@ -19,6 +19,7 @@ use volcanoml_exec::{ExecPool, Journal, PoolConfig};
 use volcanoml_fe::FePipeline;
 use volcanoml_linalg::Matrix;
 use volcanoml_models::{Estimator, Model};
+use volcanoml_bo::surrogate::stats as surrogate_stats;
 use volcanoml_obs::{MetricsRegistry, Tracer};
 
 /// Engine options.
@@ -409,7 +410,13 @@ impl Study<'_> {
     /// a grown space — laid out as a fresh compile on it would be.
     pub fn step(&mut self, k: usize) -> Result<()> {
         let evaluator = &self.evaluator;
-        self.root.pull(evaluator, self.pool.as_deref(), k.max(1))?;
+        // Suggestions (and so surrogate fits) run on this thread: whatever
+        // it tallied before belongs to someone else, what it tallies during
+        // the pull is this study's.
+        surrogate_stats::take();
+        let pulled = self.root.pull(evaluator, self.pool.as_deref(), k.max(1));
+        evaluator.add_surrogate_work(&surrogate_stats::take());
+        pulled?;
         let Some(g) = &mut self.growth else {
             return Ok(());
         };
@@ -499,6 +506,8 @@ impl Study<'_> {
                 ("binned.slab_cells_swept", counters.binned.slab_cells_swept),
                 ("data.bytes_gathered", counters.bytes_gathered),
                 ("data.gathers_skipped", counters.gathers_skipped),
+                ("work.surrogate.fits", counters.surrogate.fits),
+                ("work.surrogate.rows", counters.surrogate.rows),
             ] {
                 m.inc_counter(name, count);
             }

@@ -50,6 +50,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use volcanoml_bo::surrogate::stats as surrogate_stats;
 use validate::{PairJob, PairRun, Plan};
 use volcanoml_data::{Dataset, DatasetView, Metric};
 use volcanoml_exec::{current_worker, ExecPool, Journal, TrialRecord, TrialRun, TrialStatus};
@@ -172,10 +173,11 @@ enum Prepared {
     Fresh(Range<usize>),
 }
 
-/// What a run's trials added up to: cache traffic, and the work the model
-/// and data layers tallied on whichever threads ran the fresh fits. Summed
-/// trial by trial, so two evaluators in one process never see each other's
-/// work.
+/// What a run's trials added up to: cache traffic, the work the model and
+/// data layers tallied on whichever threads ran the fresh fits, and the
+/// surrogate fits its suggest path did on the coordinator. Summed trial by
+/// trial (and step by step), so two evaluators in one process never see
+/// each other's work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunCounters {
     /// Result-cache hits.
@@ -192,6 +194,8 @@ pub struct RunCounters {
     pub bytes_gathered: u64,
     /// Feature-matrix accesses a full view served without copying.
     pub gathers_skipped: u64,
+    /// Surrogate fits and the rows they fitted, on the suggest path.
+    pub surrogate: surrogate_stats::Tally,
 }
 
 /// A fault injected into an evaluation — used by crash-isolation and
@@ -236,6 +240,8 @@ struct EvalState {
     binned: binned::stats::Tally,
     /// `(bytes_gathered, gathers_skipped)`, summed the same way.
     gathered: (u64, u64),
+    /// Surrogate-fit work of the study's suggest path, step by step.
+    surrogate: surrogate_stats::Tally,
     log: Vec<LogEntry>,
     /// Crash-resume replay table: `(assignment digest, fidelity bits)` →
     /// the journaled outcomes of the interrupted run, in journal order.
@@ -328,6 +334,7 @@ impl Evaluator {
                     trials: 0,
                     binned: binned::stats::Tally::default(),
                     gathered: (0, 0),
+                    surrogate: surrogate_stats::Tally::default(),
                     log: Vec::new(),
                     replay: HashMap::new(),
                 }),
@@ -357,6 +364,11 @@ impl Evaluator {
     /// Trials answered so far, cached and replayed ones included.
     pub(crate) fn trials(&self) -> usize {
         self.state().trials
+    }
+
+    /// Adds surrogate-fit work the study's suggest path tallied.
+    pub(crate) fn add_surrogate_work(&self, work: &surrogate_stats::Tally) {
+        self.state().surrogate.add(work);
     }
 
     /// Cache hits since the last non-cached evaluation. A persistently
@@ -450,6 +462,7 @@ impl Evaluator {
             binned: s.binned,
             bytes_gathered: s.gathered.0,
             gathers_skipped: s.gathered.1,
+            surrogate: s.surrogate,
         }
     }
 

@@ -435,3 +435,52 @@ fn truncated_journal_resume_matches_uninterrupted_run() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// One SMAC history past the surrogate's every-pick refit range: a serial
+/// joint-BO study of 150 evaluations, killed after 100 journaled trials,
+/// resumes to the uninterrupted run's state. The refit schedule reads only
+/// the observed history, so the replayed prefix refits where the original
+/// run did.
+#[test]
+fn joint_bo_resume_past_the_refit_schedule_matches_uninterrupted_run() {
+    let data = make_moons(160, 0.2, 1, 5);
+    let dir = tmp_dir("crash-joint-bo-150");
+    let journal = dir.join("journal.jsonl");
+    let joint = |journal: &Path, resume: bool| VolcanoMlOptions {
+        plan: p1_joint(EngineKind::Bo),
+        ..options(EngineKind::Bo, 150, 1, journal, resume)
+    };
+    let fit = |journal: &Path, resume: bool| {
+        VolcanoML::with_tier(Task::Classification, SpaceTier::Small, joint(journal, resume))
+            .fit(&data)
+            .unwrap()
+    };
+    let uninterrupted = fit(&journal, false);
+    let full_rows = journal_records(&journal);
+    assert!(full_rows.len() > 100, "need more than 100 rows to cut at 100");
+
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let crashed = dir.join("crashed.jsonl");
+    let mut torn = text.lines().take(100).collect::<Vec<_>>().join("\n");
+    torn.push_str("\n{\"schema\":1,\"trial\":9999,\"worker\":0,\"sta");
+    std::fs::write(&crashed, torn).unwrap();
+    let resumed = fit(&crashed, true);
+    let resumed_rows = journal_records(&crashed);
+
+    assert_unique_trial_ids(&resumed_rows);
+    assert_eq!(resumed_rows.len(), full_rows.len());
+    assert_eq!(
+        uninterrupted.report.best_loss.to_bits(),
+        resumed.report.best_loss.to_bits()
+    );
+    let a = strip_costs(&uninterrupted.study_state);
+    let b = strip_costs(&resumed.study_state);
+    if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+        panic!(
+            "resumed study state diverged at line {i}:\n  left:  {}\n  right: {}",
+            a.get(i).map(String::as_str).unwrap_or("<missing>"),
+            b.get(i).map(String::as_str).unwrap_or("<missing>"),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -127,6 +127,36 @@ fn serial_fit_counters_equal_the_values_recorded_before_the_move() {
     );
 }
 
+/// One SMAC history over the whole small space, serial: every suggestion
+/// past the initial design is a model-based pick against one surrogate.
+fn joint_bo() -> VolcanoMlOptions {
+    VolcanoMlOptions {
+        plan: p1_joint(EngineKind::Bo),
+        max_evaluations: 150,
+        seed: 5,
+        n_workers: 1,
+        ..Default::default()
+    }
+}
+
+/// The suggest path's surrogate work, `[fits, rows]`, next to every other
+/// counter of a 150-evaluation joint-BO study: a change to when the
+/// surrogate refits shows here, and nothing else may move with it.
+#[test]
+fn joint_bo_surrogate_work_is_pinned() {
+    let (report, m) = fit(&cls_data(), joint_bo());
+    assert_eq!(
+        [m.counter("work.surrogate.fits"), m.counter("work.surrogate.rows")],
+        [115, 8869],
+        "surrogate fits and rows"
+    );
+    assert_eq!(
+        all_counters(&report, &m),
+        [17, 25632, 2668, 605167, 2666, 0, 0, 74, 0, 74, 0, 150, 113, 37],
+        "every other counter"
+    );
+}
+
 fn schedule_independent(m: &MetricsRegistry) -> Vec<u64> {
     SCHEDULE_INDEPENDENT.iter().map(|name| m.counter(name)).collect()
 }
