@@ -37,6 +37,23 @@ fn class_means(x: &Matrix, by_class: &[Vec<usize>]) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// Rejects a class whose mean, or the covariance accumulated up to and
+/// including its rows, is not finite. Features near `f64::MAX` square to
+/// infinity: shrinkage would turn that into NaN, Cholesky would not notice,
+/// and every later prediction would be NaN.
+fn check_finite(class: usize, mean: &[f64], cov: &Matrix) -> Result<()> {
+    let what = if !mean.iter().all(|v| v.is_finite()) {
+        "mean"
+    } else if !cov.data().iter().all(|v| v.is_finite()) {
+        "covariance"
+    } else {
+        return Ok(());
+    };
+    Err(ModelError::Invalid(format!(
+        "class {class}: {what} is not finite (features too large to square)"
+    )))
+}
+
 /// Applies shrinkage: `(1 - s) Σ + s (tr Σ / d) I`.
 fn shrink(cov: &mut Matrix, shrinkage: f64) {
     let d = cov.rows();
@@ -125,6 +142,7 @@ impl Estimator for Lda {
                     }
                 }
             }
+            check_finite(c, &means[c], &cov)?;
         }
         for a in 0..d {
             for b in 0..a {
@@ -253,6 +271,7 @@ impl Estimator for Qda {
                     }
                 }
             }
+            check_finite(c, &means[c], &cov)?;
             for a in 0..d {
                 for b in 0..a {
                     let v = cov.get(b, a);
@@ -380,6 +399,26 @@ mod tests {
         for i in 0..pq.rows() {
             let s: f64 = pq.row(i).iter().sum();
             assert!((s - 1.0).abs() < 1e-9);
+        }
+    }
+
+    /// Rows scaled by 1e300 are finite, but their covariance is not: both
+    /// fits fail naming a class instead of returning NaN probabilities.
+    #[test]
+    fn overflowing_features_are_rejected_naming_the_class() {
+        let d = easy_binary();
+        let mut x = d.x.clone();
+        x.scale(1e300);
+        assert!(x.data().iter().all(|v| v.is_finite()));
+        let qda = Qda::new(0.1).fit(&x, &d.y);
+        let lda = Lda::new(0.1).fit(&x, &d.y);
+        for (name, result) in [("qda", qda), ("lda", lda)] {
+            match result {
+                Err(ModelError::Invalid(msg)) => {
+                    assert!(msg.starts_with("class 0: covariance"), "{name}: {msg}")
+                }
+                other => panic!("{name}: expected a typed error, got {other:?}"),
+            }
         }
     }
 
