@@ -174,10 +174,41 @@ impl Suggest for RandomSearch {
 const N_INIT: usize = 6;
 /// Every k-th [`Smac`] suggestion is random (SMAC's interleaving).
 const RANDOM_INTERLEAVE: usize = 5;
+/// History length up to which [`Smac`] refits on every model-based pick;
+/// past it, a refit waits for `⌈n / REFIT_N0⌉` new observations or a new
+/// incumbent.
+const REFIT_N0: usize = 50;
+
+/// What [`Smac`]'s surrogate was last fitted on.
+#[derive(Debug, Clone, Copy)]
+struct Fitted {
+    /// History length at the fit.
+    n: usize,
+    /// Incumbent loss bits at the fit.
+    best: Option<u64>,
+}
 
 /// SMAC-style Bayesian optimization: probabilistic random-forest surrogate
 /// over the encoded space, expected-improvement acquisition, interleaved
 /// random exploration.
+///
+/// **Refit schedule.** A model-based pick refits the surrogate (and, when
+/// cost-aware, the cost model) only when it is due:
+///
+/// 1. it was never fitted, or a constant-liar lie was pushed or retracted,
+///    or `grow_space` changed the encoding since it was — a surrogate
+///    fitted on lies or on the old encoding is wrong, not just stale;
+/// 2. otherwise, when observations arrived since the fit and either the
+///    history has at most `REFIT_N0` (50) of them, or at least
+///    `⌈n / REFIT_N0⌉` arrived, or the incumbent loss changed (bitwise).
+///
+/// Otherwise EI runs against the surrogate as last fitted. Amortised, each
+/// observation costs about `REFIT_N0` fitted rows, so a study's refit work
+/// is linear in its history instead of quadratic. Up to `REFIT_N0`
+/// observations rule 2 is exactly "refit when anything arrived", which is
+/// when every earlier build refitted: such histories draw and pick bit for
+/// bit as before. The schedule reads nothing but the observed history, so a
+/// journal replay refits where the original run did.
 #[derive(Debug)]
 pub struct Smac {
     space: ConfigSpace,
@@ -185,7 +216,9 @@ pub struct Smac {
     surrogate: RandomForestSurrogate,
     rng: StdRng,
     suggestions: usize,
-    stale: bool,
+    /// `None` until the first fit, and again whenever the fit became wrong
+    /// (lies, a grown space): the next model-based pick must refit.
+    fitted: Option<Fitted>,
     /// Acquisition is EI per predicted second (see [`CostModel`]).
     cost_aware: bool,
     cost_model: CostModel,
@@ -200,7 +233,7 @@ impl Smac {
             surrogate: RandomForestSurrogate::new(),
             rng: crate::rng::from_seed(seed),
             suggestions: 0,
-            stale: true,
+            fitted: None,
             cost_aware: false,
             cost_model: CostModel::new(),
         }
@@ -210,6 +243,23 @@ impl Smac {
     /// Fixed for the run: the cost-model fit draws from the rng.
     pub fn with_cost_aware(self, cost_aware: bool) -> Self {
         Smac { cost_aware, ..self }
+    }
+
+    fn best_bits(&self) -> Option<u64> {
+        self.history.best_loss().map(f64::to_bits)
+    }
+
+    /// Whether the next model-based pick refits (see the schedule above).
+    fn refit_due(&self) -> bool {
+        let Some(fitted) = self.fitted else {
+            return true;
+        };
+        let n = self.history.len();
+        let arrived = n - fitted.n;
+        arrived > 0
+            && (n <= REFIT_N0
+                || arrived >= n.div_ceil(REFIT_N0)
+                || self.best_bits() != fitted.best)
     }
 
     fn refit(&mut self) {
@@ -236,7 +286,10 @@ impl Smac {
             let costs: Vec<f64> = all.iter().map(|o| o.cost).collect();
             self.cost_model.refit(&cxs, &costs, &mut self.rng);
         }
-        self.stale = false;
+        self.fitted = Some(Fitted {
+            n: self.history.len(),
+            best: self.best_bits(),
+        });
     }
 
     /// One pick against the current history: the default first, random
@@ -250,7 +303,7 @@ impl Smac {
         if self.history.len() < N_INIT || self.suggestions.is_multiple_of(RANDOM_INTERLEAVE) {
             return (self.space.sample(&mut self.rng), 1.0);
         }
-        if self.stale {
+        if self.refit_due() {
             self.refit();
         }
         let best_loss = self.history.best_loss().unwrap_or(1.0);
@@ -278,9 +331,10 @@ impl Suggest for Smac {
     /// Constant-liar batch suggestion: after each pick but the last, a
     /// pseudo-observation at the incumbent loss ("the lie") is pushed so EI
     /// stops re-proposing the same region; once all `k` picks are made the
-    /// lies are retracted and the surrogate marked stale for honest
-    /// refitting on real results. A batch of one tells no lie, so it is
-    /// exactly one pick.
+    /// lies are retracted. A lie, pushed or retracted, forces the next
+    /// model-based pick to refit, so no pick scores against a surrogate
+    /// fitted on lies. A batch of one tells no lie, so it is exactly one
+    /// pick.
     fn suggest_batch(&mut self, k: usize) -> Vec<Suggestion> {
         let lie = self.history.best_loss().unwrap_or(1.0);
         let real_len = self.history.len();
@@ -294,13 +348,13 @@ impl Suggest for Smac {
                     cost: 0.0,
                     fidelity,
                 });
-                self.stale = true;
+                self.fitted = None;
             }
             out.push((cfg, fidelity, TrialTag::NONE));
         }
         if self.history.len() > real_len {
             self.history.truncate(real_len);
-            self.stale = true;
+            self.fitted = None;
         }
         out
     }
@@ -312,7 +366,6 @@ impl Suggest for Smac {
             cost,
             fidelity,
         });
-        self.stale = true;
     }
 
     fn history(&self) -> &RunHistory {
@@ -323,13 +376,13 @@ impl Suggest for Smac {
         &self.space
     }
 
-    /// Growing marks the surrogate stale: the next model-based suggestion
-    /// refits by re-encoding the (remapped) history in the new space, so no
-    /// surrogate migration is needed.
+    /// Growing forces a refit: the next model-based suggestion re-encodes
+    /// the (remapped) history in the new space, so no surrogate migration
+    /// is needed.
     fn grow_space(&mut self, new_space: ConfigSpace) {
         self.history = remap_history(&self.space, &new_space, &self.history);
         self.space = new_space;
-        self.stale = true;
+        self.fitted = None;
     }
 
     /// Cost-aware runs add the cost model's fit summary to the snapshot so
@@ -592,10 +645,14 @@ pub(crate) mod tests {
     /// cost-asymmetric branch space (60 trials, batches of 1 and 3), recorded
     /// while cost-awareness was still switched on by a setter after
     /// construction: an engine built cost-aware must schedule identically.
+    /// The k=1 digest was re-recorded when refits went on a schedule (its
+    /// last ten trials pass `REFIT_N0`); k=3 did not move, because every
+    /// model-based pick of a constant-liar batch follows a lie or a
+    /// retraction and refits.
     #[test]
     fn golden_cost_aware_smac_schedule() {
         let objective = |space: &ConfigSpace, c: &Configuration, _| symmetric_objective(space, c);
-        for (k, want) in [(1, 0x2b55_8b46_f3e3_cda9u64), (3, 0xfd5b_4230_588e_57c4)] {
+        for (k, want) in [(1, 0xab9d_c890_220b_f795u64), (3, 0xfd5b_4230_588e_57c4)] {
             let mut smac = Smac::new(branch_space(), 17).with_cost_aware(true);
             let got = schedule_digest(&mut smac, 60, k, objective);
             assert_eq!(got, want, "k={k} digest {got:#018x}");
@@ -612,6 +669,48 @@ pub(crate) mod tests {
             let got = schedule_digest(&mut smac, 50, k, objective);
             assert_eq!(got, want, "k={k} digest {got:#018x}");
         }
+    }
+
+    /// A 400-observation serial history refits only when the schedule says
+    /// so, far less often than it picks; a constant-liar batch on top of it
+    /// refits at every model-based pick after a lie, and its retraction
+    /// forces the next one.
+    #[test]
+    fn refits_follow_the_schedule_and_lies_force_one() {
+        use crate::surrogate::stats;
+        let mut smac = Smac::new(branch_space(), 11);
+        stats::take();
+        // (history length, incumbent loss bits) at each refit.
+        let mut refits: Vec<(usize, Option<u64>)> = Vec::new();
+        for _ in 0..400 {
+            let at = (smac.history().len(), smac.best_bits());
+            let (cfg, f, _) = smac.suggest();
+            if stats::take().fits > 0 {
+                refits.push(at);
+            }
+            let loss = objective(smac.space(), &cfg);
+            smac.observe(cfg, f, loss, 1.0);
+        }
+        for pair in refits.windows(2) {
+            let ((last_n, last_best), (n, best)) = (pair[0], pair[1]);
+            assert!(
+                n <= REFIT_N0 || n - last_n >= n.div_ceil(REFIT_N0) || best != last_best,
+                "refit at n={n} after one at n={last_n} with the same incumbent"
+            );
+        }
+        let past_n0 = refits.iter().filter(|(n, _)| *n > REFIT_N0).count();
+        assert!(past_n0 > 0 && past_n0 < 150, "{past_n0} refits past n0");
+
+        // The batch's first pick refits only if due; every later
+        // model-based pick follows a lie and must refit.
+        let model_based = |pick: usize| !pick.is_multiple_of(RANDOM_INTERLEAVE);
+        let first = smac.suggestions + 1;
+        let want = usize::from(model_based(first) && smac.refit_due())
+            + (first + 1..first + 3).filter(|&p| model_based(p)).count();
+        assert!(want > 0);
+        smac.suggest_batch(3);
+        assert_eq!(stats::take().fits as usize, want);
+        assert!(smac.refit_due(), "retracting the lies must force a refit");
     }
 
     /// `branch_space` grown by one trailing branch choice, one conditional

@@ -147,12 +147,12 @@ fn joint_bo_surrogate_work_is_pinned() {
     let (report, m) = fit(&cls_data(), joint_bo());
     assert_eq!(
         [m.counter("work.surrogate.fits"), m.counter("work.surrogate.rows")],
-        [115, 8869],
+        [71, 4414],
         "surrogate fits and rows"
     );
     assert_eq!(
         all_counters(&report, &m),
-        [17, 25632, 2668, 605167, 2666, 0, 0, 74, 0, 74, 0, 150, 113, 37],
+        [13, 19584, 2181, 485068, 2177, 0, 0, 72, 0, 72, 3, 150, 114, 36],
         "every other counter"
     );
 }
