@@ -257,9 +257,7 @@ impl Smac {
         let n = self.history.len();
         let arrived = n - fitted.n;
         arrived > 0
-            && (n <= REFIT_N0
-                || arrived >= n.div_ceil(REFIT_N0)
-                || self.best_bits() != fitted.best)
+            && (n <= REFIT_N0 || arrived >= n.div_ceil(REFIT_N0) || self.best_bits() != fitted.best)
     }
 
     fn refit(&mut self) {

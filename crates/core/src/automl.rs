@@ -14,12 +14,12 @@ use crate::study::StudyState;
 use crate::{CoreError, Result};
 use std::sync::Arc;
 use std::time::Duration;
+use volcanoml_bo::surrogate::stats as surrogate_stats;
 use volcanoml_data::{train_test_split, Dataset, Metric, Task};
 use volcanoml_exec::{ExecPool, Journal, PoolConfig};
 use volcanoml_fe::FePipeline;
 use volcanoml_linalg::Matrix;
 use volcanoml_models::{Estimator, Model};
-use volcanoml_bo::surrogate::stats as surrogate_stats;
 use volcanoml_obs::{MetricsRegistry, Tracer};
 
 /// Engine options.

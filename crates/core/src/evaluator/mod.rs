@@ -50,8 +50,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use volcanoml_bo::surrogate::stats as surrogate_stats;
 use validate::{PairJob, PairRun, Plan};
+use volcanoml_bo::surrogate::stats as surrogate_stats;
 use volcanoml_data::{Dataset, DatasetView, Metric};
 use volcanoml_exec::{current_worker, ExecPool, Journal, TrialRecord, TrialRun, TrialStatus};
 use volcanoml_fe::FePipeline;

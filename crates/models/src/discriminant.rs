@@ -49,9 +49,7 @@ fn check_finite(class: usize, mean: &[f64], cov: &Matrix) -> Result<()> {
     } else {
         return Ok(());
     };
-    Err(ModelError::Invalid(format!(
-        "class {class}: {what} is not finite (features too large to square)"
-    )))
+    Err(ModelError::Invalid(format!("class {class}: {what} is not finite")))
 }
 
 /// Applies shrinkage: `(1 - s) Σ + s (tr Σ / d) I`.

@@ -140,8 +140,9 @@ fn joint_bo() -> VolcanoMlOptions {
 }
 
 /// The suggest path's surrogate work, `[fits, rows]`, next to every other
-/// counter of a 150-evaluation joint-BO study: a change to when the
-/// surrogate refits shows here, and nothing else may move with it.
+/// counter of a serial 150-evaluation joint-BO study. Past 50 observations
+/// `Smac` refits on a schedule, so the rows fitted grow about linearly with
+/// the history; the other counters pin the trials that search chose.
 #[test]
 fn joint_bo_surrogate_work_is_pinned() {
     let (report, m) = fit(&cls_data(), joint_bo());
