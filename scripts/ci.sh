@@ -19,7 +19,10 @@ cargo build --release --workspace --offline
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
-echo "== cargo test --release (bitwise pins: bo and tree goldens, kernel parity, trial_path, resume_replay, co-tenant, serve/fit parity) =="
+echo "== scripts parse =="
+bash -n scripts/ab.sh
+
+echo "== cargo test --release (bitwise pins: bo and tree goldens, kernel parity, trial_path, resume_replay, surrogate work, co-tenant, serve/fit parity) =="
 # The surrogate's bit-for-bit contract, the histogram-tree goldens and
 # kernel-parity tests, and the StudyState pins must hold under optimisation
 # too; tier-1 runs these in debug only.
@@ -28,6 +31,8 @@ cargo test -q --release --offline -p volcanoml-models --lib -- \
     hist_goldens kernels_are_bitwise_identical u8_and_u16_codes_grow_identical_trees \
     feature_parallel_fill_is_bitwise_identical touched_bins_and_runs_walk_exactly_the_set
 cargo test -q --release --offline -p volcanoml-integration --test trial_path --test resume_replay
+cargo test -q --release --offline -p volcanoml-integration --test run_counters \
+    joint_bo_surrogate_work_is_pinned
 cargo test -q --release --offline -p volcanoml-integration --test exec_engine \
     co_tenant_fits_on_a_shared_pool_match_their_solo_runs
 cargo test -q --release --offline -p volcanoml-serve --lib serve_and_fit_run_the_same_search
